@@ -44,7 +44,9 @@ from .engine import (
     Trajectory,
     simulate,
     simulate_coupled,
+    simulate_replicates,
     step,
+    step_replicates,
     trajectory_to_csv,
     trajectory_to_json,
 )
@@ -102,6 +104,7 @@ __all__ = [
     "POLICY_TOKENS", "policy_from_token",
     "ProcessSpec", "Outcome", "Trajectory", "EngineError",
     "step", "simulate", "simulate_coupled", "trajectory_to_csv", "trajectory_to_json",
+    "step_replicates", "simulate_replicates",
     "SolverConfig", "Classification", "CriticalReport", "CRITICAL_BAND",
     "DomainError", "UnboundedClaimError", "UnsupportedKindError",
     "solve_wf_threshold", "solve_sf_threshold", "effective_mean_wf", "effective_mean_sf",

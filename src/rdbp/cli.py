@@ -60,6 +60,10 @@ from .universe import Seed, Universe
 
 __all__ = ["main"]
 
+#: failures after the config has parsed; each exits with code 3
+_RUNTIME_ERRORS = (DomainError, UnboundedClaimError, UnsupportedKindError, ConvergenceError,
+                   EngineError, InsufficientSurvivors, OSError, ValueError)
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -215,16 +219,26 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     if cfg.checks is None:
         raise ConfigError("config.checks: missing required field")
     results = {}
-    hard_failure = False
+    hard_failure = runtime_failure = False
     for name in cfg.checks:
-        outcome = _run_check(name, cfg, args.threads)
+        try:
+            outcome = _run_check(name, cfg, args.threads)
+        except ConfigError:  # a ValueError, but a config problem exits with 2
+            raise
+        except _RUNTIME_ERRORS as exc:
+            # recorded, so the checks before and after it keep their results
+            print(f"error: check {name}: {exc}", file=sys.stderr)
+            outcome = {"ok": False, "error": str(exc)}
+            runtime_failure = True
         results[name] = outcome
-        if outcome["hard"] and not outcome["ok"]:
+        if outcome.get("hard") and not outcome["ok"]:
             hard_failure = True
         print(f"check={name} ok={outcome['ok']}")
     payload = {"seed": cfg.seed.value, "checks": results}
     path = _write_text(Path(args.out), "verify.json", _json_text(payload))
     print(f"wrote {path}")
+    if runtime_failure:
+        return 3
     return 1 if hard_failure else 0
 
 
@@ -285,8 +299,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, UnboundedClaimError, UnsupportedKindError, ConvergenceError,
-            EngineError, InsufficientSurvivors, OSError, ValueError) as exc:
+    except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -47,6 +47,12 @@ class OffspringLaw:
             raise ValueError("offspring probabilities must be finite and non-negative")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("offspring probabilities must sum to 1 within 1e-12")
+        # built once and kept out of the dataclass fields, so equality,
+        # hashing and repr still see the probabilities alone
+        cum = np.cumsum(np.asarray(probs, dtype=np.float64))
+        cum[self.max_offspring:] = 1.0
+        cum.flags.writeable = False
+        object.__setattr__(self, "_cdf", cum)
 
     @property
     def max_offspring(self) -> int:
@@ -65,15 +71,14 @@ class OffspringLaw:
         return float(second - m * m)
 
     def cumulative(self) -> np.ndarray:
-        """CDF grid for inverse-CDF sampling; the last entry is forced to 1.0
-        so a deviate arbitrarily close to 1 still maps into the support."""
-        cum = np.cumsum(np.asarray(self.probabilities, dtype=np.float64))
-        cum[-1] = 1.0
-        return cum
+        """Read-only CDF grid for inverse-CDF sampling.  Every entry from
+        ``max_offspring`` on is forced to 1.0, so a deviate arbitrarily close
+        to 1 still maps to a count with positive mass."""
+        return self._cdf
 
     def quantile(self, u):
         """Smallest j with CDF(j) >= u.  Vectorised."""
-        return np.searchsorted(self.cumulative(), u, side="left").astype(np.int64)
+        return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
 
 
 @dataclass(frozen=True)

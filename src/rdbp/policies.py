@@ -41,6 +41,16 @@ def _prefix_count(ordered_claims: np.ndarray, budget: float) -> int:
     return int(np.searchsorted(cum, budget, side="right"))
 
 
+def _prefix_count_rows(ordered: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+    """_prefix_count of every row of a 2-D block, with one budget per row.
+
+    ``cumsum`` runs along each row in order, exactly as on the row alone,
+    and non-negative claims keep the totals sorted, so counting the totals
+    within budget finds the same prefix as ``searchsorted``.
+    """
+    return (np.cumsum(ordered, axis=1) <= budgets[:, None]).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class ServedSet:
     """Outcome of applying one policy to one generation's claims."""
@@ -63,6 +73,20 @@ class PriorityPolicy:
         perm = self.permutation(claims, aux)
         return _prefix_count(np.asarray(claims, dtype=np.float64)[perm], budget)
 
+    def count_rows(
+        self, claims: np.ndarray, budgets: np.ndarray, aux: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``count`` of each row of an (m, t) claim block against its budget.
+
+        Subclasses replace this with one 2-D pass that returns the same
+        counts; the default calls ``count`` row by row.
+        """
+        return np.array(
+            [self.count(claims[i], budgets[i], None if aux is None else aux[i])
+             for i in range(len(claims))],
+            dtype=np.int64,
+        )
+
 
 class FcfsPolicy(PriorityPolicy):
     """Service in arrival order."""
@@ -74,6 +98,9 @@ class FcfsPolicy(PriorityPolicy):
 
     def count(self, claims, budget, aux=None):
         return count_fcfs(claims, budget)
+
+    def count_rows(self, claims, budgets, aux=None):
+        return _prefix_count_rows(claims, budgets)
 
 
 class WeakestFirstPolicy(PriorityPolicy):
@@ -87,6 +114,9 @@ class WeakestFirstPolicy(PriorityPolicy):
     def count(self, claims, budget, aux=None):
         return count_wf(claims, budget)
 
+    def count_rows(self, claims, budgets, aux=None):
+        return _prefix_count_rows(np.sort(claims, axis=1), budgets)
+
 
 class StrongestFirstPolicy(PriorityPolicy):
     """Largest claims first; admits the fewest of the three canonical orders."""
@@ -98,6 +128,9 @@ class StrongestFirstPolicy(PriorityPolicy):
 
     def count(self, claims, budget, aux=None):
         return count_sf(claims, budget)
+
+    def count_rows(self, claims, budgets, aux=None):
+        return _prefix_count_rows(np.sort(claims, axis=1)[:, ::-1], budgets)
 
 
 class CoinFlipPolicy(PriorityPolicy):
@@ -114,6 +147,12 @@ class CoinFlipPolicy(PriorityPolicy):
         if aux.shape != (len(claims),):
             raise ValueError("auxiliary deviates must match the claim count")
         return np.argsort(aux, kind="stable")
+
+    def count_rows(self, claims, budgets, aux=None):
+        if aux is None or aux.shape != claims.shape:
+            raise ValueError("coinflip policy needs auxiliary deviates (one per claim)")
+        order = np.argsort(aux, axis=1, kind="stable")
+        return _prefix_count_rows(np.take_along_axis(claims, order, axis=1), budgets)
 
 
 class ThirdLargestFirstPolicy(PriorityPolicy):
@@ -136,6 +175,15 @@ class ThirdLargestFirstPolicy(PriorityPolicy):
         perm = desc.copy()
         perm[[0, 1, 2]] = desc[[2, 0, 1]]
         return perm
+
+    def count_rows(self, claims, budgets, aux=None):
+        # a stable descending argsort puts tied claims in some order, but
+        # the served prefix only sees their values, which a sort reproduces
+        ordered = np.sort(claims, axis=1)[:, ::-1]
+        if ordered.shape[1] >= 3:
+            ordered = ordered.copy()
+            ordered[:, [0, 1, 2]] = ordered[:, [2, 0, 1]]
+        return _prefix_count_rows(ordered, budgets)
 
 
 class CustomPolicy(PriorityPolicy):

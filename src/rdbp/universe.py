@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import LawTriple
 
-__all__ = ["Seed", "Universe", "INDEX_CAP"]
+__all__ = ["Seed", "Universe", "ReplicateRows", "INDEX_CAP"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -162,34 +162,54 @@ class Universe:
         return float(np.asarray(self.laws.resource.icdf(u), dtype=np.float64)[0])
 
 
-def _unit_across_replicates(base: Universe, tag: int, ids: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The (n, k) cell of one array, evaluated for many replicate ids at once.
-
-    Bit-identical to deriving each replicate and reading the cell, but a
-    single vectorised pass; bulk scans (witness searches) rely on this.
-    """
-    if not 0 <= n <= INDEX_CAP or not 1 <= k <= INDEX_CAP:
-        raise ValueError("cell address outside the index cap")
+def _row_keys(base: Universe, tag: int, ids: np.ndarray, n: int) -> np.ndarray:
+    """``_row_key(tag, n)`` of many replicate ids at once, bit for bit."""
+    if not 0 <= n <= INDEX_CAP:
+        raise ValueError(f"generation index {n} outside [0, {INDEX_CAP}]")
     ids = np.asarray(ids, dtype=np.uint64)
     h = np.uint64(_mix(base.seed.value + _GOLDEN * tag))
     h2 = _mix_array(h + _U64_GOLDEN * (ids + np.uint64(1)))
     # scalar uint64 products go through Python ints: numpy warns on scalar
     # wraparound even though wrapping is exactly what we want
-    row = _mix_array(h2 + np.uint64((n * _GOLDEN) & _MASK64))
-    words = _mix_array(np.uint64((k * _GOLDEN) & _MASK64) ^ row)
-    return _words_to_unit(words)
+    return _mix_array(h2 + np.uint64((n * _GOLDEN) & _MASK64))
 
 
-def offspring_across_replicates(base: Universe, ids: np.ndarray, n: int, k: int) -> np.ndarray:
-    u = _unit_across_replicates(base, _TAG_OFFSPRING, ids, n, k)
-    return base.laws.offspring.quantile(u)
+class ReplicateRows:
+    """Generation n of many replicates of one universe, read as 2-D blocks.
 
+    Row i of ``offspring(rows, count)`` equals
+    ``base.derive_replicate(ids[rows[i]]).offspring_row(n, count)`` bit for
+    bit, and likewise for claims, resources and aux.  Each block is
+    C-contiguous, so ``block.sum(axis=1)`` adds every row with the same
+    pairwise tree as ``np.sum`` of that row alone.
+    """
 
-def claims_across_replicates(base: Universe, ids: np.ndarray, n: int, k: int) -> np.ndarray:
-    u = _unit_across_replicates(base, _TAG_CLAIM, ids, n, k)
-    return np.asarray(base.laws.claim.icdf(u), dtype=np.float64)
+    def __init__(self, base: Universe, ids: np.ndarray, n: int):
+        self._base = base
+        self._ids = ids
+        self._n = n
+        self._keys: dict[int, np.ndarray] = {}
 
+    def _units(self, tag: int, rows: np.ndarray, count: int) -> np.ndarray:
+        if count > INDEX_CAP:
+            raise ValueError(f"positions [1, {count}] outside [1, {INDEX_CAP}]")
+        keys = self._keys.get(tag)
+        if keys is None:
+            keys = self._keys[tag] = _row_keys(self._base, tag, self._ids, self._n)
+        k = np.arange(1, count + 1, dtype=np.uint64)
+        return _words_to_unit(_mix_array((k * _U64_GOLDEN) ^ keys[rows, None]))
 
-def resources_across_replicates(base: Universe, ids: np.ndarray, n: int, k: int) -> np.ndarray:
-    u = _unit_across_replicates(base, _TAG_RESOURCE, ids, n, k)
-    return np.asarray(base.laws.resource.icdf(u), dtype=np.float64)
+    def offspring(self, rows: np.ndarray, count: int) -> np.ndarray:
+        return self._base.laws.offspring.quantile(self._units(_TAG_OFFSPRING, rows, count))
+
+    def claims(self, rows: np.ndarray, count: int) -> np.ndarray:
+        u = self._units(_TAG_CLAIM, rows, count)
+        return np.asarray(self._base.laws.claim.icdf(u), dtype=np.float64)
+
+    def resources(self, rows: np.ndarray, count: int) -> np.ndarray:
+        u = self._units(_TAG_RESOURCE, rows, count)
+        return np.asarray(self._base.laws.resource.icdf(u), dtype=np.float64)
+
+    def aux(self, rows: np.ndarray, count: int) -> np.ndarray:
+        return self._units(_TAG_AUX, rows, count)
+

@@ -238,6 +238,26 @@ class TestVerify:
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_failing_check_keeps_the_other_results(self, tmp_path, capsys):
+        # the README laws have no litter of three, so the counterexample
+        # search rejects them after dominance has already finished
+        cfg = verify_config(tmp_path, ["dominance", "counterexample", "sf_probe"],
+                            {"sf_probe": {"t_values": [1, 2]}})
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "check=dominance ok=True" in captured.out
+        assert "check=counterexample ok=False" in captured.out
+        assert "check=sf_probe ok=True" in captured.out
+        assert "error: check counterexample:" in captured.err
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        assert checks["dominance"]["result"]["violations"] == 0
+        assert checks["counterexample"] == {
+            "ok": False,
+            "error": "counterexample search needs P[offspring = 3] > 0",
+        }
+        assert checks["sf_probe"]["ok"] is True
+
     def test_missing_checks_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": 5, "laws": base_laws()})
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

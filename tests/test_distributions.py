@@ -49,6 +49,22 @@ class TestOffspringLaw:
         law = OffspringLaw(p)
         assert law.cumulative()[-1] == 1.0
 
+    def test_trailing_zero_mass_is_never_drawn(self):
+        # the masses sum to just under 1, so a deviate near 1 lands above
+        # the running total of every count with positive mass
+        law = OffspringLaw((0.5, 0.4999999999999, 0.0))
+        assert law.max_offspring == 1
+        np.testing.assert_array_equal(law.quantile([1 - 1e-14, 1 - 2.0**-54]), [1, 1])
+        np.testing.assert_array_equal(law.cumulative(), [0.5, 1.0, 1.0])
+
+    def test_cached_grid_stays_out_of_equality(self):
+        law = OffspringLaw((0.5, 0.5, 0.0))
+        same = OffspringLaw((0.5, 0.5, 0.0))
+        assert law == same and hash(law) == hash(same)
+        assert repr(law) == "OffspringLaw(probabilities=(0.5, 0.5, 0.0))"
+        with pytest.raises(ValueError):
+            law.cumulative()[0] = 0.0
+
     def test_quantile(self):
         law = OffspringLaw((0.25, 0.0, 0.75))
         assert law.quantile(0.1) == 0

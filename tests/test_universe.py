@@ -5,11 +5,7 @@ import pytest
 from scipy import stats
 
 from rdbp import INDEX_CAP, Constant, LawTriple, OffspringLaw, Seed, Uniform, Universe
-from rdbp.universe import (
-    claims_across_replicates,
-    offspring_across_replicates,
-    resources_across_replicates,
-)
+from rdbp.universe import ReplicateRows
 
 
 @pytest.fixture
@@ -96,15 +92,17 @@ class TestAddressing:
             u.derive_replicate(-1)
 
     def test_across_replicates_matches_loop(self, u):
-        ids = np.array([0, 1, 5, 17, 100000], dtype=np.uint64)
-        for fn, row_of in [
-            (claims_across_replicates, lambda v, n, k: v.claim_at(n, k)),
-            (resources_across_replicates, lambda v, n, k: v.resource_at(n, k)),
-            (offspring_across_replicates, lambda v, n, k: v.offspring_at(n, k)),
+        ids = np.array([0, 1, 5, 17, 100000])
+        rows = ReplicateRows(u, ids, 1)
+        picked = np.array([4, 0, 2])  # any subset of the ids, in any order
+        for block, row_of in [
+            (rows.claims(picked, 3), lambda v: v.claim_row(1, 3)),
+            (rows.resources(picked, 3), lambda v: v.resource_row(1, 3)),
+            (rows.offspring(picked, 3), lambda v: v.offspring_row(1, 3)),
+            (rows.aux(picked, 3), lambda v: v.aux_row(1, 3)),
         ]:
-            vec = fn(u, ids, 1, 2)
-            loop = np.array([row_of(u.derive_replicate(int(i)), 1, 2) for i in ids])
-            np.testing.assert_array_equal(vec, np.asarray(loop, dtype=vec.dtype))
+            loop = np.array([row_of(u.derive_replicate(int(i))) for i in ids[picked]])
+            np.testing.assert_array_equal(block, loop)
 
 
 class TestLawFidelity:
