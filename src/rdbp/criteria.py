@@ -30,7 +30,6 @@ from .distributions import (
 from .special import (
     ConvergenceError,
     inverse_regularized_incomplete_beta,
-    lambert_w_minus1,
     regularized_incomplete_beta,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "beta_asymptotic_critical_resource",
     "critical_curve",
     "critical_report",
-    "lambert_w_minus1",
 ]
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 __all__ = [
     "OffspringLaw",
@@ -24,10 +23,6 @@ __all__ = [
     "ScalarLaw",
     "LawTriple",
     "RegularityReport",
-    "mean",
-    "cdf",
-    "lower_partial_moment",
-    "upper_partial_moment",
     "validate_regularity",
 ]
 
@@ -138,6 +133,15 @@ class Uniform:
         return (self.hi * self.hi - t * t) / (2.0 * (self.hi - self.lo))
 
 
+def _scipy_special():
+    """``scipy.special``, imported on first use.  Only ``ScaledBeta`` needs
+    it, and loading scipy costs more start-up time and memory than the rest
+    of the package, which runs on other laws should not pay."""
+    import scipy.special
+
+    return scipy.special
+
+
 @dataclass(frozen=True)
 class ScaledBeta:
     """Beta(a, b) law stretched onto (0, scale)."""
@@ -153,6 +157,8 @@ class ScaledBeta:
     def __post_init__(self) -> None:
         if self.a <= 0.0 or self.b <= 0.0 or self.scale <= 0.0:
             raise ValueError("scaled beta law requires a, b, scale > 0")
+        # pay the import while the law is built, not inside a timed call
+        _scipy_special()
 
     @property
     def support_lower(self) -> float:
@@ -171,7 +177,7 @@ class ScaledBeta:
 
     def cdf(self, x):
         y = np.clip(np.asarray(x, dtype=np.float64) / self.scale, 0.0, 1.0)
-        return betainc(self.a, self.b, y)
+        return _scipy_special().betainc(self.a, self.b, y)
 
     def pdf(self, x):
         y = np.asarray(x, dtype=np.float64) / self.scale
@@ -182,7 +188,7 @@ class ScaledBeta:
         return np.where((y > 0.0) & (y < 1.0), out, 0.0)
 
     def icdf(self, u):
-        return self.scale * betaincinv(self.a, self.b, np.asarray(u, dtype=np.float64))
+        return self.scale * _scipy_special().betaincinv(self.a, self.b, np.asarray(u, dtype=np.float64))
 
     def lower_partial_moment(self, t: float) -> float:
         # integrating x against the density raises the first beta parameter by one
@@ -190,14 +196,14 @@ class ScaledBeta:
             return 0.0
         if t >= self.scale:
             return self.mean()
-        return self.mean() * float(betainc(self.a + 1.0, self.b, t / self.scale))
+        return self.mean() * float(_scipy_special().betainc(self.a + 1.0, self.b, t / self.scale))
 
     def upper_partial_moment(self, t: float) -> float:
         if t <= 0.0:
             return self.mean()
         if t >= self.scale:
             return 0.0
-        return self.mean() * float(1.0 - betainc(self.a + 1.0, self.b, t / self.scale))
+        return self.mean() * float(1.0 - _scipy_special().betainc(self.a + 1.0, self.b, t / self.scale))
 
 
 @dataclass(frozen=True)
@@ -313,22 +319,6 @@ class LawTriple:
             law = getattr(self, name)
             if not hasattr(law, "lower_partial_moment"):
                 raise TypeError(f"{name} law must be a scalar law instance, got {type(law).__name__}")
-
-
-def mean(law) -> float:
-    return law.mean()
-
-
-def cdf(law, x):
-    return law.cdf(x)
-
-
-def lower_partial_moment(law, t: float) -> float:
-    return law.lower_partial_moment(t)
-
-
-def upper_partial_moment(law, t: float) -> float:
-    return law.upper_partial_moment(t)
 
 
 @dataclass(frozen=True)

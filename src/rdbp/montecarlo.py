@@ -204,7 +204,9 @@ def safe_haven_check(
     (lower confidence limit against the powered upper limit), and that the
     point estimates are non-increasing in L.
     """
-    founders = sorted({1, *initial_sizes})
+    # a population founded at the explosion cap has exploded before its first
+    # generation, so those founder counts are tallied without simulating
+    founders = sorted(f for f in {1, *initial_sizes} if f < mc.explosion_cap)
     specs = [
         ProcessSpec(
             laws=triple,
@@ -222,10 +224,11 @@ def safe_haven_check(
         initial: _extinction_estimate(kinds, mc)
         for initial, kinds in zip(founders, zip(*per_replicate))
     }
+    exploded = _extinction_estimate(("exploded",) * mc.replicates, mc)
     baseline = estimates[1]
     rows = []
     for initial in initial_sizes:
-        est = estimates[initial]
+        est = estimates.get(initial, exploded)
         bound = baseline.ci_high ** initial
         rows.append(
             SafeHavenRow(

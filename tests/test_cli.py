@@ -9,6 +9,7 @@ module also works through a real interpreter boundary.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +239,24 @@ class TestVerify:
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_safe_haven_founders_at_the_cap(self, tmp_path, capsys):
+        # 10 founders are already at the cap of 8: every such run counts as
+        # exploded and the smaller founder counts keep their rows
+        cfg = write_config(tmp_path, {
+            "seed": 0,
+            "laws": base_laws(),
+            "mc": {"replicates": 50, "horizon": 60, "explosion_cap": 8},
+            "checks": ["safe_haven"],
+            "check_params": {"safe_haven": {"initial_sizes": [1, 2, 10]}},
+        })
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        result = json.loads((out / "verify.json").read_text())["checks"]["safe_haven"]["result"]
+        assert result["monotone_nonincreasing"] is True
+        assert [row["initial_size"] for row in result["rows"]] == [1, 2, 10]
+        capped = result["rows"][2]["estimate"]
+        assert capped["n_exploded"] == 50 and capped["p_extinct"] == 0.0
+
     def test_failing_check_keeps_the_other_results(self, tmp_path, capsys):
         # the README laws have no litter of three, so the counterexample
         # search rejects them after dominance has already finished
@@ -347,3 +366,30 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert (out / "curve.csv").exists()
     assert "m,r_wc,r_uc,r_sc" in proc.stdout
+
+
+STARTUP_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import rdbp, rdbp.cli
+from rdbp.config import parse_run_config
+config, out = sys.argv[2], sys.argv[3]
+with open(config) as fh:
+    parse_run_config(json.load(fh))
+assert rdbp.cli.main(["simulate", "--config", config, "--out", out]) == 0
+assert "scipy" not in sys.modules, "a uniform-claims run imported scipy"
+rdbp.ScaledBeta(2.0, 2.0, 2.0)
+assert "scipy.special" in sys.modules, "building a ScaledBeta did not import scipy"
+"""
+
+
+def test_uniform_claims_never_import_scipy(sim_config, tmp_path):
+    # scipy is the costliest import rdbp can pull in, and only ScaledBeta needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, src, sim_config, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "trajectory.csv").exists()

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -154,6 +155,31 @@ class TestScalarLaws:
         assert law.variance() == 0.0
         assert law.cdf(1.0) == 1.0
         assert law.cdf(0.999) == 0.0
+
+
+class TestPickling:
+    """Laws cross to worker processes by pickle, so a copy must be the same
+    law: equal, with the same hash, drawing the same samples."""
+
+    U = np.array([1e-12, 0.1, 0.5, 0.9, 1 - 1e-12])
+
+    @pytest.mark.parametrize(
+        "law",
+        [Uniform(0.0, 2.0), ScaledBeta(2.0, 2.0, 2.0), Exponential(1.5), Constant(1.2)],
+        ids=lambda l: l.kind,
+    )
+    def test_scalar_law_round_trip(self, law):
+        copy = pickle.loads(pickle.dumps(law))
+        assert copy == law and hash(copy) == hash(law) and repr(copy) == repr(law)
+        assert copy.icdf(self.U).tobytes() == law.icdf(self.U).tobytes()
+
+    def test_offspring_law_and_triple_round_trip(self):
+        triple = LawTriple(OffspringLaw((0.3, 0.3, 0.4, 0.0)), ScaledBeta(2.0, 2.0, 2.0),
+                           Uniform(0.0, 1.5))
+        copy = pickle.loads(pickle.dumps(triple))
+        assert copy == triple and hash(copy) == hash(triple)
+        assert copy.offspring.quantile(self.U).tolist() == triple.offspring.quantile(self.U).tolist()
+        assert copy.claim.icdf(self.U).tobytes() == triple.claim.icdf(self.U).tobytes()
 
 
 class TestRegularity:

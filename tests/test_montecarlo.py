@@ -243,6 +243,16 @@ class TestSafeHavenCheck:
         assert report.rows[0].estimate.p_extinct > 0.2
         assert report.rows[-1].estimate.p_extinct < 0.05
 
+    def test_founders_at_the_cap_count_as_exploded(self, basic_triple):
+        mc = McConfig(replicates=60, horizon=30, explosion_cap=10, base_seed=Seed(9))
+        report = safe_haven_check(basic_triple, (1, 2, 10, 12), mc)
+        below = safe_haven_check(basic_triple, (1, 2), mc)
+        assert report.rows[:2] == below.rows and report.baseline == below.baseline
+        for row in report.rows[2:]:
+            assert row.estimate.n_exploded == mc.replicates
+            assert row.estimate.p_extinct == 0.0 and row.within_bound
+        assert report.monotone_nonincreasing
+
 
 # ---------------------------------------------------------------------------
 # Growth envelope

@@ -145,3 +145,8 @@ class TestWorkerSplitIsInvisible:
         spec = ProcessSpec(laws=self.triple, policy=WeakestFirstPolicy())
         mc = McConfig(replicates=3, horizon=20, explosion_cap=800, base_seed=Seed(13))
         assert estimate_extinction(spec, mc, workers=1) == estimate_extinction(spec, mc, workers=5)
+
+
+class TestWorkerSplitIsInvisibleOnBetaClaims(TestWorkerSplitIsInvisible):
+    # the workers receive a pickled ScaledBeta and evaluate it themselves
+    triple = TRIPLES["beta-uniform"]
