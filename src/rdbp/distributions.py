@@ -48,6 +48,9 @@ class OffspringLaw:
         cum[self.max_offspring:] = 1.0
         cum.flags.writeable = False
         object.__setattr__(self, "_cdf", cum)
+        # a deviate never exceeds 1, so only the cuts below 1 can count
+        cuts, times = np.unique(cum[cum < 1.0], return_counts=True)
+        object.__setattr__(self, "_cuts", tuple(zip(cuts.tolist(), times.tolist())))
 
     @property
     def max_offspring(self) -> int:
@@ -74,6 +77,19 @@ class OffspringLaw:
     def quantile(self, u):
         """Smallest j with CDF(j) >= u.  Vectorised."""
         return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
+
+    def row_totals(self, u) -> np.ndarray:
+        """``quantile(u).sum(axis=-1)`` without building the counts.
+
+        ``quantile`` counts the CDF entries strictly below u, so a row's
+        total is, over each distinct cut c, the number of entries equal to c
+        times the number of deviates above c.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        totals = np.zeros(u.shape[:-1], dtype=np.int64)
+        for cut, times in self._cuts:
+            totals += times * np.count_nonzero(u > cut, axis=-1)
+        return totals
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,14 @@ outcomes bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .distributions import LawTriple
 from .policies import PriorityPolicy
-from .universe import INDEX_CAP, ReplicateRows, Universe
+from .universe import ReplicateRows, Universe
 
 __all__ = [
     "EngineError",
@@ -45,6 +45,11 @@ EXPLOSION_CAP_DEFAULT = 10 ** 6
 #: largest block of cells the batched engine reads at once; a longer run of
 #: equal-length rows is read in pieces, and a single longer row on its own
 BLOCK_CELLS = 1 << 20
+#: most prospective children one replicate may have in a generation.  Their
+#: claims (8 bytes each) and a policy's sorted copy are the only blocks that
+#: grow with the population: 2**27 claims take 1 GiB.  The cap is far below
+#: INDEX_CAP, so every claim it admits has an address
+CLAIM_CAP = 1 << 27
 
 
 class EngineError(RuntimeError):
@@ -83,7 +88,12 @@ class Outcome:
 class Trajectory:
     sizes: list[int]
     outcome: Outcome
-    growth_ratios: list[float] = field(default_factory=list)
+
+    @property
+    def growth_ratios(self) -> list[float]:
+        """Size ratios of consecutive generations, out of every non-empty one."""
+        sizes = self.sizes
+        return [sizes[i + 1] / sizes[i] for i in range(len(sizes) - 1) if sizes[i] > 0]
 
     def size_at(self, n: int) -> int:
         """Size at generation n; extinct trajectories stay 0 forever.
@@ -106,18 +116,27 @@ def step(current_size: int, universe: Universe, n: int, policy: PriorityPolicy) 
         raise EngineError("negative population size")
     if current_size == 0:
         return 0
-    offspring = universe.offspring_row(n, current_size)
-    total = int(offspring.sum())
-    if total > INDEX_CAP:
-        raise EngineError(
-            f"{total} prospective children in generation {n} exceed the index cap {INDEX_CAP}"
-        )
-    budget = float(universe.resource_row(n, current_size).sum())
+    rows = universe.generation(n)
+    total = int(rows.offspring_totals(_ONE_ROW, current_size)[0])
     if total == 0:
         return 0
-    claims = universe.claim_row(n, total)
-    aux = universe.aux_row(n, total) if policy.needs_aux else None
+    _check_claims(total, n)
+    budget = float(rows.budgets(_ONE_ROW, current_size)[0])
+    claims = rows.claims(_ONE_ROW, total)[0]
+    aux = rows.aux(_ONE_ROW, total)[0] if policy.needs_aux else None
     return policy.count(claims, budget, aux)
+
+
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
+def _check_claims(total: int, n: int) -> None:
+    """Refuse a generation whose claims would exceed the claim cap before
+    they are allocated."""
+    if total > CLAIM_CAP:
+        raise EngineError(
+            f"{total} prospective children in generation {n} exceed the claim cap {CLAIM_CAP}"
+        )
 
 
 def simulate(spec: ProcessSpec, universe: Universe) -> Trajectory:
@@ -136,12 +155,7 @@ def simulate(spec: ProcessSpec, universe: Universe) -> Trajectory:
         if nxt >= spec.explosion_cap:
             outcome = Outcome("exploded", n + 1)
             break
-    return _trajectory(sizes, outcome)
-
-
-def _trajectory(sizes: list[int], outcome: Outcome) -> Trajectory:
-    ratios = [sizes[i + 1] / sizes[i] for i in range(len(sizes) - 1) if sizes[i] > 0]
-    return Trajectory(sizes=sizes, outcome=outcome, growth_ratios=ratios)
+    return Trajectory(sizes, outcome)
 
 
 def simulate_coupled(specs: Sequence[ProcessSpec], universe: Universe) -> list[Trajectory]:
@@ -196,14 +210,17 @@ def step_replicates(
     rows = ReplicateRows(base, np.asarray(ids), n)
     totals = np.zeros(len(sizes), dtype=np.int64)
     budgets = np.zeros(len(sizes), dtype=np.float64)
+    parents = []
     for block, size in _equal_length_blocks(sizes):
         if size:
-            totals[block] = rows.offspring(block, size).sum(axis=1)
-            budgets[block] = rows.resources(block, size).sum(axis=1)
-    if totals.size and totals.max() > INDEX_CAP:
-        raise EngineError(
-            f"{totals.max()} prospective children in generation {n} exceed the index cap {INDEX_CAP}"
-        )
+            totals[block] = block_totals = rows.offspring_totals(block, size)
+            parents.append((block[block_totals > 0], size))
+    if totals.size:
+        _check_claims(int(totals.max()), n)
+    # a budget is only ever compared with claims, so rows without children
+    # need none, and none is read before every row's claims are known to fit
+    for block, size in parents:
+        budgets[block] = rows.budgets(block, size)
     served = np.zeros(len(sizes), dtype=np.int64)
     born = np.flatnonzero(totals)
     for block, total in _equal_length_blocks(totals[born]):
@@ -237,7 +254,7 @@ def simulate_replicates(spec: ProcessSpec, base: Universe, ids: Sequence[int]) -
             outcomes[j] = Outcome("exploded", n + 1)
         going = ~(extinct | exploded)
         live, current = live[going], current[going]
-    return [_trajectory(sizes, outcome) for sizes, outcome in zip(records, outcomes)]
+    return [Trajectory(sizes, outcome) for sizes, outcome in zip(records, outcomes)]
 
 
 def _fmt(x: float) -> str:

@@ -135,14 +135,16 @@ def _per_replicate(
     returns; the results are per replicate, so the split never shows.
     """
     stop = start + (mc.replicates if count is None else count)
-    if workers <= 1:
+    # the pool starts every worker it may use at once, so it gets no more
+    # workers than there are ids, and each of them a non-empty range
+    workers = max(1, min(workers, stop - start))
+    if workers == 1:
         return _simulate_range(fn, specs, mc.base_seed, start, stop)
     edges = [start + (stop - start) * w // workers for w in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_simulate_range, fn, specs, mc.base_seed, lo, hi)
             for lo, hi in zip(edges, edges[1:])
-            if hi > lo
         ]
         return [result for fut in futures for result in fut.result()]
 
@@ -486,8 +488,8 @@ def counterexample_search(
         scanned = int(ids[-1]) + 1
         rows = ReplicateRows(base, ids, 0)
         everyone = np.arange(len(ids))
-        t0 = rows.offspring(everyone, 1)[:, 0]
-        res = rows.resources(everyone, 1)[:, 0]
+        t0 = rows.offspring_totals(everyone, 1)
+        res = rows.budgets(everyone, 1)  # a founder's budget is its own resource
         born = np.arange(1, max_k + 1) <= t0[:, None]
         largest = np.where(born, rows.claims(everyone, max_k), -np.inf).max(axis=1)
         candidates = ids[(t0 >= 1) & (largest <= res)]

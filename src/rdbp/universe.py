@@ -11,15 +11,23 @@ Cell words come from a keyed 64-bit finalizer chain (SplitMix64 style
 avalanche), with n and k each limited to 32 bits.  Statistical quality is
 enforced by fixed-seed chi-square and Kolmogorov-Smirnov checks in the test
 suite.
+
+One kernel hashes every block of cells.  A block of more than CHUNK_CELLS
+cells is hashed in pieces of at most that many, each computed in place in
+buffers that every piece reuses, so the temporaries stay in cache however
+long the rows are; a smaller block takes one pass.  The readers built on it
+reduce what they can while hashing: offspring rows are only ever summed, so
+their counts are never built, and a constant law needs no hashing at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
-from .distributions import LawTriple
+from .distributions import Constant, LawTriple
 
 __all__ = ["Seed", "Universe", "ReplicateRows", "INDEX_CAP"]
 
@@ -45,6 +53,10 @@ _NP_M1 = np.uint64(_MIX_M1)
 _NP_M2 = np.uint64(_MIX_M2)
 _INV_2_53 = 2.0 ** -53
 
+#: cells hashed in one piece; a larger block is hashed in place, in pieces,
+#: in three buffers of this many words that stay in cache
+CHUNK_CELLS = 1 << 14
+
 
 def _mix(z: int) -> int:
     """Scalar 64-bit finalizer with full avalanche."""
@@ -55,15 +67,83 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    """Vectorised copy of _mix; uint64 arithmetic wraps silently in numpy."""
+    """``_mix`` of every word of ``z``, into new arrays; uint64 arithmetic
+    wraps silently in numpy."""
     z = (z ^ (z >> _SH30)) * _NP_M1
     z = (z ^ (z >> _SH27)) * _NP_M2
     return z ^ (z >> _SH31)
 
 
-def _words_to_unit(words: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to doubles in the open interval (0, 1)."""
-    return ((words >> _SH11).astype(np.float64) + 0.5) * _INV_2_53
+def _mix_in_place(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``_mix_array`` in place; ``tmp`` is scratch of the same shape."""
+    for shift, mult in ((_SH30, _NP_M1), (_SH27, _NP_M2)):
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, _SH31, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    return z
+
+
+#: kernel buffers no pass is using.  They only ever hold scratch, and they
+#: live as long as the process: fresh ones are returned to the system after
+#: every pass and page-faulted back in by the next, which more than doubled
+#: the cost of hashing a row of 16385 to 30000 cells
+_SPARE_BUFFERS: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+
+def _unit_chunks(keys: np.ndarray, count: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Units of the cells k = 1..count of every row key, piece by piece.
+
+    Yields ``(rows, cols, u)``: ``u[i, j]`` is the unit in (0, 1] of row key
+    ``keys[rows][i]`` at position ``cols.start + j + 1``.  A block of at most
+    CHUNK_CELLS cells is one piece; a larger one is cut into runs of whole
+    rows, or into pieces of one row when a row alone is larger, and ``u``
+    lives in buffers that the next piece overwrites.
+    """
+    m = len(keys)
+    if not m or not count:
+        return
+    if m * count <= CHUNK_CELLS:
+        # one pass in new arrays: on small blocks, where each numpy call
+        # costs more than its cells, this beats the in-place pieces below
+        golden_k = np.arange(1, count + 1, dtype=np.uint64) * _U64_GOLDEN
+        words = _mix_array(golden_k ^ keys[:, None]) >> _SH11
+        yield slice(0, m), slice(0, count), (words.astype(np.float64) + 0.5) * _INV_2_53
+        return
+    width = min(count, CHUNK_CELLS)
+    height = min(m, CHUNK_CELLS // width)
+    try:
+        buffers = _SPARE_BUFFERS.pop()
+    except IndexError:  # every spare is in use, by another thread or an unfinished pass
+        buffers = ()
+    if not buffers or buffers[0].size < height * width:
+        buffers = (np.empty(CHUNK_CELLS, dtype=np.uint64), np.empty(CHUNK_CELLS, dtype=np.uint64),
+                   np.empty(CHUNK_CELLS, dtype=np.float64))
+    words, tmp, units = (buf[: height * width].reshape(height, width) for buf in buffers)
+    # golden multiples of the positions in the current run of columns
+    golden_k = np.arange(1, width + 1, dtype=np.uint64)
+    golden_k *= _U64_GOLDEN
+    next_cols = np.uint64((width * _GOLDEN) & _MASK64)
+    try:
+        for c0 in range(0, count, width):
+            if c0:
+                golden_k += next_cols
+            c1 = min(count, c0 + width)
+            for r0 in range(0, m, height):
+                r1 = min(m, r0 + height)
+                piece = (slice(0, r1 - r0), slice(0, c1 - c0))
+                w, t, u = words[piece], tmp[piece], units[piece]
+                np.bitwise_xor(golden_k[: c1 - c0], keys[r0:r1, None], out=w)
+                _mix_in_place(w, t)
+                # the top 53 bits, centred in their interval of width 2**-53
+                np.right_shift(w, _SH11, out=w)
+                u[...] = w
+                u += 0.5
+                u *= _INV_2_53
+                yield slice(r0, r1), slice(c0, c1), u
+    finally:
+        _SPARE_BUFFERS.append(buffers)
 
 
 @dataclass(frozen=True)
@@ -91,9 +171,8 @@ class Seed:
 class Universe:
     """One realisation of all random inputs for a single replicate.
 
-    ``offspring_at(n, k)`` etc. address individual cells (k >= 1);
-    the ``*_row`` variants fetch k = 1..count as a vector and agree with
-    the scalar reads bit for bit.
+    ``generation(n)`` reads generation n of this replicate; ``claim_row``
+    fetches the claims at k = 1..count.
     """
 
     seed: Seed
@@ -108,108 +187,102 @@ class Universe:
         """Same seed and laws, an independent replicate stream."""
         return replace(self, replicate_id=replicate_id)
 
-    # -- addressing ---------------------------------------------------------
-
-    def _row_key(self, tag: int, n: int) -> int:
-        if not 0 <= n <= INDEX_CAP:
-            raise ValueError(f"generation index {n} outside [0, {INDEX_CAP}]")
-        h = _mix(self.seed.value + _GOLDEN * tag)
-        h = _mix(h + _GOLDEN * (self.replicate_id + 1))
-        return _mix(h + _GOLDEN * n)
-
-    def _unit_row(self, tag: int, n: int, start_k: int, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        if start_k < 1 or start_k + count - 1 > INDEX_CAP:
-            raise ValueError(f"positions [{start_k}, {start_k + count - 1}] outside [1, {INDEX_CAP}]")
-        key = np.uint64(self._row_key(tag, n))
-        k = np.arange(start_k, start_k + count, dtype=np.uint64)
-        return _words_to_unit(_mix_array((k * _U64_GOLDEN) ^ key))
-
-    # -- rows ---------------------------------------------------------------
-
-    def offspring_row(self, n: int, count: int) -> np.ndarray:
-        """Offspring counts of individuals 1..count in generation n."""
-        u = self._unit_row(_TAG_OFFSPRING, n, 1, count)
-        return self.laws.offspring.quantile(u)
+    def generation(self, n: int) -> "ReplicateRows":
+        """Generation n of this replicate, as the only row of a ReplicateRows."""
+        return ReplicateRows(self, np.array([self.replicate_id]), n)
 
     def claim_row(self, n: int, count: int) -> np.ndarray:
         """Claims of the first ``count`` prospective children of generation n."""
-        u = self._unit_row(_TAG_CLAIM, n, 1, count)
-        return np.asarray(self.laws.claim.icdf(u), dtype=np.float64)
+        return self.generation(n).claims(_FIRST_ROW, count)[0]
 
-    def resource_row(self, n: int, count: int) -> np.ndarray:
-        """Resource production of individuals 1..count in generation n."""
-        u = self._unit_row(_TAG_RESOURCE, n, 1, count)
-        return np.asarray(self.laws.resource.icdf(u), dtype=np.float64)
 
-    def aux_row(self, n: int, count: int) -> np.ndarray:
-        """Claim-independent uniforms, used by randomising policies."""
-        return self._unit_row(_TAG_AUX, n, 1, count)
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
 
-    # -- scalar cells -------------------------------------------------------
 
-    def offspring_at(self, n: int, k: int) -> int:
-        u = self._unit_row(_TAG_OFFSPRING, n, k, 1)
-        return int(self.laws.offspring.quantile(u)[0])
-
-    def claim_at(self, n: int, k: int) -> float:
-        u = self._unit_row(_TAG_CLAIM, n, k, 1)
-        return float(np.asarray(self.laws.claim.icdf(u), dtype=np.float64)[0])
-
-    def resource_at(self, n: int, k: int) -> float:
-        u = self._unit_row(_TAG_RESOURCE, n, k, 1)
-        return float(np.asarray(self.laws.resource.icdf(u), dtype=np.float64)[0])
+def _check_positions(count: int) -> None:
+    if not 0 <= count <= INDEX_CAP:
+        raise ValueError(f"positions [1, {count}] outside [1, {INDEX_CAP}]")
 
 
 def _row_keys(base: Universe, tag: int, ids: np.ndarray, n: int) -> np.ndarray:
-    """``_row_key(tag, n)`` of many replicate ids at once, bit for bit."""
-    if not 0 <= n <= INDEX_CAP:
-        raise ValueError(f"generation index {n} outside [0, {INDEX_CAP}]")
-    ids = np.asarray(ids, dtype=np.uint64)
-    h = np.uint64(_mix(base.seed.value + _GOLDEN * tag))
-    h2 = _mix_array(h + _U64_GOLDEN * (ids + np.uint64(1)))
+    """Row keys of generation n of many replicate ids, hashed with the seed
+    and the tag of one array."""
+    h = _mix(base.seed.value + _GOLDEN * tag)
+    if len(ids) == 1:
+        # one replicate, as ``step`` reads it: two scalar mixes take a tenth
+        # of the time of the twenty numpy calls below
+        return np.array([_mix(_mix(h + _GOLDEN * (int(ids[0]) + 1)) + _GOLDEN * n)], dtype=np.uint64)
+    z = np.asarray(ids, dtype=np.uint64) + np.uint64(1)
+    tmp = np.empty_like(z)
+    z *= _U64_GOLDEN
+    z += np.uint64(h)
+    _mix_in_place(z, tmp)
     # scalar uint64 products go through Python ints: numpy warns on scalar
     # wraparound even though wrapping is exactly what we want
-    return _mix_array(h2 + np.uint64((n * _GOLDEN) & _MASK64))
+    z += np.uint64((n * _GOLDEN) & _MASK64)
+    return _mix_in_place(z, tmp)
 
 
 class ReplicateRows:
     """Generation n of many replicates of one universe, read as 2-D blocks.
 
-    Row i of ``offspring(rows, count)`` equals
-    ``base.derive_replicate(ids[rows[i]]).offspring_row(n, count)`` bit for
-    bit, and likewise for claims, resources and aux.  Each block is
-    C-contiguous, so ``block.sum(axis=1)`` adds every row with the same
+    Row i of every block belongs to replicate ``ids[rows[i]]`` and holds its
+    cells k = 1..count, whatever else the block holds, so a replicate reads
+    the same values alone or among others.  Claim, aux and resource blocks
+    are C-contiguous, so ``block.sum(axis=1)`` adds every row with the same
     pairwise tree as ``np.sum`` of that row alone.
     """
 
     def __init__(self, base: Universe, ids: np.ndarray, n: int):
+        if not 0 <= n <= INDEX_CAP:
+            raise ValueError(f"generation index {n} outside [0, {INDEX_CAP}]")
         self._base = base
         self._ids = ids
         self._n = n
         self._keys: dict[int, np.ndarray] = {}
 
-    def _units(self, tag: int, rows: np.ndarray, count: int) -> np.ndarray:
-        if count > INDEX_CAP:
-            raise ValueError(f"positions [1, {count}] outside [1, {INDEX_CAP}]")
+    def _chunks(self, tag: int, rows: np.ndarray, count: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+        _check_positions(count)
         keys = self._keys.get(tag)
         if keys is None:
             keys = self._keys[tag] = _row_keys(self._base, tag, self._ids, self._n)
-        k = np.arange(1, count + 1, dtype=np.uint64)
-        return _words_to_unit(_mix_array((k * _U64_GOLDEN) ^ keys[rows, None]))
+        return _unit_chunks(keys[rows], count)
 
-    def offspring(self, rows: np.ndarray, count: int) -> np.ndarray:
-        return self._base.laws.offspring.quantile(self._units(_TAG_OFFSPRING, rows, count))
+    def _fill(self, tag: int, rows: np.ndarray, count: int, law=None) -> np.ndarray:
+        """The ``(len(rows), count)`` block of units, or of ``law.icdf`` of
+        them.  ``icdf`` acts element by element, so applying it piece by
+        piece changes no bit; a constant law needs no units at all."""
+        if isinstance(law, Constant):
+            _check_positions(count)
+            return np.full((len(rows), count), law.value, dtype=np.float64)
+        chunks = self._chunks(tag, rows, count)
+        block = np.empty((len(rows), count), dtype=np.float64)
+        for r, c, u in chunks:
+            block[r, c] = u if law is None else law.icdf(u)
+        return block
+
+    def offspring_totals(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """Offspring of members 1..count summed per row; the counts
+        themselves are never built."""
+        law = self._base.laws.offspring
+        totals = np.zeros(len(rows), dtype=np.int64)
+        for r, _, u in self._chunks(_TAG_OFFSPRING, rows, count):
+            totals[r] += law.row_totals(u)
+        return totals
+
+    def budgets(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """Resources of members 1..count summed per row, with ``np.sum``'s
+        pairwise tree."""
+        law = self._base.laws.resource
+        if isinstance(law, Constant):
+            _check_positions(count)
+            # every row is the same constant row: sum one, with the same tree
+            return np.full(len(rows), np.full(count, law.value, dtype=np.float64).sum())
+        return self._fill(_TAG_RESOURCE, rows, count, law).sum(axis=1)
 
     def claims(self, rows: np.ndarray, count: int) -> np.ndarray:
-        u = self._units(_TAG_CLAIM, rows, count)
-        return np.asarray(self._base.laws.claim.icdf(u), dtype=np.float64)
-
-    def resources(self, rows: np.ndarray, count: int) -> np.ndarray:
-        u = self._units(_TAG_RESOURCE, rows, count)
-        return np.asarray(self._base.laws.resource.icdf(u), dtype=np.float64)
+        return self._fill(_TAG_CLAIM, rows, count, self._base.laws.claim)
 
     def aux(self, rows: np.ndarray, count: int) -> np.ndarray:
-        return self._units(_TAG_AUX, rows, count)
-
+        """Claim-independent uniforms, used by randomising policies."""
+        return self._fill(_TAG_AUX, rows, count)

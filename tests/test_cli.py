@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import rdbp.cli as cli
+import rdbp.engine
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -347,6 +348,13 @@ class TestErrorPaths:
 
 # ---------------------------------------------------------------------------
 # through a real interpreter
+
+
+def test_claims_over_the_cap_exit_3(sim_config, tmp_path, capsys, monkeypatch):
+    # a small cap stands in for a run that would ask for gigabytes of claims
+    monkeypatch.setattr(rdbp.engine, "CLAIM_CAP", 50)
+    assert cli.main(["simulate", "--config", sim_config, "--out", str(tmp_path / "o")]) == 3
+    assert "exceed the claim cap 50" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

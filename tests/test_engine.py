@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from oracle import offspring_row, unit_row
 
+import rdbp.engine
 from rdbp import (
     Constant,
     EngineError,
@@ -22,6 +25,8 @@ from rdbp import (
     trajectory_to_csv,
     trajectory_to_json,
 )
+from rdbp.engine import Outcome, Trajectory, step_replicates
+from rdbp.universe import _TAG_CLAIM, _TAG_OFFSPRING, _TAG_RESOURCE, ReplicateRows
 
 
 class TestStep:
@@ -29,19 +34,20 @@ class TestStep:
         assert step(0, universe, 0, WeakestFirstPolicy()) == 0
 
     def test_matches_hand_composition(self, universe):
-        """Recompose a step from raw universe reads and the bare count."""
-        size = 5
-        for n in range(4):
-            offspring = universe.offspring_row(n, size)
-            total = int(offspring.sum())
-            budget = float(universe.resource_row(n, size).sum())
-            expected = count_wf(universe.claim_row(n, total), budget) if total else 0
-            assert step(size, universe, n, WeakestFirstPolicy()) == expected
+        """Recompose a step from cells hashed one at a time and the bare count."""
+        laws = universe.laws
+        for size in (5, 9, 130):
+            for n in range(4):
+                total = int(laws.offspring.quantile(unit_row(universe, _TAG_OFFSPRING, n, size)).sum())
+                budget = float(np.sum(laws.resource.icdf(unit_row(universe, _TAG_RESOURCE, n, size))))
+                claims = laws.claim.icdf(unit_row(universe, _TAG_CLAIM, n, total))
+                expected = count_wf(claims, budget) if total else 0
+                assert step(size, universe, n, WeakestFirstPolicy()) == expected
 
     def test_never_exceeds_children(self, universe):
         for n in range(10):
             for size in (1, 3, 17):
-                total = int(universe.offspring_row(n, size).sum())
+                total = int(offspring_row(universe, n, size).sum())
                 assert step(size, universe, n, WeakestFirstPolicy()) <= total
 
     def test_no_children_means_extinction(self):
@@ -52,6 +58,26 @@ class TestStep:
     def test_negative_size_rejected(self, universe):
         with pytest.raises(EngineError):
             step(-1, universe, 0, FcfsPolicy())
+
+    def test_claims_over_the_cap_are_refused_before_anything_is_read(self, universe, monkeypatch):
+        total = int(offspring_row(universe, 0, 20).sum())
+        claims, budgets = ReplicateRows.claims, ReplicateRows.budgets
+        monkeypatch.setattr(rdbp.engine, "CLAIM_CAP", total - 1)
+        monkeypatch.setattr(ReplicateRows, "claims", _unread)
+        monkeypatch.setattr(ReplicateRows, "budgets", _unread)
+        with pytest.raises(EngineError, match=f"{total} prospective children in generation 0 exceed the claim cap"):
+            step(20, universe, 0, WeakestFirstPolicy())
+        with pytest.raises(EngineError, match="claim cap"):
+            step_replicates(np.array([1, 20]), universe, np.array([0, 0]), 0, WeakestFirstPolicy())
+        # a generation exactly at the cap still runs
+        monkeypatch.setattr(ReplicateRows, "claims", claims)
+        monkeypatch.setattr(ReplicateRows, "budgets", budgets)
+        monkeypatch.setattr(rdbp.engine, "CLAIM_CAP", total)
+        assert step(20, universe, 0, WeakestFirstPolicy()) <= total
+
+
+def _unread(*args):
+    raise AssertionError("a generation past the claim cap was read")
 
 
 class TestSimulate:
@@ -98,6 +124,13 @@ class TestSimulate:
         spec = ProcessSpec(laws=triple, policy=WeakestFirstPolicy(), horizon=5, explosion_cap=10 ** 6)
         traj = simulate(spec, Universe(Seed(1), triple))
         assert traj.growth_ratios == [2.0] * (len(traj.sizes) - 1)
+
+    def test_growth_ratios_are_read_from_the_sizes(self):
+        # not stored: a trajectory holds its sizes and outcome only
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["sizes", "outcome"]
+        traj = Trajectory([4, 6, 3, 0], Outcome("extinct", 3))
+        assert traj.growth_ratios == [1.5, 0.5, 0.0]
+        assert traj == Trajectory([4, 6, 3, 0], Outcome("extinct", 3))
 
     def test_law_mismatch_rejected(self, basic_triple, universe):
         other = LawTriple(basic_triple.offspring, basic_triple.claim, Constant(9.9))

@@ -7,6 +7,8 @@ every replicate, whatever the policy or law kinds.  Founder counts of 9 and
 summation, so a budget summed over a differently shaped row would show.
 """
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,39 @@ class TestWorkerSplitIsInvisible:
         spec = ProcessSpec(laws=self.triple, policy=WeakestFirstPolicy())
         mc = McConfig(replicates=3, horizon=20, explosion_cap=800, base_seed=Seed(13))
         assert estimate_extinction(spec, mc, workers=1) == estimate_extinction(spec, mc, workers=5)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for and
+    runs every submitted call in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, replicates, pools", [(64, 3, [3]), (2, 3, [2]), (3, 7, [3]), (8, 1, [])])
+def test_pool_size_is_the_number_of_nonempty_ranges(monkeypatch, workers, replicates, pools):
+    triple = TRIPLES["uniform-constant"]
+    spec = ProcessSpec(laws=triple, policy=WeakestFirstPolicy())
+    mc = McConfig(replicates=replicates, horizon=20, explosion_cap=800, base_seed=Seed(13))
+    serial = estimate_extinction(spec, mc, workers=1)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(rdbp.montecarlo, "ProcessPoolExecutor", _InlinePool)
+    assert estimate_extinction(spec, mc, workers=workers) == serial
+    assert _InlinePool.sizes == pools
 
 
 class TestWorkerSplitIsInvisibleOnBetaClaims(TestWorkerSplitIsInvisible):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracle import aux_row, claim_at, offspring_at, offspring_row, resource_at, resource_row
+
 from rdbp import INDEX_CAP, Constant, LawTriple, OffspringLaw, Seed, Uniform, Universe
 from rdbp.universe import ReplicateRows
 
@@ -55,16 +57,16 @@ class TestAddressing:
     def test_scalar_equals_row_entry(self, u):
         row = u.claim_row(2, 20)
         for k in (1, 7, 20):
-            assert u.claim_at(2, k) == row[k - 1]
-        orow = u.offspring_row(2, 20)
+            assert claim_at(u, 2, k) == row[k - 1]
+        orow = offspring_row(u, 2, 20)
         for k in (1, 20):
-            assert u.offspring_at(2, k) == orow[k - 1]
-        rrow = u.resource_row(4, 5)
-        assert u.resource_at(4, 5) == rrow[4]
+            assert offspring_at(u, 2, k) == orow[k - 1]
+        rrow = resource_row(u, 4, 5)
+        assert resource_at(u, 4, 5) == rrow[4]
 
     def test_streams_differ_by_tag(self, u):
         a = u.claim_row(0, 50)
-        b = u.aux_row(0, 50)
+        b = aux_row(u, 0, 50)
         assert not np.array_equal(a, b)
 
     def test_rows_differ_by_generation(self, u):
@@ -81,13 +83,20 @@ class TestAddressing:
         assert not np.array_equal(u.claim_row(0, 50), other.claim_row(0, 50))
 
     def test_index_bounds(self, u):
-        u.claim_at(0, INDEX_CAP)  # the last addressable slot works
+        claim_at(u, 0, INDEX_CAP)  # the last addressable slot works
         with pytest.raises(ValueError):
-            u.claim_at(0, INDEX_CAP + 1)
+            claim_at(u, 0, INDEX_CAP + 1)
         with pytest.raises(ValueError):
-            u.claim_at(0, 0)
+            claim_at(u, 0, 0)
+        # refused before anything is allocated
+        with pytest.raises(ValueError):
+            u.claim_row(0, INDEX_CAP + 1)
+        with pytest.raises(ValueError):
+            u.claim_row(0, -1)
         with pytest.raises(ValueError):
             u.claim_row(-1, 5)
+        with pytest.raises(ValueError):
+            u.claim_row(INDEX_CAP + 1, 5)
         with pytest.raises(ValueError):
             u.derive_replicate(-1)
 
@@ -97,9 +106,9 @@ class TestAddressing:
         picked = np.array([4, 0, 2])  # any subset of the ids, in any order
         for block, row_of in [
             (rows.claims(picked, 3), lambda v: v.claim_row(1, 3)),
-            (rows.resources(picked, 3), lambda v: v.resource_row(1, 3)),
-            (rows.offspring(picked, 3), lambda v: v.offspring_row(1, 3)),
-            (rows.aux(picked, 3), lambda v: v.aux_row(1, 3)),
+            (rows.budgets(picked, 3), lambda v: resource_row(v, 1, 3).sum()),
+            (rows.offspring_totals(picked, 3), lambda v: offspring_row(v, 1, 3).sum()),
+            (rows.aux(picked, 3), lambda v: aux_row(v, 1, 3)),
         ]:
             loop = np.array([row_of(u.derive_replicate(int(i))) for i in ids[picked]])
             np.testing.assert_array_equal(block, loop)
@@ -109,7 +118,7 @@ class TestLawFidelity:
     N = 100_000
 
     def _units(self, u):
-        return u.aux_row(0, self.N)
+        return aux_row(u, 0, self.N)
 
     def test_unit_uniformity_ks(self, u):
         d, p = stats.kstest(self._units(u), "uniform")
@@ -131,13 +140,13 @@ class TestLawFidelity:
         assert stats.chi2.sf(chi2, 63) > 1e-4, f"chi2={chi2}"
 
     def test_replicates_uncorrelated(self, u):
-        a = u.derive_replicate(0).aux_row(0, 10_000)
-        b = u.derive_replicate(1).aux_row(0, 10_000)
+        a = aux_row(u.derive_replicate(0), 0, 10_000)
+        b = aux_row(u.derive_replicate(1), 0, 10_000)
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.05
 
     def test_offspring_law(self, u):
-        x = u.offspring_row(0, self.N)
+        x = offspring_row(u, 0, self.N)
         assert set(np.unique(x)) <= {0, 2}
         law = u.laws.offspring
         band = 3 * math.sqrt(law.variance() / self.N)
@@ -149,7 +158,7 @@ class TestLawFidelity:
         assert p > 1e-3, f"KS d={d}, p={p}"
 
     def test_resource_law_bounds_and_mean(self, u):
-        x = u.resource_row(0, self.N)
+        x = resource_row(u, 0, self.N)
         assert x.min() >= 0.5 and x.max() <= 1.5
         band = 3 * math.sqrt(u.laws.resource.variance() / self.N)
         assert abs(x.mean() - u.laws.resource.mean()) < band
@@ -157,4 +166,5 @@ class TestLawFidelity:
     def test_constant_resource_is_exact(self):
         triple = LawTriple(OffspringLaw((0.5, 0.5)), Uniform(0.0, 1.0), Constant(0.75))
         v = Universe(Seed(1), triple)
-        assert np.all(v.resource_row(0, 100) == 0.75)
+        assert np.all(resource_row(v, 0, 100) == 0.75)
+        assert v.generation(0).budgets(np.arange(1), 100)[0] == np.full(100, 0.75).sum()
