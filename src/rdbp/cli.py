@@ -60,9 +60,11 @@ from .universe import Seed, Universe
 
 __all__ = ["main"]
 
-#: failures after the config has parsed; each exits with code 3
+#: failures after the config has parsed; each exits with code 3.  A
+#: MemoryError is an allocation that no cap caught: it ends one check or
+#: subcommand, not the process
 _RUNTIME_ERRORS = (DomainError, UnboundedClaimError, UnsupportedKindError, ConvergenceError,
-                   EngineError, InsufficientSurvivors, OSError, ValueError)
+                   EngineError, InsufficientSurvivors, OSError, ValueError, MemoryError)
 
 
 def _fmt(x: float) -> str:

@@ -105,6 +105,25 @@ def _check_rm(r: float, m: float) -> None:
         raise DomainError(f"offspring mean must be in (1, inf), got {m}")
 
 
+def _bisect(residual, lo: float, hi: float, tol: float, max_iter: int, what: str,
+            width: float = 0.0) -> float:
+    """Midpoint of [lo, hi] where the non-decreasing ``residual`` is within
+    ``tol`` of 0, or where the bracket has shrunk below ``width``.
+
+    Raises ConvergenceError after ``max_iter`` halvings.
+    """
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        val = residual(mid)
+        if abs(val) <= tol or hi - lo < width:
+            return mid
+        if val < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError(f"{what} residual above {tol:g} after {max_iter} bisections")
+
+
 def solve_wf_threshold(claim, r: float, m: float, cfg: SolverConfig = SolverConfig()) -> float:
     """Cutoff T with E[X; X <= T] = r/m, for smallest-first service.
 
@@ -131,20 +150,8 @@ def solve_wf_threshold(claim, r: float, m: float, cfg: SolverConfig = SolverConf
             hi *= 2.0
             if hi > 1e300:
                 raise ConvergenceError("failed to bracket the smallest-first cutoff")
-    lo = 0.0
-    mid = 0.5 * hi
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        val = claim.lower_partial_moment(mid) - target
-        if abs(val) <= cfg.abs_tol:
-            return mid
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"lower partial moment residual above {cfg.abs_tol:g} after {cfg.max_iter} bisections"
-    )
+    return _bisect(lambda t: claim.lower_partial_moment(t) - target, 0.0, hi,
+                   cfg.abs_tol, cfg.max_iter, "lower partial moment")
 
 
 def solve_sf_threshold(claim, r: float, m: float, cfg: SolverConfig = SolverConfig()) -> float:
@@ -162,21 +169,9 @@ def solve_sf_threshold(claim, r: float, m: float, cfg: SolverConfig = SolverConf
     target = r / m
     if target > mu:
         raise DomainError(f"r = {r:g} exceeds m * claim mean = {m * mu:g}; no cutoff exists")
-    lo = 0.0
-    hi = float(claim.support_upper)
-    mid = 0.0
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        val = claim.upper_partial_moment(mid) - target
-        if abs(val) <= cfg.abs_tol:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"upper partial moment residual above {cfg.abs_tol:g} after {cfg.max_iter} bisections"
-    )
+    # the upper partial moment falls as t grows, so its negation is bisected
+    return _bisect(lambda t: target - claim.upper_partial_moment(t), 0.0, float(claim.support_upper),
+                   cfg.abs_tol, cfg.max_iter, "upper partial moment")
 
 
 def effective_mean_wf(claim, r: float, m: float, cfg: SolverConfig = SolverConfig()) -> float:
@@ -307,17 +302,10 @@ def critical_resource_mean(
     lo = hi * 1e-12
     if eff(claim, lo, m, inner) >= 1.0:
         return lo
-    mid = hi
-    for _ in range(max(cfg.max_iter, 200)):
-        mid = 0.5 * (lo + hi)
-        val = eff(claim, mid, m, inner) - 1.0
-        if abs(val) <= 1e-10 or (hi - lo) < 1e-13 * m * claim.mean():
-            return mid
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    # the bracket is narrower than the width after 44 halvings, long before
+    # the iterations run out
+    return _bisect(lambda r: eff(claim, r, m, inner) - 1.0, lo, hi, 1e-10, max(cfg.max_iter, 200),
+                   "effective mean", width=1e-13 * m * claim.mean())
 
 
 def closed_form_critical_resource(process_kind: str, claim, m: float) -> float:

@@ -11,6 +11,7 @@ never folded into either side of an extinction estimate.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -118,6 +119,14 @@ def _simulate_range(
     return results
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _per_replicate(
     fn: Callable[..., Any],
     specs: Sequence[ProcessSpec],
@@ -136,8 +145,9 @@ def _per_replicate(
     """
     stop = start + (mc.replicates if count is None else count)
     # the pool starts every worker it may use at once, so it gets no more
-    # workers than there are ids, and each of them a non-empty range
-    workers = max(1, min(workers, stop - start))
+    # workers than there are ids, each of them a non-empty range, and no
+    # more than the CPUs that could run them
+    workers = max(1, min(workers, stop - start, _usable_cpus()))
     if workers == 1:
         return _simulate_range(fn, specs, mc.base_seed, start, stop)
     edges = [start + (stop - start) * w // workers for w in range(workers + 1)]

@@ -15,6 +15,7 @@ import pytest
 
 import rdbp.cli as cli
 import rdbp.engine
+import rdbp.universe
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -278,6 +279,24 @@ class TestVerify:
         }
         assert checks["sf_probe"]["ok"] is True
 
+    def test_memory_error_in_one_check_exits_3_and_keeps_the_others(self, tmp_path, capsys, monkeypatch):
+        # an allocation that no cap caught; only the coinflip policy, which
+        # dominance runs here, reads aux units
+        def out_of_memory(self, rows, count):
+            raise MemoryError("cannot allocate the aux block")
+
+        monkeypatch.setattr(rdbp.universe.ReplicateRows, "aux", out_of_memory)
+        cfg = Path(verify_config(tmp_path, ["sf_probe", "dominance", "safe_haven"],
+                                 {"sf_probe": {"t_values": [1, 2]}}))
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "policy": "coinflip"}))
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "error: check dominance: cannot allocate the aux block" in captured.err
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        assert checks["dominance"] == {"ok": False, "error": "cannot allocate the aux block"}
+        assert checks["sf_probe"]["ok"] is True and checks["safe_haven"]["ok"] is True
+
     def test_missing_checks_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": 5, "laws": base_laws()})
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -355,6 +374,15 @@ def test_claims_over_the_cap_exit_3(sim_config, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(rdbp.engine, "CLAIM_CAP", 50)
     assert cli.main(["simulate", "--config", sim_config, "--out", str(tmp_path / "o")]) == 3
     assert "exceed the claim cap 50" in capsys.readouterr().err
+
+
+def test_memory_error_exits_3(sim_config, tmp_path, capsys, monkeypatch):
+    def out_of_memory(self, rows, count):
+        raise MemoryError("cannot allocate the claim block")
+
+    monkeypatch.setattr(rdbp.universe.ReplicateRows, "claims", out_of_memory)
+    assert cli.main(["simulate", "--config", sim_config, "--out", str(tmp_path / "o")]) == 3
+    assert "error: cannot allocate the claim block" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from rdbp import (
     Constant,
@@ -173,6 +173,16 @@ class TestPickling:
         assert copy == law and hash(copy) == hash(law) and repr(copy) == repr(law)
         assert copy.icdf(self.U).tobytes() == law.icdf(self.U).tobytes()
 
+    def test_scaled_beta_pickles_the_same_before_and_after_its_tables(self):
+        law = ScaledBeta(5.0, 2.0, 2.0)
+        before = pickle.dumps(law)
+        drawn = law.icdf(self.U)  # builds the inverse tables
+        after = pickle.dumps(law)
+        assert after == before
+        for copy in (pickle.loads(before), pickle.loads(after)):
+            assert copy == law and hash(copy) == hash(law) and repr(copy) == repr(law)
+            assert copy.icdf(self.U).tobytes() == drawn.tobytes()
+
     def test_offspring_law_and_triple_round_trip(self):
         triple = LawTriple(OffspringLaw((0.3, 0.3, 0.4, 0.0)), ScaledBeta(2.0, 2.0, 2.0),
                            Uniform(0.0, 1.5))
@@ -180,6 +190,122 @@ class TestPickling:
         assert copy == triple and hash(copy) == hash(triple)
         assert copy.offspring.quantile(self.U).tolist() == triple.offspring.quantile(self.U).tolist()
         assert copy.claim.icdf(self.U).tobytes() == triple.claim.icdf(self.U).tobytes()
+
+
+BETA_GRID = (0.5, 1.0, 2.0, 5.0)
+BETA_SHAPES = [(a, b) for a in BETA_GRID for b in BETA_GRID]
+#: both far tails (the kernel's smallest unit, far below it, the largest
+#: unit below 1 and 1 itself, which the kernel can emit), the middle, and
+#: points on both sides of every shape's median
+BETA_UNITS = (0.5 * 2.0 ** -53, 1e-300, 1e-9, 1e-4, 0.03, 0.2, 0.45, 0.5, 0.55, 0.7, 0.9, 0.99,
+              1 - 1e-6, 1 - 2.0 ** -53, 1.0)
+
+
+def _beta_root(mpmath, a, b, u, start):
+    """The x with I_x(a, b) = u, to 2**-120 relative, by Newton's method at
+    200 bits, kept inside a shrinking bracket.  ``start`` only saves steps."""
+    with mpmath.workprec(200):
+        a, b, u = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(u)
+        if u == 0 or u == 1:
+            return u
+        ln_beta = mpmath.log(mpmath.beta(a, b))
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        if 0.0 < start < 1.0:
+            x = mpmath.mpf(start)
+        elif u < 0.5:  # the leading term of each tail
+            x = min((a * mpmath.beta(a, b) * u) ** (1 / a), mpmath.mpf(0.5))
+        else:
+            x = max(1 - (b * mpmath.beta(a, b) * (1 - u)) ** (1 / b), mpmath.mpf(0.5))
+        for _ in range(1000):
+            # I_x - u, from the tail that holds u exactly
+            if u < 0.5:
+                f = mpmath.betainc(a, b, 0, x, regularized=True) - u
+            else:
+                f = (1 - u) - mpmath.betainc(a, b, x, 1, regularized=True)
+            step = f / mpmath.exp((a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - ln_beta)
+            if abs(step) <= x * mpmath.mpf(2) ** -120:
+                return x - step
+            lo, hi = (lo, x) if f > 0 else (x, hi)
+            x = x - step if lo < x - step < hi else (lo + hi) / 2 if lo > 0 else hi / 2 ** 16
+        raise AssertionError(f"no root for a={a}, b={b}, u={u}")
+
+
+def _ulps(x, root) -> float:
+    """|x - root| in units of the spacing of doubles at the root; NaN is infinitely far."""
+    if not math.isfinite(x):
+        return math.inf
+    return float(abs(root - x)) / float(np.spacing(float(root)))
+
+
+class TestBetaInverse:
+    """``ScaledBeta.icdf``: table-seeded Halley steps, with ``betaincinv``
+    for the far tails and the closed-form shapes."""
+
+    @pytest.mark.parametrize("a,b", BETA_SHAPES)
+    def test_within_8_ulp_of_the_root_or_no_further_than_betaincinv(self, a, b):
+        mpmath = pytest.importorskip("mpmath")
+        u = np.array(BETA_UNITS)
+        # the scale is a power of two, so dividing it out is exact
+        got = ScaledBeta(a, b, 2.0).icdf(u) / 2.0
+        ref = special.betaincinv(a, b, u)
+        for unit, x, x_ref in zip(u, got, ref):
+            root = _beta_root(mpmath, a, b, unit, x if math.isfinite(x) else x_ref)
+            ulps, ulps_ref = _ulps(x, root), _ulps(x_ref, root)
+            assert ulps <= 8.0 or ulps <= ulps_ref, (unit, ulps, ulps_ref)
+
+    @pytest.mark.parametrize("a,b", BETA_SHAPES)
+    def test_unit_endpoints_map_to_the_support_ends(self, a, b):
+        law = ScaledBeta(a, b, 2.0)
+        assert law.icdf(0.0) == 0.0
+        assert law.icdf(1.0) == 2.0
+
+    @pytest.mark.parametrize("a,b", BETA_SHAPES)
+    def test_non_decreasing_over_sorted_units(self, a, b):
+        law = ScaledBeta(a, b, 2.0)
+        u = np.sort(np.random.default_rng(11).random(10 ** 6))
+        x = np.concatenate([law.icdf(piece) for piece in np.array_split(u, 16)])
+        assert np.all(np.diff(x) >= 0.0)
+
+    @pytest.mark.parametrize("a,b", BETA_SHAPES)
+    def test_each_unit_alone_matches_the_whole_array(self, a, b):
+        law = ScaledBeta(a, b, 2.0)
+        u = np.concatenate([np.random.default_rng(12).random(300), BETA_UNITS])
+        alone = np.concatenate([law.icdf(u[i:i + 1]) for i in range(len(u))])
+        assert law.icdf(u).tobytes() == alone.tobytes()
+        block = np.resize(u, (21, 20))[:, 3:17]
+        assert law.icdf(block).tobytes() == law.icdf(block.copy()).tobytes()
+
+    def test_steps_too_large_to_trust_fall_back_to_betaincinv(self, monkeypatch):
+        law = ScaledBeta(2.0, 5.0, 2.0)
+        u = np.random.default_rng(13).random(500)
+        want = 2.0 * special.betaincinv(2.0, 5.0, u)
+        assert law.icdf(u).tobytes() != want.tobytes()
+        monkeypatch.setattr(law._inverse, "_tol", -1.0)
+        assert law.icdf(u).tobytes() == want.tobytes()
+
+    def test_the_first_table_cell_falls_back_to_betaincinv(self, monkeypatch):
+        # I_x(2, 5) = 1e-12 and 1e-10 lie below the first node, 0.5 / 4096**2;
+        # they fall back even when every step is trusted
+        law = ScaledBeta(2.0, 5.0, 2.0)
+        monkeypatch.setattr(law._inverse, "_tol", math.inf)
+        u = np.array([1e-12, 1e-10, 1 - 1e-12])
+        want = 2.0 * special.betaincinv(2.0, 5.0, u)
+        assert law.icdf(u)[:2].tobytes() == want[:2].tobytes()
+
+    def test_shapes_with_a_at_most_1_or_b_equal_1_stay_on_betaincinv(self):
+        u = np.random.default_rng(14).random(200)
+        for a, b in ((1.0, 2.0), (5.0, 1.0), (0.5, 0.5), (0.5, 2.0), (0.3, 5.0)):
+            assert ScaledBeta(a, b, 2.0).icdf(u).tobytes() == (2.0 * special.betaincinv(a, b, u)).tobytes()
+
+    def test_upper_half_below_one_half_corrects_the_rounding_of_1_minus_x(self):
+        # u > 1/2 but x < 1/2: I_{1-x}(b, a) is read at 1 - x rounded, which
+        # alone would cost about 0.75 ulp in the median here
+        mpmath = pytest.importorskip("mpmath")
+        a, b = 2.0, 5.0
+        u = np.linspace(0.5, float(special.betainc(a, b, 0.5)), 42)[1:-1]
+        got = ScaledBeta(a, b, 1.0).icdf(u)
+        ulps = [_ulps(x, _beta_root(mpmath, a, b, unit, x)) for unit, x in zip(u, got)]
+        assert np.median(ulps) <= 0.5 and max(ulps) <= 2.0
 
 
 class TestRegularity:

@@ -155,7 +155,11 @@ def test_budgets_match_the_summed_row(count):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("claim", [ScaledBeta(2.0, 3.0, 2.0), Exponential(1.5)], ids=["beta", "exp"])
+@pytest.mark.parametrize(
+    "claim",
+    [ScaledBeta(2.0, 3.0, 2.0), ScaledBeta(2.0, 2.0, 2.0), ScaledBeta(5.0, 0.5, 2.0), Exponential(1.5)],
+    ids=["beta", "beta-2-2", "beta-5-0.5", "exp"],
+)
 def test_chunked_claims_match_one_whole_row_icdf(claim):
     count = 3 * CHUNK + 5
     base = Universe(Seed(6), LawTriple(OffspringLaw((0.5, 0.5)), claim, Constant(1.0)), 2)

@@ -7,6 +7,7 @@ every replicate, whatever the policy or law kinds.  Founder counts of 9 and
 summation, so a budget summed over a differently shaped row would show.
 """
 
+import os
 from concurrent.futures import Future
 
 import numpy as np
@@ -178,8 +179,28 @@ def test_pool_size_is_the_number_of_nonempty_ranges(monkeypatch, workers, replic
     serial = estimate_extinction(spec, mc, workers=1)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(rdbp.montecarlo, "ProcessPoolExecutor", _InlinePool)
+    # enough CPUs that only the ids bound the pool, on any machine
+    monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: 64)
     assert estimate_extinction(spec, mc, workers=workers) == serial
     assert _InlinePool.sizes == pools
+
+
+@pytest.mark.parametrize("cpus", [1, 3, None])
+def test_pool_never_outgrows_the_usable_cpus(monkeypatch, cpus):
+    # 5000 workers asked for; the stub runs them all in this process
+    spec = ProcessSpec(laws=TRIPLES["uniform-constant"], policy=WeakestFirstPolicy())
+    mc = McConfig(replicates=40, horizon=20, explosion_cap=800, base_seed=Seed(14))
+    serial = estimate_extinction(spec, mc, workers=1)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(rdbp.montecarlo, "ProcessPoolExecutor", _InlinePool)
+    if cpus is None:  # this machine's own count
+        usable = rdbp.montecarlo._usable_cpus()
+        assert 1 <= usable <= (os.cpu_count() or 1)
+    else:
+        usable = cpus
+        monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: cpus)
+    assert estimate_extinction(spec, mc, workers=5000) == serial
+    assert _InlinePool.sizes == ([] if usable == 1 else [min(usable, 40)])
 
 
 class TestWorkerSplitIsInvisibleOnBetaClaims(TestWorkerSplitIsInvisible):
