@@ -1,13 +1,16 @@
-"""Reference reads of the universe, for tests only.
+"""Reference reads of the universe and a reference policy, for tests only.
 
 The scalar readers hash one cell at a time with the pure-Python ``_mix``,
 independently of the vectorised kernel, so a wrong shift or constant in the
 kernel shows up as a disagreement.  The ``*_row`` readers materialise whole
 rows through the kernel; the engine itself only ever reads their sums.
+``StableCoinFlipPolicy`` ranks the aux deviates with the plain stable
+argsort, against which the policy's fast exact order is checked.
 """
 
 import numpy as np
 
+from rdbp.policies import CoinFlipPolicy, PriorityPolicy
 from rdbp.universe import (
     _GOLDEN,
     _MASK64,
@@ -74,3 +77,13 @@ def resource_row(universe, n, count):
 
 def aux_row(universe, n, count):
     return kernel_units(universe, _TAG_AUX, n, count)
+
+
+class StableCoinFlipPolicy(CoinFlipPolicy):
+    """``coinflip`` through ``np.argsort(aux, kind="stable")`` alone, with
+    blocks counted row by row."""
+
+    def permutation(self, claims, aux=None):
+        return np.argsort(np.asarray(aux, dtype=np.float64), kind="stable")
+
+    count_rows = PriorityPolicy.count_rows

@@ -1,10 +1,13 @@
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdbp.policies
 from rdbp import (
     CoinFlipPolicy,
     CustomPolicy,
@@ -18,6 +21,7 @@ from rdbp import (
     count_wf,
     policy_from_token,
 )
+from rdbp.policies import POLICY_TOKENS, _prefix_count
 
 from conftest import WORKED_BUDGET, WORKED_CLAIMS
 
@@ -186,6 +190,131 @@ class TestCoinFlip:
         assert count_sf(claims, budget) <= c <= count_wf(claims, budget)
 
 
+# deviates from three values, so that most rows tie; signed zeros compare
+# equal and NaN compares false
+TIE_ALPHABETS = [(0.25, 0.5, 0.75), (0.0, -0.0, 0.5), (np.nan, 0.5, -0.0)]
+
+
+@st.composite
+def tied_blocks(draw, max_rows=50):
+    """An (m, t) block of tied aux deviates, with claims and one budget per row."""
+    alphabet = np.array(draw(st.sampled_from(TIE_ALPHABETS)))
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    length = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    aux = alphabet[rng.integers(0, 3, size=(rows, length))]
+    claims = rng.random((rows, length)) * 2.0
+    budgets = rng.random(rows) * length * 0.6
+    return claims, budgets, aux
+
+
+def fast_order_everywhere(on):
+    """Sends every row through the default argsort and its tie check."""
+    if not on:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(rdbp.policies, _FAST_ORDER_MIN_ROW=0, _FAST_ORDER_MIN_CELLS=0)
+
+
+_argsort = np.argsort
+
+
+def argsort_reversing_ties(a, axis=-1, kind=None):
+    """A valid sort that puts every run of equal deviates (NaNs as one run)
+    in reverse arrival order; with ``kind`` given, numpy's own argsort."""
+    order = _argsort(a, axis=axis, kind="stable")
+    if kind is not None:
+        return order
+    for row, row_order in zip(np.atleast_2d(a), np.atleast_2d(order)):
+        ranked = row[row_order]
+        start = 0
+        for k in range(1, len(ranked) + 1):
+            if k == len(ranked) or not (
+                ranked[k] == ranked[start] or (np.isnan(ranked[k]) and np.isnan(ranked[start]))
+            ):
+                row_order[start:k] = row_order[start:k][::-1].copy()
+                start = k
+    return order
+
+
+def stable_counts(claims, budgets, aux):
+    return [
+        brute_prefix_count(c[np.argsort(a, kind="stable")], b)
+        for c, b, a in zip(claims, budgets, aux)
+    ]
+
+
+class TestStableOrder:
+    """coinflip ranks its aux deviates exactly as the stable argsort would."""
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["default-sizes", "fast-everywhere"])
+    @given(block=tied_blocks(max_rows=1))
+    def test_permutation_is_the_stable_argsort(self, fast, block):
+        claims, _, aux = block
+        with fast_order_everywhere(fast):
+            perm = CoinFlipPolicy().permutation(claims[0], aux[0])
+        np.testing.assert_array_equal(perm, np.argsort(aux[0], kind="stable"))
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["default-sizes", "fast-everywhere"])
+    @given(block=tied_blocks())
+    def test_count_rows_counts_through_the_stable_order(self, fast, block):
+        claims, budgets, aux = block
+        with fast_order_everywhere(fast):
+            counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
+        assert counts.tolist() == stable_counts(claims, budgets, aux)
+
+    def test_tie_reversing_sort_differs_from_the_stable_one(self):
+        aux = np.array([0.5, -0.0, 0.5, 0.0, np.nan, np.nan])
+        assert argsort_reversing_ties(aux).tolist() == [3, 1, 2, 0, 5, 4]
+
+    @given(block=tied_blocks())
+    def test_ties_are_ranked_stably_whatever_the_fast_sort_does(self, block):
+        claims, budgets, aux = block
+        want_counts = stable_counts(claims, budgets, aux)
+        want_perms = [np.argsort(a, kind="stable") for a in aux]
+        with fast_order_everywhere(True), mock.patch.object(np, "argsort", argsort_reversing_ties):
+            counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
+            perms = [CoinFlipPolicy().permutation(c, a) for c, a in zip(claims, aux)]
+        assert counts.tolist() == want_counts
+        for perm, want in zip(perms, want_perms):
+            np.testing.assert_array_equal(perm, want)
+
+    def test_untied_deviates_take_the_fast_sort_alone(self):
+        # distinct deviates need no second sort, whichever the block size
+        aux = np.random.default_rng(4).random((64, 64))
+        calls = []
+
+        def spy(a, axis=-1, kind=None):
+            calls.append(kind)
+            return _argsort(a, axis=axis, kind=kind)
+
+        with mock.patch.object(np, "argsort", spy):
+            order = rdbp.policies._stable_order(aux)
+        assert calls == [None]
+        np.testing.assert_array_equal(order, _argsort(aux, axis=-1, kind="stable"))
+
+
+ALL_POLICIES = [policy_from_token(token) for token in POLICY_TOKENS] + [
+    CustomPolicy(lambda claims: np.arange(len(claims))[::-1], name="reverse-arrival")
+]
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
+@pytest.mark.parametrize("shape", [(1, 5), (1, 3000), (40, 7), (80, 30)], ids=str)
+def test_counting_leaves_the_callers_arrays_alone(policy, shape):
+    # the prefix sums run in place, but only in copies the policy owns
+    rng = np.random.default_rng(11)
+    claims = rng.random(shape) * 2.0
+    aux = rng.random(shape)
+    aux[:, ::3] = 0.5  # ties send rows through the stable fallback too
+    budgets = rng.random(shape[0]) * shape[1]
+    before = [a.copy() for a in (claims, budgets, aux)]
+    for i in range(shape[0]):
+        policy.count(claims[i], budgets[i], aux[i])
+    policy.count_rows(claims, budgets, aux)
+    for now, then in zip((claims, budgets, aux), before):
+        assert now.tobytes() == then.tobytes()
+
+
 class TestThirdLargestFirst:
     def test_small_batches_fall_back_to_strongest_first(self):
         policy = ThirdLargestFirstPolicy()
@@ -210,6 +339,16 @@ class TestThirdLargestFirst:
     def test_sandwich(self, claims, budget):
         c = ThirdLargestFirstPolicy().count(claims, budget)
         assert count_sf(claims, budget) <= c <= count_wf(claims, budget)
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), max_size=40).map(np.array),
+        st.floats(min_value=0.0, max_value=40.0),
+    )
+    def test_count_from_sorted_values_matches_the_permutation(self, claims, budget):
+        # tied claims are served in some order, but only their values count
+        policy = ThirdLargestFirstPolicy()
+        want = _prefix_count(claims[policy.permutation(claims)], budget)
+        assert policy.count(claims, budget) == want
 
 
 class TestCustomPolicy:

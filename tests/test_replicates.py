@@ -16,7 +16,9 @@ import pytest
 import rdbp.engine
 import rdbp.montecarlo
 from rdbp import (
+    COUNTEREXAMPLE_TRIPLE,
     POLICY_TOKENS,
+    CoinFlipPolicy,
     Constant,
     CustomPolicy,
     EngineError,
@@ -39,6 +41,8 @@ from rdbp import (
     step_replicates,
 )
 from rdbp.policies import StrongestFirstPolicy, WeakestFirstPolicy
+
+from oracle import StableCoinFlipPolicy
 
 TRIPLES = {
     # a zero inside the offspring law
@@ -83,6 +87,21 @@ def test_step_replicates_matches_step(policy):
     for n in (0, 3):
         want = [step(int(s), base.derive_replicate(int(i)), n, policy) for s, i in zip(sizes, ids)]
         assert step_replicates(sizes, base, ids, n, policy).tolist() == want
+
+
+@pytest.mark.parametrize("initial_size", [1, 130, 30000])
+def test_fast_coinflip_order_matches_the_stable_argsort(initial_size):
+    # the short-lived laws; from 30000 founders every generation ranks
+    # thousands of aux deviates through the default argsort and tie check
+    fast, stable = (
+        ProcessSpec(laws=COUNTEREXAMPLE_TRIPLE, policy=policy, initial_size=initial_size,
+                    explosion_cap=10 ** 6)
+        for policy in (CoinFlipPolicy(), StableCoinFlipPolicy())
+    )
+    base = Universe(Seed(101), COUNTEREXAMPLE_TRIPLE)
+    ids = range(60) if initial_size == 1 else range(4)
+    assert simulate(fast, base) == simulate(stable, base)
+    assert simulate_replicates(fast, base, ids) == simulate_replicates(stable, base, ids)
 
 
 def test_small_blocks_split_without_changing_results(monkeypatch):
