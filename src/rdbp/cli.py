@@ -180,6 +180,7 @@ def _run_check(name: str, cfg: RunConfig, threads: int) -> dict:
             min_size=params.get("min_size", 10 ** 4),
             slack=params.get("slack", 0.05),
             initial_size=params.get("initial_size", cfg.process.initial_size),
+            workers=threads,
         )
         ok = est.band_low - est.slack <= est.mean_ratio <= est.band_high + est.slack
         return {"ok": ok, "hard": False,
@@ -200,6 +201,7 @@ def _run_check(name: str, cfg: RunConfig, threads: int) -> dict:
             n_gens=params.get("n_gens", 3),
             mc=cfg.mc,
             alpha=params.get("alpha", 1e-3),
+            workers=threads,
         )
         ok = report.fosd_ok and report.zero_column_ok
         return {"ok": ok, "hard": False, "result": _clean(report)}

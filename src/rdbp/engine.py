@@ -9,14 +9,15 @@ trajectories are reproducible and couplable by construction.
 ``step`` and ``simulate`` advance one replicate at a time and are the
 reference.  ``step_replicates`` and ``simulate_replicates`` advance every
 live replicate of a generation together and return the same sizes and
-outcomes bit for bit.
+outcomes bit for bit; ``simulate_replicates`` also steps several coupled
+specs on the same ids in that one pass.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "simulate_coupled",
     "step_replicates",
     "simulate_replicates",
+    "replicate_generations",
     "trajectory_to_csv",
     "trajectory_to_json",
     "HORIZON_DEFAULT",
@@ -205,9 +207,20 @@ def step_replicates(
     every budget sum and claim prefix sum bit-identical to ``step``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
+    owners = np.zeros(len(sizes), dtype=np.intp)
+    return _step_rows(sizes, ReplicateRows(base, np.asarray(ids), n), n, (policy,), owners)
+
+
+def _step_rows(
+    sizes: np.ndarray, rows: ReplicateRows, n: int, policies: Sequence[PriorityPolicy], owners: np.ndarray
+) -> np.ndarray:
+    """``step_replicates`` of rows that each serve under ``policies[owners[i]]``.
+
+    A block of equal-length rows keeps their order, so each run of rows with
+    one owner is a C-contiguous slice of it, which that policy counts.
+    """
     if np.any(sizes < 0):
         raise EngineError("negative population size")
-    rows = ReplicateRows(base, np.asarray(ids), n)
     totals = np.zeros(len(sizes), dtype=np.int64)
     budgets = np.zeros(len(sizes), dtype=np.float64)
     parents = []
@@ -225,36 +238,89 @@ def step_replicates(
     born = np.flatnonzero(totals)
     for block, total in _equal_length_blocks(totals[born]):
         block = born[block]
-        aux = rows.aux(block, total) if policy.needs_aux else None
-        served[block] = policy.count_rows(rows.claims(block, total), budgets[block], aux)
+        claims = rows.claims(block, total)
+        changes = (np.flatnonzero(np.diff(owners[block])) + 1).tolist() if len(policies) > 1 else []
+        edges = [0, *changes, len(block)]
+        for lo, hi in zip(edges, edges[1:]):
+            mine = block[lo:hi]
+            policy = policies[owners[mine[0]]]
+            aux = rows.aux(mine, total) if policy.needs_aux else None
+            served[mine] = policy.count_rows(claims[lo:hi], budgets[mine], aux)
     return served
 
 
-def simulate_replicates(spec: ProcessSpec, base: Universe, ids: Sequence[int]) -> list[Trajectory]:
-    """``[simulate(spec, base.derive_replicate(i)) for i in ids]``, with all
-    live replicates of a generation advanced together by ``step_replicates``."""
-    if spec.laws != base.laws:
-        raise EngineError("spec and universe disagree on the law triple")
+def replicate_generations(
+    specs: Sequence[ProcessSpec], base: Universe, ids: Sequence[int]
+) -> Generator[int, None, list[list[Trajectory]]]:
+    """Coupled specs run on the same replicate ids, one generation at a time.
+
+    Each (spec, id) pair is one row, and every live row of a generation is
+    advanced in one ``_step_rows`` pass, whichever spec it belongs to.  The
+    specs may differ only in their initial size and policy.  Before each
+    generation the run yields the members it is about to step, so a caller
+    may drop it between generations; run to the end, it returns for each
+    spec ``[simulate(spec, base.derive_replicate(i)) for i in ids]``.
+    """
+    if not specs:
+        raise EngineError("coupled runs need at least one spec")
+    first = specs[0]
+    for spec in specs:
+        if spec.laws != base.laws:
+            raise EngineError("spec and universe disagree on the law triple")
+        if (spec.horizon, spec.explosion_cap) != (first.horizon, first.explosion_cap):
+            raise EngineError("coupled specs may differ only in their initial size and policy")
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    records = [[spec.initial_size] for _ in range(len(ids))]
-    outcomes = [Outcome("alive_at_horizon")] * len(ids)
-    live = np.arange(len(ids))
-    current = np.full(len(ids), spec.initial_size, dtype=np.int64)
-    for n in range(spec.horizon):
+    m = len(ids)
+    # rows lie spec by spec; specs that share a policy object share its
+    # owner, so their rows of one length are counted in one call
+    policies: list[PriorityPolicy] = []
+    for spec in specs:
+        if spec.policy not in policies:
+            policies.append(spec.policy)
+    owners = np.repeat([policies.index(spec.policy) for spec in specs], m)
+    current = np.repeat([spec.initial_size for spec in specs], m).astype(np.int64)
+    position = np.tile(np.arange(m), len(specs))
+    records = [[size] for size in current.tolist()]
+    outcomes = [Outcome("alive_at_horizon")] * len(records)
+    live = np.arange(len(records))
+    for n in range(first.horizon):
         if not live.size:
             break
-        current = step_replicates(current, base, ids[live], n, spec.policy)
+        yield int(current.sum())
+        rows = ReplicateRows(base, ids[position[live]], n)
+        current = _step_rows(current, rows, n, policies, owners[live])
         for j, size in zip(live.tolist(), current.tolist()):
             records[j].append(size)
         extinct = current == 0
-        exploded = current >= spec.explosion_cap
-        for j in live[extinct].tolist():
-            outcomes[j] = Outcome("extinct", n + 1)
-        for j in live[exploded].tolist():
-            outcomes[j] = Outcome("exploded", n + 1)
+        exploded = current >= first.explosion_cap
+        # an outcome is frozen, so one object serves every row that ends alike
+        for ended, kind in ((extinct, "extinct"), (exploded, "exploded")):
+            outcome = Outcome(kind, n + 1)
+            for j in live[ended].tolist():
+                outcomes[j] = outcome
         going = ~(extinct | exploded)
         live, current = live[going], current[going]
-    return [Trajectory(sizes, outcome) for sizes, outcome in zip(records, outcomes)]
+    runs = [Trajectory(sizes, outcome) for sizes, outcome in zip(records, outcomes)]
+    return [runs[s * m:(s + 1) * m] for s in range(len(specs))]
+
+
+def simulate_replicates(
+    specs: Union[ProcessSpec, Sequence[ProcessSpec]], base: Universe, ids: Sequence[int]
+) -> Union[list[Trajectory], list[list[Trajectory]]]:
+    """``[simulate(spec, base.derive_replicate(i)) for i in ids]``, with all
+    live replicates of a generation advanced together.
+
+    Given a sequence of coupled specs, returns that list for each of them,
+    all stepped in one pass (see ``replicate_generations``).
+    """
+    if isinstance(specs, ProcessSpec):
+        return simulate_replicates([specs], base, ids)[0]
+    run = replicate_generations(specs, base, ids)
+    while True:
+        try:
+            next(run)
+        except StopIteration as done:
+            return done.value
 
 
 def _fmt(x: float) -> str:

@@ -3,9 +3,13 @@
 Replicate i always runs on ``base_universe.derive_replicate(i)``, so every
 estimate is a pure function of (spec, config) and is bit-identical across
 runs and across worker counts.  Every check runs its replicates through
-``simulate_replicates``, fanned out by ``_per_replicate``.  Trajectories
-that are still alive at the horizon are reported as their own category,
-never folded into either side of an extinction estimate.
+``_per_replicate``, in one batched pass of the engine that steps all the
+coupled specs of the check (founder counts, or a policy and smallest-first)
+on the same ids together.  Several workers are used only for a check that
+steps more than FANOUT_MEMBERS members: the pass starts in this process,
+and past that budget its unfinished ids go to a process pool in pieces.
+Trajectories that are still alive at the horizon are reported as their own
+category, never folded into either side of an extinction estimate.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .criteria import SolverConfig, effective_mean_sf, effective_mean_wf
 from .distributions import LawTriple, OffspringLaw, Uniform
-from .engine import ProcessSpec, Trajectory, simulate_replicates, step_replicates
+from .engine import ProcessSpec, Trajectory, replicate_generations, simulate_replicates, step_replicates
 from .policies import StrongestFirstPolicy, ThirdLargestFirstPolicy, WeakestFirstPolicy
 from .policies import count_sf  # noqa: F401  the benchmark's span tests reach it by this name
 from .universe import ReplicateRows, Seed, Universe
@@ -53,6 +57,19 @@ __all__ = [
 
 #: replicate ids simulated together; bounds the trajectories held at once
 REPLICATE_CHUNK = 1 << 12
+#: members a check with several workers steps in this process before it
+#: hands the ids it has not finished to a pool; a check that steps fewer
+#: starts none.  On a 2-vCPU x86 VM a pool of two forked workers took
+#: 5.5 ms to start and stop, and a worker's first piece ran 3-9 ms slower
+#: than the same ids in the warm parent.  Rows of 1-100 members also cost
+#: more when cut into pieces (2000 short-lived ids in two slices: 24 ->
+#: 31 ms), so fanning out cost 20-40 ms beyond the work it shared.  The
+#: first members of a check step in such rows, at about 200 ns each, so
+#: the parent spends about that much on this many before it starts a pool
+#: (a ski-rental rule: at worst the probe is wasted).  It is ~1.7 times
+#: the largest check of short-lived (1.2e5) and 1/200 of deep-growth's
+#: safe_haven (4.3e7)
+FANOUT_MEMBERS = 2 * 10 ** 5
 
 
 class InsufficientSurvivors(RuntimeError):
@@ -107,16 +124,32 @@ class ExtinctionEstimate:
 
 
 def _simulate_range(
-    fn: Callable[..., Any], specs: Sequence[ProcessSpec], seed: Seed, start: int, stop: int
-) -> list:
+    fn: Callable[..., Any],
+    specs: Sequence[ProcessSpec],
+    seed: Seed,
+    start: int,
+    stop: int,
+    budget: float = math.inf,
+) -> tuple[list, int]:
+    """``fn(*trajectories)`` for the ids from ``start`` on, and the first id
+    left undone: ``stop``, unless stepping the next generation would take
+    the members stepped past ``budget``.  Then the unfinished slice is
+    dropped and its first id returned."""
     results = []
+    members = 0
+    base = Universe(seed, specs[0].laws, 0)
     # only one slice of trajectories is alive at a time, however many
     # replicates the check asks for
     for lo in range(start, stop, REPLICATE_CHUNK):
-        ids = range(lo, min(stop, lo + REPLICATE_CHUNK))
-        runs = [simulate_replicates(spec, Universe(seed, spec.laws, 0), ids) for spec in specs]
-        results.extend(fn(*trajectories) for trajectories in zip(*runs))
-    return results
+        run = replicate_generations(specs, base, range(lo, min(stop, lo + REPLICATE_CHUNK)))
+        try:
+            while True:
+                members += next(run)
+                if members > budget:
+                    return results, lo
+        except StopIteration as done:
+            results.extend(fn(*trajectories) for trajectories in zip(*done.value))
+    return results, stop
 
 
 def _usable_cpus() -> int:
@@ -139,24 +172,34 @@ def _per_replicate(
     ``start + count - 1``, in id order, where ``trajectories`` holds that
     replicate's run under each spec.
 
-    ``count`` defaults to ``mc.replicates``.  With several workers, each
-    takes one contiguous range of ids and sends back only what ``fn``
-    returns; the results are per replicate, so the split never shows.
+    ``count`` defaults to ``mc.replicates``.  The coupled specs step
+    together, in one pass.  With several workers, the pass still starts in
+    this process.  Only when its next generation would take the members
+    stepped past FANOUT_MEMBERS does it drop the slice it has not finished
+    and hand the ids left to a pool, in pieces that send back only what
+    ``fn`` returns.  The results are per replicate, so where a replicate ran
+    never shows.
     """
     stop = start + (mc.replicates if count is None else count)
-    # the pool starts every worker it may use at once, so it gets no more
-    # workers than there are ids, each of them a non-empty range, and no
-    # more than the CPUs that could run them
     workers = max(1, min(workers, stop - start, _usable_cpus()))
-    if workers == 1:
-        return _simulate_range(fn, specs, mc.base_seed, start, stop)
-    edges = [start + (stop - start) * w // workers for w in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    budget = FANOUT_MEMBERS if workers > 1 else math.inf
+    results, lo = _simulate_range(fn, specs, mc.base_seed, start, stop, budget)
+    if lo == stop:
+        return results
+    # at least about four pieces per worker, handed out in id order, so a
+    # worker that drew fast-dying ids takes the next piece
+    size = min(REPLICATE_CHUNK, math.ceil((stop - lo) / (4 * workers)))
+    pieces = range(lo, stop, size)
+    # the pool starts every worker it may use at once, so it gets no more
+    # workers than pieces
+    with ProcessPoolExecutor(max_workers=min(workers, len(pieces))) as pool:
         futures = [
-            pool.submit(_simulate_range, fn, specs, mc.base_seed, lo, hi)
-            for lo, hi in zip(edges, edges[1:])
+            pool.submit(_simulate_range, fn, specs, mc.base_seed, a, min(stop, a + size))
+            for a in pieces
         ]
-        return [result for fut in futures for result in fut.result()]
+        for fut in futures:
+            results.extend(fut.result()[0])
+    return results
 
 
 def _outcome_kinds(*trajectories: Trajectory) -> tuple[str, ...]:
@@ -219,10 +262,13 @@ def safe_haven_check(
     # a population founded at the explosion cap has exploded before its first
     # generation, so those founder counts are tallied without simulating
     founders = sorted(f for f in {1, *initial_sizes} if f < mc.explosion_cap)
+    # one policy object, so each block of equal-length rows is counted in
+    # one call whatever founder counts its rows start from
+    policy = WeakestFirstPolicy()
     specs = [
         ProcessSpec(
             laws=triple,
-            policy=WeakestFirstPolicy(),
+            policy=policy,
             initial_size=initial,
             horizon=mc.horizon,
             explosion_cap=mc.explosion_cap,
@@ -308,6 +354,7 @@ def envelope_check(
     min_size: int = 10 ** 4,
     slack: float = 0.05,
     initial_size: int = 1,
+    workers: int = 1,
 ) -> GrowthEstimate:
     """Late growth ratios against the effective-mean envelope.
 
@@ -330,7 +377,7 @@ def envelope_check(
     )
     ratios: list[float] = []
     contributing = 0
-    for picked in _per_replicate(partial(_late_ratios, min_size=min_size), [spec], mc):
+    for picked in _per_replicate(partial(_late_ratios, min_size=min_size), [spec], mc, workers):
         if picked:
             contributing += 1
             ratios.extend(picked)
@@ -374,6 +421,7 @@ def superadditivity_check(
     n_gens: int,
     mc: McConfig,
     alpha: float = 1e-3,
+    workers: int = 1,
 ) -> SuperadditivityReport:
     """Smallest-first from L founders versus the sum of L single-founder copies.
 
@@ -393,9 +441,9 @@ def superadditivity_check(
     n_rep = mc.replicates
 
     final_size = methodcaller("size_at", n_gens)
-    joint_vals = np.array(_per_replicate(final_size, [joint_spec], mc), dtype=np.int64)
+    joint_vals = np.array(_per_replicate(final_size, [joint_spec], mc, workers), dtype=np.int64)
     # the independent copies run on the replicate ids after the joint ones
-    copies = _per_replicate(final_size, [single_spec], mc, start=n_rep, count=n_rep * initial_size)
+    copies = _per_replicate(final_size, [single_spec], mc, workers, start=n_rep, count=n_rep * initial_size)
     copy_vals = np.array(copies, dtype=np.int64)
     sum_vals = copy_vals.reshape(n_rep, initial_size).sum(axis=1)
 
@@ -503,8 +551,7 @@ def counterexample_search(
         born = np.arange(1, max_k + 1) <= t0[:, None]
         largest = np.where(born, rows.claims(everyone, max_k), -np.inf).max(axis=1)
         candidates = ids[(t0 >= 1) & (largest <= res)]
-        got_all = simulate_replicates(policy_spec, base, candidates)
-        ref_all = simulate_replicates(sf_spec, base, candidates)
+        got_all, ref_all = simulate_replicates([policy_spec, sf_spec], base, candidates)
         for i, got, ref in zip(candidates.tolist(), got_all, ref_all):
             if got.size_at(2) == 0 and ref.size_at(2) > 0:
                 return CounterexampleSearchResult(

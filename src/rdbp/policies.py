@@ -257,9 +257,11 @@ def apply_policy(
     if budget < 0.0:
         raise ValueError("budget must be non-negative")
     perm = policy.permutation(claims, aux)
-    ordered = claims[perm]
-    count = _prefix_count(ordered, budget)
-    consumed = float(np.sum(ordered[:count])) if count else 0.0
+    # the running totals overwrite this copy, so what the served children
+    # consume is the very total that admission compared with the budget
+    totals = claims[perm]
+    count = _prefix_count(totals, budget, in_place=True)
+    consumed = float(totals[count - 1]) if count else 0.0
     return ServedSet(count=count, served_indices=tuple(int(i) for i in perm[:count]), consumed=consumed)
 
 

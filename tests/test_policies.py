@@ -155,6 +155,18 @@ class TestProperties:
                 float(claims[list(served.served_indices)].sum()), abs=1e-9
             )
 
+    def test_consumed_is_the_total_admission_compared(self):
+        # a budget equal to the sequential total of a prefix admits that
+        # prefix; a pairwise sum of it can round above the budget
+        rng = np.random.default_rng(7)
+        for _ in range(20000):
+            claims = rng.uniform(0.0, 2.0, rng.integers(9, 300))
+            served = np.cumsum(claims)
+            budget = served[rng.integers(len(claims))]
+            got = apply_policy(FcfsPolicy(), claims, budget)
+            assert got.consumed <= budget
+            assert got.consumed == served[got.count - 1]
+
     @given(claims_arrays)
     def test_zero_budget_serves_no_one_with_positive_claims(self, claims):
         positive = claims[claims > 0]

@@ -7,12 +7,17 @@ every replicate, whatever the policy or law kinds.  Founder counts of 9 and
 summation, so a budget summed over a differently shaped row would show.
 """
 
+import json
 import os
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rdbp.cli
 import rdbp.engine
 import rdbp.montecarlo
 from rdbp import (
@@ -32,6 +37,7 @@ from rdbp import (
     Uniform,
     Universe,
     dominance_check,
+    envelope_check,
     estimate_extinction,
     policy_from_token,
     safe_haven_check,
@@ -39,7 +45,9 @@ from rdbp import (
     simulate_replicates,
     step,
     step_replicates,
+    superadditivity_check,
 )
+from rdbp.montecarlo import _outcome_kinds
 from rdbp.policies import StrongestFirstPolicy, WeakestFirstPolicy
 
 from oracle import StableCoinFlipPolicy
@@ -150,9 +158,58 @@ def test_replicate_chunks_are_invisible(monkeypatch):
             dominance_check(StrongestFirstPolicy(), triple, mc)) == whole
 
 
+def _collect(*trajectories):
+    return trajectories
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    triple=st.sampled_from(sorted(TRIPLES)),
+    coupled=st.lists(
+        st.tuples(st.integers(1, 130), st.sampled_from(POLICIES)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2 ** 64 - 1),
+    first=st.integers(0, 10 ** 6),
+    count=st.integers(0, 9),
+    small=st.booleans(),
+)
+def test_coupled_specs_step_together_as_if_alone(triple, coupled, seed, first, count, small):
+    # specs that share a policy object, or put one policy between two runs
+    # of another, all step in the same pass
+    laws = TRIPLES[triple]
+    specs = [ProcessSpec(laws=laws, policy=policy, initial_size=initial, horizon=6, explosion_cap=400)
+             for initial, policy in coupled]
+    base = Universe(Seed(seed), laws)
+    ids = range(first, first + count)
+    want = [_reference(spec, base, ids) for spec in specs]
+    mc = McConfig(horizon=6, explosion_cap=400, base_seed=Seed(seed))
+    with mock.patch.object(rdbp.engine, "BLOCK_CELLS", 16 if small else rdbp.engine.BLOCK_CELLS), \
+            mock.patch.object(rdbp.montecarlo, "REPLICATE_CHUNK", 3 if small else rdbp.montecarlo.REPLICATE_CHUNK):
+        assert simulate_replicates(specs, base, ids) == want
+        by_id = rdbp.montecarlo._per_replicate(_collect, specs, mc, start=first, count=count)
+    assert [list(runs) for runs in zip(*by_id)] == (want if count else [])
+
+
+def test_coupled_specs_must_share_horizon_and_cap():
+    triple = TRIPLES["uniform-constant"]
+    base = Universe(Seed(0), triple)
+    spec = ProcessSpec(laws=triple, policy=WeakestFirstPolicy(), horizon=5)
+    for other in (ProcessSpec(laws=triple, policy=WeakestFirstPolicy(), horizon=6),
+                  ProcessSpec(laws=triple, policy=WeakestFirstPolicy(), horizon=5, explosion_cap=99)):
+        with pytest.raises(EngineError):
+            simulate_replicates([spec, other], base, [0])
+    with pytest.raises(EngineError):
+        simulate_replicates([], base, [0])
+
+
 class TestWorkerSplitIsInvisible:
     triple = TRIPLES["uniform-constant"]
     mc = McConfig(replicates=45, horizon=20, explosion_cap=800, base_seed=Seed(13))
+
+    @pytest.fixture(autouse=True)
+    def fan_out_at_once(self, monkeypatch):
+        # these checks are far too small to start a pool by themselves
+        monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", 0)
 
     def test_dominance(self):
         policy = StrongestFirstPolicy()
@@ -168,12 +225,22 @@ class TestWorkerSplitIsInvisible:
         mc = McConfig(replicates=3, horizon=20, explosion_cap=800, base_seed=Seed(13))
         assert estimate_extinction(spec, mc, workers=1) == estimate_extinction(spec, mc, workers=5)
 
+    def test_envelope_and_superadditivity(self):
+        def checks(workers):
+            return (envelope_check(WeakestFirstPolicy(), self.triple, self.mc, min_size=1, workers=workers),
+                    superadditivity_check(self.triple, 2, 4, self.mc, workers=workers))
+        serial = checks(1)
+        assert checks(2) == serial
+        assert checks(5) == serial
+
 
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records the pool size asked for and
-    runs every submitted call in this process."""
+    the id range of every piece, and runs each submitted call in this
+    process."""
 
     sizes: list = []
+    pieces: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -185,33 +252,43 @@ class _InlinePool:
         return False
 
     def submit(self, fn, *args):
+        self.pieces.append(args[3:5])
         future = Future()
         future.set_result(fn(*args))
         return future
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "pieces", [])
+    monkeypatch.setattr(rdbp.montecarlo, "ProcessPoolExecutor", _InlinePool)
+    return _InlinePool
+
+
 @pytest.mark.parametrize("workers, replicates, pools", [(64, 3, [3]), (2, 3, [2]), (3, 7, [3]), (8, 1, [])])
-def test_pool_size_is_the_number_of_nonempty_ranges(monkeypatch, workers, replicates, pools):
+def test_pool_size_is_the_number_of_nonempty_ranges(monkeypatch, inline_pool, workers, replicates, pools):
     triple = TRIPLES["uniform-constant"]
     spec = ProcessSpec(laws=triple, policy=WeakestFirstPolicy())
     mc = McConfig(replicates=replicates, horizon=20, explosion_cap=800, base_seed=Seed(13))
     serial = estimate_extinction(spec, mc, workers=1)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(rdbp.montecarlo, "ProcessPoolExecutor", _InlinePool)
-    # enough CPUs that only the ids bound the pool, on any machine
+    # every id goes to the pool, and enough CPUs that only the ids bound it,
+    # on any machine
+    monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", 0)
     monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: 64)
     assert estimate_extinction(spec, mc, workers=workers) == serial
-    assert _InlinePool.sizes == pools
+    assert inline_pool.sizes == pools
+    # one id per piece: fewer ids than four pieces per worker
+    assert inline_pool.pieces == ([(i, i + 1) for i in range(replicates)] if pools else [])
 
 
 @pytest.mark.parametrize("cpus", [1, 3, None])
-def test_pool_never_outgrows_the_usable_cpus(monkeypatch, cpus):
+def test_pool_never_outgrows_the_usable_cpus(monkeypatch, inline_pool, cpus):
     # 5000 workers asked for; the stub runs them all in this process
     spec = ProcessSpec(laws=TRIPLES["uniform-constant"], policy=WeakestFirstPolicy())
     mc = McConfig(replicates=40, horizon=20, explosion_cap=800, base_seed=Seed(14))
     serial = estimate_extinction(spec, mc, workers=1)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(rdbp.montecarlo, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", 0)
     if cpus is None:  # this machine's own count
         usable = rdbp.montecarlo._usable_cpus()
         assert 1 <= usable <= (os.cpu_count() or 1)
@@ -219,7 +296,67 @@ def test_pool_never_outgrows_the_usable_cpus(monkeypatch, cpus):
         usable = cpus
         monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: cpus)
     assert estimate_extinction(spec, mc, workers=5000) == serial
-    assert _InlinePool.sizes == ([] if usable == 1 else [min(usable, 40)])
+    assert inline_pool.sizes == ([] if usable == 1 else [min(usable, 40)])
+
+
+class TestFanOut:
+    triple = TRIPLES["uniform-constant"]
+    mc = McConfig(replicates=45, horizon=20, explosion_cap=800, base_seed=Seed(13))
+
+    def run(self, workers):
+        specs = [ProcessSpec(laws=self.triple, policy=policy, initial_size=initial, horizon=20,
+                             explosion_cap=800)
+                 for initial, policy in ((1, WeakestFirstPolicy()), (3, StrongestFirstPolicy()))]
+        return rdbp.montecarlo._per_replicate(_outcome_kinds, specs, self.mc, workers)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    # the slices of 7 ids step 79, 2895, 1624, 84, 1233, 303 and 37 members:
+    # the parent finishes none, none, one and six of them
+    @pytest.mark.parametrize("fanout, start", [(0, 0), (40, 0), (500, 7), (6230, 42)])
+    def test_pieces_after_the_budget_match_the_serial_run(self, monkeypatch, inline_pool, fanout, start, cpus):
+        serial = self.run(1)
+        monkeypatch.setattr(rdbp.montecarlo, "REPLICATE_CHUNK", 7)
+        monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", fanout)
+        monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: cpus)
+        assert self.run(8) == serial
+        pieces = inline_pool.pieces
+        # the parent keeps only the slices of 7 ids it finished; the rest go
+        # out in id order, in pieces of at most REPLICATE_CHUNK ids and of at
+        # most a quarter of each worker's share, rounded up
+        assert pieces[0][0] == start
+        workers = min(8, cpus)
+        size = min(7, -(-(45 - start) // (4 * workers)))
+        assert pieces == [(a, min(45, a + size)) for a in range(start, 45, size)]
+        assert inline_pool.sizes == [min(workers, len(pieces))]
+
+    @pytest.mark.parametrize("workers", [1, 2, 5, 5000])
+    def test_a_check_under_the_budget_starts_no_pool(self, inline_pool, workers):
+        serial = self.run(1)
+        assert self.run(workers) == serial
+        assert inline_pool.sizes == []
+
+
+def test_threads_reach_every_check(monkeypatch, inline_pool, tmp_path):
+    monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", 0)
+    monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: 64)
+    config = {
+        "seed": 3,
+        "laws": {
+            "offspring": {"probabilities": [0.25, 0.0, 0.75]},
+            "claim": {"kind": "uniform", "params": {"d": 2.0}},
+            "resource": {"kind": "constant", "params": {"value": 1.2}},
+        },
+        "policy": "fcfs",
+        "mc": {"replicates": 20, "horizon": 10, "explosion_cap": 200},
+        "checks": ["dominance", "safe_haven", "envelope", "superadditivity"],
+        "check_params": {"envelope": {"min_size": 1}, "superadditivity": {"n_gens": 3}},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = ["verify", "--config", str(path), "--threads", "3", "--out", str(tmp_path)]
+    assert rdbp.cli.main(argv) == 0
+    # superadditivity runs its joint founders and their single copies apart
+    assert inline_pool.sizes == [3] * 5
 
 
 class TestWorkerSplitIsInvisibleOnBetaClaims(TestWorkerSplitIsInvisible):
