@@ -9,15 +9,15 @@ trajectories are reproducible and couplable by construction.
 ``step`` and ``simulate`` advance one replicate at a time and are the
 reference.  ``step_replicates`` and ``simulate_replicates`` advance every
 live replicate of a generation together and return the same sizes and
-outcomes bit for bit; ``simulate_replicates`` also steps several coupled
-specs on the same ids in that one pass.
+outcomes bit for bit; ``simulate_coupled_replicates`` also steps several
+coupled specs on the same ids in that one pass.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Generator, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
     "simulate_coupled",
     "step_replicates",
     "simulate_replicates",
-    "replicate_generations",
+    "simulate_coupled_replicates",
     "trajectory_to_csv",
     "trajectory_to_json",
     "HORIZON_DEFAULT",
@@ -249,41 +249,47 @@ def _step_rows(
     return served
 
 
-def replicate_generations(
-    specs: Sequence[ProcessSpec], base: Universe, ids: Sequence[int]
-) -> Generator[int, None, list[list[Trajectory]]]:
-    """Coupled specs run on the same replicate ids, one generation at a time.
+def _replicate_generations(
+    specs: Sequence[ProcessSpec], base: Universe, ids: np.ndarray, records: list[list[int]]
+) -> Iterator[int]:
+    """Steps coupled specs on the same replicate ids, one generation at a time.
 
     Each (spec, id) pair is one row, and every live row of a generation is
-    advanced in one ``_step_rows`` pass, whichever spec it belongs to.  The
-    specs may differ only in their initial size and policy.  Before each
-    generation the run yields the members it is about to step, so a caller
-    may drop it between generations; run to the end, it returns for each
-    spec ``[simulate(spec, base.derive_replicate(i)) for i in ids]``.
+    advanced in one ``_step_rows`` pass, whichever spec it belongs to.
+    ``records`` holds each row's sizes so far, spec by spec, and the run
+    extends it in place; if empty, every row starts from its spec's initial
+    size.  A row is live while its last size is positive and under the
+    cap, which holds only for rows of the latest generation reached.  Before
+    each generation the run yields the members it is about to step, so a
+    caller may stop it there and later resume it from ``records``.
     """
     if not specs:
         raise EngineError("coupled runs need at least one spec")
-    first = specs[0]
     for spec in specs:
         if spec.laws != base.laws:
             raise EngineError("spec and universe disagree on the law triple")
-        if (spec.horizon, spec.explosion_cap) != (first.horizon, first.explosion_cap):
+        if (spec.horizon, spec.explosion_cap) != (specs[0].horizon, specs[0].explosion_cap):
             raise EngineError("coupled specs may differ only in their initial size and policy")
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     m = len(ids)
-    # rows lie spec by spec; specs that share a policy object share its
-    # owner, so their rows of one length are counted in one call
+    # specs that share a policy object share its owner, so their rows of
+    # one length are counted in one call
     policies: list[PriorityPolicy] = []
     for spec in specs:
         if spec.policy not in policies:
             policies.append(spec.policy)
     owners = np.repeat([policies.index(spec.policy) for spec in specs], m)
-    current = np.repeat([spec.initial_size for spec in specs], m).astype(np.int64)
     position = np.tile(np.arange(m), len(specs))
-    records = [[size] for size in current.tolist()]
-    outcomes = [Outcome("alive_at_horizon")] * len(records)
-    live = np.arange(len(records))
-    for n in range(first.horizon):
+    cap = specs[0].explosion_cap
+    if records:
+        start = max(map(len, records)) - 1
+        live = np.array([j for j, sizes in enumerate(records) if 0 < sizes[-1] < cap], dtype=np.intp)
+        current = np.array([records[j][-1] for j in live.tolist()], dtype=np.int64)
+    else:
+        start = 0
+        current = np.repeat([spec.initial_size for spec in specs], m).astype(np.int64)
+        records.extend([size] for size in current.tolist())
+        live = np.arange(len(records))
+    for n in range(start, specs[0].horizon):
         if not live.size:
             break
         yield int(current.sum())
@@ -291,36 +297,53 @@ def replicate_generations(
         current = _step_rows(current, rows, n, policies, owners[live])
         for j, size in zip(live.tolist(), current.tolist()):
             records[j].append(size)
-        extinct = current == 0
-        exploded = current >= first.explosion_cap
-        # an outcome is frozen, so one object serves every row that ends alike
-        for ended, kind in ((extinct, "extinct"), (exploded, "exploded")):
-            outcome = Outcome(kind, n + 1)
-            for j in live[ended].tolist():
-                outcomes[j] = outcome
-        going = ~(extinct | exploded)
+        going = (current > 0) & (current < cap)
         live, current = live[going], current[going]
-    runs = [Trajectory(sizes, outcome) for sizes, outcome in zip(records, outcomes)]
+
+
+def _trajectories(specs: Sequence[ProcessSpec], records: list[list[int]]) -> list[list[Trajectory]]:
+    """Each spec's trajectories out of finished ``records``.
+
+    How a row ended follows from its last size alone, since every spec
+    starts from one or more members and under its cap.
+    """
+    cap = specs[0].explosion_cap
+    # an outcome is frozen, so one object serves every row that ends alike
+    outcomes: dict = {}
+    runs = []
+    for sizes in records:
+        last = sizes[-1]
+        if 0 < last < cap:
+            key = ("alive_at_horizon", None)
+        else:
+            key = ("extinct" if last == 0 else "exploded", len(sizes) - 1)
+        if key not in outcomes:
+            outcomes[key] = Outcome(*key)
+        runs.append(Trajectory(sizes, outcomes[key]))
+    m = len(records) // len(specs)
     return [runs[s * m:(s + 1) * m] for s in range(len(specs))]
 
 
-def simulate_replicates(
-    specs: Union[ProcessSpec, Sequence[ProcessSpec]], base: Universe, ids: Sequence[int]
-) -> Union[list[Trajectory], list[list[Trajectory]]]:
+def simulate_replicates(spec: ProcessSpec, base: Universe, ids: Sequence[int]) -> list[Trajectory]:
     """``[simulate(spec, base.derive_replicate(i)) for i in ids]``, with all
-    live replicates of a generation advanced together.
+    live replicates of a generation advanced together."""
+    return simulate_coupled_replicates([spec], base, ids)[0]
 
-    Given a sequence of coupled specs, returns that list for each of them,
-    all stepped in one pass (see ``replicate_generations``).
+
+def simulate_coupled_replicates(
+    specs: Sequence[ProcessSpec], base: Universe, ids: Sequence[int]
+) -> list[list[Trajectory]]:
+    """``simulate_replicates`` of each coupled spec, all stepped in one pass.
+
+    The specs may differ only in their initial size and policy.  Every live
+    (spec, id) row of a generation is advanced together, so rows of equal
+    length share one block whichever spec they belong to.
     """
-    if isinstance(specs, ProcessSpec):
-        return simulate_replicates([specs], base, ids)[0]
-    run = replicate_generations(specs, base, ids)
-    while True:
-        try:
-            next(run)
-        except StopIteration as done:
-            return done.value
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    records: list[list[int]] = []
+    for _ in _replicate_generations(specs, base, ids, records):
+        pass
+    return _trajectories(specs, records)
 
 
 def _fmt(x: float) -> str:

@@ -7,9 +7,11 @@ runs and across worker counts.  Every check runs its replicates through
 coupled specs of the check (founder counts, or a policy and smallest-first)
 on the same ids together.  Several workers are used only for a check that
 steps more than FANOUT_MEMBERS members: the pass starts in this process,
-and past that budget its unfinished ids go to a process pool in pieces.
-Trajectories that are still alive at the horizon are reported as their own
-category, never folded into either side of an extinction estimate.
+and past that budget the ids it has not finished are split into one
+contiguous range per worker, each going on from the generation the pass
+had reached.  Trajectories that are still alive at the horizon are
+reported as their own category, never folded into either side of an
+extinction estimate.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ import numpy as np
 
 from .criteria import SolverConfig, effective_mean_sf, effective_mean_wf
 from .distributions import LawTriple, OffspringLaw, Uniform
-from .engine import ProcessSpec, Trajectory, replicate_generations, simulate_replicates, step_replicates
+from .engine import ProcessSpec, Trajectory, simulate_coupled_replicates, step_replicates
+from .engine import _replicate_generations, _trajectories
 from .policies import StrongestFirstPolicy, ThirdLargestFirstPolicy, WeakestFirstPolicy
 from .policies import count_sf  # noqa: F401  the benchmark's span tests reach it by this name
 from .universe import ReplicateRows, Seed, Universe
@@ -58,17 +61,18 @@ __all__ = [
 #: replicate ids simulated together; bounds the trajectories held at once
 REPLICATE_CHUNK = 1 << 12
 #: members a check with several workers steps in this process before it
-#: hands the ids it has not finished to a pool; a check that steps fewer
-#: starts none.  On a 2-vCPU x86 VM a pool of two forked workers took
-#: 5.5 ms to start and stop, and a worker's first piece ran 3-9 ms slower
-#: than the same ids in the warm parent.  Rows of 1-100 members also cost
-#: more when cut into pieces (2000 short-lived ids in two slices: 24 ->
-#: 31 ms), so fanning out cost 20-40 ms beyond the work it shared.  The
-#: first members of a check step in such rows, at about 200 ns each, so
-#: the parent spends about that much on this many before it starts a pool
-#: (a ski-rental rule: at worst the probe is wasted).  It is ~1.7 times
-#: the largest check of short-lived (1.2e5) and 1/200 of deep-growth's
-#: safe_haven (4.3e7)
+#: splits the ids it has not finished among them; a check that steps fewer
+#: starts no pool.  The split keeps every generation already stepped, so
+#: staying in-process costs the idle workers' share of each further member,
+#: while fanning out costs a fixed price.  On a 2-vCPU x86 VM a pool of one
+#: forked worker took 6-8 ms to start and stop, and short-lived's safe_haven
+#: (1.15e5 members) took 67 ms split in two from the start against 56 ms in
+#: one process (medians of 8 interleaved runs): ~40 ms beyond the half of
+#: the work it shared.  With two workers, half of each ms stepped here is
+#: the rent, so the rent reaches that price (a ski-rental rule) after ~80 ms
+#: of work; the first members of a check step in short rows at 200-550 ns
+#: each, so that is about this many.  It is 1.7 times short-lived's largest
+#: check and 1/200 of deep-growth's safe_haven (4.3e7)
 FANOUT_MEMBERS = 2 * 10 ** 5
 
 
@@ -130,26 +134,32 @@ def _simulate_range(
     start: int,
     stop: int,
     budget: float = math.inf,
-) -> tuple[list, int]:
-    """``fn(*trajectories)`` for the ids from ``start`` on, and the first id
-    left undone: ``stop``, unless stepping the next generation would take
-    the members stepped past ``budget``.  Then the unfinished slice is
-    dropped and its first id returned."""
-    results = []
+    records: Optional[list[list[int]]] = None,
+) -> tuple[list, int, list[list[int]]]:
+    """``fn(*trajectories)`` for the ids from ``start`` to ``stop``.
+
+    ``records`` resumes the first slice, of ``len(records) // len(specs)``
+    ids, from the sizes a cut run left it.  A run is cut before a generation
+    that would take the members stepped past ``budget``; it then returns the
+    results so far, the first id of the slice it cut and that slice's
+    records.  A finished run returns ``stop`` and no records.
+    """
+    results: list = []
     members = 0
     base = Universe(seed, specs[0].laws, 0)
+    records = records or []
+    lo = start
     # only one slice of trajectories is alive at a time, however many
     # replicates the check asks for
-    for lo in range(start, stop, REPLICATE_CHUNK):
-        run = replicate_generations(specs, base, range(lo, min(stop, lo + REPLICATE_CHUNK)))
-        try:
-            while True:
-                members += next(run)
-                if members > budget:
-                    return results, lo
-        except StopIteration as done:
-            results.extend(fn(*trajectories) for trajectories in zip(*done.value))
-    return results, stop
+    while lo < stop:
+        hi = lo + len(records) // len(specs) if records else min(stop, lo + REPLICATE_CHUNK)
+        for stepped in _replicate_generations(specs, base, np.arange(lo, hi), records):
+            members += stepped
+            if members > budget:
+                return results, lo, records
+        results.extend(fn(*trajectories) for trajectories in zip(*_trajectories(specs, records)))
+        lo, records = hi, []
+    return results, stop, []
 
 
 def _usable_cpus() -> int:
@@ -174,29 +184,33 @@ def _per_replicate(
 
     ``count`` defaults to ``mc.replicates``.  The coupled specs step
     together, in one pass.  With several workers, the pass still starts in
-    this process.  Only when its next generation would take the members
-    stepped past FANOUT_MEMBERS does it drop the slice it has not finished
-    and hand the ids left to a pool, in pieces that send back only what
-    ``fn`` returns.  The results are per replicate, so where a replicate ran
-    never shows.
+    this process, and only once it would step more than FANOUT_MEMBERS
+    members does it split the ids it has not finished into one contiguous
+    range per worker.  Each range goes on from where this process left its
+    rows, the first here and the others in a pool whose workers send back
+    only what ``fn`` returns.  The results are per replicate, so where a
+    replicate ran never shows.
     """
     stop = start + (mc.replicates if count is None else count)
     workers = max(1, min(workers, stop - start, _usable_cpus()))
     budget = FANOUT_MEMBERS if workers > 1 else math.inf
-    results, lo = _simulate_range(fn, specs, mc.base_seed, start, stop, budget)
+    results, lo, records = _simulate_range(fn, specs, mc.base_seed, start, stop, budget)
     if lo == stop:
         return results
-    # at least about four pieces per worker, handed out in id order, so a
-    # worker that drew fast-dying ids takes the next piece
-    size = min(REPLICATE_CHUNK, math.ceil((stop - lo) / (4 * workers)))
-    pieces = range(lo, stop, size)
-    # the pool starts every worker it may use at once, so it gets no more
-    # workers than pieces
-    with ProcessPoolExecutor(max_workers=min(workers, len(pieces))) as pool:
-        futures = [
-            pool.submit(_simulate_range, fn, specs, mc.base_seed, a, min(stop, a + size))
-            for a in pieces
-        ]
+    # every range is non-empty, and this process runs one of them
+    workers = min(workers, stop - lo)
+    if workers == 1:
+        return results + _simulate_range(fn, specs, mc.base_seed, lo, stop, math.inf, records)[0]
+    # the rows of the cut slice lie spec by spec, ``cut`` ids each
+    cut = len(records) // len(specs)
+    edges = [lo + (stop - lo) * w // workers for w in range(workers + 1)]
+    shares = []
+    for a, b in zip(edges, edges[1:]):
+        rows = [records[s * cut + i] for s in range(len(specs)) for i in range(a - lo, min(b - lo, cut))]
+        shares.append((a, b, math.inf, rows))
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        futures = [pool.submit(_simulate_range, fn, specs, mc.base_seed, *share) for share in shares[1:]]
+        results.extend(_simulate_range(fn, specs, mc.base_seed, *shares[0])[0])
         for fut in futures:
             results.extend(fut.result()[0])
     return results
@@ -551,7 +565,7 @@ def counterexample_search(
         born = np.arange(1, max_k + 1) <= t0[:, None]
         largest = np.where(born, rows.claims(everyone, max_k), -np.inf).max(axis=1)
         candidates = ids[(t0 >= 1) & (largest <= res)]
-        got_all, ref_all = simulate_replicates([policy_spec, sf_spec], base, candidates)
+        got_all, ref_all = simulate_coupled_replicates([policy_spec, sf_spec], base, candidates)
         for i, got, ref in zip(candidates.tolist(), got_all, ref_all):
             if got.size_at(2) == 0 and ref.size_at(2) > 0:
                 return CounterexampleSearchResult(

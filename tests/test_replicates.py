@@ -1,7 +1,7 @@
 """Batched engine against the per-replicate reference.
 
-``simulate_replicates`` and ``step_replicates`` must reproduce ``simulate``
-and ``step`` bit for bit: the same sizes, outcomes and growth ratios for
+``simulate_replicates``, ``simulate_coupled_replicates`` and
+``step_replicates`` must reproduce ``simulate`` and ``step`` bit for bit: the same sizes, outcomes and growth ratios for
 every replicate, whatever the policy or law kinds.  Founder counts of 9 and
 130 make rows cross 8 and 128 members, the block edges of numpy's pairwise
 summation, so a budget summed over a differently shaped row would show.
@@ -42,6 +42,7 @@ from rdbp import (
     policy_from_token,
     safe_haven_check,
     simulate,
+    simulate_coupled_replicates,
     simulate_replicates,
     step,
     step_replicates,
@@ -185,7 +186,7 @@ def test_coupled_specs_step_together_as_if_alone(triple, coupled, seed, first, c
     mc = McConfig(horizon=6, explosion_cap=400, base_seed=Seed(seed))
     with mock.patch.object(rdbp.engine, "BLOCK_CELLS", 16 if small else rdbp.engine.BLOCK_CELLS), \
             mock.patch.object(rdbp.montecarlo, "REPLICATE_CHUNK", 3 if small else rdbp.montecarlo.REPLICATE_CHUNK):
-        assert simulate_replicates(specs, base, ids) == want
+        assert simulate_coupled_replicates(specs, base, ids) == want
         by_id = rdbp.montecarlo._per_replicate(_collect, specs, mc, start=first, count=count)
     assert [list(runs) for runs in zip(*by_id)] == (want if count else [])
 
@@ -197,9 +198,9 @@ def test_coupled_specs_must_share_horizon_and_cap():
     for other in (ProcessSpec(laws=triple, policy=WeakestFirstPolicy(), horizon=6),
                   ProcessSpec(laws=triple, policy=WeakestFirstPolicy(), horizon=5, explosion_cap=99)):
         with pytest.raises(EngineError):
-            simulate_replicates([spec, other], base, [0])
+            simulate_coupled_replicates([spec, other], base, [0])
     with pytest.raises(EngineError):
-        simulate_replicates([], base, [0])
+        simulate_coupled_replicates([], base, [0])
 
 
 class TestWorkerSplitIsInvisible:
@@ -236,11 +237,10 @@ class TestWorkerSplitIsInvisible:
 
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records the pool size asked for and
-    the id range of every piece, and runs each submitted call in this
-    process."""
+    the id range of every submitted call, and runs each in this process."""
 
     sizes: list = []
-    pieces: list = []
+    ranges: list = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -252,7 +252,7 @@ class _InlinePool:
         return False
 
     def submit(self, fn, *args):
-        self.pieces.append(args[3:5])
+        self.ranges.append(args[3:5])
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -261,25 +261,27 @@ class _InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(_InlinePool, "pieces", [])
+    monkeypatch.setattr(_InlinePool, "ranges", [])
     monkeypatch.setattr(rdbp.montecarlo, "ProcessPoolExecutor", _InlinePool)
     return _InlinePool
 
 
-@pytest.mark.parametrize("workers, replicates, pools", [(64, 3, [3]), (2, 3, [2]), (3, 7, [3]), (8, 1, [])])
+@pytest.mark.parametrize("workers, replicates, pools", [(64, 3, [2]), (2, 3, [1]), (3, 7, [2]), (8, 1, [])])
 def test_pool_size_is_the_number_of_nonempty_ranges(monkeypatch, inline_pool, workers, replicates, pools):
     triple = TRIPLES["uniform-constant"]
     spec = ProcessSpec(laws=triple, policy=WeakestFirstPolicy())
     mc = McConfig(replicates=replicates, horizon=20, explosion_cap=800, base_seed=Seed(13))
     serial = estimate_extinction(spec, mc, workers=1)
-    # every id goes to the pool, and enough CPUs that only the ids bound it,
-    # on any machine
+    # every id goes out at once, and enough CPUs that only the ids bound the
+    # pool, on any machine
     monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", 0)
     monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: 64)
     assert estimate_extinction(spec, mc, workers=workers) == serial
+    # this process runs the first non-empty range and the pool the others
     assert inline_pool.sizes == pools
-    # one id per piece: fewer ids than four pieces per worker
-    assert inline_pool.pieces == ([(i, i + 1) for i in range(replicates)] if pools else [])
+    n = min(workers, replicates)
+    edges = [replicates * w // n for w in range(n + 1)]
+    assert inline_pool.ranges == (list(zip(edges, edges[1:]))[1:] if pools else [])
 
 
 @pytest.mark.parametrize("cpus", [1, 3, None])
@@ -296,44 +298,95 @@ def test_pool_never_outgrows_the_usable_cpus(monkeypatch, inline_pool, cpus):
         usable = cpus
         monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: cpus)
     assert estimate_extinction(spec, mc, workers=5000) == serial
-    assert inline_pool.sizes == ([] if usable == 1 else [min(usable, 40)])
+    # the pool and this process together run on no more than the usable CPUs
+    assert inline_pool.sizes == ([] if usable == 1 else [min(usable, 40) - 1])
 
 
 class TestFanOut:
     triple = TRIPLES["uniform-constant"]
     mc = McConfig(replicates=45, horizon=20, explosion_cap=800, base_seed=Seed(13))
 
+    def specs(self):
+        return [ProcessSpec(laws=self.triple, policy=policy, initial_size=initial, horizon=20,
+                            explosion_cap=800)
+                for initial, policy in ((1, WeakestFirstPolicy()), (3, StrongestFirstPolicy()))]
+
     def run(self, workers):
-        specs = [ProcessSpec(laws=self.triple, policy=policy, initial_size=initial, horizon=20,
-                             explosion_cap=800)
-                 for initial, policy in ((1, WeakestFirstPolicy()), (3, StrongestFirstPolicy()))]
-        return rdbp.montecarlo._per_replicate(_outcome_kinds, specs, self.mc, workers)
+        return rdbp.montecarlo._per_replicate(_outcome_kinds, self.specs(), self.mc, workers)
 
     @pytest.mark.parametrize("cpus", [2, 3, 64])
     # the slices of 7 ids step 79, 2895, 1624, 84, 1233, 303 and 37 members:
-    # the parent finishes none, none, one and six of them
-    @pytest.mark.parametrize("fanout, start", [(0, 0), (40, 0), (500, 7), (6230, 42)])
-    def test_pieces_after_the_budget_match_the_serial_run(self, monkeypatch, inline_pool, fanout, start, cpus):
+    # the budget cuts the first, first, second and last of them
+    @pytest.mark.parametrize("fanout, cut", [(0, 0), (40, 0), (500, 7), (6230, 42)])
+    def test_ranges_after_the_budget_match_the_serial_run(self, monkeypatch, inline_pool, fanout, cut, cpus):
         serial = self.run(1)
         monkeypatch.setattr(rdbp.montecarlo, "REPLICATE_CHUNK", 7)
         monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", fanout)
         monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: cpus)
         assert self.run(8) == serial
-        pieces = inline_pool.pieces
-        # the parent keeps only the slices of 7 ids it finished; the rest go
-        # out in id order, in pieces of at most REPLICATE_CHUNK ids and of at
-        # most a quarter of each worker's share, rounded up
-        assert pieces[0][0] == start
-        workers = min(8, cpus)
-        size = min(7, -(-(45 - start) // (4 * workers)))
-        assert pieces == [(a, min(45, a + size)) for a in range(start, 45, size)]
-        assert inline_pool.sizes == [min(workers, len(pieces))]
+        # the ids from the cut slice on go out as one contiguous range per
+        # worker, and this process keeps the first
+        workers = min(8, cpus, 45 - cut)
+        edges = [cut + (45 - cut) * w // workers for w in range(workers + 1)]
+        assert inline_pool.ranges == list(zip(edges, edges[1:]))[1:]
+        assert inline_pool.sizes == [workers - 1]
+
+    @pytest.mark.parametrize("fanout", [0, 40, 500, 6230])
+    def test_no_generation_is_stepped_twice(self, monkeypatch, inline_pool, fanout):
+        stepped = []
+        step_rows = rdbp.engine._step_rows
+
+        def counting(sizes, *args):
+            stepped.append(int(sizes.sum()))
+            return step_rows(sizes, *args)
+
+        monkeypatch.setattr(rdbp.engine, "_step_rows", counting)
+        monkeypatch.setattr(rdbp.montecarlo, "REPLICATE_CHUNK", 7)
+        serial = self.run(1)
+        alone = sum(stepped)
+        stepped.clear()
+        monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", fanout)
+        monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: 3)
+        assert self.run(3) == serial
+        # the ranges go on from where the cut left their rows
+        assert inline_pool.sizes == [2]
+        assert sum(stepped) == alone
+
+    def test_the_last_id_left_stays_in_this_process(self, monkeypatch, inline_pool):
+        # the 45 ids step 6255 members, so the budget cuts the last generation
+        # of the final slice, of one id: no range is left to share
+        monkeypatch.setattr(rdbp.montecarlo, "REPLICATE_CHUNK", 1)
+        serial = self.run(1)
+        monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", 6254)
+        assert self.run(2) == serial
+        assert inline_pool.sizes == []
 
     @pytest.mark.parametrize("workers", [1, 2, 5, 5000])
     def test_a_check_under_the_budget_starts_no_pool(self, inline_pool, workers):
         serial = self.run(1)
         assert self.run(workers) == serial
         assert inline_pool.sizes == []
+
+
+def test_a_cut_run_resumes_in_any_split():
+    triple = TRIPLES["uniform-constant"]
+    specs = [ProcessSpec(laws=triple, policy=policy, initial_size=initial, horizon=12, explosion_cap=600)
+             for initial, policy in ((1, WeakestFirstPolicy()), (4, CoinFlipPolicy()))]
+    base = Universe(Seed(21), triple)
+    ids = np.arange(10, 30)
+    want = simulate_coupled_replicates(specs, base, ids)
+    records = []
+    run = rdbp.engine._replicate_generations(specs, base, ids, records)
+    for _ in range(5):
+        next(run)
+    run.close()
+    # the rows lie spec by spec, 20 ids each; resume them in two pieces
+    for a, b in ((0, 7), (7, 20)):
+        piece = [list(records[s * 20 + i]) for s in range(2) for i in range(a, b)]
+        for _ in rdbp.engine._replicate_generations(specs, base, ids[a:b], piece):
+            pass
+        got = rdbp.engine._trajectories(specs, piece)
+        assert got == [runs[a:b] for runs in want]
 
 
 def test_threads_reach_every_check(monkeypatch, inline_pool, tmp_path):
@@ -356,7 +409,8 @@ def test_threads_reach_every_check(monkeypatch, inline_pool, tmp_path):
     argv = ["verify", "--config", str(path), "--threads", "3", "--out", str(tmp_path)]
     assert rdbp.cli.main(argv) == 0
     # superadditivity runs its joint founders and their single copies apart
-    assert inline_pool.sizes == [3] * 5
+    # this process runs one range of each, and a pool of two workers the others
+    assert inline_pool.sizes == [2] * 5
 
 
 class TestWorkerSplitIsInvisibleOnBetaClaims(TestWorkerSplitIsInvisible):
