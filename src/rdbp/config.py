@@ -7,6 +7,7 @@ bearable.  Law parameters follow the {"kind": ..., "params": {...}} shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
@@ -28,15 +29,6 @@ __all__ = ["ConfigError", "RunConfig", "ProcessParams", "parse_run_config",
            "claim_law_to_json", "resource_law_to_json", "offspring_law_to_json"]
 
 CHECK_NAMES = ("dominance", "envelope", "safe_haven", "superadditivity", "counterexample", "sf_probe")
-
-_CHECK_PARAM_KEYS = {
-    "dominance": ("policy", "initial_size"),
-    "envelope": ("policy", "min_size", "slack", "initial_size"),
-    "safe_haven": ("initial_sizes",),
-    "superadditivity": ("initial_size", "n_gens", "alpha"),
-    "counterexample": ("budget",),
-    "sf_probe": ("t_values", "v_max"),
-}
 
 
 class ConfigError(ValueError):
@@ -81,6 +73,46 @@ def _integer(obj: Mapping, path: str, key: str, default=None) -> Optional[int]:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}.{key}: expected an integer")
     return val
+
+
+def _count_param(obj: Mapping, path: str, key: str) -> None:
+    if _integer(obj, path, key) < 1:
+        raise ConfigError(f"{path}.{key}: expected an integer >= 1")
+
+
+def _counts_param(obj: Mapping, path: str, key: str) -> None:
+    raw = obj[key]
+    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
+        raise ConfigError(f"{path}.{key}: expected a non-empty list of integers >= 1")
+    for i, val in enumerate(raw):
+        _count_param({f"{key}[{i}]": val}, path, f"{key}[{i}]")
+
+
+def _policy_param(obj: Mapping, path: str, key: str) -> None:
+    if obj[key] not in POLICY_TOKENS:
+        raise ConfigError(f"{path}.{key}: expected one of {', '.join(POLICY_TOKENS)}, got {obj[key]!r}")
+
+
+def _slack_param(obj: Mapping, path: str, key: str) -> None:
+    if not 0.0 <= _number(obj, path, key) < math.inf:
+        raise ConfigError(f"{path}.{key}: expected a finite number >= 0")
+
+
+def _level_param(obj: Mapping, path: str, key: str) -> None:
+    if not 0.0 < _number(obj, path, key) < 1.0:
+        raise ConfigError(f"{path}.{key}: expected a number in (0, 1)")
+
+
+#: each check's parameters, with the test each value must pass
+_CHECK_PARAMS = {
+    "dominance": {"policy": _policy_param, "initial_size": _count_param},
+    "envelope": {"policy": _policy_param, "min_size": _count_param, "slack": _slack_param,
+                 "initial_size": _count_param},
+    "safe_haven": {"initial_sizes": _counts_param},
+    "superadditivity": {"initial_size": _count_param, "n_gens": _count_param, "alpha": _level_param},
+    "counterexample": {"budget": _count_param},
+    "sf_probe": {"t_values": _counts_param, "v_max": _count_param},
+}
 
 
 def offspring_law_from_json(obj: Any, path: str) -> OffspringLaw:
@@ -325,8 +357,12 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
         for name, params in cp.items():
             if name not in CHECK_NAMES:
                 raise ConfigError(f"check_params.{name}: unknown check")
-            params = _as_mapping(params, f"check_params.{name}")
-            _reject_unknown(params, f"check_params.{name}", _CHECK_PARAM_KEYS[name])
+            path = f"check_params.{name}"
+            params = _as_mapping(params, path)
+            _reject_unknown(params, path, tuple(_CHECK_PARAMS[name]))
+            for key, check in _CHECK_PARAMS[name].items():
+                if key in params:
+                    check(params, path, key)
             check_params[name] = dict(params)
 
     return RunConfig(

@@ -6,6 +6,9 @@ kernel shows up as a disagreement.  The ``*_row`` readers materialise whole
 rows through the kernel; the engine itself only ever reads their sums.
 ``StableCoinFlipPolicy`` ranks the aux deviates with the plain stable
 argsort, against which the policy's fast exact order is checked.
+``reference_count`` and ``ReferencePolicy`` count the served prefix of each
+built-in policy from stable argsorts and the full sequential running totals,
+against which the certified long-row counts are checked.
 """
 
 import numpy as np
@@ -87,3 +90,36 @@ class StableCoinFlipPolicy(CoinFlipPolicy):
         return np.argsort(np.asarray(aux, dtype=np.float64), kind="stable")
 
     count_rows = PriorityPolicy.count_rows
+
+
+def reference_order(token, claims, aux=None):
+    """The claims in the service order of the built-in policy ``token``."""
+    claims = np.asarray(claims, dtype=np.float64)
+    if token == "fcfs":
+        return claims.copy()
+    if token == "wf":
+        return claims[np.argsort(claims, kind="stable")]
+    if token == "coinflip":
+        return claims[np.argsort(np.asarray(aux, dtype=np.float64), kind="stable")]
+    descending = claims[np.argsort(-claims, kind="stable")]
+    if token == "counterexample" and descending.size >= 3:
+        # the third largest, then the largest two, then the rest
+        return np.concatenate((descending[2:3], descending[:2], descending[3:]))
+    return descending
+
+
+def reference_count(token, claims, budget, aux=None):
+    """Served count of ``token`` from the full sequential running totals."""
+    return int((np.cumsum(reference_order(token, claims, aux)) <= budget).sum())
+
+
+class ReferencePolicy(PriorityPolicy):
+    """The built-in policy ``token``, every row counted by reference_count."""
+
+    def __init__(self, token):
+        self.token = token
+        self.name = f"reference-{token}"
+        self.needs_aux = token == "coinflip"
+
+    def count(self, claims, budget, aux=None):
+        return reference_count(self.token, claims, budget, aux)

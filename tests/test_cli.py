@@ -359,6 +359,31 @@ class TestErrorPaths:
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "check_params.dominance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "check, key, value, path",
+        [
+            # wrong types used to end in an uncaught TypeError (exit 1)
+            ("safe_haven", "initial_sizes", "ab", "check_params.safe_haven.initial_sizes"),
+            ("dominance", "initial_size", "x", "check_params.dominance.initial_size"),
+            ("envelope", "min_size", "big", "check_params.envelope.min_size"),
+            ("superadditivity", "n_gens", "3", "check_params.superadditivity.n_gens"),
+            # used to pass silently
+            ("safe_haven", "initial_sizes", [1.5], "check_params.safe_haven.initial_sizes[0]"),
+            # used to fail at run time (exit 3), the last with "math domain error"
+            ("dominance", "initial_size", 0, "check_params.dominance.initial_size"),
+            ("superadditivity", "n_gens", 0, "check_params.superadditivity.n_gens"),
+            ("superadditivity", "alpha", 2.0, "check_params.superadditivity.alpha"),
+            # used to name only check_params.policy
+            ("dominance", "policy", "greedy", "check_params.dominance.policy"),
+        ],
+    )
+    def test_bad_check_param_value(self, tmp_path, capsys, check, key, value, path):
+        cfg = verify_config(tmp_path, [check], {check: {key: value}})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert path + ":" in err
+        assert "Traceback" not in err
+
     def test_bad_policy_token(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"laws": base_laws(), "policy": "greedy"})
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -24,6 +24,7 @@ from rdbp import (
 from rdbp.policies import POLICY_TOKENS, _prefix_count
 
 from conftest import WORKED_BUDGET, WORKED_CLAIMS
+from oracle import reference_count, reference_order
 
 
 def brute_prefix_count(ordered, budget):
@@ -311,7 +312,7 @@ ALL_POLICIES = [policy_from_token(token) for token in POLICY_TOKENS] + [
 
 
 @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
-@pytest.mark.parametrize("shape", [(1, 5), (1, 3000), (40, 7), (80, 30)], ids=str)
+@pytest.mark.parametrize("shape", [(1, 5), (1, 3000), (40, 7), (80, 30), (2, 20000)], ids=str)
 def test_counting_leaves_the_callers_arrays_alone(policy, shape):
     # the prefix sums run in place, but only in copies the policy owns
     rng = np.random.default_rng(11)
@@ -393,3 +394,159 @@ class TestValidation:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             apply_policy(FcfsPolicy(), np.array([1.0]), -1.0)
+
+    def test_nan_budget_rejected(self):
+        # it used to serve both claims and report consuming 3.0
+        with pytest.raises(ValueError, match="budget"):
+            apply_policy(WeakestFirstPolicy(), np.array([1.0, 2.0]), np.nan)
+
+    def test_nan_claims_rejected(self):
+        for policy in (FcfsPolicy(), WeakestFirstPolicy(), StrongestFirstPolicy()):
+            with pytest.raises(ValueError, match="claims"):
+                apply_policy(policy, np.array([1.0, np.nan, 2.0]), 10.0)
+
+
+SELECT_MIN = rdbp.policies._SELECT_MIN_CLAIMS
+
+
+class TestNonFiniteCounts:
+    """The 1-D counts (``step``) and the 2-D counts (the batched engine) agree
+    on non-finite budgets and claims, on short rows and on long ones."""
+
+    @pytest.mark.parametrize("n", [5, SELECT_MIN + 3], ids=["short", "long"])
+    @pytest.mark.parametrize("token", POLICY_TOKENS)
+    def test_both_count_paths_agree(self, token, n):
+        rng = np.random.default_rng(3)
+        plain = rng.uniform(0.0, 2.0, n)
+        aux = rng.random(n)
+        with_inf, with_nan = plain.copy(), plain.copy()
+        with_inf[n // 2] = np.inf
+        with_nan[n // 3] = np.nan
+        cases = [(plain, np.nan), (plain, np.inf), (plain, 0.6 * n),
+                 (with_inf, 0.3 * n), (with_inf, 4.0 * n), (with_inf, np.inf),
+                 (with_nan, 0.3 * n), (with_nan, 4.0 * n), (with_nan, np.nan)]
+        policy = policy_from_token(token)
+        for claims, budget in cases:
+            one = policy.count(claims, budget, aux)
+            rows = policy.count_rows(claims[None], np.array([budget]), aux[None])
+            assert one == rows[0], (budget, claims is with_nan)
+            if claims is not with_nan:
+                assert one == reference_count(token, claims, budget, aux)
+
+    @pytest.mark.parametrize("n", [5, SELECT_MIN + 3], ids=["short", "long"])
+    def test_nan_budget_serves_no_one(self, n):
+        claims, aux = np.zeros(n), np.random.default_rng(4).random(n)
+        for token in POLICY_TOKENS:
+            assert policy_from_token(token).count(claims, np.nan, aux) == 0
+
+
+CLAIM_KINDS = ("uniform", "ties", "exponential", "inf")
+
+
+def claim_row(rng, kind, n):
+    """Claims of one law: U(0, 2); halves 0-1.5 (ties, zeros, exact sums);
+    Exp(1) with a twentieth set to 0; or U(0, 2) with one inf claim."""
+    if kind == "ties":
+        return rng.integers(0, 4, n) * 0.5
+    claims = rng.exponential(1.0, n) if kind == "exponential" else rng.uniform(0.0, 2.0, n)
+    if kind == "exponential":
+        claims[rng.random(n) < 0.05] = 0.0
+    if kind == "inf":
+        claims[rng.integers(n)] = np.inf
+    return claims
+
+
+BUDGET_KINDS = ("zero", "prefix", "below-prefix", "above-prefix", "total", "beyond")
+
+
+def budget_for(rng, kind, totals):
+    """A budget at 0, at one of the sequential prefix totals of a policy's
+    order or its float neighbours, at the full total, or beyond it."""
+    if kind == "zero":
+        return 0.0
+    if kind == "total":
+        return float(totals[-1])
+    if kind == "beyond":
+        return float(np.nextafter(totals[-1], np.inf))
+    finite = totals[np.isfinite(totals)]
+    prefix = float(finite[rng.integers(finite.size)]) if finite.size else 0.0
+    if kind == "below-prefix":
+        return float(np.nextafter(prefix, -np.inf)) if prefix > 0 else 0.0
+    if kind == "above-prefix":
+        return float(np.nextafter(prefix, np.inf))
+    return prefix
+
+
+def assert_counts_like_the_reference(rng, n, claim_kind, budget_kind):
+    block = np.stack([claim_row(rng, claim_kind, n) for _ in range(2)])
+    aux = rng.random((2, n))
+    for token in POLICY_TOKENS:
+        totals = [np.cumsum(reference_order(token, row, a)) for row, a in zip(block, aux)]
+        budgets = np.array([budget_for(rng, budget_kind, tot) for tot in totals])
+        want = [int((tot <= b).sum()) for tot, b in zip(totals, budgets)]
+        policy = policy_from_token(token)
+        assert policy.count(block[0], budgets[0], aux[0]) == want[0], token
+        assert policy.count_rows(block, budgets, aux).tolist() == want, token
+
+
+class TestCertifiedCounts:
+    """Long rows are counted by certified block sums and, for wf and sf, by
+    selection; every count equals the full sort-and-cumsum reference
+    (tests/oracle.py), on the 1-D path of ``step`` and the 2-D path of the
+    batched engine."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([SELECT_MIN - 1, SELECT_MIN, SELECT_MIN + 1, 3 * 10 ** 4, 3 * 10 ** 5]),
+        st.sampled_from(CLAIM_KINDS),
+        st.sampled_from(BUDGET_KINDS),
+        st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    def test_every_policy_counts_like_the_reference(self, n, claim_kind, budget_kind, seed):
+        assert_counts_like_the_reference(np.random.default_rng(seed), n, claim_kind, budget_kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=400),
+        st.sampled_from(CLAIM_KINDS),
+        st.sampled_from(BUDGET_KINDS),
+        st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    def test_small_blocks_and_samples_count_like_the_reference(self, n, claim_kind, budget_kind, seed):
+        # blocks of 4 claims and samples of 8 put crossings on block and
+        # window edges, and send windows past the crossing, in short rows
+        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=1, _PREFIX_BLOCK=4, _SAMPLE=8):
+            assert_counts_like_the_reference(np.random.default_rng(seed), n, claim_kind, budget_kind)
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["wf", "sf"])
+    @pytest.mark.parametrize("bias", [0.7, 1.3], ids=["window-above", "window-below"])
+    def test_a_window_that_misses_is_widened_once(self, bias, descending):
+        # every sampled claim scaled by the bias moves the estimated crossing
+        # out of the first window, but not out of the second
+        rng = np.random.default_rng(9)
+        claims = rng.uniform(0.0, 2.0, 16384)
+        claims[::16384 // rdbp.policies._SAMPLE] *= bias
+        budget = 0.5 * claims.sum()
+        window = rdbp.policies._window_count
+        with mock.patch.object(rdbp.policies, "_window_count", side_effect=window) as spy:
+            count = rdbp.policies._selected_count(claims, budget, descending)
+        assert spy.call_count == 2 and window(*spy.call_args_list[0].args) is None
+        assert count == reference_count("sf" if descending else "wf", claims, budget)
+
+    def test_a_budget_on_a_prefix_total_is_left_to_the_exact_path(self):
+        # the block sums round differently from the sequential totals, so
+        # a budget equal to a sequential total is within the bound of it
+        rng = np.random.default_rng(5)
+        claims = rng.uniform(0.0, 2.0, 50_000)
+        totals = np.cumsum(claims)
+        for k in rng.integers(1, claims.size, 20):
+            assert rdbp.policies._served_prefix(claims, totals[k]) == -1
+            assert count_fcfs(claims, totals[k]) == k + 1
+
+    def test_a_clear_budget_is_certified(self):
+        rng = np.random.default_rng(6)
+        claims = rng.uniform(0.0, 2.0, 50_000)
+        totals = np.cumsum(claims)
+        budget = (totals[20_000] + totals[20_001]) / 2
+        assert rdbp.policies._served_prefix(claims, budget) == 20_001
+        assert rdbp.policies._selected_count(claims, budget) == reference_count("wf", claims, budget)

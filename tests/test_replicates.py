@@ -51,7 +51,7 @@ from rdbp import (
 from rdbp.montecarlo import _outcome_kinds
 from rdbp.policies import StrongestFirstPolicy, WeakestFirstPolicy
 
-from oracle import StableCoinFlipPolicy
+from oracle import ReferencePolicy, StableCoinFlipPolicy
 
 TRIPLES = {
     # a zero inside the offspring law
@@ -111,6 +111,54 @@ def test_fast_coinflip_order_matches_the_stable_argsort(initial_size):
     ids = range(60) if initial_size == 1 else range(4)
     assert simulate(fast, base) == simulate(stable, base)
     assert simulate_replicates(fast, base, ids) == simulate_replicates(stable, base, ids)
+
+
+@pytest.mark.parametrize("token", POLICY_TOKENS)
+@pytest.mark.parametrize("name", ["uniform-constant", "beta-uniform", "exponential-uniform"])
+def test_certified_counts_run_like_the_reference(monkeypatch, name, token):
+    # rows of 16 claims or more take the certified counts, in blocks of 32
+    # claims and from samples of 8, and every trajectory equals the one
+    # counted through the full sort and cumsum
+    monkeypatch.setattr(rdbp.policies, "_SELECT_MIN_CLAIMS", 16)
+    monkeypatch.setattr(rdbp.policies, "_PREFIX_BLOCK", 32)
+    monkeypatch.setattr(rdbp.policies, "_SAMPLE", 8)
+    triple = TRIPLES[name]
+    fast, ref = (
+        ProcessSpec(laws=triple, policy=policy, initial_size=40, horizon=10, explosion_cap=3000)
+        for policy in (policy_from_token(token), ReferencePolicy(token))
+    )
+    base = Universe(Seed(17), triple)
+    ids = range(12)
+    want = simulate_replicates(ref, base, ids)
+    assert max(max(traj.sizes) for traj in want) >= 40  # rows of 40+ claims
+    assert simulate_replicates(fast, base, ids) == want
+    assert [simulate(fast, base.derive_replicate(i)) for i in ids] == want
+
+
+def test_wf_windows_and_fallbacks_on_deep_growth_are_pinned(monkeypatch):
+    # the deep-growth laws from 6000 founders, at the real thresholds: every
+    # wf row holds 8192 claims or more.  A narrower window shows up as more
+    # windows, and a weaker estimate or bound as fallbacks
+    tally = {"rows": 0, "windows": 0, "fallbacks": 0}
+    selected, window = rdbp.policies._selected_count, rdbp.policies._window_count
+
+    def counted_selection(*args):
+        count = selected(*args)
+        tally["rows"] += 1
+        tally["fallbacks"] += count < 0
+        return count
+
+    def counted_window(*args):
+        tally["windows"] += 1
+        return window(*args)
+
+    monkeypatch.setattr(rdbp.policies, "_selected_count", counted_selection)
+    monkeypatch.setattr(rdbp.policies, "_window_count", counted_window)
+    triple = TRIPLES["uniform-constant"]
+    spec = ProcessSpec(laws=triple, policy=WeakestFirstPolicy(), initial_size=6000,
+                       horizon=6, explosion_cap=10 ** 5)
+    simulate_replicates(spec, Universe(Seed(1), triple), range(20))
+    assert tally == {"rows": 120, "windows": 120, "fallbacks": 0}
 
 
 def test_small_blocks_split_without_changing_results(monkeypatch):
