@@ -52,6 +52,9 @@ class OffspringLaw:
         # a deviate never exceeds 1, so only the cuts below 1 can count
         cuts, times = np.unique(cum[cum < 1.0], return_counts=True)
         object.__setattr__(self, "_cuts", tuple(zip(cuts.tolist(), times.tolist())))
+        # each cut as the first hashed word whose unit lies above it
+        object.__setattr__(self, "_word_cuts", tuple(
+            (np.uint64(_first_word_above(cut)), times) for cut, times in self._cuts))
 
     @property
     def max_offspring(self) -> int:
@@ -91,6 +94,42 @@ class OffspringLaw:
         for cut, times in self._cuts:
             totals += times * np.count_nonzero(u > cut, axis=-1)
         return totals
+
+    def word_totals(self, words: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """``row_totals`` of the units of mixed 64-bit words, laid out as
+        rows of ``cells[i]`` >= 1 words back to back, from the words alone.
+
+        A word's unit exceeds a cut exactly when the word is at least the
+        cut's threshold (``_first_word_above``), so the units are never
+        built.
+        """
+        if len(cells) == 1:
+            return np.array([sum(times * np.count_nonzero(words >= word) for word, times in self._word_cuts)],
+                            dtype=np.int64)
+        totals = np.zeros(len(cells), dtype=np.int64)
+        # rows of one word each need no sum
+        starts = np.cumsum(cells) - cells if len(cells) < len(words) else None
+        for word, times in self._word_cuts:
+            hits = words >= word
+            totals += times * (hits if starts is None else np.add.reduceat(hits, starts, dtype=np.int64))
+        return totals
+
+
+def _first_word_above(cut: float) -> int:
+    """Smallest 64-bit word whose unit ``((w >> 11) + 0.5) * 2**-53``, the
+    universe's unit of a mixed word, exceeds ``cut``; 2**64 if none does.
+
+    The unit never decreases as the word grows, so bisection over the top
+    53 bits on that exact float expression finds the first one above.
+    """
+    lo, hi = 0, 1 << 53  # the first top bits above the cut lie in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mid + 0.5) * 2.0 ** -53 > cut:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo << 11
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ trajectories are reproducible and couplable by construction.
 reference.  ``step_replicates`` and ``simulate_replicates`` advance every
 live replicate of a generation together and return the same sizes and
 outcomes bit for bit; ``simulate_coupled_replicates`` also steps several
-coupled specs on the same ids in that one pass.
+coupled specs on the same ids in that one pass.  A generation's live rows
+are read back to back in length order, so rows of every length share the
+universe kernel's pieces, and each run of rows of one length is a
+C-contiguous block that the policies count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .distributions import LawTriple
 from .policies import PriorityPolicy
-from .universe import ReplicateRows, Universe
+from .universe import ReplicateRows, Universe, _row_runs
 
 __all__ = [
     "EngineError",
@@ -44,9 +47,12 @@ __all__ = [
 
 HORIZON_DEFAULT = 200
 EXPLOSION_CAP_DEFAULT = 10 ** 6
-#: largest block of cells the batched engine reads at once; a longer run of
-#: equal-length rows is read in pieces, and a single longer row on its own
-BLOCK_CELLS = 1 << 20
+#: most claim or resource cells the batched engine reads at once, as whole
+#: rows; a longer row is read on its own.  A batch of short rows is always
+#: nearly full, and a policy's sorted copy of it doubles it, so it is kept
+#: at 2 MiB: against 2**20 cells this cut deep-growth verify's peak from 43
+#: to 35 MB (the parent's 37) and left its time level (8 in-process pairs)
+BLOCK_CELLS = 1 << 18
 #: most prospective children one replicate may have in a generation.  Their
 #: claims (8 bytes each) and a policy's sorted copy are the only blocks that
 #: grow with the population: 2**27 claims take 1 GiB.  The cap is far below
@@ -184,17 +190,16 @@ def simulate_coupled(specs: Sequence[ProcessSpec], universe: Universe) -> list[T
     return [simulate(spec, universe) for spec in specs]
 
 
-def _equal_length_blocks(lengths: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
-    """(positions, length) for each group of equal lengths, at most
-    BLOCK_CELLS cells per group unless one row alone is longer."""
-    if not lengths.size:
-        return
-    order = np.argsort(lengths, kind="stable")
-    for run in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        length = int(lengths[run[0]])
-        per_block = max(1, BLOCK_CELLS // max(length, 1))
-        for lo in range(0, len(run), per_block):
-            yield run[lo:lo + per_block], length
+def _batches(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(lo, hi) for consecutive runs of rows, of at most BLOCK_CELLS cells
+    each unless one row alone is longer."""
+    ends = np.cumsum(lengths)
+    lo = 0
+    while lo < len(lengths):
+        before = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + BLOCK_CELLS, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def step_replicates(
@@ -203,8 +208,9 @@ def step_replicates(
     """Next sizes of many replicates of ``base`` from ``sizes``, in one pass.
 
     Entry i equals ``step(sizes[i], base.derive_replicate(ids[i]), n, policy)``.
-    Rows of equal length are read as one C-contiguous block, which keeps
-    every budget sum and claim prefix sum bit-identical to ``step``.
+    Each run of rows of equal length is one C-contiguous block of the cells
+    read, which keeps every budget sum and claim prefix sum bit-identical
+    to ``step``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     owners = np.zeros(len(sizes), dtype=np.intp)
@@ -216,36 +222,54 @@ def _step_rows(
 ) -> np.ndarray:
     """``step_replicates`` of rows that each serve under ``policies[owners[i]]``.
 
-    A block of equal-length rows keeps their order, so each run of rows with
-    one owner is a C-contiguous slice of it, which that policy counts.
+    The live rows are read back to back in length order, members for the
+    offspring totals and budgets and prospective children for the claims,
+    at most BLOCK_CELLS claim or resource cells at a time.  Rows of one
+    length keep their order, so each run of them with one owner is a
+    C-contiguous block of the claims read, which that policy counts.
     """
     if np.any(sizes < 0):
         raise EngineError("negative population size")
+    order = np.argsort(sizes, kind="stable")
+    order = order[np.count_nonzero(sizes == 0):]
     totals = np.zeros(len(sizes), dtype=np.int64)
-    budgets = np.zeros(len(sizes), dtype=np.float64)
-    parents = []
-    for block, size in _equal_length_blocks(sizes):
-        if size:
-            totals[block] = block_totals = rows.offspring_totals(block, size)
-            parents.append((block[block_totals > 0], size))
+    totals[order] = rows.offspring_totals(order, sizes[order])
     if totals.size:
         _check_claims(int(totals.max()), n)
     # a budget is only ever compared with claims, so rows without children
     # need none, and none is read before every row's claims are known to fit
-    for block, size in parents:
-        budgets[block] = rows.budgets(block, size)
+    parents = order[totals[order] > 0]
+    budgets = np.zeros(len(sizes), dtype=np.float64)
+    for lo, hi in _batches(sizes[parents]):
+        block = parents[lo:hi]
+        budgets[block] = rows.budgets(block, sizes[block])
     served = np.zeros(len(sizes), dtype=np.int64)
     born = np.flatnonzero(totals)
-    for block, total in _equal_length_blocks(totals[born]):
-        block = born[block]
-        claims = rows.claims(block, total)
-        changes = (np.flatnonzero(np.diff(owners[block])) + 1).tolist() if len(policies) > 1 else []
-        edges = [0, *changes, len(block)]
-        for lo, hi in zip(edges, edges[1:]):
-            mine = block[lo:hi]
-            policy = policies[owners[mine[0]]]
-            aux = rows.aux(mine, total) if policy.needs_aux else None
-            served[mine] = policy.count_rows(claims[lo:hi], budgets[mine], aux)
+    born = born[np.argsort(totals[born], kind="stable")]
+    needs_aux = np.array([policy.needs_aux for policy in policies])
+    for lo, hi in _batches(totals[born]):
+        block = born[lo:hi]
+        lengths, mine = totals[block], owners[block]
+        claims = rows.claims(block, lengths)
+        aux = None
+        with_aux = needs_aux[mine]
+        if with_aux.any():
+            # the deviates of the rows that need them, back to back
+            aux_lengths = np.where(with_aux, lengths, 0)
+            aux_starts = np.cumsum(aux_lengths) - aux_lengths
+            aux = rows.aux(block[with_aux], lengths[with_aux])
+        for a, b, start, total in _row_runs(lengths, mine):
+            policy = policies[mine[a]]
+            shape = (b - a, total)
+            run_aux = None
+            if policy.needs_aux:
+                first = int(aux_starts[a])
+                run_aux = aux[first:first + (b - a) * total].reshape(shape)
+            run = block[a:b]
+            run_claims = claims[start:start + (b - a) * total].reshape(shape)
+            served[run] = policy.count_rows(run_claims, budgets[run], run_aux)
+        # one batch of cells at a time: free this one before the next is read
+        del claims, aux
     return served
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import methodcaller
@@ -70,9 +69,15 @@ REPLICATE_CHUNK = 1 << 12
 #: one process (medians of 8 interleaved runs): ~40 ms beyond the half of
 #: the work it shared.  With two workers, half of each ms stepped here is
 #: the rent, so the rent reaches that price (a ski-rental rule) after ~80 ms
-#: of work; the first members of a check step in short rows at 200-550 ns
-#: each, so that is about this many.  It is 1.7 times short-lived's largest
-#: check and 1/200 of deep-growth's safe_haven (4.3e7)
+#: of work.  The first members of a check, in short rows, took 200-550 ns
+#: each when this was set; since they share the universe kernel's pieces
+#: they take 170-330 ns (deep-growth safe_haven's first 2e5 members and
+#: short-lived's whole safe_haven, in-process medians of 9), which puts the
+#: price at 2.4e5-4.7e5 members.  Twice this value gave deep-growth the
+#: same --threads 2 to --threads 1 time ratio (0.66, against 0.64-0.68 at
+#: this value; scripts/threads_ab.py, 4 pairs each), so it stays.  It is
+#: 1.7 times short-lived's largest check and 1/200 of deep-growth's
+#: safe_haven (4.3e7)
 FANOUT_MEMBERS = 2 * 10 ** 5
 
 
@@ -170,6 +175,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _start_pool(workers: int):
+    """A pool of ``workers`` worker processes.
+
+    concurrent.futures is imported here, by the first check that fans out:
+    its process pool and the multiprocessing modules under it took about
+    20 ms of the 210-240 ms that ``import rdbp, rdbp.cli`` took, which
+    every run paid and small runs never used.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _per_replicate(
     fn: Callable[..., Any],
     specs: Sequence[ProcessSpec],
@@ -208,7 +226,7 @@ def _per_replicate(
     for a, b in zip(edges, edges[1:]):
         rows = [records[s * cut + i] for s in range(len(specs)) for i in range(a - lo, min(b - lo, cut))]
         shares.append((a, b, math.inf, rows))
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+    with _start_pool(workers - 1) as pool:
         futures = [pool.submit(_simulate_range, fn, specs, mc.base_seed, *share) for share in shares[1:]]
         results.extend(_simulate_range(fn, specs, mc.base_seed, *shares[0])[0])
         for fut in futures:

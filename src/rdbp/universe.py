@@ -12,18 +12,20 @@ avalanche), with n and k each limited to 32 bits.  Statistical quality is
 enforced by fixed-seed chi-square and Kolmogorov-Smirnov checks in the test
 suite.
 
-One kernel hashes every block of cells.  A block of more than CHUNK_CELLS
-cells is hashed in pieces of at most that many, each computed in place in
-buffers that every piece reuses, so the temporaries stay in cache however
-long the rows are; a smaller block takes one pass.  The readers built on it
-reduce what they can while hashing: offspring rows are only ever summed, so
-their counts are never built, and a constant law needs no hashing at all.
+One kernel hashes every cell.  A reader lays its rows back to back, and
+the kernel hashes that layout in pieces of at most CHUNK_CELLS cells (as
+many whole rows as fit, or a slice of one longer row), each computed in
+place in buffers that every piece reuses, so the temporaries stay in cache
+however long or short the rows are and a law is applied once per piece.
+The readers reduce what they can while hashing: offspring are counted
+straight from the hashed words, so neither their units nor their counts
+are built, and a constant law needs no hashing at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -53,9 +55,12 @@ _NP_M1 = np.uint64(_MIX_M1)
 _NP_M2 = np.uint64(_MIX_M2)
 _INV_2_53 = 2.0 ** -53
 
-#: cells hashed in one piece; a larger block is hashed in place, in pieces,
-#: in three buffers of this many words that stay in cache
+#: cells hashed in one piece, in two buffers of this many words that stay
+#: in cache and that every piece reuses
 CHUNK_CELLS = 1 << 14
+#: golden multiples of the positions 1..CHUNK_CELLS, the most a piece holds
+#: (so CHUNK_CELLS may be lowered, as the tests do, but not raised alone)
+_GOLDEN_K = np.arange(1, CHUNK_CELLS + 1, dtype=np.uint64) * _U64_GOLDEN
 
 
 def _mix(z: int) -> int:
@@ -66,16 +71,9 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    """``_mix`` of every word of ``z``, into new arrays; uint64 arithmetic
-    wraps silently in numpy."""
-    z = (z ^ (z >> _SH30)) * _NP_M1
-    z = (z ^ (z >> _SH27)) * _NP_M2
-    return z ^ (z >> _SH31)
-
-
 def _mix_in_place(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``_mix_array`` in place; ``tmp`` is scratch of the same shape."""
+    """``_mix`` of every word of ``z``, in place; ``tmp`` is scratch of the
+    same shape.  uint64 arithmetic wraps silently in numpy."""
     for shift, mult in ((_SH30, _NP_M1), (_SH27, _NP_M2)):
         np.right_shift(z, shift, out=tmp)
         np.bitwise_xor(z, tmp, out=z)
@@ -89,61 +87,93 @@ def _mix_in_place(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 #: live as long as the process: fresh ones are returned to the system after
 #: every pass and page-faulted back in by the next, which more than doubled
 #: the cost of hashing a row of 16385 to 30000 cells
-_SPARE_BUFFERS: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+_SPARE_BUFFERS: list[tuple[np.ndarray, np.ndarray]] = []
 
 
-def _unit_chunks(keys: np.ndarray, count: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Units of the cells k = 1..count of every row key, piece by piece.
+def _word_chunks(
+    keys: np.ndarray, counts: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Mixed words of the cells k = 1..counts[i] of every row key keys[i],
+    with the rows laid back to back, piece by piece.
 
-    Yields ``(rows, cols, u)``: ``u[i, j]`` is the unit in (0, 1] of row key
-    ``keys[rows][i]`` at position ``cols.start + j + 1``.  A block of at most
-    CHUNK_CELLS cells is one piece; a larger one is cut into runs of whole
-    rows, or into pieces of one row when a row alone is larger, and ``u``
-    lives in buffers that the next piece overwrites.
+    A piece holds at most CHUNK_CELLS cells: as many whole rows as fit, or
+    a slice of one row that alone is longer.  Yields ``(start, first,
+    cells, words, spare)``: ``words[j]`` is the word of cell ``start + j``
+    of the layout, the piece holds ``cells[i]`` cells of row ``first + i``,
+    and ``spare`` is scratch of the size of ``words``.  Both live in
+    buffers that the next piece overwrites.
     """
     m = len(keys)
-    if not m or not count:
+    ends = np.cumsum(counts, dtype=np.int64)
+    if not m or not ends[-1]:
         return
-    if m * count <= CHUNK_CELLS:
-        # one pass in new arrays: on small blocks, where each numpy call
-        # costs more than its cells, this beats the in-place pieces below
-        golden_k = np.arange(1, count + 1, dtype=np.uint64) * _U64_GOLDEN
-        words = _mix_array(golden_k ^ keys[:, None]) >> _SH11
-        yield slice(0, m), slice(0, count), (words.astype(np.float64) + 0.5) * _INV_2_53
-        return
-    width = min(count, CHUNK_CELLS)
-    height = min(m, CHUNK_CELLS // width)
+    starts = ends - counts
+    size = CHUNK_CELLS
     try:
         buffers = _SPARE_BUFFERS.pop()
     except IndexError:  # every spare is in use, by another thread or an unfinished pass
         buffers = ()
-    if not buffers or buffers[0].size < height * width:
-        buffers = (np.empty(CHUNK_CELLS, dtype=np.uint64), np.empty(CHUNK_CELLS, dtype=np.uint64),
-                   np.empty(CHUNK_CELLS, dtype=np.float64))
-    words, tmp, units = (buf[: height * width].reshape(height, width) for buf in buffers)
-    # golden multiples of the positions in the current run of columns
-    golden_k = np.arange(1, width + 1, dtype=np.uint64)
-    golden_k *= _U64_GOLDEN
-    next_cols = np.uint64((width * _GOLDEN) & _MASK64)
+    if not buffers or buffers[0].size < min(size, int(ends[-1])):
+        buffers = (np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64))
+    a = 0
     try:
-        for c0 in range(0, count, width):
-            if c0:
-                golden_k += next_cols
-            c1 = min(count, c0 + width)
-            for r0 in range(0, m, height):
-                r1 = min(m, r0 + height)
-                piece = (slice(0, r1 - r0), slice(0, c1 - c0))
-                w, t, u = words[piece], tmp[piece], units[piece]
-                np.bitwise_xor(golden_k[: c1 - c0], keys[r0:r1, None], out=w)
-                _mix_in_place(w, t)
-                # the top 53 bits, centred in their interval of width 2**-53
-                np.right_shift(w, _SH11, out=w)
-                u[...] = w
-                u += 0.5
-                u *= _INV_2_53
-                yield slice(r0, r1), slice(c0, c1), u
+        while a < m:
+            start = int(starts[a])
+            b = int(np.searchsorted(ends, start + size, side="right"))
+            if b == a:  # row a alone is longer than a piece: slice it
+                count = int(counts[a])
+                for k0 in range(0, count, size):
+                    n = min(size, count - k0)
+                    words, spare = buffers[0][:n], buffers[1][:n]
+                    np.add(_GOLDEN_K[:n], np.uint64((k0 * _GOLDEN) & _MASK64), out=words)
+                    np.bitwise_xor(words, keys[a], out=words)
+                    yield start + k0, a, np.array([n]), _mix_in_place(words, spare), spare
+                a += 1
+                continue
+            cells = counts[a:b]
+            n = int(ends[b - 1]) - start
+            words, spare = buffers[0][:n], buffers[1][:n]
+            count = int(cells[0])
+            if (cells == count).all():
+                np.bitwise_xor(_GOLDEN_K[:count], keys[a:b, None], out=words.reshape(b - a, count))
+            else:
+                # position k of a row that starts at cell o of the piece is
+                # its cell o + k - 1, so k * G = (o + k) * G - o * G
+                offsets = (starts[a:b] - start).astype(np.uint64) * _U64_GOLDEN
+                np.subtract(_GOLDEN_K[:n], np.repeat(offsets, cells), out=words)
+                np.bitwise_xor(words, np.repeat(keys[a:b], cells), out=words)
+            if n:
+                yield start, a, cells, _mix_in_place(words, spare), spare
+            a = b
     finally:
         _SPARE_BUFFERS.append(buffers)
+
+
+def _units(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The unit in (0, 1] of every mixed word, into ``out``: its top 53 bits,
+    centred in their interval of width 2**-53.  ``words`` is overwritten."""
+    np.right_shift(words, _SH11, out=words)
+    # below 2**53 the signed cast is exact too, and it is the faster one
+    np.copyto(out, words.view(np.int64), casting="unsafe")
+    out += 0.5
+    out *= _INV_2_53
+    return out
+
+
+def _row_runs(counts: np.ndarray, groups: Optional[np.ndarray] = None) -> list[tuple[int, int, int, int]]:
+    """``(lo, hi, start, count)`` for each longest run of rows lo..hi-1 of
+    equal counts (and, if given, equal ``groups``), whose cells are laid
+    back to back from cell ``start``: the run is the C-contiguous block
+    ``cells[start:start + (hi - lo) * count].reshape(hi - lo, count)``."""
+    if not len(counts):
+        return []
+    change = counts[1:] != counts[:-1]
+    if groups is not None:
+        change |= groups[1:] != groups[:-1]
+    edges = [0, *(np.flatnonzero(change) + 1).tolist(), len(counts)]
+    los = edges[:-1]
+    starts = (np.cumsum(counts) - counts)[los].tolist()
+    return list(zip(los, edges[1:], starts, counts[los].tolist()))
 
 
 @dataclass(frozen=True)
@@ -199,11 +229,6 @@ class Universe:
 _FIRST_ROW = np.zeros(1, dtype=np.intp)
 
 
-def _check_positions(count: int) -> None:
-    if not 0 <= count <= INDEX_CAP:
-        raise ValueError(f"positions [1, {count}] outside [1, {INDEX_CAP}]")
-
-
 def _row_keys(base: Universe, tag: int, ids: np.ndarray, n: int) -> np.ndarray:
     """Row keys of generation n of many replicate ids, hashed with the seed
     and the tag of one array."""
@@ -224,13 +249,19 @@ def _row_keys(base: Universe, tag: int, ids: np.ndarray, n: int) -> np.ndarray:
 
 
 class ReplicateRows:
-    """Generation n of many replicates of one universe, read as 2-D blocks.
+    """Generation n of many replicates of one universe, read row by row.
 
-    Row i of every block belongs to replicate ``ids[rows[i]]`` and holds its
-    cells k = 1..count, whatever else the block holds, so a replicate reads
-    the same values alone or among others.  Claim, aux and resource blocks
-    are C-contiguous, so ``block.sum(axis=1)`` adds every row with the same
-    pairwise tree as ``np.sum`` of that row alone.
+    Every reader takes ``rows`` (positions in ``ids``) and ``counts``, one
+    per row or one for all, and reads cells k = 1..counts[i] of replicate
+    ``ids[rows[i]]``, so a replicate reads the same values alone or among
+    others.  The rows are laid back to back and hashed piece by piece in
+    the kernel's buffers, and a law is applied once per piece.  Offspring
+    are counted straight from the hashed words and summed per row across
+    pieces; claims, aux deviates and resources fill one flat array, in
+    which each run of rows of one count is a C-contiguous block, so
+    ``block.sum(axis=1)`` adds every row with the same pairwise tree as
+    ``np.sum`` of that row alone.  With one count for all rows, claims and
+    aux deviates come as that ``(len(rows), count)`` block.
     """
 
     def __init__(self, base: Universe, ids: np.ndarray, n: int):
@@ -241,48 +272,73 @@ class ReplicateRows:
         self._n = n
         self._keys: dict[int, np.ndarray] = {}
 
-    def _chunks(self, tag: int, rows: np.ndarray, count: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
-        _check_positions(count)
+    def _chunks(self, tag: int, rows: np.ndarray, counts: np.ndarray):
         keys = self._keys.get(tag)
         if keys is None:
             keys = self._keys[tag] = _row_keys(self._base, tag, self._ids, self._n)
-        return _unit_chunks(keys[rows], count)
+        return _word_chunks(keys[rows], counts)
 
-    def _fill(self, tag: int, rows: np.ndarray, count: int, law=None) -> np.ndarray:
-        """The ``(len(rows), count)`` block of units, or of ``law.icdf`` of
-        them.  ``icdf`` acts element by element, so applying it piece by
-        piece changes no bit; a constant law needs no units at all."""
+    def _fill(self, tag: int, rows: np.ndarray, counts, law=None) -> np.ndarray:
+        """The cells of the rows back to back, as units or as ``law.icdf``
+        of them; the ``(len(rows), count)`` block for one count.  ``icdf``
+        acts element by element, so applying it piece by piece changes no
+        bit; a constant law needs no units at all."""
+        flat = _as_counts(rows, counts)
+        cells = np.empty(int(flat.sum()), dtype=np.float64)
         if isinstance(law, Constant):
-            _check_positions(count)
-            return np.full((len(rows), count), law.value, dtype=np.float64)
-        chunks = self._chunks(tag, rows, count)
-        block = np.empty((len(rows), count), dtype=np.float64)
-        for r, c, u in chunks:
-            block[r, c] = u if law is None else law.icdf(u)
-        return block
+            cells.fill(law.value)
+        else:
+            for start, _, _, words, spare in self._chunks(tag, rows, flat):
+                stop = start + len(words)
+                if law is None:
+                    _units(words, cells[start:stop])
+                else:
+                    cells[start:stop] = law.icdf(_units(words, spare.view(np.float64)))
+        return cells.reshape(len(rows), int(counts)) if np.ndim(counts) == 0 else cells
 
-    def offspring_totals(self, rows: np.ndarray, count: int) -> np.ndarray:
-        """Offspring of members 1..count summed per row; the counts
+    def offspring_totals(self, rows: np.ndarray, counts) -> np.ndarray:
+        """Offspring of members 1..counts[i] summed per row; the counts
         themselves are never built."""
-        law = self._base.laws.offspring
+        counts = _as_counts(rows, counts)
         totals = np.zeros(len(rows), dtype=np.int64)
-        for r, _, u in self._chunks(_TAG_OFFSPRING, rows, count):
-            totals[r] += law.row_totals(u)
+        if not counts.all():  # a row of no members has no offspring
+            live = np.flatnonzero(counts)
+            totals[live] = self.offspring_totals(rows[live], counts[live])
+            return totals
+        law = self._base.laws.offspring
+        for _, first, cells, words, _ in self._chunks(_TAG_OFFSPRING, rows, counts):
+            totals[first:first + len(cells)] += law.word_totals(words, cells)
         return totals
 
-    def budgets(self, rows: np.ndarray, count: int) -> np.ndarray:
-        """Resources of members 1..count summed per row, with ``np.sum``'s
+    def budgets(self, rows: np.ndarray, counts) -> np.ndarray:
+        """Resources of members 1..counts[i] summed per row, with ``np.sum``'s
         pairwise tree."""
+        counts = _as_counts(rows, counts)
         law = self._base.laws.resource
         if isinstance(law, Constant):
-            _check_positions(count)
-            # every row is the same constant row: sum one, with the same tree
-            return np.full(len(rows), np.full(count, law.value, dtype=np.float64).sum())
-        return self._fill(_TAG_RESOURCE, rows, count, law).sum(axis=1)
+            # every row of one count is the same constant row: sum one per
+            # count, a prefix of the longest, with the same tree
+            distinct, which = np.unique(counts, return_inverse=True)
+            row = np.full(int(distinct[-1]) if distinct.size else 0, law.value, dtype=np.float64)
+            return np.array([row[:count].sum() for count in distinct.tolist()], dtype=np.float64)[which]
+        cells = self._fill(_TAG_RESOURCE, rows, counts, law)
+        budgets = np.empty(len(rows), dtype=np.float64)
+        for lo, hi, start, count in _row_runs(counts):
+            budgets[lo:hi] = cells[start:start + (hi - lo) * count].reshape(hi - lo, count).sum(axis=1)
+        return budgets
 
-    def claims(self, rows: np.ndarray, count: int) -> np.ndarray:
-        return self._fill(_TAG_CLAIM, rows, count, self._base.laws.claim)
+    def claims(self, rows: np.ndarray, counts) -> np.ndarray:
+        return self._fill(_TAG_CLAIM, rows, counts, self._base.laws.claim)
 
-    def aux(self, rows: np.ndarray, count: int) -> np.ndarray:
+    def aux(self, rows: np.ndarray, counts) -> np.ndarray:
         """Claim-independent uniforms, used by randomising policies."""
-        return self._fill(_TAG_AUX, rows, count)
+        return self._fill(_TAG_AUX, rows, counts)
+
+
+def _as_counts(rows: np.ndarray, counts) -> np.ndarray:
+    """One count per row, refused before anything is allocated unless every
+    position it reads has an address."""
+    flat = np.broadcast_to(np.asarray(counts, dtype=np.int64), (len(rows),))
+    if flat.size and not (0 <= flat.min() and flat.max() <= INDEX_CAP):
+        raise ValueError(f"positions [1, {flat.max()}] outside [1, {INDEX_CAP}]")
+    return flat

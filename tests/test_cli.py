@@ -454,3 +454,19 @@ def test_uniform_claims_never_import_scipy(sim_config, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+POOL_IMPORT_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import rdbp, rdbp.cli
+assert "concurrent.futures.process" not in sys.modules, "importing rdbp loaded the worker pool"
+"""
+
+
+def test_importing_the_cli_leaves_the_worker_pool_unloaded():
+    # the pool module and its multiprocessing imports load only when a check
+    # fans out, which no small run does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

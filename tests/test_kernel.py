@@ -4,7 +4,9 @@ Units come from the pure-Python oracle, hashed one cell at a time; offspring
 totals are checked against ``quantile(u).sum()``, budgets against the summed
 materialised row and claims against ``icdf`` of a whole row at once.  Counts
 sit on either side of the kernel's piece size, so every way of cutting a
-block (one piece, runs of whole rows, pieces of one row) is compared.
+block (one piece, runs of whole rows, pieces of one row) is compared.  The
+word thresholds from which offspring are counted must classify every word
+as the float comparison of its unit does.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from rdbp import (
     Uniform,
     Universe,
 )
+from rdbp.distributions import _first_word_above
 from rdbp.universe import (
     _GOLDEN,
     _MASK64,
@@ -32,7 +35,8 @@ from rdbp.universe import (
     _TAG_RESOURCE,
     CHUNK_CELLS,
     ReplicateRows,
-    _unit_chunks,
+    _units,
+    _word_chunks,
 )
 
 CHUNK = CHUNK_CELLS
@@ -40,11 +44,11 @@ TRIPLE = LawTriple(OffspringLaw((0.25, 0.0, 0.75)), Uniform(0.0, 2.0), Uniform(0
 
 
 def _kernel_block(keys, count):
-    """Every piece of ``_unit_chunks`` copied into one block."""
-    block = np.full((len(keys), count), np.nan)
-    for rows, cols, u in _unit_chunks(np.asarray(keys, dtype=np.uint64), count):
-        block[rows, cols] = u
-    return block
+    """The units of every piece of ``_word_chunks`` copied into one block."""
+    cells = np.full(len(keys) * count, np.nan)
+    for start, _, _, words, _ in _word_chunks(np.asarray(keys, dtype=np.uint64), np.full(len(keys), count)):
+        _units(words, cells[start:start + len(words)])
+    return cells.reshape(len(keys), count)
 
 
 def _oracle_block(keys, count):
@@ -170,3 +174,47 @@ def test_chunked_claims_match_one_whole_row_icdf(claim):
 def test_resource_units_are_hashed_like_the_oracle():
     base = Universe(Seed(10), TRIPLE, 3)
     np.testing.assert_array_equal(kernel_units(base, _TAG_RESOURCE, 0, 50), unit_row(base, _TAG_RESOURCE, 0, 50))
+
+
+#: the offspring laws of the benchmark workloads
+WORKLOAD_LAWS = [OffspringLaw((0.25, 0.0, 0.75)), OffspringLaw((0.5, 0.0, 0.0, 0.5))]
+WORD_CUTS = sorted({0.25, 1 / 3, 0.5, 1 - 2.0**-53, 1e-300,
+                    *(cut for law in (*OFFSPRING_LAWS.values(), *WORKLOAD_LAWS) for cut, _ in law._cuts)})
+
+
+def _unit_of(words):
+    return _units(np.array(words, dtype=np.uint64), np.empty(len(words)))
+
+
+@pytest.mark.parametrize("cut", WORD_CUTS)
+def test_word_threshold_classifies_like_the_unit(cut):
+    first = _first_word_above(cut)
+    words = [0, first, _MASK64] + ([first - 1] if first else [])
+    # first is above the cut and the word before it is not, as the units say
+    above = [w >= first for w in words]
+    assert above == (_unit_of(words) > cut).tolist()
+    # the same expression in Python floats, as the oracle computes units
+    assert above == [((w >> 11) + 0.5) * 2.0**-53 > cut for w in words]
+
+
+def test_word_thresholds_at_the_extremes():
+    # the largest unit below 1 is 1 - 2**-52; only the top 53-bit value rounds to 1.0
+    assert _first_word_above(1 - 2.0**-53) == (2**53 - 1) << 11
+    assert _first_word_above(1e-300) == 0
+    assert _first_word_above(1.0) == 2**64
+
+
+@pytest.mark.parametrize("law", [*OFFSPRING_LAWS.values(), *WORKLOAD_LAWS],
+                         ids=[*OFFSPRING_LAWS.keys(), "workload-binary", "workload-three"])
+def test_word_totals_match_row_totals_of_the_units(law):
+    rng = np.random.default_rng(5)
+    edges = [w for cut, _ in law._cuts for w in (_first_word_above(cut), _first_word_above(cut) - 1) if w >= 0]
+    words = np.concatenate([rng.integers(0, _MASK64, 600, dtype=np.uint64, endpoint=True),
+                            np.array(edges + [0, _MASK64], dtype=np.uint64)])
+    rng.shuffle(words)
+    units = _unit_of(words)
+    n = len(words)
+    for cells in ([n], [1] * n, [1, 2, 3, 40, 1, 7, n - 54]):
+        starts = np.cumsum(cells) - cells
+        want = [int(law.row_totals(units[s:s + c].reshape(1, -1))[0]) for s, c in zip(starts, cells)]
+        assert law.word_totals(words, np.array(cells)).tolist() == want

@@ -284,8 +284,9 @@ class TestWorkerSplitIsInvisible:
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the pool size asked for and
-    the id range of every submitted call, and runs each in this process."""
+    """Stands in for the worker pool that ``_start_pool`` starts: records the
+    pool size asked for and the id range of every submitted call, and runs
+    each in this process."""
 
     sizes: list = []
     ranges: list = []
@@ -310,7 +311,7 @@ class _InlinePool:
 def inline_pool(monkeypatch):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "ranges", [])
-    monkeypatch.setattr(rdbp.montecarlo, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(rdbp.montecarlo, "_start_pool", _InlinePool)
     return _InlinePool
 
 
