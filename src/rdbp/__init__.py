@@ -43,7 +43,6 @@ from .engine import (
     ProcessSpec,
     Trajectory,
     simulate,
-    simulate_coupled,
     simulate_coupled_replicates,
     simulate_replicates,
     step,
@@ -72,7 +71,6 @@ from .montecarlo import (
 from .special import (
     ConvergenceError,
     inverse_regularized_incomplete_beta,
-    lambert_w_minus1,
     regularized_incomplete_beta,
 )
 from .policies import (
@@ -81,14 +79,10 @@ from .policies import (
     FcfsPolicy,
     POLICY_TOKENS,
     PriorityPolicy,
-    ServedSet,
     StrongestFirstPolicy,
     ThirdLargestFirstPolicy,
     WeakestFirstPolicy,
-    apply_policy,
-    count_fcfs,
     count_sf,
-    count_wf,
     policy_from_token,
 )
 from .universe import INDEX_CAP, Seed, Universe
@@ -100,11 +94,10 @@ __all__ = [
     "OffspringLaw", "Uniform", "ScaledBeta", "Exponential", "Constant",
     "LawTriple", "RegularityReport", "validate_regularity",
     "PriorityPolicy", "FcfsPolicy", "WeakestFirstPolicy", "StrongestFirstPolicy",
-    "CoinFlipPolicy", "ThirdLargestFirstPolicy", "CustomPolicy", "ServedSet",
-    "apply_policy", "count_fcfs", "count_wf", "count_sf",
+    "CoinFlipPolicy", "ThirdLargestFirstPolicy", "CustomPolicy", "count_sf",
     "POLICY_TOKENS", "policy_from_token",
     "ProcessSpec", "Outcome", "Trajectory", "EngineError",
-    "step", "simulate", "simulate_coupled", "trajectory_to_csv", "trajectory_to_json",
+    "step", "simulate", "trajectory_to_csv", "trajectory_to_json",
     "step_replicates", "simulate_replicates", "simulate_coupled_replicates",
     "SolverConfig", "Classification", "CriticalReport", "CRITICAL_BAND",
     "DomainError", "UnboundedClaimError", "UnsupportedKindError",
@@ -113,7 +106,7 @@ __all__ = [
     "closed_form_critical_resource", "beta_asymptotic_critical_resource",
     "critical_curve", "critical_report",
     "ConvergenceError", "regularized_incomplete_beta",
-    "inverse_regularized_incomplete_beta", "lambert_w_minus1",
+    "inverse_regularized_incomplete_beta",
     "McConfig", "ExtinctionEstimate", "GrowthEstimate", "SafeHavenReport",
     "SuperadditivityReport", "CounterexampleSearchResult", "InsufficientSurvivors",
     "wilson_interval", "estimate_extinction", "safe_haven_check", "dominance_check",

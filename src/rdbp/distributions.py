@@ -49,12 +49,11 @@ class OffspringLaw:
         cum[self.max_offspring:] = 1.0
         cum.flags.writeable = False
         object.__setattr__(self, "_cdf", cum)
-        # a deviate never exceeds 1, so only the cuts below 1 can count
+        # a deviate never exceeds 1, so only the cuts below 1 can count; each
+        # is kept as the first hashed word whose unit lies above it
         cuts, times = np.unique(cum[cum < 1.0], return_counts=True)
-        object.__setattr__(self, "_cuts", tuple(zip(cuts.tolist(), times.tolist())))
-        # each cut as the first hashed word whose unit lies above it
         object.__setattr__(self, "_word_cuts", tuple(
-            (np.uint64(_first_word_above(cut)), times) for cut, times in self._cuts))
+            (np.uint64(_first_word_above(cut)), times) for cut, times in zip(cuts.tolist(), times.tolist())))
 
     @property
     def max_offspring(self) -> int:
@@ -78,30 +77,16 @@ class OffspringLaw:
         to 1 still maps to a count with positive mass."""
         return self._cdf
 
-    def quantile(self, u):
-        """Smallest j with CDF(j) >= u.  Vectorised."""
-        return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
-
-    def row_totals(self, u) -> np.ndarray:
-        """``quantile(u).sum(axis=-1)`` without building the counts.
-
-        ``quantile`` counts the CDF entries strictly below u, so a row's
-        total is, over each distinct cut c, the number of entries equal to c
-        times the number of deviates above c.
-        """
-        u = np.asarray(u, dtype=np.float64)
-        totals = np.zeros(u.shape[:-1], dtype=np.int64)
-        for cut, times in self._cuts:
-            totals += times * np.count_nonzero(u > cut, axis=-1)
-        return totals
-
     def word_totals(self, words: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """``row_totals`` of the units of mixed 64-bit words, laid out as
-        rows of ``cells[i]`` >= 1 words back to back, from the words alone.
+        """Offspring totals of rows of ``cells[i]`` >= 1 mixed 64-bit words,
+        laid out back to back, from the words alone.
 
-        A word's unit exceeds a cut exactly when the word is at least the
-        cut's threshold (``_first_word_above``), so the units are never
-        built.
+        A word's unit u draws the smallest count j with CDF(j) >= u, which
+        is the number of CDF entries strictly below u.  So a row's total is,
+        over each distinct cut c below 1, the number of entries equal to c
+        times the number of units above c.  A word's unit exceeds a cut
+        exactly when the word is at least the cut's threshold
+        (``_first_word_above``), so the units are never built.
         """
         if len(cells) == 1:
             return np.array([sum(times * np.count_nonzero(words >= word) for word, times in self._word_cuts)],

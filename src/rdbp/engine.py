@@ -6,14 +6,16 @@ policy then admits children against that budget, and the admitted count is
 the next generation size.  All randomness is read from a universe, so
 trajectories are reproducible and couplable by construction.
 
-``step`` and ``simulate`` advance one replicate at a time and are the
-reference.  ``step_replicates`` and ``simulate_replicates`` advance every
-live replicate of a generation together and return the same sizes and
-outcomes bit for bit; ``simulate_coupled_replicates`` also steps several
-coupled specs on the same ids in that one pass.  A generation's live rows
-are read back to back in length order, so rows of every length share the
-universe kernel's pieces, and each run of rows of one length is a
-C-contiguous block that the policies count.
+One pass, ``_step_rows``, steps every generation.  ``step`` hands it the
+one row of a replicate, and ``simulate`` runs one replicate by calling
+``step`` generation after generation.  ``step_replicates`` and
+``simulate_replicates`` advance every live replicate of a generation
+together; ``simulate_coupled_replicates`` also steps several coupled specs
+on the same ids in that one pass.  A generation's live rows are read back
+to back in length order, so rows of every length share the universe
+kernel's pieces, and each run of rows of one length is a C-contiguous block
+that the policies count.  A replicate therefore reaches the same sizes
+alone or among others.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "Trajectory",
     "step",
     "simulate",
-    "simulate_coupled",
     "step_replicates",
     "simulate_replicates",
     "simulate_coupled_replicates",
@@ -119,23 +120,14 @@ class Trajectory:
 
 
 def step(current_size: int, universe: Universe, n: int, policy: PriorityPolicy) -> int:
-    """Next generation size given the current one.  Zero is absorbing."""
-    if current_size < 0:
-        raise EngineError("negative population size")
-    if current_size == 0:
-        return 0
-    rows = universe.generation(n)
-    total = int(rows.offspring_totals(_ONE_ROW, current_size)[0])
-    if total == 0:
-        return 0
-    _check_claims(total, n)
-    budget = float(rows.budgets(_ONE_ROW, current_size)[0])
-    claims = rows.claims(_ONE_ROW, total)[0]
-    aux = rows.aux(_ONE_ROW, total)[0] if policy.needs_aux else None
-    return policy.count(claims, budget, aux)
+    """Next generation size given the current one.  Zero is absorbing.
 
-
-_ONE_ROW = np.zeros(1, dtype=np.intp)
+    The replicate is the one row of a ``_step_rows`` pass, so it steps
+    exactly as it does among others in ``step_replicates``.
+    """
+    sizes = np.array([current_size], dtype=np.int64)
+    owners = np.zeros(1, dtype=np.intp)
+    return int(_step_rows(sizes, universe.generation(n), n, (policy,), owners)[0])
 
 
 def _check_claims(total: int, n: int) -> None:
@@ -166,38 +158,17 @@ def simulate(spec: ProcessSpec, universe: Universe) -> Trajectory:
     return Trajectory(sizes, outcome)
 
 
-def simulate_coupled(specs: Sequence[ProcessSpec], universe: Universe) -> list[Trajectory]:
-    """Run several specs against one universe.
-
-    The specs must agree on everything except the policy, so differences
-    between the resulting trajectories are attributable to the policies
-    alone.  Because universe reads are addressed rather than consumed, the
-    runs see identical offspring, claim, and resource arrays even where
-    their population sizes differ.
-    """
-    if not specs:
-        raise EngineError("simulate_coupled needs at least one spec")
-    first = specs[0]
-    for other in specs[1:]:
-        same = (
-            other.laws == first.laws
-            and other.initial_size == first.initial_size
-            and other.horizon == first.horizon
-            and other.explosion_cap == first.explosion_cap
-        )
-        if not same:
-            raise EngineError("coupled specs may differ only in their policy")
-    return [simulate(spec, universe) for spec in specs]
-
-
 def _batches(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
     """(lo, hi) for consecutive runs of rows, of at most BLOCK_CELLS cells
     each unless one row alone is longer."""
-    ends = np.cumsum(lengths)
+    ends = lengths.cumsum()
+    if ends.size and ends[-1] <= BLOCK_CELLS:  # one batch holds them all
+        yield 0, ends.size
+        return
     lo = 0
     while lo < len(lengths):
         before = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, before + BLOCK_CELLS, side="right")))
+        hi = max(lo + 1, int(ends.searchsorted(before + BLOCK_CELLS, side="right")))
         yield lo, hi
         lo = hi
 
@@ -207,10 +178,10 @@ def step_replicates(
 ) -> np.ndarray:
     """Next sizes of many replicates of ``base`` from ``sizes``, in one pass.
 
-    Entry i equals ``step(sizes[i], base.derive_replicate(ids[i]), n, policy)``.
-    Each run of rows of equal length is one C-contiguous block of the cells
-    read, which keeps every budget sum and claim prefix sum bit-identical
-    to ``step``.
+    Entry i equals ``step(sizes[i], base.derive_replicate(ids[i]), n, policy)``:
+    each run of rows of equal length is one C-contiguous block of the cells
+    read, so a row's budget sum and claim prefix sums do not depend on the
+    rows read with it.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     owners = np.zeros(len(sizes), dtype=np.intp)
@@ -228,46 +199,49 @@ def _step_rows(
     length keep their order, so each run of them with one owner is a
     C-contiguous block of the claims read, which that policy counts.
     """
-    if np.any(sizes < 0):
+    order = sizes.argsort(kind="stable")
+    members = sizes[order]
+    if members.size and members[0] < 0:
         raise EngineError("negative population size")
-    order = np.argsort(sizes, kind="stable")
-    order = order[np.count_nonzero(sizes == 0):]
+    empty = members.searchsorted(0, side="right")
+    order, members = order[empty:], members[empty:]
     totals = np.zeros(len(sizes), dtype=np.int64)
-    totals[order] = rows.offspring_totals(order, sizes[order])
+    totals[order] = ordered_totals = rows.offspring_totals(order, members)
     if totals.size:
         _check_claims(int(totals.max()), n)
     # a budget is only ever compared with claims, so rows without children
     # need none, and none is read before every row's claims are known to fit
-    parents = order[totals[order] > 0]
+    fertile = ordered_totals > 0
+    parents, members = order[fertile], members[fertile]
     budgets = np.zeros(len(sizes), dtype=np.float64)
-    for lo, hi in _batches(sizes[parents]):
-        block = parents[lo:hi]
-        budgets[block] = rows.budgets(block, sizes[block])
+    for lo, hi in _batches(members):
+        budgets[parents[lo:hi]] = rows.budgets(parents[lo:hi], members[lo:hi])
     served = np.zeros(len(sizes), dtype=np.int64)
-    born = np.flatnonzero(totals)
-    born = born[np.argsort(totals[born], kind="stable")]
-    needs_aux = np.array([policy.needs_aux for policy in policies])
-    for lo, hi in _batches(totals[born]):
-        block = born[lo:hi]
-        lengths, mine = totals[block], owners[block]
+    born = totals.nonzero()[0]
+    born = born[totals[born].argsort(kind="stable")]
+    children = totals[born]
+    needs_aux = [policy.needs_aux for policy in policies]
+    with_aux = np.array(needs_aux) if any(needs_aux) else None
+    for lo, hi in _batches(children):
+        block, lengths = born[lo:hi], children[lo:hi]
+        mine = owners[block]
         claims = rows.claims(block, lengths)
         aux = None
-        with_aux = needs_aux[mine]
-        if with_aux.any():
-            # the deviates of the rows that need them, back to back
-            aux_lengths = np.where(with_aux, lengths, 0)
-            aux_starts = np.cumsum(aux_lengths) - aux_lengths
-            aux = rows.aux(block[with_aux], lengths[with_aux])
+        if with_aux is not None:
+            # the deviates of the rows that need them, back to back in the
+            # order of their runs
+            aux_rows = with_aux[mine]
+            aux = rows.aux(block[aux_rows], lengths[aux_rows])
+        aux_start = 0
         for a, b, start, total in _row_runs(lengths, mine):
             policy = policies[mine[a]]
-            shape = (b - a, total)
+            shape, cells = (b - a, total), (b - a) * total
             run_aux = None
             if policy.needs_aux:
-                first = int(aux_starts[a])
-                run_aux = aux[first:first + (b - a) * total].reshape(shape)
+                run_aux = aux[aux_start:aux_start + cells].reshape(shape)
+                aux_start += cells
             run = block[a:b]
-            run_claims = claims[start:start + (b - a) * total].reshape(shape)
-            served[run] = policy.count_rows(run_claims, budgets[run], run_aux)
+            served[run] = policy.count_rows(claims[start:start + cells].reshape(shape), budgets[run], run_aux)
         # one batch of cells at a time: free this one before the next is read
         del claims, aux
     return served

@@ -1,11 +1,14 @@
 """Service policies: who gets served first, and how many fit the budget.
 
-A policy ranks the claims of one generation's prospective children; the
-children are then admitted in rank order while the running claim total stays
-within the generation's resource budget.  Ties rank by arrival order (the
-orders are those of stable sorts; coinflip reaches its own through the faster
-default sort and a tie check), and the admitted count is zero whenever the
-first-ranked claim already exceeds the budget.
+A policy ranks the claims of one replicate's prospective children in a
+generation; the children are then admitted in rank order while the running
+claim total stays within that generation's resource budget.  ``count_rows``
+counts the admitted children of every row of a 2-D claim block, one
+replicate per row, in one pass.  Ties rank by arrival order (the orders are
+those of stable sorts; coinflip reaches its own through the faster default
+sort and a tie check), and the admitted count is zero whenever the
+first-ranked claim already exceeds the budget.  A ``CustomPolicy`` gives its
+order as a permutation of each row.
 
 The admitted count is defined by the sequential running totals (``cumsum``)
 of the ranked claims.  Rows of at least ``_SELECT_MIN_CLAIMS`` claims reach
@@ -21,13 +24,11 @@ and for non-finite values, the row falls back to the sort and the full
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
-    "ServedSet",
     "PriorityPolicy",
     "FcfsPolicy",
     "WeakestFirstPolicy",
@@ -35,9 +36,6 @@ __all__ = [
     "CoinFlipPolicy",
     "ThirdLargestFirstPolicy",
     "CustomPolicy",
-    "apply_policy",
-    "count_fcfs",
-    "count_wf",
     "count_sf",
     "policy_from_token",
     "POLICY_TOKENS",
@@ -267,44 +265,56 @@ _FAST_ORDER_MIN_ROW = 16
 _FAST_ORDER_MIN_CELLS = 1024
 
 
+def _flat_positions(order: np.ndarray) -> np.ndarray:
+    """The positions in each row of an (m, t) block turned, in place, into
+    positions in the flattened block; a single row needs no change.
+
+    Indexing the flattened block with them gathers exactly what
+    ``np.take_along_axis(block, order, axis=1)`` does, in half the time or
+    less with the offsets added: 1.6 against 3.4 ms on a (1, 450000) block,
+    0.5 against 1.0 ms on (64, 4096) and 0.35 against 0.7 ms on (1000, 200)
+    (float64 cells, 2-vCPU x86 VM).
+    """
+    m, t = order.shape
+    if m > 1:
+        order += (np.arange(m, dtype=order.dtype) * t)[:, None]
+    return order
+
+
 def _stable_order(aux: np.ndarray) -> np.ndarray:
-    """Exactly ``np.argsort(aux, axis=-1, kind="stable")``, mostly from the
-    vectorised default argsort.
+    """Exactly ``np.argsort(aux, axis=1, kind="stable")`` of an (m, t)
+    block, as positions in the flattened block (``_flat_positions``),
+    mostly from the vectorised default argsort.
 
     A row whose ranked deviates strictly increase has only one sorting
     order, so the default sort found the stable one.  Equal deviates
     (``0.0`` and ``-0.0`` included) may come out in either order, and a NaN
     compares false, so only rows holding such a pair are sorted again stably.
     """
-    if aux.shape[-1] < _FAST_ORDER_MIN_ROW or aux.size < _FAST_ORDER_MIN_CELLS:
-        return np.argsort(aux, axis=-1, kind="stable")
-    order = np.argsort(aux, axis=-1)
-    ranked = np.take_along_axis(aux, order, axis=-1)
-    unsure = ~(ranked[..., 1:] > ranked[..., :-1]).all(axis=-1)
+    t = aux.shape[1]
+    if t < _FAST_ORDER_MIN_ROW or aux.size < _FAST_ORDER_MIN_CELLS:
+        return _flat_positions(np.argsort(aux, axis=1, kind="stable"))
+    order = _flat_positions(np.argsort(aux, axis=1))
+    ranked = aux.reshape(-1)[order]
+    unsure = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
     if unsure.any():
-        order[unsure] = np.argsort(aux[unsure], axis=-1, kind="stable")
+        again = np.argsort(aux[unsure], axis=1, kind="stable")
+        again += (np.flatnonzero(unsure) * t)[:, None]
+        order[unsure] = again
     return order
 
 
 def _third_largest_first(descending: np.ndarray) -> np.ndarray:
-    """Moves the third entry of each descending row (claims or their indices)
-    to the front, in place: the counterexample policy's order."""
+    """Moves the third claim of each descending row to the front, in place:
+    the counterexample policy's order."""
     if descending.shape[-1] >= 3:
         descending[..., [0, 1, 2]] = descending[..., [2, 0, 1]]
     return descending
 
 
-@dataclass(frozen=True)
-class ServedSet:
-    """Outcome of applying one policy to one generation's claims."""
-
-    count: int
-    served_indices: tuple[int, ...]  # arrival positions (0-based), in service order
-    consumed: float
-
-
 class PriorityPolicy:
-    """Base class.  Subclasses provide the priority permutation."""
+    """Base class.  A subclass gives each row's service order by
+    ``permutation``, or counts whole blocks by its own ``count_rows``."""
 
     name: str = "?"
     needs_aux: bool = False
@@ -312,23 +322,20 @@ class PriorityPolicy:
     def permutation(self, claims: np.ndarray, aux: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
 
-    def count(self, claims: np.ndarray, budget: float, aux: Optional[np.ndarray] = None) -> int:
-        perm = self.permutation(claims, aux)
-        return _prefix_count(np.asarray(claims, dtype=np.float64)[perm], budget, in_place=True)
-
     def count_rows(
         self, claims: np.ndarray, budgets: np.ndarray, aux: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """``count`` of each row of an (m, t) claim block against its budget.
+        """Served count of each row of an (m, t) claim block against its
+        budget.
 
-        Subclasses replace this with one 2-D pass that returns the same
-        counts; the default calls ``count`` row by row.
+        The default serves each row in the order of ``permutation``, row by
+        row; the built-in policies replace it with one 2-D pass.
         """
-        return np.array(
-            [self.count(claims[i], budgets[i], None if aux is None else aux[i])
-             for i in range(len(claims))],
-            dtype=np.int64,
-        )
+        counts = np.empty(len(claims), dtype=np.int64)
+        for i, row in enumerate(claims):
+            perm = self.permutation(row, None if aux is None else aux[i])
+            counts[i] = _prefix_count(row[perm], budgets[i], in_place=True)
+        return counts
 
 
 class FcfsPolicy(PriorityPolicy):
@@ -336,26 +343,18 @@ class FcfsPolicy(PriorityPolicy):
 
     name = "fcfs"
 
-    def permutation(self, claims, aux=None):
-        return np.arange(len(claims), dtype=np.int64)
-
-    def count(self, claims, budget, aux=None):
-        return count_fcfs(claims, budget)
-
     def count_rows(self, claims, budgets, aux=None):
         return _prefix_count_rows(claims, budgets)
 
 
 class WeakestFirstPolicy(PriorityPolicy):
-    """Smallest claims first; admits the maximal number any policy can."""
+    """Smallest claims first; admits the maximal number any policy can.
+
+    That is the largest size of any claim subset fitting the budget, since
+    the k cheapest claims minimise every k-subset sum.
+    """
 
     name = "wf"
-
-    def permutation(self, claims, aux=None):
-        return np.argsort(np.asarray(claims, dtype=np.float64), kind="stable")
-
-    def count(self, claims, budget, aux=None):
-        return count_wf(claims, budget)
 
     def count_rows(self, claims, budgets, aux=None):
         return _sorted_count_rows(claims, budgets, descending=False)
@@ -365,12 +364,6 @@ class StrongestFirstPolicy(PriorityPolicy):
     """Largest claims first; admits the fewest of the three canonical orders."""
 
     name = "sf"
-
-    def permutation(self, claims, aux=None):
-        return np.argsort(-np.asarray(claims, dtype=np.float64), kind="stable")
-
-    def count(self, claims, budget, aux=None):
-        return count_sf(claims, budget)
 
     def count_rows(self, claims, budgets, aux=None):
         return _sorted_count_rows(claims, budgets, descending=True)
@@ -383,18 +376,10 @@ class CoinFlipPolicy(PriorityPolicy):
     name = "coinflip"
     needs_aux = True
 
-    def permutation(self, claims, aux=None):
-        if aux is None:
-            raise ValueError("coinflip policy needs auxiliary deviates (one per claim)")
-        aux = np.asarray(aux, dtype=np.float64)
-        if aux.shape != (len(claims),):
-            raise ValueError("auxiliary deviates must match the claim count")
-        return _stable_order(aux)
-
     def count_rows(self, claims, budgets, aux=None):
         if aux is None or aux.shape != claims.shape:
             raise ValueError("coinflip policy needs auxiliary deviates (one per claim)")
-        ordered = np.take_along_axis(claims, _stable_order(aux), axis=1)
+        ordered = claims.reshape(-1)[_stable_order(aux)]
         return _prefix_count_rows(ordered, budgets, in_place=True)
 
 
@@ -411,17 +396,9 @@ class ThirdLargestFirstPolicy(PriorityPolicy):
 
     name = "counterexample"
 
-    def permutation(self, claims, aux=None):
-        desc = np.argsort(-np.asarray(claims, dtype=np.float64), kind="stable")
-        return _third_largest_first(desc)
-
-    def count(self, claims, budget, aux=None):
+    def count_rows(self, claims, budgets, aux=None):
         # a stable descending argsort puts tied claims in some order, but
         # the served prefix only sees their values, which a sort reproduces
-        ordered = _third_largest_first(np.sort(np.asarray(claims, dtype=np.float64))[::-1])
-        return _prefix_count(ordered, budget, in_place=True)
-
-    def count_rows(self, claims, budgets, aux=None):
         ordered = _third_largest_first(np.sort(claims, axis=1)[:, ::-1])
         return _prefix_count_rows(ordered, budgets, in_place=True)
 
@@ -438,50 +415,6 @@ class CustomPolicy(PriorityPolicy):
         if perm.shape != (len(claims),) or not np.array_equal(np.sort(perm), np.arange(len(claims))):
             raise ValueError(f"custom policy {self.name!r} returned a non-permutation")
         return perm
-
-
-def apply_policy(
-    policy: PriorityPolicy,
-    claims: np.ndarray,
-    budget: float,
-    aux: Optional[np.ndarray] = None,
-) -> ServedSet:
-    """Admit children greedily in the policy's priority order.
-
-    Service stops at the first claim that would push the running total past
-    the budget; later claims are not revisited.
-    """
-    claims = np.asarray(claims, dtype=np.float64)
-    if np.isnan(claims).any():
-        raise ValueError("claims must not be NaN")
-    if claims.size and claims.min() < 0.0:
-        raise ValueError("claims must be non-negative")
-    if np.isnan(budget):
-        raise ValueError("budget must not be NaN")
-    if budget < 0.0:
-        raise ValueError("budget must be non-negative")
-    perm = policy.permutation(claims, aux)
-    # the running totals overwrite this copy, so what the served children
-    # consume is the very total that admission compared with the budget;
-    # the full cumsum also keeps this exact for long rows
-    totals = claims[perm]
-    count = _cumsum_count(totals, budget, in_place=True)
-    consumed = float(totals[count - 1]) if count else 0.0
-    return ServedSet(count=count, served_indices=tuple(int(i) for i in perm[:count]), consumed=consumed)
-
-
-def count_fcfs(claims: np.ndarray, budget: float) -> int:
-    """Admitted count under arrival order."""
-    return _prefix_count(np.asarray(claims, dtype=np.float64), budget)
-
-
-def count_wf(claims: np.ndarray, budget: float) -> int:
-    """Admitted count with smallest claims first.
-
-    Equals the largest size of any claim subset fitting the budget, since the
-    k cheapest claims minimise every k-subset sum.
-    """
-    return _sorted_count(np.asarray(claims, dtype=np.float64), budget)
 
 
 def count_sf(claims: np.ndarray, budget: float) -> int:

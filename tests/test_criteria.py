@@ -28,7 +28,7 @@ from rdbp import (
     solve_sf_threshold,
     solve_wf_threshold,
 )
-from rdbp.special import lambert_w_minus1
+from lambert import lambert_w_minus1
 
 CFG = SolverConfig()
 

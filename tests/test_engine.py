@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from oracle import offspring_row, unit_row
+import oracle
+from oracle import offspring_row, quantile, reference_count, unit_row
 
 import rdbp.engine
 from rdbp import (
+    POLICY_TOKENS,
     Constant,
+    CustomPolicy,
     EngineError,
     FcfsPolicy,
     LawTriple,
@@ -18,15 +21,20 @@ from rdbp import (
     Uniform,
     Universe,
     WeakestFirstPolicy,
-    count_wf,
+    policy_from_token,
     simulate,
-    simulate_coupled,
+    simulate_coupled_replicates,
     step,
     trajectory_to_csv,
     trajectory_to_json,
 )
 from rdbp.engine import Outcome, Trajectory, step_replicates
 from rdbp.universe import _TAG_CLAIM, _TAG_OFFSPRING, _TAG_RESOURCE, ReplicateRows
+
+
+POLICIES = [policy_from_token(token) for token in POLICY_TOKENS] + [
+    CustomPolicy(lambda claims: np.arange(len(claims))[::-1], name="reverse-arrival")
+]
 
 
 class TestStep:
@@ -38,11 +46,21 @@ class TestStep:
         laws = universe.laws
         for size in (5, 9, 130):
             for n in range(4):
-                total = int(laws.offspring.quantile(unit_row(universe, _TAG_OFFSPRING, n, size)).sum())
+                total = int(quantile(laws.offspring, unit_row(universe, _TAG_OFFSPRING, n, size)).sum())
                 budget = float(np.sum(laws.resource.icdf(unit_row(universe, _TAG_RESOURCE, n, size))))
                 claims = laws.claim.icdf(unit_row(universe, _TAG_CLAIM, n, total))
-                expected = count_wf(claims, budget) if total else 0
+                expected = reference_count("wf", claims, budget) if total else 0
                 assert step(size, universe, n, WeakestFirstPolicy()) == expected
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+    def test_matches_the_reference_step(self, universe, policy):
+        # founders of 9 and 130 cross 8 and 128 members, the block edges of
+        # numpy's pairwise summation
+        for size in (0, 1, 5, 9, 130):
+            for n in range(4):
+                got = step(size, universe, n, policy)
+                assert type(got) is int
+                assert got == oracle.step(size, universe, n, policy)
 
     def test_never_exceeds_children(self, universe):
         for n in range(10):
@@ -56,7 +74,7 @@ class TestStep:
         assert step(10, u, 0, FcfsPolicy()) == 0
 
     def test_negative_size_rejected(self, universe):
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="negative population size"):
             step(-1, universe, 0, FcfsPolicy())
 
     def test_claims_over_the_cap_are_refused_before_anything_is_read(self, universe, monkeypatch):
@@ -81,6 +99,15 @@ def _unread(*args):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("initial_size", [1, 9, 130])
+    def test_matches_the_reference_simulate(self, basic_triple, policy, initial_size):
+        spec = ProcessSpec(laws=basic_triple, policy=policy, initial_size=initial_size,
+                           horizon=12, explosion_cap=600)
+        for i in range(3):
+            u = Universe(Seed(5), basic_triple, i)
+            assert simulate(spec, u) == oracle.simulate(spec, u)
+
     def test_deterministic(self, basic_triple):
         spec = ProcessSpec(laws=basic_triple, policy=WeakestFirstPolicy(), horizon=50)
         u = Universe(Seed(5), basic_triple)
@@ -170,21 +197,12 @@ class TestCoupling:
                 ProcessSpec(laws=basic_triple, policy=p, initial_size=3, horizon=30)
                 for p in policies
             ]
-            sf, fcfs, wf = simulate_coupled(specs, u)
+            sf, fcfs, wf = (runs[0] for runs in simulate_coupled_replicates(specs, u, [0]))
+            assert [sf, fcfs, wf] == oracle.simulate_coupled(specs, u)
             for traj in (sf, fcfs):
                 for n in range(len(traj.sizes)):
                     if n < len(wf.sizes):
                         assert traj.sizes[n] <= wf.sizes[n]
-
-    def test_mixed_specs_rejected(self, basic_triple):
-        a = ProcessSpec(laws=basic_triple, policy=FcfsPolicy(), horizon=10)
-        b = ProcessSpec(laws=basic_triple, policy=WeakestFirstPolicy(), horizon=11)
-        with pytest.raises(EngineError):
-            simulate_coupled([a, b], Universe(Seed(0), basic_triple))
-
-    def test_empty_specs_rejected(self, universe):
-        with pytest.raises(EngineError):
-            simulate_coupled([], universe)
 
 
 class TestSerialisation:

@@ -11,7 +11,7 @@ as the float comparison of its unit does.
 
 import numpy as np
 import pytest
-from oracle import kernel_units, resource_row, unit_row, word_unit
+from oracle import cuts, kernel_units, quantile, resource_row, row_totals, unit_row, word_unit
 
 import rdbp.universe
 from rdbp import (
@@ -103,7 +103,7 @@ def test_unit_one_is_reachable_and_counted_like_quantile():
     assert ((2**53 - 1) + 0.5) * 2.0**-53 == 1.0
     law = OffspringLaw((0.5, 0.0, 0.0, 0.5))
     u = np.array([[1.0, 0.5, np.nextafter(0.5, 1.0)]])
-    assert law.row_totals(u).tolist() == [law.quantile(u).sum()] == [6]
+    assert row_totals(law, u).tolist() == [quantile(law, u).sum()] == [6]
 
 
 OFFSPRING_LAWS = {
@@ -121,9 +121,9 @@ def test_row_totals_at_the_cuts(law):
     cdf = law.cumulative()
     edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [1e-300, 1.0]])
     u = np.clip(edges, 1e-300, 1.0).reshape(1, -1)
-    assert law.row_totals(u).tolist() == law.quantile(u).sum(axis=1).tolist()
+    assert row_totals(law, u).tolist() == quantile(law, u).sum(axis=1).tolist()
     # one deviate per row, and rows of several
-    assert law.row_totals(u.T).tolist() == law.quantile(u.T)[:, 0].tolist()
+    assert row_totals(law, u.T).tolist() == quantile(law, u.T)[:, 0].tolist()
 
 
 @pytest.mark.parametrize("law", OFFSPRING_LAWS.values(), ids=OFFSPRING_LAWS.keys())
@@ -133,7 +133,7 @@ def test_offspring_totals_match_summed_quantiles(law, count):
     base = Universe(Seed(21), triple)
     ids = np.array([5, 0, 17])
     got = ReplicateRows(base, ids, 2).offspring_totals(np.arange(3), count)
-    want = [law.quantile(kernel_units(base.derive_replicate(int(i)), _TAG_OFFSPRING, 2, count)).sum()
+    want = [quantile(law, kernel_units(base.derive_replicate(int(i)), _TAG_OFFSPRING, 2, count)).sum()
             for i in ids]
     assert got.tolist() == want
 
@@ -179,7 +179,7 @@ def test_resource_units_are_hashed_like_the_oracle():
 #: the offspring laws of the benchmark workloads
 WORKLOAD_LAWS = [OffspringLaw((0.25, 0.0, 0.75)), OffspringLaw((0.5, 0.0, 0.0, 0.5))]
 WORD_CUTS = sorted({0.25, 1 / 3, 0.5, 1 - 2.0**-53, 1e-300,
-                    *(cut for law in (*OFFSPRING_LAWS.values(), *WORKLOAD_LAWS) for cut, _ in law._cuts)})
+                    *(cut for law in (*OFFSPRING_LAWS.values(), *WORKLOAD_LAWS) for cut, _ in cuts(law))})
 
 
 def _unit_of(words):
@@ -208,7 +208,7 @@ def test_word_thresholds_at_the_extremes():
                          ids=[*OFFSPRING_LAWS.keys(), "workload-binary", "workload-three"])
 def test_word_totals_match_row_totals_of_the_units(law):
     rng = np.random.default_rng(5)
-    edges = [w for cut, _ in law._cuts for w in (_first_word_above(cut), _first_word_above(cut) - 1) if w >= 0]
+    edges = [w for cut, _ in cuts(law) for w in (_first_word_above(cut), _first_word_above(cut) - 1) if w >= 0]
     words = np.concatenate([rng.integers(0, _MASK64, 600, dtype=np.uint64, endpoint=True),
                             np.array(edges + [0, _MASK64], dtype=np.uint64)])
     rng.shuffle(words)
@@ -216,5 +216,5 @@ def test_word_totals_match_row_totals_of_the_units(law):
     n = len(words)
     for cells in ([n], [1] * n, [1, 2, 3, 40, 1, 7, n - 54]):
         starts = np.cumsum(cells) - cells
-        want = [int(law.row_totals(units[s:s + c].reshape(1, -1))[0]) for s, c in zip(starts, cells)]
+        want = [int(row_totals(law, units[s:s + c].reshape(1, -1))[0]) for s, c in zip(starts, cells)]
         assert law.word_totals(words, np.array(cells)).tolist() == want

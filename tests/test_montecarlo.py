@@ -40,7 +40,7 @@ from rdbp import (
     estimate_extinction,
     safe_haven_check,
     sf_monotonicity_probe,
-    simulate_coupled,
+    simulate,
     superadditivity_check,
     wilson_interval,
 )
@@ -387,13 +387,8 @@ class TestCounterexampleSearch:
         result = counterexample_search(CX_TRIPLE, mc, budget=150_000)
         w = result.witness
         u = Universe(Seed(w.seed_value), CX_TRIPLE, 0).derive_replicate(w.replicate_id)
-        got, ref = simulate_coupled(
-            [
-                ProcessSpec(laws=CX_TRIPLE, policy=ThirdLargestFirstPolicy(), horizon=2),
-                ProcessSpec(laws=CX_TRIPLE, policy=StrongestFirstPolicy(), horizon=2),
-            ],
-            u,
-        )
+        got, ref = (simulate(ProcessSpec(laws=CX_TRIPLE, policy=policy, horizon=2), u)
+                    for policy in (ThirdLargestFirstPolicy(), StrongestFirstPolicy()))
         assert tuple(got.sizes) == w.policy_sizes
         assert tuple(ref.sizes) == w.sf_sizes
 

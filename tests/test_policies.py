@@ -15,16 +15,16 @@ from rdbp import (
     StrongestFirstPolicy,
     ThirdLargestFirstPolicy,
     WeakestFirstPolicy,
-    apply_policy,
-    count_fcfs,
     count_sf,
-    count_wf,
     policy_from_token,
 )
-from rdbp.policies import POLICY_TOKENS, _prefix_count
+from rdbp.policies import POLICY_TOKENS, _stable_order
 
 from conftest import WORKED_BUDGET, WORKED_CLAIMS
-from oracle import reference_count, reference_order
+from oracle import StableCoinFlipPolicy, count, reference_count, reference_order
+
+FCFS, WF, SF = FcfsPolicy(), WeakestFirstPolicy(), StrongestFirstPolicy()
+SELECT_MIN = rdbp.policies._SELECT_MIN_CLAIMS
 
 
 def brute_prefix_count(ordered, budget):
@@ -51,61 +51,50 @@ budgets = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
 
 
 class TestWorkedExample:
+    """The served claims are the first ``count`` of the reference order."""
+
     def test_fcfs(self):
-        served = apply_policy(FcfsPolicy(), WORKED_CLAIMS, WORKED_BUDGET)
-        assert served.count == 7
-        assert served.consumed == pytest.approx(91.0)
-        assert served.served_indices == tuple(range(7))
+        served = reference_order("fcfs", WORKED_CLAIMS)[:count(FCFS, WORKED_CLAIMS, WORKED_BUDGET)]
+        assert served.tolist() == WORKED_CLAIMS[:7].tolist()
+        assert served.sum() == pytest.approx(91.0)
 
     def test_weakest_first(self):
-        served = apply_policy(WeakestFirstPolicy(), WORKED_CLAIMS, WORKED_BUDGET)
-        assert served.count == 7
-        assert sorted(WORKED_CLAIMS[list(served.served_indices)]) == [7, 10, 11, 11, 15, 17, 18]
-        assert served.consumed == pytest.approx(89.0)
+        served = reference_order("wf", WORKED_CLAIMS)[:count(WF, WORKED_CLAIMS, WORKED_BUDGET)]
+        assert served.tolist() == [7, 10, 11, 11, 15, 17, 18]
+        assert served.sum() == pytest.approx(89.0)
 
     def test_strongest_first(self):
-        served = apply_policy(StrongestFirstPolicy(), WORKED_CLAIMS, WORKED_BUDGET)
-        assert served.count == 5
-        got = sorted(WORKED_CLAIMS[list(served.served_indices)], reverse=True)
-        assert got == [22, 19, 19, 18, 17]
-        assert served.consumed == pytest.approx(95.0)
+        served = reference_order("sf", WORKED_CLAIMS)[:count(SF, WORKED_CLAIMS, WORKED_BUDGET)]
+        assert served.tolist() == [22, 19, 19, 18, 17]
+        assert served.sum() == pytest.approx(95.0)
 
     def test_count_helpers_agree(self):
-        assert count_fcfs(WORKED_CLAIMS, WORKED_BUDGET) == 7
-        assert count_wf(WORKED_CLAIMS, WORKED_BUDGET) == 7
+        assert count(FCFS, WORKED_CLAIMS, WORKED_BUDGET) == 7
+        assert count(WF, WORKED_CLAIMS, WORKED_BUDGET) == 7
+        assert count(SF, WORKED_CLAIMS, WORKED_BUDGET) == 5
         assert count_sf(WORKED_CLAIMS, WORKED_BUDGET) == 5
-
-
-class TestTieBreaking:
-    def test_wf_ties_by_arrival(self):
-        served = apply_policy(WeakestFirstPolicy(), np.array([5.0, 3.0, 3.0]), 6.0)
-        assert served.served_indices == (1, 2)
-
-    def test_sf_ties_by_arrival(self):
-        served = apply_policy(StrongestFirstPolicy(), np.array([3.0, 5.0, 3.0]), 8.0)
-        assert served.served_indices == (1, 0)
 
 
 class TestProperties:
     @given(claims_arrays, budgets)
     def test_sandwich(self, claims, budget):
-        lo = count_sf(claims, budget)
-        hi = count_wf(claims, budget)
-        assert lo <= count_fcfs(claims, budget) <= hi
+        lo = count(SF, claims, budget)
+        hi = count(WF, claims, budget)
+        assert lo <= count(FCFS, claims, budget) <= hi
         if len(claims) >= 1:
             # an arbitrary deterministic permutation sits inside the envelope
             rot = CustomPolicy(lambda c: np.roll(np.arange(len(c)), 1), name="rotate")
-            assert lo <= rot.count(claims, budget) <= hi
+            assert lo <= count(rot, claims, budget) <= hi
 
     @given(claims_arrays, budgets)
     def test_counts_match_brute_force(self, claims, budget):
-        assert count_fcfs(claims, budget) == brute_prefix_count(claims, budget)
-        assert count_wf(claims, budget) == brute_prefix_count(sorted(claims), budget)
-        assert count_sf(claims, budget) == brute_prefix_count(sorted(claims, reverse=True), budget)
+        assert count(FCFS, claims, budget) == brute_prefix_count(claims, budget)
+        assert count(WF, claims, budget) == brute_prefix_count(sorted(claims), budget)
+        assert count(SF, claims, budget) == brute_prefix_count(sorted(claims, reverse=True), budget)
 
     @given(claims_arrays, budgets)
     def test_wf_count_is_maximal(self, claims, budget):
-        n = count_wf(claims, budget)
+        n = count(WF, claims, budget)
         assert n == brute_best_count(claims, budget)
         if len(claims) <= 12:
             # exhaustive check: no subset beats the weakest-first count
@@ -121,20 +110,20 @@ class TestProperties:
 
     @given(claims_arrays, budgets, st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
     def test_monotone_in_budget(self, claims, budget, extra):
-        assert count_wf(claims, budget + extra) >= count_wf(claims, budget)
-        assert count_sf(claims, budget + extra) >= count_sf(claims, budget)
-        assert count_fcfs(claims, budget + extra) >= count_fcfs(claims, budget)
+        assert count(WF, claims, budget + extra) >= count(WF, claims, budget)
+        assert count(SF, claims, budget + extra) >= count(SF, claims, budget)
+        assert count(FCFS, claims, budget + extra) >= count(FCFS, claims, budget)
 
     @given(claims_arrays, budgets, st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
     def test_wf_monotone_in_arrivals(self, claims, budget, newcomer):
         extended = np.append(claims, newcomer)
-        assert count_wf(extended, budget) >= count_wf(claims, budget)
+        assert count(WF, extended, budget) >= count(WF, claims, budget)
 
     @given(claims_arrays, budgets)
     def test_sf_dip_recovers_at_ends(self, claims, budget):
         """Over any arrival window the smallest largest-first count sits at
         an endpoint: adding arrivals cannot carve a strict interior dip."""
-        counts = [count_sf(claims[:t], budget) for t in range(len(claims) + 1)]
+        counts = [count(SF, claims[:t], budget) for t in range(len(claims) + 1)]
         for i in range(len(counts)):
             for j in range(i + 2, len(counts)):
                 interior = min(counts[i + 1:j], default=counts[i])
@@ -142,65 +131,42 @@ class TestProperties:
 
     @given(claims_arrays, budgets)
     def test_sf_grows_at_most_one_per_arrival(self, claims, budget):
-        counts = [count_sf(claims[:t], budget) for t in range(len(claims) + 1)]
+        counts = [count(SF, claims[:t], budget) for t in range(len(claims) + 1)]
         for prev, nxt in zip(counts, counts[1:]):
             assert nxt <= prev + 1
-
-    @given(claims_arrays, budgets)
-    def test_served_set_consistency(self, claims, budget):
-        for policy in (FcfsPolicy(), WeakestFirstPolicy(), StrongestFirstPolicy()):
-            served = apply_policy(policy, claims, budget)
-            assert served.count == len(served.served_indices)
-            assert served.consumed <= budget + 1e-9
-            assert served.consumed == pytest.approx(
-                float(claims[list(served.served_indices)].sum()), abs=1e-9
-            )
-
-    def test_consumed_is_the_total_admission_compared(self):
-        # a budget equal to the sequential total of a prefix admits that
-        # prefix; a pairwise sum of it can round above the budget
-        rng = np.random.default_rng(7)
-        for _ in range(20000):
-            claims = rng.uniform(0.0, 2.0, rng.integers(9, 300))
-            served = np.cumsum(claims)
-            budget = served[rng.integers(len(claims))]
-            got = apply_policy(FcfsPolicy(), claims, budget)
-            assert got.consumed <= budget
-            assert got.consumed == served[got.count - 1]
 
     @given(claims_arrays)
     def test_zero_budget_serves_no_one_with_positive_claims(self, claims):
         positive = claims[claims > 0]
-        assert count_wf(positive, 0.0) == 0
-        assert count_sf(positive, 0.0) == 0
+        assert count(WF, positive, 0.0) == 0
+        assert count(SF, positive, 0.0) == 0
 
     def test_free_riders_with_zero_claims(self):
         # zero claims cost nothing, so they are all served even on nothing
         claims = np.array([0.0, 0.0, 1.0])
-        assert count_wf(claims, 0.0) == 2
+        assert count(WF, claims, 0.0) == 2
 
 
 class TestCoinFlip:
     def test_uses_aux_ranks(self):
         claims = np.array([4.0, 1.0, 2.0])
         aux = np.array([0.9, 0.2, 0.5])
-        policy = CoinFlipPolicy()
-        perm = policy.permutation(claims, aux)
-        np.testing.assert_array_equal(perm, [1, 2, 0])
-        served = apply_policy(policy, claims, 3.0, aux=aux)
-        assert served.served_indices == (1, 2)
+        np.testing.assert_array_equal(_stable_order(aux[None]), [[1, 2, 0]])
+        # the claims 1 and 2 fill the budget of 3, and the 4 is left out
+        assert count(CoinFlipPolicy(), claims, 3.0, aux) == 2
+        assert count(CoinFlipPolicy(), claims, 2.9, aux) == 1
 
     def test_requires_aux(self):
         with pytest.raises(ValueError):
-            apply_policy(CoinFlipPolicy(), np.array([1.0]), 5.0)
+            CoinFlipPolicy().count_rows(np.array([[1.0]]), np.array([5.0]))
         with pytest.raises(ValueError):
-            apply_policy(CoinFlipPolicy(), np.array([1.0, 2.0]), 5.0, aux=np.array([0.5]))
+            CoinFlipPolicy().count_rows(np.array([[1.0, 2.0]]), np.array([5.0]), np.array([[0.5]]))
 
     @given(claims_arrays, budgets, st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_sandwich_holds_for_random_order(self, claims, budget, seed):
         aux = np.random.default_rng(seed).random(len(claims))
-        c = CoinFlipPolicy().count(claims, budget, aux=aux)
-        assert count_sf(claims, budget) <= c <= count_wf(claims, budget)
+        c = count(CoinFlipPolicy(), claims, budget, aux)
+        assert count(SF, claims, budget) <= c <= count(WF, claims, budget)
 
 
 # deviates from three values, so that most rows tie; signed zeros compare
@@ -209,10 +175,10 @@ TIE_ALPHABETS = [(0.25, 0.5, 0.75), (0.0, -0.0, 0.5), (np.nan, 0.5, -0.0)]
 
 
 @st.composite
-def tied_blocks(draw, max_rows=50):
+def tied_blocks(draw, min_rows=1, max_rows=50):
     """An (m, t) block of tied aux deviates, with claims and one budget per row."""
     alphabet = np.array(draw(st.sampled_from(TIE_ALPHABETS)))
-    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    rows = draw(st.integers(min_value=min_rows, max_value=max_rows))
     length = draw(st.integers(min_value=0, max_value=40))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     aux = alphabet[rng.integers(0, 3, size=(rows, length))]
@@ -256,16 +222,21 @@ def stable_counts(claims, budgets, aux):
     ]
 
 
+def flat_stable_order(aux):
+    """The stable argsort of each row, as positions in the flattened block."""
+    return np.argsort(aux, axis=1, kind="stable") + np.arange(len(aux))[:, None] * aux.shape[1]
+
+
 class TestStableOrder:
     """coinflip ranks its aux deviates exactly as the stable argsort would."""
 
     @pytest.mark.parametrize("fast", [False, True], ids=["default-sizes", "fast-everywhere"])
-    @given(block=tied_blocks(max_rows=1))
-    def test_permutation_is_the_stable_argsort(self, fast, block):
-        claims, _, aux = block
+    @given(block=tied_blocks())
+    def test_order_is_the_stable_argsort(self, fast, block):
+        _, _, aux = block
         with fast_order_everywhere(fast):
-            perm = CoinFlipPolicy().permutation(claims[0], aux[0])
-        np.testing.assert_array_equal(perm, np.argsort(aux[0], kind="stable"))
+            order = _stable_order(aux)
+        np.testing.assert_array_equal(order, flat_stable_order(aux))
 
     @pytest.mark.parametrize("fast", [False, True], ids=["default-sizes", "fast-everywhere"])
     @given(block=tied_blocks())
@@ -283,13 +254,12 @@ class TestStableOrder:
     def test_ties_are_ranked_stably_whatever_the_fast_sort_does(self, block):
         claims, budgets, aux = block
         want_counts = stable_counts(claims, budgets, aux)
-        want_perms = [np.argsort(a, kind="stable") for a in aux]
+        want_order = flat_stable_order(aux)
         with fast_order_everywhere(True), mock.patch.object(np, "argsort", argsort_reversing_ties):
             counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
-            perms = [CoinFlipPolicy().permutation(c, a) for c, a in zip(claims, aux)]
+            order = _stable_order(aux)
         assert counts.tolist() == want_counts
-        for perm, want in zip(perms, want_perms):
-            np.testing.assert_array_equal(perm, want)
+        np.testing.assert_array_equal(order, want_order)
 
     def test_untied_deviates_take_the_fast_sort_alone(self):
         # distinct deviates need no second sort, whichever the block size
@@ -301,9 +271,30 @@ class TestStableOrder:
             return _argsort(a, axis=axis, kind=kind)
 
         with mock.patch.object(np, "argsort", spy):
-            order = rdbp.policies._stable_order(aux)
+            order = _stable_order(aux)
         assert calls == [None]
-        np.testing.assert_array_equal(order, _argsort(aux, axis=-1, kind="stable"))
+        np.testing.assert_array_equal(order, flat_stable_order(aux))
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["default-sizes", "fast-everywhere"])
+    @pytest.mark.parametrize("rows", [(1, 1), (2, 50)], ids=["one-row", "many-rows"])
+    @given(data=st.data())
+    def test_count_rows_matches_the_stable_policy(self, fast, rows, data):
+        claims, budgets, aux = data.draw(tied_blocks(*rows))
+        with fast_order_everywhere(fast):
+            counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
+        assert counts.tolist() == StableCoinFlipPolicy().count_rows(claims, budgets, aux).tolist()
+
+    @pytest.mark.parametrize("shape", [(1, 3000), (1, SELECT_MIN + 3), (64, 64), (3, SELECT_MIN + 3)], ids=str)
+    def test_long_rows_count_like_the_stable_policy(self, shape):
+        # rows past the fast sort's limits and the certified counts, some
+        # of them tied
+        rng = np.random.default_rng(12)
+        claims = rng.uniform(0.0, 2.0, shape)
+        aux = rng.random(shape)
+        aux[::2, ::7] = 0.5
+        budgets = rng.uniform(0.2, 0.8, shape[0]) * shape[1]
+        counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
+        assert counts.tolist() == StableCoinFlipPolicy().count_rows(claims, budgets, aux).tolist()
 
 
 ALL_POLICIES = [policy_from_token(token) for token in POLICY_TOKENS] + [
@@ -322,7 +313,7 @@ def test_counting_leaves_the_callers_arrays_alone(policy, shape):
     budgets = rng.random(shape[0]) * shape[1]
     before = [a.copy() for a in (claims, budgets, aux)]
     for i in range(shape[0]):
-        policy.count(claims[i], budgets[i], aux[i])
+        count(policy, claims[i], budgets[i], aux[i])
     policy.count_rows(claims, budgets, aux)
     for now, then in zip((claims, budgets, aux), before):
         assert now.tobytes() == then.tobytes()
@@ -332,26 +323,28 @@ class TestThirdLargestFirst:
     def test_small_batches_fall_back_to_strongest_first(self):
         policy = ThirdLargestFirstPolicy()
         for claims in (np.array([]), np.array([2.0]), np.array([3.0, 1.0])):
-            np.testing.assert_array_equal(
-                policy.permutation(claims), StrongestFirstPolicy().permutation(claims)
-            )
+            for budget in (0.0, 1.0, 2.5, 3.0, 4.0, 5.0):
+                assert count(policy, claims, budget) == count(SF, claims, budget)
 
     def test_priority_order(self):
         policy = ThirdLargestFirstPolicy()
         claims = np.array([5.0, 1.0, 3.0, 0.5])
-        # third largest (idx 1) first, then largest (idx 0), second (idx 2), rest
-        np.testing.assert_array_equal(policy.permutation(claims), [1, 0, 2, 3])
+        # third largest first, then the largest, the second largest, the rest
+        assert reference_order("counterexample", claims).tolist() == [1.0, 5.0, 3.0, 0.5]
+        # whose running totals are 1, 6, 9 and 9.5
+        for budget, served in ((0.9, 0), (1.0, 1), (5.9, 1), (6.0, 2), (9.0, 3), (9.4, 3), (9.5, 4)):
+            assert count(policy, claims, budget) == served
 
     def test_can_waste_budget_relative_to_strongest_first(self):
         claims = np.array([5.0, 1.0, 3.0])
         policy = ThirdLargestFirstPolicy()
-        assert policy.count(claims, 4.0) == 1  # serves the 1, then blocks on the 5
-        assert count_sf(claims, 4.0) == 0
+        assert count(policy, claims, 4.0) == 1  # serves the 1, then blocks on the 5
+        assert count(SF, claims, 4.0) == 0
 
     @given(claims_arrays, budgets)
     def test_sandwich(self, claims, budget):
-        c = ThirdLargestFirstPolicy().count(claims, budget)
-        assert count_sf(claims, budget) <= c <= count_wf(claims, budget)
+        c = count(ThirdLargestFirstPolicy(), claims, budget)
+        assert count(SF, claims, budget) <= c <= count(WF, claims, budget)
 
     @given(
         st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), max_size=40).map(np.array),
@@ -359,21 +352,20 @@ class TestThirdLargestFirst:
     )
     def test_count_from_sorted_values_matches_the_permutation(self, claims, budget):
         # tied claims are served in some order, but only their values count
-        policy = ThirdLargestFirstPolicy()
-        want = _prefix_count(claims[policy.permutation(claims)], budget)
-        assert policy.count(claims, budget) == want
+        want = reference_count("counterexample", claims, budget)
+        assert count(ThirdLargestFirstPolicy(), claims, budget) == want
 
 
 class TestCustomPolicy:
     def test_rejects_non_permutation(self):
         bad = CustomPolicy(lambda c: np.zeros(len(c), dtype=int), name="broken")
         with pytest.raises(ValueError):
-            bad.count(np.array([1.0, 2.0]), 10.0)
+            count(bad, np.array([1.0, 2.0]), 10.0)
 
     def test_identity_matches_fcfs(self):
         ident = CustomPolicy(lambda c: np.arange(len(c)), name="ident")
         claims = WORKED_CLAIMS
-        assert ident.count(claims, WORKED_BUDGET) == count_fcfs(claims, WORKED_BUDGET)
+        assert count(ident, claims, WORKED_BUDGET) == count(FCFS, claims, WORKED_BUDGET)
 
 
 class TestTokens:
@@ -386,32 +378,9 @@ class TestTokens:
             policy_from_token("zigzag")
 
 
-class TestValidation:
-    def test_negative_claims_rejected(self):
-        with pytest.raises(ValueError):
-            apply_policy(FcfsPolicy(), np.array([1.0, -0.5]), 10.0)
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            apply_policy(FcfsPolicy(), np.array([1.0]), -1.0)
-
-    def test_nan_budget_rejected(self):
-        # it used to serve both claims and report consuming 3.0
-        with pytest.raises(ValueError, match="budget"):
-            apply_policy(WeakestFirstPolicy(), np.array([1.0, 2.0]), np.nan)
-
-    def test_nan_claims_rejected(self):
-        for policy in (FcfsPolicy(), WeakestFirstPolicy(), StrongestFirstPolicy()):
-            with pytest.raises(ValueError, match="claims"):
-                apply_policy(policy, np.array([1.0, np.nan, 2.0]), 10.0)
-
-
-SELECT_MIN = rdbp.policies._SELECT_MIN_CLAIMS
-
-
 class TestNonFiniteCounts:
-    """The 1-D counts (``step``) and the 2-D counts (the batched engine) agree
-    on non-finite budgets and claims, on short rows and on long ones."""
+    """A row counts alike alone and among other rows on non-finite budgets
+    and claims, on short rows and on long ones."""
 
     @pytest.mark.parametrize("n", [5, SELECT_MIN + 3], ids=["short", "long"])
     @pytest.mark.parametrize("token", POLICY_TOKENS)
@@ -427,9 +396,10 @@ class TestNonFiniteCounts:
                  (with_nan, 0.3 * n), (with_nan, 4.0 * n), (with_nan, np.nan)]
         policy = policy_from_token(token)
         for claims, budget in cases:
-            one = policy.count(claims, budget, aux)
-            rows = policy.count_rows(claims[None], np.array([budget]), aux[None])
-            assert one == rows[0], (budget, claims is with_nan)
+            one = count(policy, claims, budget, aux)
+            block = np.stack([plain, claims, claims])
+            rows = policy.count_rows(block, np.array([0.6 * n, budget, budget]), np.stack([aux] * 3))
+            assert one == rows[1] == rows[2], (budget, claims is with_nan)
             if claims is not with_nan:
                 assert one == reference_count(token, claims, budget, aux)
 
@@ -437,7 +407,7 @@ class TestNonFiniteCounts:
     def test_nan_budget_serves_no_one(self, n):
         claims, aux = np.zeros(n), np.random.default_rng(4).random(n)
         for token in POLICY_TOKENS:
-            assert policy_from_token(token).count(claims, np.nan, aux) == 0
+            assert count(policy_from_token(token), claims, np.nan, aux) == 0
 
 
 CLAIM_KINDS = ("uniform", "ties", "exponential", "inf")
@@ -485,15 +455,14 @@ def assert_counts_like_the_reference(rng, n, claim_kind, budget_kind):
         budgets = np.array([budget_for(rng, budget_kind, tot) for tot in totals])
         want = [int((tot <= b).sum()) for tot, b in zip(totals, budgets)]
         policy = policy_from_token(token)
-        assert policy.count(block[0], budgets[0], aux[0]) == want[0], token
+        assert count(policy, block[0], budgets[0], aux[0]) == want[0], token
         assert policy.count_rows(block, budgets, aux).tolist() == want, token
 
 
 class TestCertifiedCounts:
     """Long rows are counted by certified block sums and, for wf and sf, by
     selection; every count equals the full sort-and-cumsum reference
-    (tests/oracle.py), on the 1-D path of ``step`` and the 2-D path of the
-    batched engine."""
+    (tests/oracle.py), for a row alone and in a block."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -541,7 +510,7 @@ class TestCertifiedCounts:
         totals = np.cumsum(claims)
         for k in rng.integers(1, claims.size, 20):
             assert rdbp.policies._served_prefix(claims, totals[k]) == -1
-            assert count_fcfs(claims, totals[k]) == k + 1
+            assert count(FCFS, claims, totals[k]) == k + 1
 
     def test_a_clear_budget_is_certified(self):
         rng = np.random.default_rng(6)

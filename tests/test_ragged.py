@@ -8,7 +8,7 @@ of row lengths around the piece size (0, 1, a piece and one either side,
 rows spanning several pieces, many equal rows) cut a layout every way it
 can be cut.  Every tag must match the scalar oracle bit for bit, every
 budget must equal ``np.sum`` of its row alone, and the engine must
-reproduce ``simulate`` for every policy.
+reproduce the reference ``simulate`` for every policy.
 """
 
 from unittest import mock
@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import rdbp.engine
 import rdbp.universe
-from oracle import unit_row
+import oracle
+from oracle import quantile, unit_row
 from rdbp import (
     POLICY_TOKENS,
     Constant,
@@ -88,7 +89,7 @@ def test_every_tag_matches_the_scalar_oracle(triple, lengths, in_order, seed, n,
 
     assert _bits(claims) == _bits(np.concatenate([[], *(triple.claim.icdf(u) for u in units(_TAG_CLAIM))]))
     assert _bits(aux) == _bits(np.concatenate([[], *units(_TAG_AUX)]))
-    assert totals.tolist() == [int(triple.offspring.quantile(u).sum()) for u in units(_TAG_OFFSPRING)]
+    assert totals.tolist() == [int(quantile(triple.offspring, u).sum()) for u in units(_TAG_OFFSPRING)]
     want = [np.sum(np.asarray(triple.resource.icdf(u), dtype=np.float64)) for u in units(_TAG_RESOURCE)]
     assert _bits(budgets) == _bits(want)
 
@@ -125,8 +126,9 @@ def test_batched_runs_match_simulate_with_small_pieces(monkeypatch, triple, toke
              for initial, p in ((1, policy), (9, policy), (70, policy), (9, policy_from_token("wf")))]
     base = Universe(Seed(4), triple)
     ids = range(3, 15)
-    want = [[simulate(spec, base.derive_replicate(i)) for i in ids] for spec in specs]
+    want = [[oracle.simulate(spec, base.derive_replicate(i)) for i in ids] for spec in specs]
     monkeypatch.setattr(rdbp.universe, "CHUNK_CELLS", 64)
     monkeypatch.setattr(rdbp.engine, "BLOCK_CELLS", 200)
     assert simulate_replicates(specs[0], base, ids) == want[0]
+    assert [simulate(specs[0], base.derive_replicate(i)) for i in ids] == want[0]
     assert simulate_coupled_replicates(specs, base, ids) == want

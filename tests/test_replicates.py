@@ -1,8 +1,9 @@
 """Batched engine against the per-replicate reference.
 
 ``simulate_replicates``, ``simulate_coupled_replicates`` and
-``step_replicates`` must reproduce ``simulate`` and ``step`` bit for bit: the same sizes, outcomes and growth ratios for
-every replicate, whatever the policy or law kinds.  Founder counts of 9 and
+``step_replicates`` must reproduce the reference ``simulate`` and ``step``
+of tests/oracle.py bit for bit: the same sizes, outcomes and growth ratios
+for every replicate, whatever the policy or law kinds.  Founder counts of 9 and
 130 make rows cross 8 and 128 members, the block edges of numpy's pairwise
 summation, so a budget summed over a differently shaped row would show.
 """
@@ -44,13 +45,13 @@ from rdbp import (
     simulate,
     simulate_coupled_replicates,
     simulate_replicates,
-    step,
     step_replicates,
     superadditivity_check,
 )
 from rdbp.montecarlo import _outcome_kinds
 from rdbp.policies import StrongestFirstPolicy, WeakestFirstPolicy
 
+import oracle
 from oracle import ReferencePolicy, StableCoinFlipPolicy
 
 TRIPLES = {
@@ -73,7 +74,7 @@ POLICIES = [policy_from_token(token) for token in POLICY_TOKENS] + [
 
 
 def _reference(spec, base, ids):
-    return [simulate(spec, base.derive_replicate(int(i))) for i in ids]
+    return [oracle.simulate(spec, base.derive_replicate(int(i))) for i in ids]
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
@@ -94,7 +95,7 @@ def test_step_replicates_matches_step(policy):
     sizes = np.array([0, 1, 7, 8, 9, 127, 128, 129, 300, 9, 8, 1, 0, 300])
     ids = np.arange(100, 100 + len(sizes))
     for n in (0, 3):
-        want = [step(int(s), base.derive_replicate(int(i)), n, policy) for s, i in zip(sizes, ids)]
+        want = [oracle.step(int(s), base.derive_replicate(int(i)), n, policy) for s, i in zip(sizes, ids)]
         assert step_replicates(sizes, base, ids, n, policy).tolist() == want
 
 

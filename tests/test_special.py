@@ -3,10 +3,10 @@ import math
 import pytest
 from scipy import special as sps
 
+from lambert import lambert_w_minus1
 from rdbp.special import (
     ConvergenceError,
     inverse_regularized_incomplete_beta,
-    lambert_w_minus1,
     regularized_incomplete_beta,
 )
 
