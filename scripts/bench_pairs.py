@@ -4,8 +4,9 @@
 For each of ``--pairs`` seeds (``--first-seed``, ``--first-seed + 1``, ...)
 it runs ``python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in each checkout, the parent first in even pairs and the
-change first in odd ones.  ``perfbench/`` is only read.  Per workload it
-prints, for every end-to-end metric of ``BENCHMARK.json``, each side's
+change first in odd ones.  ``perfbench/`` is only read.  It first prints
+the line count of each checkout's ``src/`` (its ``*.py`` files, as
+``wc -l`` counts them).  Per workload it then prints, for every end-to-end metric of ``BENCHMARK.json``, each side's
 median [Q1, Q3], the change of the medians, and the pairs the change won
 (ties count for neither side).  It stops with an error if a run fails or
 reports ``"correct": false``, or if the ``result_digest`` lines of the two
@@ -43,6 +44,11 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict,
     return metrics, [line for line in lines if line.startswith("result_digest ")]
 
 
+def src_lines(checkout: Path) -> int:
+    """Newlines in the ``*.py`` files under the checkout's ``src/``."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -64,6 +70,9 @@ def main() -> int:
     better = {m["name"]: (m["unit"], m["better"])
               for m in json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    lines = {side: src_lines(path) for side, path in sides.items()}
+    print(f"src/ lines: parent {lines['parent']}, change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})", flush=True)
 
     for workload in args.workload:
         values = {side: {name: [] for name in better} for side in sides}

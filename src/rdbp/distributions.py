@@ -43,14 +43,14 @@ class OffspringLaw:
             raise ValueError("offspring probabilities must be finite and non-negative")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError("offspring probabilities must sum to 1 within 1e-12")
-        # built once and kept out of the dataclass fields, so equality,
-        # hashing and repr still see the probabilities alone
+        # every CDF entry from max_offspring on is forced to 1.0, so a deviate
+        # arbitrarily close to 1 still maps to a count with positive mass.  A
+        # deviate never exceeds 1, so only the cuts below 1 can count; each
+        # is kept as the first hashed word whose unit lies above it, out of
+        # the dataclass fields, so equality, hashing and repr still see the
+        # probabilities alone
         cum = np.cumsum(np.asarray(probs, dtype=np.float64))
         cum[self.max_offspring:] = 1.0
-        cum.flags.writeable = False
-        object.__setattr__(self, "_cdf", cum)
-        # a deviate never exceeds 1, so only the cuts below 1 can count; each
-        # is kept as the first hashed word whose unit lies above it
         cuts, times = np.unique(cum[cum < 1.0], return_counts=True)
         object.__setattr__(self, "_word_cuts", tuple(
             (np.uint64(_first_word_above(cut)), times) for cut, times in zip(cuts.tolist(), times.tolist())))
@@ -70,12 +70,6 @@ class OffspringLaw:
         m = self.mean()
         second = sum(j * j * p for j, p in enumerate(self.probabilities))
         return float(second - m * m)
-
-    def cumulative(self) -> np.ndarray:
-        """Read-only CDF grid for inverse-CDF sampling.  Every entry from
-        ``max_offspring`` on is forced to 1.0, so a deviate arbitrarily close
-        to 1 still maps to a count with positive mass."""
-        return self._cdf
 
     def word_totals(self, words: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Offspring totals of rows of ``cells[i]`` >= 1 mixed 64-bit words,
@@ -148,11 +142,6 @@ class Uniform:
 
     def cdf(self, x):
         return np.clip((np.asarray(x, dtype=np.float64) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
     def icdf(self, u):
         return self.lo + np.asarray(u, dtype=np.float64) * (self.hi - self.lo)
@@ -323,14 +312,6 @@ class ScaledBeta:
         y = np.clip(np.asarray(x, dtype=np.float64) / self.scale, 0.0, 1.0)
         return _scipy_special().betainc(self.a, self.b, y)
 
-    def pdf(self, x):
-        y = np.asarray(x, dtype=np.float64) / self.scale
-        ln_b = math.lgamma(self.a) + math.lgamma(self.b) - math.lgamma(self.a + self.b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln_f = (self.a - 1.0) * np.log(y) + (self.b - 1.0) * np.log1p(-y) - ln_b
-            out = np.exp(ln_f) / self.scale
-        return np.where((y > 0.0) & (y < 1.0), out, 0.0)
-
     def __getstate__(self) -> dict:
         # the inverse tables are rebuilt on first use, never pickled
         state = dict(self.__dict__)
@@ -407,10 +388,6 @@ class Exponential:
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         return np.where(x > 0.0, -np.expm1(-self.rate * x), 0.0)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * x), 0.0)
 
     def icdf(self, u):
         return -np.log1p(-np.asarray(u, dtype=np.float64)) / self.rate

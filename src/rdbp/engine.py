@@ -15,7 +15,10 @@ on the same ids in that one pass.  A generation's live rows are read back
 to back in length order, so rows of every length share the universe
 kernel's pieces, and each run of rows of one length is a C-contiguous block
 that the policies count.  A replicate therefore reaches the same sizes
-alone or among others.
+alone or among others.  A batched run records them in one int64 size
+table of shape (specs, ids, generations reached + 1), in which an extinct
+row reads 0 from its extinction on and an exploded one -1 (unknown) after
+it explodes.
 """
 
 from __future__ import annotations
@@ -103,20 +106,6 @@ class Trajectory:
         """Size ratios of consecutive generations, out of every non-empty one."""
         sizes = self.sizes
         return [sizes[i + 1] / sizes[i] for i in range(len(sizes) - 1) if sizes[i] > 0]
-
-    def size_at(self, n: int) -> int:
-        """Size at generation n; extinct trajectories stay 0 forever.
-
-        Raises for generations beyond the record of a truncated run, where
-        the size is genuinely unknown.
-        """
-        if n < 0:
-            raise IndexError("generation must be >= 0")
-        if n < len(self.sizes):
-            return self.sizes[n]
-        if self.outcome.kind == "extinct":
-            return 0
-        raise IndexError(f"generation {n} beyond recorded horizon of a non-extinct run")
 
 
 def step(current_size: int, universe: Universe, n: int, policy: PriorityPolicy) -> int:
@@ -248,18 +237,19 @@ def _step_rows(
 
 
 def _replicate_generations(
-    specs: Sequence[ProcessSpec], base: Universe, ids: np.ndarray, records: list[list[int]]
+    specs: Sequence[ProcessSpec], base: Universe, ids: np.ndarray, columns: list[np.ndarray]
 ) -> Iterator[int]:
     """Steps coupled specs on the same replicate ids, one generation at a time.
 
     Each (spec, id) pair is one row, and every live row of a generation is
     advanced in one ``_step_rows`` pass, whichever spec it belongs to.
-    ``records`` holds each row's sizes so far, spec by spec, and the run
-    extends it in place; if empty, every row starts from its spec's initial
-    size.  A row is live while its last size is positive and under the
-    cap, which holds only for rows of the latest generation reached.  Before
-    each generation the run yields the members it is about to step, so a
-    caller may stop it there and later resume it from ``records``.
+    ``columns`` holds one int64 array of every row's sizes, spec by spec,
+    per generation reached, and the run appends to it; if empty, every row
+    starts from its spec's initial size.  A row is live while its size is
+    positive and under the cap.  An extinct row reads 0 from then on, and
+    an exploded one -1 (unknown) after the generation it exploded in.
+    Before each generation the run yields the members it is about to step,
+    so a caller may stop it there and later resume it from ``columns``.
     """
     if not specs:
         raise EngineError("coupled runs need at least one spec")
@@ -278,48 +268,51 @@ def _replicate_generations(
     owners = np.repeat([policies.index(spec.policy) for spec in specs], m)
     position = np.tile(np.arange(m), len(specs))
     cap = specs[0].explosion_cap
-    if records:
-        start = max(map(len, records)) - 1
-        live = np.array([j for j, sizes in enumerate(records) if 0 < sizes[-1] < cap], dtype=np.intp)
-        current = np.array([records[j][-1] for j in live.tolist()], dtype=np.int64)
-    else:
-        start = 0
-        current = np.repeat([spec.initial_size for spec in specs], m).astype(np.int64)
-        records.extend([size] for size in current.tolist())
-        live = np.arange(len(records))
-    for n in range(start, specs[0].horizon):
+    if not columns:
+        columns.append(np.repeat([spec.initial_size for spec in specs], m).astype(np.int64))
+    live = np.flatnonzero((columns[-1] > 0) & (columns[-1] < cap))
+    current = columns[-1][live]
+    for n in range(len(columns) - 1, specs[0].horizon):
         if not live.size:
             break
         yield int(current.sum())
         rows = ReplicateRows(base, ids[position[live]], n)
         current = _step_rows(current, rows, n, policies, owners[live])
-        for j, size in zip(live.tolist(), current.tolist()):
-            records[j].append(size)
+        sizes = np.where(columns[-1] == 0, 0, -1)
+        sizes[live] = current
+        columns.append(sizes)
         going = (current > 0) & (current < cap)
         live, current = live[going], current[going]
 
 
-def _trajectories(specs: Sequence[ProcessSpec], records: list[list[int]]) -> list[list[Trajectory]]:
-    """Each spec's trajectories out of finished ``records``.
+def _size_table(n_specs: int, columns: list[np.ndarray]) -> np.ndarray:
+    """``columns`` of a run as one C-order (specs, ids, generations + 1) table."""
+    return np.stack(columns, axis=-1).reshape(n_specs, -1, len(columns))
 
-    How a row ended follows from its last size alone, since every spec
-    starts from one or more members and under its cap.
+
+def _run_table(specs: Sequence[ProcessSpec], base: Universe, ids: np.ndarray) -> np.ndarray:
+    """The size table of a finished run of ``_replicate_generations``."""
+    columns: list[np.ndarray] = []
+    for _ in _replicate_generations(specs, base, ids, columns):
+        pass
+    return _size_table(len(specs), columns)
+
+
+def _trajectories(table: np.ndarray, cap: int) -> list[list[Trajectory]]:
+    """Each spec's trajectories out of a finished size table.
+
+    A row's record ends at its first size of 0 or at least ``cap``, or at
+    the horizon if it has none, since every spec starts from one or more
+    members and under its cap.
     """
-    cap = specs[0].explosion_cap
-    # an outcome is frozen, so one object serves every row that ends alike
-    outcomes: dict = {}
-    runs = []
-    for sizes in records:
-        last = sizes[-1]
-        if 0 < last < cap:
-            key = ("alive_at_horizon", None)
-        else:
-            key = ("extinct" if last == 0 else "exploded", len(sizes) - 1)
-        if key not in outcomes:
-            outcomes[key] = Outcome(*key)
-        runs.append(Trajectory(sizes, outcomes[key]))
-    m = len(records) // len(specs)
-    return [runs[s * m:(s + 1) * m] for s in range(len(specs))]
+    ended = (table <= 0) | (table >= cap)
+    last = np.where(ended.any(axis=-1), ended.argmax(axis=-1), table.shape[-1] - 1)
+    return [
+        [Trajectory(row[:end + 1], Outcome("alive_at_horizon") if 0 < row[end] < cap
+                    else Outcome("exploded" if row[end] else "extinct", end))
+         for row, end in zip(rows, ends)]
+        for rows, ends in zip(table.tolist(), last.tolist())
+    ]
 
 
 def simulate_replicates(spec: ProcessSpec, base: Universe, ids: Sequence[int]) -> list[Trajectory]:
@@ -338,10 +331,7 @@ def simulate_coupled_replicates(
     length share one block whichever spec they belong to.
     """
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    records: list[list[int]] = []
-    for _ in _replicate_generations(specs, base, ids, records):
-        pass
-    return _trajectories(specs, records)
+    return _trajectories(_run_table(specs, base, ids), specs[0].explosion_cap)
 
 
 def _fmt(x: float) -> str:

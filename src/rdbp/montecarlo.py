@@ -5,23 +5,25 @@ estimate is a pure function of (spec, config) and is bit-identical across
 runs and across worker counts.  Every check runs its replicates through
 ``_per_replicate``, in one batched pass of the engine that steps all the
 coupled specs of the check (founder counts, or a policy and smallest-first)
-on the same ids together.  Several workers are used only for a check that
-steps more than FANOUT_MEMBERS members: the pass starts in this process,
-and past that budget the ids it has not finished are split into one
-contiguous range per worker, each going on from the generation the pass
-had reached.  Trajectories that are still alive at the horizon are
-reported as their own category, never folded into either side of an
-extinction estimate.
+on the same ids together.  The pass hands each slice of ids over as one
+int64 size table, (specs, ids, generations reached + 1), and the check
+reduces it with array operations: outcome counts, generations where a
+policy beats smallest-first, late growth ratios, or the sizes at one
+generation.  Several workers are used only for a check that steps more
+than FANOUT_MEMBERS members: the pass starts in this process, and past
+that budget the ids it has not finished are split into one contiguous
+range per worker, each going on from its rows of the table the pass had
+reached.  Replicates that are still alive at the horizon are reported as
+their own category, never folded into either side of an extinction
+estimate.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import methodcaller
 from statistics import NormalDist
 from typing import Any, Callable, Optional, Sequence
 
@@ -29,8 +31,8 @@ import numpy as np
 
 from .criteria import SolverConfig, effective_mean_sf, effective_mean_wf
 from .distributions import LawTriple, OffspringLaw, Uniform
-from .engine import ProcessSpec, Trajectory, simulate_coupled_replicates, step_replicates
-from .engine import _replicate_generations, _trajectories
+from .engine import ProcessSpec, step_replicates
+from .engine import _replicate_generations, _run_table, _size_table, _trajectories
 from .policies import StrongestFirstPolicy, ThirdLargestFirstPolicy, WeakestFirstPolicy
 from .policies import count_sf  # noqa: F401  the benchmark's span tests reach it by this name
 from .universe import ReplicateRows, Seed, Universe
@@ -57,7 +59,7 @@ __all__ = [
 ]
 
 
-#: replicate ids simulated together; bounds the trajectories held at once
+#: replicate ids simulated together; bounds the sizes held at once
 REPLICATE_CHUNK = 1 << 12
 #: members a check with several workers steps in this process before it
 #: splits the ids it has not finished among them; a check that steps fewer
@@ -133,38 +135,45 @@ class ExtinctionEstimate:
 
 
 def _simulate_range(
-    fn: Callable[..., Any],
+    fn: Callable[[np.ndarray], Any],
     specs: Sequence[ProcessSpec],
     seed: Seed,
     start: int,
     stop: int,
     budget: float = math.inf,
-    records: Optional[list[list[int]]] = None,
-) -> tuple[list, int, list[list[int]]]:
-    """``fn(*trajectories)`` for the ids from ``start`` to ``stop``.
+    sizes: Optional[np.ndarray] = None,
+) -> tuple[list, int, Optional[np.ndarray]]:
+    """``fn(table)`` for each slice of the ids from ``start`` to ``stop``,
+    where ``table`` holds the slice's sizes, spec by spec (see
+    ``engine._size_table``).
 
-    ``records`` resumes the first slice, of ``len(records) // len(specs)``
-    ids, from the sizes a cut run left it.  A run is cut before a generation
-    that would take the members stepped past ``budget``; it then returns the
-    results so far, the first id of the slice it cut and that slice's
-    records.  A finished run returns ``stop`` and no records.
+    ``sizes`` resumes the first slice, of ``sizes.shape[1]`` ids, from the
+    table a cut run left it.  A run is cut before a generation that would
+    take the members stepped past ``budget``; it then returns the results
+    so far, the first id of the slice it cut and that slice's table.  A
+    finished run returns ``stop`` and no table.
     """
     results: list = []
     members = 0
     base = Universe(seed, specs[0].laws, 0)
-    records = records or []
     lo = start
-    # only one slice of trajectories is alive at a time, however many
-    # replicates the check asks for
+    # only one slice of sizes is held at a time, however many replicates
+    # the check asks for
     while lo < stop:
-        hi = lo + len(records) // len(specs) if records else min(stop, lo + REPLICATE_CHUNK)
-        for stepped in _replicate_generations(specs, base, np.arange(lo, hi), records):
+        if sizes is not None and sizes.size:
+            hi = lo + sizes.shape[1]
+            columns = list(sizes.reshape(-1, sizes.shape[-1]).T)
+        else:
+            hi = min(stop, lo + REPLICATE_CHUNK)
+            columns = []
+        sizes = None
+        for stepped in _replicate_generations(specs, base, np.arange(lo, hi), columns):
             members += stepped
             if members > budget:
-                return results, lo, records
-        results.extend(fn(*trajectories) for trajectories in zip(*_trajectories(specs, records)))
-        lo, records = hi, []
-    return results, stop, []
+                return results, lo, _size_table(len(specs), columns)
+        results.append(fn(_size_table(len(specs), columns)))
+        lo = hi
+    return results, stop, None
 
 
 def _usable_cpus() -> int:
@@ -189,16 +198,16 @@ def _start_pool(workers: int):
 
 
 def _per_replicate(
-    fn: Callable[..., Any],
+    fn: Callable[[np.ndarray], Any],
     specs: Sequence[ProcessSpec],
     mc: McConfig,
     workers: int = 1,
     start: int = 0,
     count: Optional[int] = None,
 ) -> list:
-    """``fn(*trajectories)`` for each replicate id from ``start`` to
-    ``start + count - 1``, in id order, where ``trajectories`` holds that
-    replicate's run under each spec.
+    """``fn(table)`` for each slice of the replicate ids from ``start`` to
+    ``start + count - 1``, in id order, where ``table`` holds the slice's
+    sizes under each spec.
 
     ``count`` defaults to ``mc.replicates``.  The coupled specs step
     together, in one pass.  With several workers, the pass still starts in
@@ -206,26 +215,23 @@ def _per_replicate(
     members does it split the ids it has not finished into one contiguous
     range per worker.  Each range goes on from where this process left its
     rows, the first here and the others in a pool whose workers send back
-    only what ``fn`` returns.  The results are per replicate, so where a
-    replicate ran never shows.
+    only what ``fn`` returns.  Where the slices are cut depends on where
+    the ids ran, so callers combine the results in ways that do not: sums,
+    or concatenations in id order of what ``fn`` reads per replicate.
     """
     stop = start + (mc.replicates if count is None else count)
     workers = max(1, min(workers, stop - start, _usable_cpus()))
     budget = FANOUT_MEMBERS if workers > 1 else math.inf
-    results, lo, records = _simulate_range(fn, specs, mc.base_seed, start, stop, budget)
+    results, lo, sizes = _simulate_range(fn, specs, mc.base_seed, start, stop, budget)
     if lo == stop:
         return results
     # every range is non-empty, and this process runs one of them
     workers = min(workers, stop - lo)
     if workers == 1:
-        return results + _simulate_range(fn, specs, mc.base_seed, lo, stop, math.inf, records)[0]
-    # the rows of the cut slice lie spec by spec, ``cut`` ids each
-    cut = len(records) // len(specs)
+        return results + _simulate_range(fn, specs, mc.base_seed, lo, stop, math.inf, sizes)[0]
+    # each range takes its ids' rows of the cut slice, if it has any
     edges = [lo + (stop - lo) * w // workers for w in range(workers + 1)]
-    shares = []
-    for a, b in zip(edges, edges[1:]):
-        rows = [records[s * cut + i] for s in range(len(specs)) for i in range(a - lo, min(b - lo, cut))]
-        shares.append((a, b, math.inf, rows))
+    shares = [(a, b, math.inf, sizes[:, a - lo:b - lo]) for a, b in zip(edges, edges[1:])]
     with _start_pool(workers - 1) as pool:
         futures = [pool.submit(_simulate_range, fn, specs, mc.base_seed, *share) for share in shares[1:]]
         results.extend(_simulate_range(fn, specs, mc.base_seed, *shares[0])[0])
@@ -234,8 +240,16 @@ def _per_replicate(
     return results
 
 
-def _outcome_kinds(*trajectories: Trajectory) -> tuple[str, ...]:
-    return tuple(traj.outcome.kind for traj in trajectories)
+def _outcome_counts(sizes: np.ndarray, cap: int) -> np.ndarray:
+    """Extinct and exploded rows of each spec of a size table, as (specs, 2)."""
+    last = sizes[..., -1]
+    return np.stack([(last == 0).sum(axis=-1), ((last < 0) | (last >= cap)).sum(axis=-1)], axis=-1)
+
+
+def _outcome_tallies(specs: Sequence[ProcessSpec], mc: McConfig, workers: int) -> np.ndarray:
+    """``_outcome_counts`` of every replicate of ``specs``, summed."""
+    counts = partial(_outcome_counts, cap=mc.explosion_cap)
+    return np.sum(_per_replicate(counts, specs, mc, workers), axis=0)
 
 
 def estimate_extinction(spec: ProcessSpec, mc: McConfig, workers: int = 1) -> ExtinctionEstimate:
@@ -245,13 +259,11 @@ def estimate_extinction(spec: ProcessSpec, mc: McConfig, workers: int = 1) -> Ex
     worker count only partitions the replicate ids, never the outcome.
     """
     eff = replace(spec, horizon=mc.horizon, explosion_cap=mc.explosion_cap)
-    (kinds,) = zip(*_per_replicate(_outcome_kinds, [eff], mc, workers))
-    return _extinction_estimate(kinds, mc)
+    ((extinct, exploded),) = _outcome_tallies([eff], mc, workers).tolist()
+    return _extinction_estimate(extinct, exploded, mc)
 
 
-def _extinction_estimate(kinds: Sequence[str], mc: McConfig) -> ExtinctionEstimate:
-    tally = Counter(kinds)
-    extinct, exploded = tally["extinct"], tally["exploded"]
+def _extinction_estimate(extinct: int, exploded: int, mc: McConfig) -> ExtinctionEstimate:
     alive = mc.replicates - extinct - exploded
     lo, hi = wilson_interval(extinct, mc.replicates, mc.confidence)
     return ExtinctionEstimate(
@@ -309,12 +321,12 @@ def safe_haven_check(
     ]
     # every founder count runs on the same replicate ids: the coupling that
     # makes the estimates monotone in the founder count
-    per_replicate = _per_replicate(_outcome_kinds, specs, mc, workers)
+    tallies = _outcome_tallies(specs, mc, workers).tolist()
     estimates = {
-        initial: _extinction_estimate(kinds, mc)
-        for initial, kinds in zip(founders, zip(*per_replicate))
+        initial: _extinction_estimate(extinct, exploded, mc)
+        for initial, (extinct, exploded) in zip(founders, tallies)
     }
-    exploded = _extinction_estimate(("exploded",) * mc.replicates, mc)
+    exploded = _extinction_estimate(0, mc.replicates, mc)
     baseline = estimates[1]
     rows = []
     for initial in initial_sizes:
@@ -335,15 +347,11 @@ def safe_haven_check(
     return SafeHavenReport(rows=tuple(rows), monotone_nonincreasing=mono, baseline=baseline)
 
 
-def _excess_generations(got: Trajectory, ref: Trajectory) -> int:
-    """Generations where both sizes are known and ``got`` is the larger."""
-    excess = 0
-    for n in range(max(len(got.sizes), len(ref.sizes))):
-        try:
-            excess += got.size_at(n) > ref.size_at(n)
-        except IndexError:  # a size unknown at n stays unknown afterwards
-            break
-    return excess
+def _excess_generations(sizes: np.ndarray) -> int:
+    """Generations where both sizes are known and the first spec's is the
+    larger; an unknown size reads -1, and an extinct one 0."""
+    got, ref = sizes
+    return int(((got > ref) & (ref >= 0)).sum())
 
 
 def dominance_check(
@@ -361,10 +369,14 @@ def dominance_check(
     return sum(_per_replicate(_excess_generations, specs, mc, workers))
 
 
-def _late_ratios(traj: Trajectory, min_size: int) -> list[float]:
-    """Growth ratios out of the generations of at least ``min_size`` members."""
-    sizes = traj.sizes
-    return [sizes[n + 1] / sizes[n] for n in range(len(sizes) - 1) if sizes[n] >= min_size]
+def _late_ratios(sizes: np.ndarray, min_size: int) -> tuple[np.ndarray, int]:
+    """Growth ratios out of the generations of at least ``min_size`` members,
+    replicate by replicate, and the number of replicates they come from."""
+    before, after = sizes[..., :-1], sizes[..., 1:]
+    # an exploded row's next size is unknown, and an extinct one never
+    # grows again
+    picked = (before >= max(min_size, 1)) & (after >= 0)
+    return after[picked] / before[picked], int(picked.any(axis=-1).sum())
 
 
 @dataclass(frozen=True)
@@ -407,21 +419,18 @@ def envelope_check(
         horizon=mc.horizon,
         explosion_cap=mc.explosion_cap,
     )
-    ratios: list[float] = []
-    contributing = 0
-    for picked in _per_replicate(partial(_late_ratios, min_size=min_size), [spec], mc, workers):
-        if picked:
-            contributing += 1
-            ratios.extend(picked)
-    if not ratios:
+    parts = _per_replicate(partial(_late_ratios, min_size=min_size), [spec], mc, workers)
+    # slices and their rows in id order: the order of the ratios fixes the
+    # rounding of their mean
+    arr = np.concatenate([ratios for ratios, _ in parts])
+    if not arr.size:
         raise InsufficientSurvivors(f"no replicate reached size {min_size}")
-    arr = np.asarray(ratios)
     inside = (arr >= band_low - slack) & (arr <= band_high + slack)
     return GrowthEstimate(
         mean_ratio=float(arr.mean()),
         dispersion=float(arr.std()),
-        n_ratios=len(ratios),
-        n_trajectories=contributing,
+        n_ratios=int(arr.size),
+        n_trajectories=sum(contributing for _, contributing in parts),
         band_low=band_low,
         band_high=band_high,
         fraction_in_band=float(inside.mean()),
@@ -445,6 +454,14 @@ class SuperadditivityReport:
     @property
     def ok(self) -> bool:
         return self.fosd_ok and self.zero_column_ok
+
+
+def _sizes_at(sizes: np.ndarray, n: int) -> np.ndarray:
+    """Each row's size at generation ``n`` of a finished size table: 0 once
+    extinct, -1 where unknown."""
+    if n < sizes.shape[-1]:
+        return sizes[..., n]
+    return np.where(sizes[..., -1] == 0, 0, -1)
 
 
 def superadditivity_check(
@@ -472,11 +489,13 @@ def superadditivity_check(
     single_spec = ProcessSpec(laws=triple, policy=policy, initial_size=1, horizon=n_gens, explosion_cap=cap)
     n_rep = mc.replicates
 
-    final_size = methodcaller("size_at", n_gens)
-    joint_vals = np.array(_per_replicate(final_size, [joint_spec], mc, workers), dtype=np.int64)
+    # the cap lies above CLAIM_CAP, which bounds every size, so no row
+    # explodes and every size at n_gens is known
+    final_size = partial(_sizes_at, n=n_gens)
+    joint_vals = np.concatenate(_per_replicate(final_size, [joint_spec], mc, workers), axis=-1)[0]
     # the independent copies run on the replicate ids after the joint ones
     copies = _per_replicate(final_size, [single_spec], mc, workers, start=n_rep, count=n_rep * initial_size)
-    copy_vals = np.array(copies, dtype=np.int64)
+    copy_vals = np.concatenate(copies, axis=-1)[0]
     sum_vals = copy_vals.reshape(n_rep, initial_size).sum(axis=1)
 
     joint_sorted = np.sort(joint_vals)
@@ -583,19 +602,22 @@ def counterexample_search(
         born = np.arange(1, max_k + 1) <= t0[:, None]
         largest = np.where(born, rows.claims(everyone, max_k), -np.inf).max(axis=1)
         candidates = ids[(t0 >= 1) & (largest <= res)]
-        got_all, ref_all = simulate_coupled_replicates([policy_spec, sf_spec], base, candidates)
-        for i, got, ref in zip(candidates.tolist(), got_all, ref_all):
-            if got.size_at(2) == 0 and ref.size_at(2) > 0:
-                return CounterexampleSearchResult(
-                    found=True,
-                    scanned=i + 1,
-                    witness=CounterexampleWitness(
-                        replicate_id=i,
-                        seed_value=mc.base_seed.value,
-                        policy_sizes=tuple(got.sizes),
-                        sf_sizes=tuple(ref.sizes),
-                    ),
-                )
+        table = _run_table([policy_spec, sf_spec], base, candidates)
+        got, ref = _sizes_at(table, 2)
+        hits = np.flatnonzero((got == 0) & (ref > 0))
+        if hits.size:
+            i = int(candidates[hits[0]])
+            (got_run,), (ref_run,) = _trajectories(table[:, hits[:1]], policy_spec.explosion_cap)
+            return CounterexampleSearchResult(
+                found=True,
+                scanned=i + 1,
+                witness=CounterexampleWitness(
+                    replicate_id=i,
+                    seed_value=mc.base_seed.value,
+                    policy_sizes=tuple(got_run.sizes),
+                    sf_sizes=tuple(ref_run.sizes),
+                ),
+            )
     return CounterexampleSearchResult(found=False, scanned=scanned)
 
 

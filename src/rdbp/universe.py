@@ -347,5 +347,6 @@ def _as_counts(rows: np.ndarray, counts) -> np.ndarray:
         flat = np.broadcast_to(flat, (len(rows),))
     # a negative count, read as unsigned, lies above the cap too
     if flat.size and flat.view(np.uint64).max() > INDEX_CAP:
-        raise ValueError(f"positions [1, {flat.max()}] outside [1, {INDEX_CAP}]")
+        bad = flat[flat.view(np.uint64).argmax()]
+        raise ValueError(f"count {bad} outside [0, {INDEX_CAP}]: a row reads positions 1 to its count")
     return flat

@@ -14,7 +14,13 @@ certified long-row counts are checked.  ``step``, ``simulate`` and
 ``simulate_coupled`` run one replicate from those rows and counts alone,
 against which the engine's one batched pass is checked.  ``count`` is the
 served count of one claim row through a policy's ``count_rows``.
+``size_at``, ``outcome_kinds``, ``excess_generations`` and ``late_ratios``
+read one replicate's trajectories at a time, against which the Monte Carlo
+checks' reductions of the size table are checked.  ``cumulative`` and
+``pdf`` are the laws' CDF grid and densities.
 """
+
+import math
 
 import numpy as np
 
@@ -59,10 +65,35 @@ def unit_row(universe, tag, n, count):
     return np.array([word_unit(key, k) for k in range(1, count + 1)], dtype=np.float64)
 
 
+def cumulative(law):
+    """CDF grid of an offspring law.  Every entry from ``max_offspring`` on
+    is forced to 1.0, so a deviate arbitrarily close to 1 still maps to a
+    count with positive mass."""
+    cdf = np.cumsum(np.asarray(law.probabilities, dtype=np.float64))
+    cdf[law.max_offspring:] = 1.0
+    return cdf
+
+
+def pdf(law, x):
+    """Density of a continuous claim or resource law at x."""
+    x = np.asarray(x, dtype=np.float64)
+    if law.kind == "uniform":
+        return np.where((x >= law.lo) & (x <= law.hi), 1.0 / (law.hi - law.lo), 0.0)
+    if law.kind == "exponential":
+        return np.where(x >= 0.0, law.rate * np.exp(-law.rate * x), 0.0)
+    assert law.kind == "scaled_beta", law.kind
+    y = x / law.scale
+    ln_b = math.lgamma(law.a) + math.lgamma(law.b) - math.lgamma(law.a + law.b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_f = (law.a - 1.0) * np.log(y) + (law.b - 1.0) * np.log1p(-y) - ln_b
+        out = np.exp(ln_f) / law.scale
+    return np.where((y > 0.0) & (y < 1.0), out, 0.0)
+
+
 def quantile(law, u):
     """Offspring count of each deviate u of an offspring law: the smallest
     j with CDF(j) >= u."""
-    return np.searchsorted(law.cumulative(), u, side="left").astype(np.int64)
+    return np.searchsorted(cumulative(law), u, side="left").astype(np.int64)
 
 
 def row_totals(law, u):
@@ -83,7 +114,7 @@ def cuts(law):
     """(c, times) for each distinct entry c below 1 of an offspring law's
     CDF, with its number of entries; a deviate never exceeds 1, so only
     these cuts can count."""
-    cdf = law.cumulative()
+    cdf = cumulative(law)
     values, times = np.unique(cdf[cdf < 1.0], return_counts=True)
     return list(zip(values.tolist(), times.tolist()))
 
@@ -216,3 +247,39 @@ def simulate_coupled(specs, universe):
     """``simulate`` of several specs on one universe; reads are addressed,
     so every run sees the same offspring, claim and resource cells."""
     return [simulate(spec, universe) for spec in specs]
+
+
+def size_at(traj, n):
+    """Size at generation n; an extinct trajectory stays 0 forever.
+
+    Raises for generations beyond the record of a run that did not die out,
+    where the size is unknown.
+    """
+    if n < 0:
+        raise IndexError("generation must be >= 0")
+    if n < len(traj.sizes):
+        return traj.sizes[n]
+    if traj.outcome.kind == "extinct":
+        return 0
+    raise IndexError(f"generation {n} beyond recorded horizon of a non-extinct run")
+
+
+def outcome_kinds(*trajectories):
+    return tuple(traj.outcome.kind for traj in trajectories)
+
+
+def excess_generations(got, ref):
+    """Generations where both sizes are known and ``got`` is the larger."""
+    excess = 0
+    for n in range(max(len(got.sizes), len(ref.sizes))):
+        try:
+            excess += size_at(got, n) > size_at(ref, n)
+        except IndexError:  # a size unknown at n stays unknown afterwards
+            break
+    return excess
+
+
+def late_ratios(traj, min_size):
+    """Growth ratios out of the generations of at least ``min_size`` members."""
+    sizes = traj.sizes
+    return [sizes[n + 1] / sizes[n] for n in range(len(sizes) - 1) if sizes[n] >= min_size]

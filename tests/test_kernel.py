@@ -11,7 +11,7 @@ as the float comparison of its unit does.
 
 import numpy as np
 import pytest
-from oracle import cuts, kernel_units, quantile, resource_row, row_totals, unit_row, word_unit
+from oracle import cumulative, cuts, kernel_units, quantile, resource_row, row_totals, unit_row, word_unit
 
 import rdbp.universe
 from rdbp import (
@@ -118,7 +118,7 @@ OFFSPRING_LAWS = {
 
 @pytest.mark.parametrize("law", OFFSPRING_LAWS.values(), ids=OFFSPRING_LAWS.keys())
 def test_row_totals_at_the_cuts(law):
-    cdf = law.cumulative()
+    cdf = cumulative(law)
     edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), [1e-300, 1.0]])
     u = np.clip(edges, 1e-300, 1.0).reshape(1, -1)
     assert row_totals(law, u).tolist() == quantile(law, u).sum(axis=1).tolist()

@@ -11,6 +11,7 @@ summation, so a budget summed over a differently shaped row would show.
 import json
 import os
 from concurrent.futures import Future
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -48,7 +49,6 @@ from rdbp import (
     step_replicates,
     superadditivity_check,
 )
-from rdbp.montecarlo import _outcome_kinds
 from rdbp.policies import StrongestFirstPolicy, WeakestFirstPolicy
 
 import oracle
@@ -208,8 +208,12 @@ def test_replicate_chunks_are_invisible(monkeypatch):
             dominance_check(StrongestFirstPolicy(), triple, mc)) == whole
 
 
-def _collect(*trajectories):
-    return trajectories
+def _runs(specs, mc, workers=1, **kwargs):
+    """Each spec's trajectories, read out of every slice's size table that
+    ``_per_replicate`` hands its function."""
+    to_runs = partial(rdbp.engine._trajectories, cap=specs[0].explosion_cap)
+    parts = rdbp.montecarlo._per_replicate(to_runs, specs, mc, workers, **kwargs)
+    return [sum((part[s] for part in parts), []) for s in range(len(specs))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,8 +240,7 @@ def test_coupled_specs_step_together_as_if_alone(triple, coupled, seed, first, c
     with mock.patch.object(rdbp.engine, "BLOCK_CELLS", 16 if small else rdbp.engine.BLOCK_CELLS), \
             mock.patch.object(rdbp.montecarlo, "REPLICATE_CHUNK", 3 if small else rdbp.montecarlo.REPLICATE_CHUNK):
         assert simulate_coupled_replicates(specs, base, ids) == want
-        by_id = rdbp.montecarlo._per_replicate(_collect, specs, mc, start=first, count=count)
-    assert [list(runs) for runs in zip(*by_id)] == (want if count else [])
+        assert _runs(specs, mc, start=first, count=count) == want
 
 
 def test_coupled_specs_must_share_horizon_and_cap():
@@ -362,7 +365,7 @@ class TestFanOut:
                 for initial, policy in ((1, WeakestFirstPolicy()), (3, StrongestFirstPolicy()))]
 
     def run(self, workers):
-        return rdbp.montecarlo._per_replicate(_outcome_kinds, self.specs(), self.mc, workers)
+        return _runs(self.specs(), self.mc, workers)
 
     @pytest.mark.parametrize("cpus", [2, 3, 64])
     # the slices of 7 ids step 79, 2895, 1624, 84, 1233, 303 and 37 members:
@@ -425,18 +428,98 @@ def test_a_cut_run_resumes_in_any_split():
     base = Universe(Seed(21), triple)
     ids = np.arange(10, 30)
     want = simulate_coupled_replicates(specs, base, ids)
-    records = []
-    run = rdbp.engine._replicate_generations(specs, base, ids, records)
+    columns = []
+    run = rdbp.engine._replicate_generations(specs, base, ids, columns)
     for _ in range(5):
         next(run)
     run.close()
-    # the rows lie spec by spec, 20 ids each; resume them in two pieces
+    # four generations stepped: one column of the 40 rows' sizes each, after
+    # the founders'
+    table = rdbp.engine._size_table(2, columns)
+    assert table.shape == (2, 20, 5) and table.dtype == np.int64
+    # resume the rows in two pieces of ids
     for a, b in ((0, 7), (7, 20)):
-        piece = [list(records[s * 20 + i]) for s in range(2) for i in range(a, b)]
+        piece = list(table[:, a:b].reshape(-1, 5).T)
         for _ in rdbp.engine._replicate_generations(specs, base, ids[a:b], piece):
             pass
-        got = rdbp.engine._trajectories(specs, piece)
+        got = rdbp.engine._trajectories(rdbp.engine._size_table(2, piece), 600)
         assert got == [runs[a:b] for runs in want]
+
+
+def _shape(sizes, cap):
+    """A slice table's shape, and the longest record among its rows."""
+    runs = rdbp.engine._trajectories(sizes, cap)
+    return sizes.shape, max(len(traj.sizes) for spec_runs in runs for traj in spec_runs)
+
+
+def _known_size(traj, n):
+    """``oracle.size_at``, or -1 where the size is unknown."""
+    try:
+        return oracle.size_at(traj, n)
+    except IndexError:
+        return -1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    triple=st.sampled_from(sorted(TRIPLES)),
+    policy=st.sampled_from(POLICIES),
+    initial=st.integers(1, 6),
+    headroom=st.integers(1, 12),
+    horizon=st.integers(1, 8),
+    seed=st.integers(0, 2 ** 64 - 1),
+    replicates=st.integers(1, 12),
+    chunk=st.sampled_from([3, 7, rdbp.montecarlo.REPLICATE_CHUNK]),
+    # at once, mid-run, or never
+    fanout=st.sampled_from([0, 20, 120, rdbp.montecarlo.FANOUT_MEMBERS]),
+    workers=st.sampled_from([1, 2, 5]),
+    min_size=st.integers(1, 12),
+)
+def test_reductions_match_the_per_replicate_reference(
+    triple, policy, initial, headroom, horizon, seed, replicates, chunk, fanout, workers, min_size
+):
+    # caps just above the founders make rows explode, and a small fan-out
+    # budget cuts the slices and resumes them in the inline pool's ranges
+    laws = TRIPLES[triple]
+    cap = initial + headroom
+    specs = [ProcessSpec(laws=laws, policy=p, initial_size=initial, horizon=horizon, explosion_cap=cap)
+             for p in (policy, WeakestFirstPolicy())]
+    base = Universe(Seed(seed), laws)
+    want = [_reference(spec, base, range(replicates)) for spec in specs]
+    mc = McConfig(replicates=replicates, horizon=horizon, explosion_cap=cap, base_seed=Seed(seed))
+    with mock.patch.object(rdbp.montecarlo, "REPLICATE_CHUNK", chunk), \
+            mock.patch.object(rdbp.montecarlo, "FANOUT_MEMBERS", fanout), \
+            mock.patch.object(rdbp.montecarlo, "_usable_cpus", lambda: 64), \
+            mock.patch.object(rdbp.montecarlo, "_start_pool", _InlinePool), \
+            mock.patch.object(_InlinePool, "sizes", []), mock.patch.object(_InlinePool, "ranges", []):
+        def run(fn, coupled=specs):
+            return rdbp.montecarlo._per_replicate(fn, coupled, mc, workers)
+
+        counts = np.sum(run(partial(rdbp.montecarlo._outcome_counts, cap=cap)), axis=0)
+        kinds = list(zip(*(oracle.outcome_kinds(*runs) for runs in zip(*want))))
+        assert counts.tolist() == [[k.count("extinct"), k.count("exploded")] for k in kinds]
+        assert sum(run(rdbp.montecarlo._excess_generations)) == sum(
+            oracle.excess_generations(got, ref) for got, ref in zip(*want))
+
+        parts = run(partial(rdbp.montecarlo._late_ratios, min_size=min_size), specs[:1])
+        ratios = [oracle.late_ratios(traj, min_size) for traj in want[0]]
+        got = np.concatenate([part for part, _ in parts])
+        # the same ratios in the same order, so every mean rounds alike
+        assert got.tobytes() == np.asarray([r for picked in ratios for r in picked], dtype=np.float64).tobytes()
+        assert sum(n for _, n in parts) == sum(map(bool, ratios))
+
+        for n in range(horizon + 1):
+            sizes = np.concatenate(run(partial(rdbp.montecarlo._sizes_at, n=n)), axis=-1)
+            assert sizes.tolist() == [[_known_size(traj, n) for traj in runs] for runs in want]
+
+        # each slice holds at most a chunk of ids, and only the generations
+        # its rows reached; a range of a cut slice keeps the slice's
+        shapes = run(partial(_shape, cap=cap))
+        assert sum(ids for (_, ids, _), _ in shapes) == replicates
+        for (n_specs, ids, generations), longest in shapes:
+            assert n_specs == 2 and 1 <= ids <= chunk
+            assert longest <= generations <= horizon + 1
+            assert generations == longest or workers > 1
 
 
 def test_threads_reach_every_check(monkeypatch, inline_pool, tmp_path):

@@ -100,6 +100,18 @@ class TestAddressing:
         with pytest.raises(ValueError):
             u.derive_replicate(-1)
 
+    @pytest.mark.parametrize("counts, bad", [
+        (np.array([-1, 5]), -1),
+        (np.array([3, INDEX_CAP + 1, 2]), INDEX_CAP + 1),
+        (np.array([INDEX_CAP + 1, -4]), -4),  # the furthest out, read as unsigned
+        (-3, -3),  # one count for every row
+    ])
+    def test_a_bad_count_is_named(self, u, counts, bad):
+        rows = ReplicateRows(u, np.arange(3), 0)
+        picked = np.arange(np.size(counts) if np.ndim(counts) else 2)
+        with pytest.raises(ValueError, match=rf"^count {bad} outside \[0, {INDEX_CAP}\]"):
+            rows.claims(picked, counts)
+
     def test_across_replicates_matches_loop(self, u):
         ids = np.array([0, 1, 5, 17, 100000])
         rows = ReplicateRows(u, ids, 1)
