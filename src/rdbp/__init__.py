@@ -10,6 +10,7 @@ extinction from the law triple alone, and checks the structural theory
 from .criteria import (
     CRITICAL_BAND,
     Classification,
+    ConvergenceError,
     CriticalReport,
     DomainError,
     SolverConfig,
@@ -68,11 +69,6 @@ from .montecarlo import (
     superadditivity_check,
     wilson_interval,
 )
-from .special import (
-    ConvergenceError,
-    inverse_regularized_incomplete_beta,
-    regularized_incomplete_beta,
-)
 from .policies import (
     CoinFlipPolicy,
     CustomPolicy,
@@ -105,8 +101,7 @@ __all__ = [
     "classify", "moment_shortcut", "critical_resource_mean",
     "closed_form_critical_resource", "beta_asymptotic_critical_resource",
     "critical_curve", "critical_report",
-    "ConvergenceError", "regularized_incomplete_beta",
-    "inverse_regularized_incomplete_beta",
+    "ConvergenceError",
     "McConfig", "ExtinctionEstimate", "GrowthEstimate", "SafeHavenReport",
     "SuperadditivityReport", "CounterexampleSearchResult", "InsufficientSurvivors",
     "wilson_interval", "estimate_extinction", "safe_haven_check", "dominance_check",

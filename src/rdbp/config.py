@@ -334,8 +334,8 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
         for i, v in enumerate(raw):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"config.m_grid[{i}]: expected a number")
-            if not v > 1.0:
-                raise ConfigError(f"config.m_grid[{i}]: offspring mean must exceed 1")
+            if not 1.0 < v < math.inf:
+                raise ConfigError(f"config.m_grid[{i}]: offspring mean must be in (1, inf)")
             vals.append(float(v))
         m_grid = tuple(vals)
 

@@ -16,6 +16,7 @@ support), so both effective means reduce to m.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -25,12 +26,8 @@ from .distributions import (
     LawTriple,
     ScaledBeta,
     Uniform,
+    _scipy_special,
     validate_regularity,
-)
-from .special import (
-    ConvergenceError,
-    inverse_regularized_incomplete_beta,
-    regularized_incomplete_beta,
 )
 
 __all__ = [
@@ -72,6 +69,10 @@ class UnsupportedKindError(ValueError):
     """No closed form is shipped for this law kind."""
 
 
+class ConvergenceError(ArithmeticError):
+    """An iteration failed to reach its tolerance within the step budget."""
+
+
 EXTINCTION = "almost_sure_extinction"
 SURVIVAL = "positive_survival"
 CRITICAL = "critical"
@@ -88,8 +89,8 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("solver config requires abs_tol > 0 and max_iter >= 1")
+        if not 0.0 < self.abs_tol < math.inf or self.max_iter < 1:
+            raise ValueError("solver config requires a finite abs_tol > 0 and max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -312,9 +313,10 @@ def closed_form_critical_resource(process_kind: str, claim, m: float) -> float:
     """Critical resource mean in closed form, for the kinds that have one.
 
     Uniform(0, d): d/(2m) smallest-first, d(1 - 1/(2m)) largest-first, d/2
-    arrival-order.  Scaled beta uses the regularized incomplete beta and its
-    inverse.  Exponential has a logarithmic form for smallest-first and no
-    largest-first value at all.
+    arrival-order.  Scaled beta uses ``scipy.special``'s regularized
+    incomplete beta and its inverse, and raises ConvergenceError where the
+    value leaves double precision.  Exponential has a logarithmic form for
+    smallest-first and no largest-first value at all.
     """
     if process_kind not in _PROCESS_KINDS:
         raise UnsupportedKindError(f"process kind must be one of {_PROCESS_KINDS}, got {process_kind!r}")
@@ -333,14 +335,31 @@ def closed_form_critical_resource(process_kind: str, claim, m: float) -> float:
 
     if isinstance(claim, ScaledBeta):
         a, b, s = claim.a, claim.b, claim.scale
-        base = s * a * m / (a + b)
+        if process_kind == "fcfs":
+            return s * a / (a + b)
+        special = _scipy_special()
+        # the cutoff leaves mass 1/m in the served tail: s*x with I_x(a, b) = 1/m
+        # smallest-first, s*(1 - y) with I_y(b, a) = 1/m largest-first
         if process_kind == "wf":
-            x = inverse_regularized_incomplete_beta(a, b, 1.0 / m)
-            return base * regularized_incomplete_beta(a + 1.0, b, x)
-        if process_kind == "sf":
-            x = inverse_regularized_incomplete_beta(b, a, 1.0 / m)
-            return base * regularized_incomplete_beta(b, a + 1.0, x)
-        return s * a / (a + b)
+            x = special.betaincinv(a, b, 1.0 / m)
+            cut, tail, moment = x, special.betainc(a, b, x), special.betainc(a + 1.0, b, x)
+        else:
+            y = special.betaincinv(b, a, 1.0 / m)
+            cut, tail, moment = 1.0 - y, special.betainc(b, a, y), special.betainc(b, a + 1.0, y)
+        # r = m E[X; tail] + cut * (1 - m P(tail)) is m E[X; tail] at the root
+        # and stationary in the cutoff there, so betaincinv's error enters
+        # squared instead of times the slope of the partial moment
+        residual = 1.0 - m * tail
+        # a NaN or clamped root leaves a large residual, and a moment below
+        # the normal doubles has lost its digits
+        if not (abs(residual) <= 1e-8 and moment >= sys.float_info.min):
+            raise ConvergenceError(
+                f"no {process_kind} closed form in double precision for beta(a={a:g}, b={b:g}) "
+                f"claims at m={m:g}: betaincinv gave a cutoff of {cut:g}"
+            )
+        # r < s (largest-first: m E[X; X >= T] < m s P(X >= T) = s), but
+        # rounding can pass s by a few ulp where r nears it at large m
+        return min(float(s * (m * a / (a + b) * moment + cut * residual)), s)
 
     if isinstance(claim, Exponential):
         if process_kind == "wf":

@@ -288,8 +288,8 @@ class ScaledBeta:
     is_continuous: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0 or self.b <= 0.0 or self.scale <= 0.0:
-            raise ValueError("scaled beta law requires a, b, scale > 0")
+        if not all(0.0 < v < math.inf for v in (self.a, self.b, self.scale)):
+            raise ValueError("scaled beta law requires finite a, b, scale > 0")
         # pay the import while the law is built, not inside a timed call
         _scipy_special()
 

@@ -23,7 +23,6 @@ it explodes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -334,10 +333,6 @@ def simulate_coupled_replicates(
     return _trajectories(_run_table(specs, base, ids), specs[0].explosion_cap)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def trajectory_to_csv(traj: Trajectory) -> str:
     lines = ["generation,size"]
     lines.extend(f"{n},{s}" for n, s in enumerate(traj.sizes))
@@ -352,7 +347,3 @@ def trajectory_to_json(traj: Trajectory) -> dict:
         "outcome": {"kind": traj.outcome.kind, "generation": traj.outcome.generation},
         "growth_ratios": [float(r) for r in traj.growth_ratios],
     }
-
-
-def trajectory_json_text(traj: Trajectory) -> str:
-    return json.dumps(trajectory_to_json(traj), indent=2) + "\n"

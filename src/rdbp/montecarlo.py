@@ -61,6 +61,8 @@ __all__ = [
 
 #: replicate ids simulated together; bounds the sizes held at once
 REPLICATE_CHUNK = 1 << 12
+#: replicate ids ``counterexample_search`` screens in one vectorised pass
+COUNTEREXAMPLE_CHUNK = 1 << 16
 #: members a check with several workers steps in this process before it
 #: splits the ids it has not finished among them; a check that steps fewer
 #: starts no pool.  The split keeps every generation already stepped, so
@@ -573,7 +575,6 @@ def counterexample_search(
     triple: LawTriple,
     mc: McConfig,
     budget: int = 10 ** 6,
-    chunk_size: int = 1 << 16,
 ) -> CounterexampleSearchResult:
     """Scan replicates for a universe where the third-largest-first policy
     dies by generation 2 while coupled strongest-first is still alive.
@@ -592,8 +593,8 @@ def counterexample_search(
     sf_spec = ProcessSpec(laws=triple, policy=StrongestFirstPolicy(), initial_size=1, horizon=2)
 
     scanned = 0
-    for start in range(0, budget, chunk_size):
-        ids = np.arange(start, min(budget, start + chunk_size), dtype=np.int64)
+    for start in range(0, budget, COUNTEREXAMPLE_CHUNK):
+        ids = np.arange(start, min(budget, start + COUNTEREXAMPLE_CHUNK), dtype=np.int64)
         scanned = int(ids[-1]) + 1
         rows = ReplicateRows(base, ids, 0)
         everyone = np.arange(len(ids))

@@ -8,7 +8,7 @@ shares nothing with the solvers.
 
 import math
 
-from rdbp.special import ConvergenceError
+from rdbp.criteria import ConvergenceError
 
 _INV_E = math.exp(-1.0)
 

@@ -16,11 +16,20 @@ import pytest
 import rdbp.cli as cli
 import rdbp.engine
 import rdbp.universe
+from rdbp import ConvergenceError
 
 
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data, indent=2))
+    return str(path)
+
+
+def write_config_with(tmp_path, data, literal):
+    """A config whose "@" strings are replaced by a raw JSON number such as
+    NaN or 1e400 (which parses to inf)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data, indent=2).replace('"@"', literal))
     return str(path)
 
 
@@ -389,6 +398,49 @@ class TestErrorPaths:
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config.policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, law, key, literal",
+        [
+            # used to run on NaN claims and exit 0, extinct at generation 1
+            ("simulate", "claim", "a", "NaN"),
+            ("simulate", "resource", "scale", "1e400"),
+            # used to end in a ConvergenceError (exit 3)
+            ("classify", "claim", "b", "NaN"),
+            ("classify", "claim", "scale", "1e400"),
+        ],
+    )
+    def test_non_finite_beta_parameter(self, tmp_path, capsys, command, law, key, literal):
+        laws = base_laws()
+        laws[law] = {"kind": "scaled_beta", "params": dict({"a": 2.0, "b": 2.0, "scale": 2.0}, **{key: "@"})}
+        cfg = write_config_with(tmp_path, {"laws": laws, "policy": "wf"}, literal)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"laws.{law}.params: scaled beta law requires finite" in capsys.readouterr().err
+
+    # NaN used to exit 3 after 200 bisections; 1e400 (inf) exited 0 with
+    # almost_sure_extinction for wf, whose effective mean is 1.342
+    @pytest.mark.parametrize("literal", ["NaN", "1e400"])
+    def test_non_finite_solver_tolerance(self, tmp_path, capsys, literal):
+        cfg = write_config_with(tmp_path, {"laws": base_laws(), "solver": {"abs_tol": "@"}}, literal)
+        assert cli.main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "solver: solver config requires a finite abs_tol" in capsys.readouterr().err
+
+    def test_infinite_grid_entry(self, tmp_path, capsys):
+        # used to exit 3 from critical_curve
+        cfg = write_config_with(
+            tmp_path, {"laws": {"claim": {"kind": "uniform", "params": {"d": 2.0}}}, "m_grid": [2.0, "@"]}, "1e400"
+        )
+        assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config.m_grid[1]: offspring mean must be in (1, inf)" in capsys.readouterr().err
+
+    def test_convergence_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def stall(*args):
+            raise ConvergenceError("residual above 1e-10 after 200 bisections")
+
+        monkeypatch.setattr(cli, "critical_curve", stall)
+        cfg = write_config(tmp_path, {"laws": {"claim": {"kind": "uniform", "params": {"d": 2.0}}}, "m_grid": [2.0]})
+        assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "error: residual above 1e-10" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # through a real interpreter
@@ -437,23 +489,28 @@ from rdbp.config import parse_run_config
 config, out = sys.argv[2], sys.argv[3]
 with open(config) as fh:
     parse_run_config(json.load(fh))
-assert rdbp.cli.main(["simulate", "--config", config, "--out", out]) == 0
+for command in ("simulate", "classify", "curve"):
+    assert rdbp.cli.main([command, "--config", config, "--out", out]) == 0
 assert "scipy" not in sys.modules, "a uniform-claims run imported scipy"
 rdbp.ScaledBeta(2.0, 2.0, 2.0)
 assert "scipy.special" in sys.modules, "building a ScaledBeta did not import scipy"
 """
 
 
-def test_uniform_claims_never_import_scipy(sim_config, tmp_path):
+def test_uniform_claims_never_import_scipy(tmp_path):
     # scipy is the costliest import rdbp can pull in, and only ScaledBeta needs it
+    config = write_config(tmp_path, {"seed": 2024, "laws": base_laws(), "policy": "wf",
+                                     "process": {"horizon": 20, "explosion_cap": 500},
+                                     "m_grid": [1.5, 2.0]})
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_SCRIPT, src, sim_config, str(tmp_path / "out")],
+        [sys.executable, "-c", STARTUP_SCRIPT, src, config, str(tmp_path / "out")],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "trajectory.csv").exists()
+    for name in ("trajectory.csv", "classification.json", "curve.csv"):
+        assert (tmp_path / "out" / name).exists()
 
 
 POOL_IMPORT_SCRIPT = """

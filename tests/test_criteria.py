@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from rdbp import (
     CRITICAL_BAND,
     Constant,
+    ConvergenceError,
     DomainError,
     Exponential,
     LawTriple,
@@ -29,6 +32,7 @@ from rdbp import (
     solve_wf_threshold,
 )
 from lambert import lambert_w_minus1
+from mp_beta import beta_root
 
 CFG = SolverConfig()
 
@@ -314,6 +318,48 @@ class TestCriticalResource:
             above = classify(kind, LawTriple(off, law, Constant(r_star * 1.01)), CFG)
             assert below.verdict == "almost_sure_extinction"
             assert above.verdict == "positive_survival"
+
+
+#: shapes with both tails flat, steep, and lopsided, up to near-normal (50, 50)
+CLOSED_FORM_SHAPES = [(0.5, 0.5), (2.0, 2.0), (2.0, 5.0), (5.0, 2.0), (0.3, 4.0), (3.0, 30.0),
+                      (1.5, 20.0), (50.0, 50.0), (1.0, 3.0), (7.5, 0.8)]
+CLOSED_FORM_MS = (1.01, 1.5, 2.0, 10.0, 1e4, 1e7, 1e9, 1e12, 1e15, 1e20, 1e40, 1e70, 1e100)
+
+
+def _mp_critical_resource(kind, a, b, m):
+    """m E[X; tail] for beta(a, b) claims on (0, 1), the tail holding mass
+    1/m: the lower tail smallest-first, the upper tail largest-first."""
+    with mpmath.workprec(200):
+        a, b, m = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(m)
+        if kind == "wf":
+            moment = mpmath.betainc(a + 1, b, 0, beta_root(a, b, 1 / m), regularized=True)
+        else:
+            # 1 - X is beta(b, a), and E[X; 1 - X <= y] = a/(a+b) I_y(b, a + 1)
+            moment = mpmath.betainc(b, a + 1, 0, beta_root(b, a, 1 / m), regularized=True)
+        return m * a / (a + b) * moment
+
+
+class TestBetaClosedForm:
+    @pytest.mark.parametrize("kind", ["wf", "sf"])
+    @pytest.mark.parametrize("a,b", CLOSED_FORM_SHAPES)
+    def test_matches_mpmath_up_to_m_1e100(self, a, b, kind):
+        law = ScaledBeta(a, b, 2.0)
+        for m in CLOSED_FORM_MS:
+            # the scale is a power of two, so scaling the reference is exact
+            want = 2.0 * float(_mp_critical_resource(kind, a, b, m))
+            if want < sys.float_info.min:
+                # the value itself is below the normal doubles
+                with pytest.raises(ConvergenceError):
+                    closed_form_critical_resource(kind, law, m)
+                continue
+            got = closed_form_critical_resource(kind, law, m)
+            assert got == pytest.approx(want, rel=1e-13), m
+            assert got <= 2.0 and type(got) is float
+
+    def test_nan_from_betaincinv_raises(self):
+        # betaincinv(5, 2, 1e-160) is NaN; the closed form must not hand it on
+        with pytest.raises(ConvergenceError, match=r"a=5, b=2\) claims at m=1e\+160"):
+            closed_form_critical_resource("wf", ScaledBeta(5.0, 2.0), 1e160)
 
 
 class TestBetaAsymptotics:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from mp_beta import beta_root
 from oracle import cumulative, pdf, quantile
 
 from rdbp import (
@@ -203,35 +204,6 @@ BETA_UNITS = (0.5 * 2.0 ** -53, 1e-300, 1e-9, 1e-4, 0.03, 0.2, 0.45, 0.5, 0.55, 
               1 - 1e-6, 1 - 2.0 ** -53, 1.0)
 
 
-def _beta_root(mpmath, a, b, u, start):
-    """The x with I_x(a, b) = u, to 2**-120 relative, by Newton's method at
-    200 bits, kept inside a shrinking bracket.  ``start`` only saves steps."""
-    with mpmath.workprec(200):
-        a, b, u = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(u)
-        if u == 0 or u == 1:
-            return u
-        ln_beta = mpmath.log(mpmath.beta(a, b))
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        if 0.0 < start < 1.0:
-            x = mpmath.mpf(start)
-        elif u < 0.5:  # the leading term of each tail
-            x = min((a * mpmath.beta(a, b) * u) ** (1 / a), mpmath.mpf(0.5))
-        else:
-            x = max(1 - (b * mpmath.beta(a, b) * (1 - u)) ** (1 / b), mpmath.mpf(0.5))
-        for _ in range(1000):
-            # I_x - u, from the tail that holds u exactly
-            if u < 0.5:
-                f = mpmath.betainc(a, b, 0, x, regularized=True) - u
-            else:
-                f = (1 - u) - mpmath.betainc(a, b, x, 1, regularized=True)
-            step = f / mpmath.exp((a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x) - ln_beta)
-            if abs(step) <= x * mpmath.mpf(2) ** -120:
-                return x - step
-            lo, hi = (lo, x) if f > 0 else (x, hi)
-            x = x - step if lo < x - step < hi else (lo + hi) / 2 if lo > 0 else hi / 2 ** 16
-        raise AssertionError(f"no root for a={a}, b={b}, u={u}")
-
-
 def _ulps(x, root) -> float:
     """|x - root| in units of the spacing of doubles at the root; NaN is infinitely far."""
     if not math.isfinite(x):
@@ -245,13 +217,12 @@ class TestBetaInverse:
 
     @pytest.mark.parametrize("a,b", BETA_SHAPES)
     def test_within_8_ulp_of_the_root_or_no_further_than_betaincinv(self, a, b):
-        mpmath = pytest.importorskip("mpmath")
         u = np.array(BETA_UNITS)
         # the scale is a power of two, so dividing it out is exact
         got = ScaledBeta(a, b, 2.0).icdf(u) / 2.0
         ref = special.betaincinv(a, b, u)
         for unit, x, x_ref in zip(u, got, ref):
-            root = _beta_root(mpmath, a, b, unit, x if math.isfinite(x) else x_ref)
+            root = beta_root(a, b, unit, x if math.isfinite(x) else x_ref)
             ulps, ulps_ref = _ulps(x, root), _ulps(x_ref, root)
             assert ulps <= 8.0 or ulps <= ulps_ref, (unit, ulps, ulps_ref)
 
@@ -302,11 +273,10 @@ class TestBetaInverse:
     def test_upper_half_below_one_half_corrects_the_rounding_of_1_minus_x(self):
         # u > 1/2 but x < 1/2: I_{1-x}(b, a) is read at 1 - x rounded, which
         # alone would cost about 0.75 ulp in the median here
-        mpmath = pytest.importorskip("mpmath")
         a, b = 2.0, 5.0
         u = np.linspace(0.5, float(special.betainc(a, b, 0.5)), 42)[1:-1]
         got = ScaledBeta(a, b, 1.0).icdf(u)
-        ulps = [_ulps(x, _beta_root(mpmath, a, b, unit, x)) for unit, x in zip(u, got)]
+        ulps = [_ulps(x, beta_root(a, b, unit, x)) for unit, x in zip(u, got)]
         assert np.median(ulps) <= 0.5 and max(ulps) <= 2.0
 
 

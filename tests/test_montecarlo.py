@@ -44,6 +44,7 @@ from rdbp import (
     superadditivity_check,
     wilson_interval,
 )
+from rdbp.montecarlo import COUNTEREXAMPLE_CHUNK
 from rdbp.policies import CoinFlipPolicy, FcfsPolicy
 
 
@@ -399,7 +400,8 @@ class TestCounterexampleSearch:
 
     def test_budget_smaller_than_one_chunk(self):
         mc = McConfig(base_seed=Seed(0))
-        result = counterexample_search(CX_TRIPLE, mc, budget=100, chunk_size=1 << 16)
+        assert 100 < COUNTEREXAMPLE_CHUNK
+        result = counterexample_search(CX_TRIPLE, mc, budget=100)
         assert not result.found
         assert result.scanned == 100
 
