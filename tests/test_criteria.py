@@ -361,6 +361,41 @@ class TestBetaClosedForm:
         with pytest.raises(ConvergenceError, match=r"a=5, b=2\) claims at m=1e\+160"):
             closed_form_critical_resource("wf", ScaledBeta(5.0, 2.0), 1e160)
 
+    @pytest.mark.parametrize("a,b", CLOSED_FORM_SHAPES)
+    def test_values_stay_inside_the_envelope(self, a, b):
+        # every returned value orders wf < fcfs < sf <= scale, and the
+        # envelope widens with m (to the 1e-13 the values are good to: sf
+        # rounds to the scale at large m, give or take an ulp)
+        law = ScaledBeta(a, b, 1.0)
+        fcfs = closed_form_critical_resource("fcfs", law, 2.0)
+        last = {"wf": math.inf, "sf": 0.0}
+        for m in CLOSED_FORM_MS:
+            for kind in ("wf", "sf"):
+                try:
+                    got = closed_form_critical_resource(kind, law, m)
+                except ConvergenceError:
+                    continue
+                assert math.isfinite(got) and 0.0 < got <= 1.0, (kind, m, got)
+                if kind == "wf":
+                    assert got < fcfs and got < last[kind] * (1.0 + 1e-13), (kind, m, got)
+                else:
+                    assert got > fcfs and got > last[kind] * (1.0 - 1e-13), (kind, m, got)
+                last[kind] = got
+
+    @pytest.mark.parametrize("scale", [0.25, 3.0, 7.5])
+    def test_scale_multiplies_the_value(self, scale):
+        # the closed form is the unit-scale value times the scale, bit for bit
+        for a, b in CLOSED_FORM_SHAPES:
+            for m in (1.5, 1e4, 1e40):
+                for kind in ("wf", "sf"):
+                    try:
+                        unit = closed_form_critical_resource(kind, ScaledBeta(a, b, 1.0), m)
+                    except ConvergenceError:
+                        with pytest.raises(ConvergenceError):
+                            closed_form_critical_resource(kind, ScaledBeta(a, b, scale), m)
+                        continue
+                    assert closed_form_critical_resource(kind, ScaledBeta(a, b, scale), m) == scale * unit
+
 
 class TestBetaAsymptotics:
     @pytest.mark.parametrize("a,b", [(2.0, 3.0), (0.5, 0.5), (1.0, 2.0), (2.0, 1.0)])
