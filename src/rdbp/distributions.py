@@ -172,6 +172,34 @@ def _scipy_special():
     return scipy.special
 
 
+def _betaincinv(a: float, b: float, u):
+    """``scipy.special.betaincinv(a, b, u)``, but with the leading-order root
+    (a B(a, b) u)**(1/a) of the lower tail wherever betaincinv returns NaN
+    or no normal double there.
+
+    betaincinv returns NaN for (2, 5) at u <= 1e-186 and (5, 2) at
+    u <= 1e-151, and the smallest normal double, 2.2e-308, for (0.5, 2) at
+    u = 1e-300, whose root is 4.4e-601.  Such roots lie so close to 0 that
+    the next term of the series, of relative size x, is far below an ulp.
+    The kernel's units are at least 2**-54; there only shapes with a below
+    about 0.05 reach roots under the smallest normal double, so every other
+    shape keeps betaincinv's values bit for bit.
+    """
+    special = _scipy_special()
+    x = special.betaincinv(a, b, u)
+    far = ~(x > np.finfo(np.float64).tiny) & (u < 0.5)
+    if np.any(far):
+        # u**(1/a) as m**(1/a) * 2**(r/a) * 2**q with u = m * 2**e and
+        # e = q*a + r exactly: a rounded 1/a times ln u ~ -700 would cost
+        # tens of ulp
+        m, e = np.frexp(u)
+        r = np.fmod(e, a)
+        q = np.rint((e - r) / a).astype(np.int64)
+        lead = math.exp((math.log(a) + float(special.betaln(a, b))) / a)
+        x = np.where(far, np.ldexp(lead * m ** (1.0 / a) * np.exp2(r / a), q), x)
+    return x
+
+
 #: cells of each table that seeds the beta inverse; interpolated guesses land
 #: within about 1e-8 of the root (1e-6 at worst on the tested shapes), and
 #: one Halley step takes them to a few ulp
@@ -265,7 +293,7 @@ class _BetaInverse:
         x -= f
         if not keep.all():
             redo = ~keep
-            x[redo] = _scipy_special().betaincinv(self._a, self._b, u[redo])
+            x[redo] = _betaincinv(self._a, self._b, u[redo])
         return x
 
 
@@ -276,7 +304,9 @@ class ScaledBeta:
     ``icdf`` inverts I_x(a, b) with table-seeded Halley steps (see
     ``_BetaInverse``) when a > 1 and b != 1, and with
     ``scipy.special.betaincinv`` for the far tails, for any step it cannot
-    trust, and for the other shapes (see ``_inverse``).
+    trust, and for the other shapes (see ``_inverse``), with the
+    leading-order root where betaincinv fails far in the lower tail (see
+    ``_betaincinv``).
     """
 
     a: float
@@ -336,7 +366,7 @@ class ScaledBeta:
     def icdf(self, u):
         u = np.asarray(u, dtype=np.float64)
         if self._inverse is None:
-            return self.scale * _scipy_special().betaincinv(self.a, self.b, u)
+            return self.scale * _betaincinv(self.a, self.b, u)
         x = self._inverse(u.ravel()).reshape(u.shape)
         x *= self.scale
         return x[()]

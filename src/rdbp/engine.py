@@ -57,9 +57,15 @@ EXPLOSION_CAP_DEFAULT = 10 ** 6
 #: to 35 MB (the parent's 37) and left its time level (8 in-process pairs)
 BLOCK_CELLS = 1 << 18
 #: most prospective children one replicate may have in a generation.  Their
-#: claims (8 bytes each) and a policy's sorted copy are the only blocks that
-#: grow with the population: 2**27 claims take 1 GiB.  The cap is far below
-#: INDEX_CAP, so every claim it admits has an address
+#: claims (8 bytes each) and what a policy counts them with are the only
+#: blocks that grow with the population: 2**27 claims take 1 GiB.  wf, sf
+#: and the counterexample add a sorted copy (8 bytes a claim).  coinflip
+#: holds its aux block (8 bytes) and, on a long row, up to four boolean
+#: masks (5 bytes, measured); a row it ranks whole holds the order, the
+#: ranked deviates and then the ordered claims instead (17 bytes).  So a
+#: coinflip row at the cap takes 21 bytes a claim (2.6 GiB), or 33
+#: (4.1 GiB) where it falls back.  The cap is far below INDEX_CAP, so every
+#: claim it admits has an address
 CLAIM_CAP = 1 << 27
 
 

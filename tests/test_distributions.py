@@ -224,7 +224,20 @@ class TestBetaInverse:
         for unit, x, x_ref in zip(u, got, ref):
             root = beta_root(a, b, unit, x if math.isfinite(x) else x_ref)
             ulps, ulps_ref = _ulps(x, root), _ulps(x_ref, root)
-            assert ulps <= 8.0 or ulps <= ulps_ref, (unit, ulps, ulps_ref)
+            # a non-finite value fails even where betaincinv's is one too
+            assert math.isfinite(x) and (ulps <= 8.0 or ulps <= ulps_ref), (unit, ulps, ulps_ref)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 5.0), (5.0, 2.0), (3.0, 30.0), (0.5, 2.0)])
+    def test_where_betaincinv_fails_far_in_the_lower_tail_the_leading_root_serves(self, a, b):
+        # betaincinv returns NaN, or 2.2e-308 for roots below it; the
+        # leading-order root is within a few ulp there, or 0.0 where the
+        # root is below every double
+        u = 10.0 ** -np.arange(150.0, 310.0, 10.0)
+        fails = ~(special.betaincinv(a, b, u) > np.finfo(np.float64).tiny)
+        assert fails.sum() >= 3
+        got = ScaledBeta(a, b, 2.0).icdf(u[fails]) / 2.0
+        for unit, x in zip(u[fails], got):
+            assert math.isfinite(x) and _ulps(x, beta_root(a, b, unit, x)) <= 4.0, unit
 
     @pytest.mark.parametrize("a,b", BETA_SHAPES)
     def test_unit_endpoints_map_to_the_support_ends(self, a, b):

@@ -459,10 +459,46 @@ def assert_counts_like_the_reference(rng, n, claim_kind, budget_kind):
         assert policy.count_rows(block, budgets, aux).tolist() == want, token
 
 
+AUX_KINDS = ("untied", "tied", "signed-zeros", "nan")
+
+
+def deviate_row(rng, kind, n):
+    """Aux deviates: U(0, 1); 2-8 levels; U(0, 1) with a third of them 0.0
+    or -0.0, which tie; or U(0, 1) with one NaN, which ranks last."""
+    if kind == "tied":
+        levels = int(rng.integers(2, 9))
+        return rng.integers(0, levels, n) / levels
+    aux = rng.random(n)
+    if kind == "signed-zeros":
+        zeros = np.flatnonzero(rng.random(n) < 1 / 3)
+        aux[zeros] = np.where(rng.random(zeros.size) < 0.5, 0.0, -0.0)
+    if kind == "nan":
+        aux[rng.integers(n)] = np.nan
+    return aux
+
+
+def assert_coinflip_counts_like_the_stable_policy(rng, n, claim_kind, aux_kind, budget_kind):
+    block = np.stack([claim_row(rng, claim_kind, n) for _ in range(2)])
+    aux = np.stack([deviate_row(rng, aux_kind, n) for _ in range(2)])
+    totals = [np.cumsum(reference_order("coinflip", row, a)) for row, a in zip(block, aux)]
+    budgets = np.array([budget_for(rng, budget_kind, tot) for tot in totals])
+    want = StableCoinFlipPolicy().count_rows(block, budgets, aux).tolist()
+    assert want == [int((tot <= b).sum()) for tot, b in zip(totals, budgets)]
+    policy = CoinFlipPolicy()
+    assert count(policy, block[0], budgets[0], aux[0]) == want[0]
+    assert policy.count_rows(block, budgets, aux).tolist() == want
+
+
+def spy_on_the_exact_path():
+    """A spy on _stable_counts, which still runs: it sees each block or
+    row that coinflip ranks whole."""
+    return mock.patch.object(rdbp.policies, "_stable_counts", side_effect=rdbp.policies._stable_counts)
+
+
 class TestCertifiedCounts:
-    """Long rows are counted by certified block sums and, for wf and sf, by
-    selection; every count equals the full sort-and-cumsum reference
-    (tests/oracle.py), for a row alone and in a block."""
+    """Long rows are counted by certified block sums and, for wf, sf and
+    coinflip, by selection; every count equals the full sort-and-cumsum
+    reference (tests/oracle.py), for a row alone and in a block."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -519,3 +555,115 @@ class TestCertifiedCounts:
         budget = (totals[20_000] + totals[20_001]) / 2
         assert rdbp.policies._served_prefix(claims, budget) == 20_001
         assert rdbp.policies._selected_count(claims, budget) == reference_count("wf", claims, budget)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([SELECT_MIN, SELECT_MIN + 1, 3 * 10 ** 4]),
+        st.sampled_from(CLAIM_KINDS),
+        st.sampled_from(AUX_KINDS),
+        st.sampled_from(BUDGET_KINDS),
+        st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    def test_coinflip_counts_like_the_stable_policy(self, n, claim_kind, aux_kind, budget_kind, seed):
+        # long rows ranked around the crossing, alone and in a block, on
+        # untied, tied, signed-zero and NaN deviates
+        assert_coinflip_counts_like_the_stable_policy(
+            np.random.default_rng(seed), n, claim_kind, aux_kind, budget_kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=400),
+        st.sampled_from(CLAIM_KINDS),
+        st.sampled_from(AUX_KINDS),
+        st.sampled_from(BUDGET_KINDS),
+        st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    def test_coinflip_small_blocks_and_samples_count_like_the_stable_policy(
+            self, n, claim_kind, aux_kind, budget_kind, seed):
+        # samples of 32 deviates probe down to neighbouring thresholds, and
+        # blocks of 4 claims put crossings on block and window edges
+        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=1, _PREFIX_BLOCK=4, _SAMPLE=8):
+            assert_coinflip_counts_like_the_stable_policy(
+                np.random.default_rng(seed), n, claim_kind, aux_kind, budget_kind)
+
+    @pytest.mark.parametrize("above", [0.0, 1.0, 2.0 ** 20], ids=["total", "one-above", "far-above"])
+    def test_a_nan_deviate_ranks_last_and_is_still_served(self, above):
+        rng = np.random.default_rng(7)
+        claims = rng.uniform(0.0, 2.0, 3 * 10 ** 4)
+        aux = rng.random(claims.size)
+        aux[123] = np.nan
+        total = float(np.cumsum(reference_order("coinflip", claims, aux))[-1])
+        budget = total + above
+        assert count(CoinFlipPolicy(), claims, budget, aux) == claims.size
+        # one below the NaN's claim: everyone else is served, but not it
+        short = float(np.cumsum(reference_order("coinflip", claims, aux))[-2]) + claims[123] / 2
+        assert count(CoinFlipPolicy(), claims, short, aux) == claims.size - 1
+        assert rdbp.policies._ranked_count(claims, aux, short) == claims.size - 1
+
+    def test_a_budget_on_a_coinflip_prefix_total_falls_back_to_the_exact_path(self):
+        rng = np.random.default_rng(8)
+        claims = rng.uniform(0.0, 2.0, 50_000)
+        aux = rng.random(claims.size)
+        totals = np.cumsum(reference_order("coinflip", claims, aux))
+        for k in rng.integers(1, claims.size, 10):
+            assert rdbp.policies._ranked_count(claims, aux, totals[k]) == -1
+            with spy_on_the_exact_path() as spy:
+                assert count(CoinFlipPolicy(), claims, totals[k], aux) == k + 1
+            assert spy.call_count == 1
+
+
+def long_coinflip_block(seed, n=SELECT_MIN + 5):
+    """Three long rows of U(0, 2) claims and U(0, 1) deviates, each row's
+    budget a third of its total."""
+    rng = np.random.default_rng(seed)
+    claims = rng.uniform(0.0, 2.0, (3, n))
+    return claims, claims.sum(axis=1) / 3, rng.random((3, n))
+
+
+class TestCoinFlipFallbacks:
+    """Each way a long coinflip row can miss its certified count sends that
+    row, and only that row, to the full stable ranking."""
+
+    def assert_falls_back(self, claims, budgets, aux, rows):
+        with spy_on_the_exact_path() as spy:
+            counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
+        ranked = [call.args[0] for call in spy.call_args_list]
+        assert len(ranked) == len(rows)
+        for got, row in zip(ranked, rows):
+            assert got.tobytes() == claims[row:row + 1].tobytes()
+        want = StableCoinFlipPolicy().count_rows(claims, budgets, aux)
+        assert counts.tolist() == want.tolist()
+
+    def test_the_ranked_rows_take_no_fallback(self):
+        self.assert_falls_back(*long_coinflip_block(1), rows=[])
+
+    @pytest.mark.parametrize("probes", [0, 1])
+    def test_running_out_of_probes(self, monkeypatch, probes):
+        # 2048 sampled deviates take at least two probes to close to 64
+        monkeypatch.setattr(rdbp.policies, "_RANK_PROBES", probes)
+        self.assert_falls_back(*long_coinflip_block(2), rows=[0, 1, 2])
+
+    def test_a_window_served_to_its_top(self, monkeypatch):
+        # a window count that reaches the window's top under a threshold
+        # whose prefix total exceeds the budget can only come from rounding
+        window_count = rdbp.policies._served_prefix
+
+        def served_to_the_top(ordered, budget, start=0.0, terms=0):
+            if terms:
+                return ordered.size
+            return window_count(ordered, budget, start, terms)
+
+        monkeypatch.setattr(rdbp.policies, "_served_prefix", served_to_the_top)
+        self.assert_falls_back(*long_coinflip_block(3), rows=[0, 1, 2])
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_a_non_finite_claim(self, value):
+        claims, budgets, aux = long_coinflip_block(4)
+        claims[1, 77] = value
+        self.assert_falls_back(claims, budgets, aux, rows=[1])
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
+    def test_a_non_finite_or_negative_budget(self, value):
+        claims, budgets, aux = long_coinflip_block(5)
+        budgets[2] = value
+        self.assert_falls_back(claims, budgets, aux, rows=[2])
