@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Time ``count_rows`` of every built-in policy, per claim, in a parent
-checkout and a changed one, alternating in one interpreter.
+checkout and the checkout holding this script, alternating in one
+interpreter.
 
-For each row length (10^2, 10^3, 8192, 3*10^4, 10^5 and 4.5*10^5 claims by
-default) it counts a block of U(0, 2) claims with U(0, 1) aux deviates, as
+For each row length (10^2, 10^3, 8192, 3*10^4, 10^5 and 4.5*10^5 claims)
+it counts a block of U(0, 2) claims with U(0, 1) aux deviates, as
 many rows as fill 2^18 cells (the engine's claim batch; one row if longer),
 each row's budget a third of its total.  Both checkouts' ``src/rdbp`` are
 loaded as separate packages by ``scripts/ab_inprocess.py``'s loader, and
@@ -35,24 +36,20 @@ BLOCK_CELLS = 1 << 18
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", type=Path, default=HERE,
-                    help="checkout of the change (default: the one holding this script)")
     ap.add_argument("--pairs", type=int, default=7)
-    ap.add_argument("--lengths", type=int, nargs="+", default=LENGTHS)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     modules = {}
-    for side, checkout in (("parent", args.parent), ("change", args.change)):
+    for side, checkout in (("parent", args.parent), ("change", HERE)):
         load(checkout.resolve(), f"rdbp_{side}")
         modules[side] = importlib.import_module(f"rdbp_{side}.policies")
     tokens = modules["change"].POLICY_TOKENS
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(1)
     print(f"ns per claim of count_rows, median of {args.pairs} alternating pairs; "
           f"U(0, 2) claims, budget a third of each row's total")
     print(f"{'policy':15} {'claims':>7} {'rows':>5} {'parent':>8} {'change':>8} {'ratio':>6} {'won':>5}")
     for token in tokens:
         policies = {side: module.policy_from_token(token) for side, module in modules.items()}
-        for length in args.lengths:
+        for length in LENGTHS:
             rows = max(BLOCK_CELLS // length, 1)
             claims = rng.uniform(0.0, 2.0, (rows, length))
             aux = rng.random((rows, length))

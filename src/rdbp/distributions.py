@@ -179,8 +179,9 @@ def _betaincinv(a: float, b: float, u):
 
     betaincinv returns NaN for (2, 5) at u <= 1e-186 and (5, 2) at
     u <= 1e-151, and the smallest normal double, 2.2e-308, for (0.5, 2) at
-    u = 1e-300, whose root is 4.4e-601.  Such roots lie so close to 0 that
-    the next term of the series, of relative size x, is far below an ulp.
+    u = 1e-300, whose root is 4.4e-601.  The leading root x0 stands in only
+    where the next term of the series, of relative size (b - 1) x0 / (a + 1),
+    is at most an ulp; elsewhere betaincinv's value, NaN included, is kept.
     The kernel's units are at least 2**-54; there only shapes with a below
     about 0.05 reach roots under the smallest normal double, so every other
     shape keeps betaincinv's values bit for bit.
@@ -196,7 +197,9 @@ def _betaincinv(a: float, b: float, u):
         r = np.fmod(e, a)
         q = np.rint((e - r) / a).astype(np.int64)
         lead = math.exp((math.log(a) + float(special.betaln(a, b))) / a)
-        x = np.where(far, np.ldexp(lead * m ** (1.0 / a) * np.exp2(r / a), q), x)
+        root = np.ldexp(lead * m ** (1.0 / a) * np.exp2(r / a), q)
+        tiny = abs(b - 1.0) * root <= np.finfo(np.float64).eps * (a + 1.0)
+        x = np.where(far & tiny, root, x)
     return x
 
 

@@ -351,8 +351,10 @@ def _ranked_count(claims: np.ndarray, aux: np.ndarray, budget: float) -> int:
         probes += 1
         guess = lo + (hi - lo) * (budget - s_lo) / (s_hi - s_lo)
         sd = math.sqrt((guess - lo) * (hi - guess) / (hi - lo)) + 1.0
-        # at most halfway to the farther end, so every probe cuts the
-        # bracket by a quarter or more
+        # at most halfway to the farther end: a probe that lands on the
+        # predicted side cuts a quarter of the bracket or more, one on the
+        # other side may cut only a few positions, and _RANK_PROBES bounds
+        # the probes a poor interpolation costs
         if guess - lo > hi - guess:
             j = round(guess - min(2.0 * sd, 0.5 * (guess - lo)))
         else:
