@@ -205,20 +205,58 @@ def _betaincinv(a: float, b: float, u):
 
 #: cells of each table that seeds the beta inverse; interpolated guesses land
 #: within about 1e-8 of the root (1e-6 at worst on the tested shapes), and
-#: one Halley step takes them to a few ulp
+#: one Halley step takes them to a few ulp.  Every node keeps its own tail
+#: from ``betainc``, computed once with the table
 _INVERSE_CELLS = 4096
+
+#: the outer abscissae of the 3-point Gauss-Legendre rule lie this far from
+#: the middle of the interval, in units of its width
+_GL_OFFSET = 0.5 * math.sqrt(0.6)
+
+
+def _powered(base: np.ndarray, exponent: float) -> np.ndarray:
+    """base**exponent, in base's own memory; an exponent of 1 costs nothing."""
+    return base if exponent == 1.0 else np.power(base, exponent, out=base)
+
+
+def _density(z: np.ndarray, zm1: float, ym1: float) -> np.ndarray:
+    """z**zm1 * (1 - z)**ym1, in z's own memory."""
+    y = _powered(np.subtract(1.0, z), ym1)
+    z = _powered(z, zm1)
+    z *= y
+    return z
+
+
+def _density_integral(zm1: float, ym1: float, lo: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """The integral of z**zm1 * (1 - z)**ym1 over [lo, lo + width], by the
+    3-point Gauss-Legendre rule, which is exact for polynomials of degree 5."""
+    mid = width * 0.5
+    mid += lo
+    offset = width * _GL_OFFSET
+    total = _density(mid - offset, zm1, ym1)
+    total += _density(np.add(mid, offset, out=offset), zm1, ym1)
+    total *= 5.0 / 8.0
+    total += _density(mid, zm1, ym1)
+    total *= width
+    total *= 4.0 / 9.0
+    return total
 
 
 class _BetaInverse:
     """x with I_x(a, b) = u for many units at once, each unit on its own.
 
     Each half works on its own tail p = min(u, 1 - u), which is exact: the
-    lower half solves I_x(a, b) = p and the upper half I_{1-x}(b, a) = p.
-    Near p = 0 the root moves like p**(1/a) (p**(1/b) for 1 - x), so a table
-    of ``betaincinv`` at evenly spaced t = p**(1/a) (or p**(1/b)) gives a
-    close linear guess, and one Halley step on ``betainc`` and the density
-    refines it.  Units in a table's first cell, which holds the far tail,
-    and units whose step is too large to trust fall back to ``betaincinv``.
+    lower half solves I_x(a, b) = p and the upper half I_{1-x}(b, a) = p,
+    each in its own variable z = x or 1 - x.  Near p = 0 the root moves like
+    p**(1/a) (p**(1/b) for 1 - x), so a table of ``betaincinv`` at evenly
+    spaced t = p**(1/a) (or p**(1/b)) gives a close linear guess, and one
+    Halley step refines it.  The step's residual I_z - p is the tail at the
+    guess's node, which ``betainc`` gave when the table was built, minus p,
+    plus the 3-point Gauss-Legendre integral of the density from the node to
+    the guess; the guess lies inside the node's cell, so that interval is
+    short.  Units in a table's first cell, which holds the far tail, units
+    in the cells where the rule is not good to half an ulp of the tail, and
+    units whose step is too large to trust fall back to ``betaincinv``.
     """
 
     def __init__(self, a: float, b: float):
@@ -226,7 +264,12 @@ class _BetaInverse:
         self._a, self._b = a, b
         n = _INVERSE_CELLS
         t = np.arange(n + 1) / n
-        nodes = []
+        beta_ab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        # per half, u <= 1/2 then u > 1/2: whether z = 1 - x, the map from p
+        # to its cell, the table of x and its slopes, the nodes in z and their
+        # tails, the exponents of the density in z, and B(a, b) with the sign
+        # that turns the residual over the density into the move of x
+        self._halves = []
         for alpha, beta, flip in ((a, b, False), (b, a, True)):
             top = 0.5 ** (1.0 / alpha)
             x = special.betaincinv(alpha, beta, np.minimum((top * t) ** alpha, 0.5))
@@ -234,17 +277,18 @@ class _BetaInverse:
                 x = 1.0 - x
             # NaN in cell 0 fails the step check, so the first cell falls back
             x[0] = np.nan
-            nodes.append(x)
-        # per half, indexed by 0 (u <= 1/2) or 1 (u > 1/2): the table, its
-        # map from p, betainc's parameters (I_x(a, b), then I_{1-x}(b, a))
-        # and B(a, b) with the sign that turns f into the move of x
-        self._nodes = np.concatenate(nodes)
-        self._slopes = np.concatenate([np.append(np.diff(x), 0.0) for x in nodes])
-        self._offsets = np.array([0, n + 1])
-        self._exponents = np.array([1.0 / a, 1.0 / b])
-        self._cells_per_t = n / 0.5 ** self._exponents
-        self._first, self._second = np.array([a, b]), np.array([b, a])
-        self._signed_beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) * np.array([1.0, -1.0])
+            # z as the step rounds it, so the integral starts exactly there
+            z = 1.0 - x if flip else x
+            tails = special.betainc(alpha, beta, z)
+            # a cell whose rule over its whole width differs from the rule over
+            # its two halves by half an ulp of its tail falls back too
+            width = np.diff(z)
+            whole = _density_integral(alpha - 1.0, beta - 1.0, z[:-1], width)
+            split = _density_integral(alpha - 1.0, beta - 1.0, z[:-1], 0.5 * width)
+            split += _density_integral(alpha - 1.0, beta - 1.0, z[:-1] + 0.5 * width, 0.5 * width)
+            tails[:-1][~(np.abs(whole - split) <= 2.0 ** -54 * beta_ab * tails[:-1])] = np.nan
+            self._halves.append((flip, 1.0 / alpha, n / top, x, np.append(np.diff(x), 0.0), z, tails,
+                                 alpha - 1.0, beta - 1.0, beta_ab))
         # from relative error e in min(x, 1 - x), a Halley step leaves at most
         # K * e**3 with K = S**2/12 + S/6, S = |a - 1| + |b - 1|; keep only
         # steps after which that is below half an ulp
@@ -252,52 +296,64 @@ class _BetaInverse:
         self._tol = min(1e-6, (2.0 ** -54 / (spread * spread / 12.0 + spread / 6.0)) ** (1.0 / 3.0))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        a1, b1 = self._a - 1.0, self._b - 1.0
+        upper = u > 0.5
         with np.errstate(all="ignore"):
-            upper = u > 0.5
-            half = upper.view(np.uint8)
-            w = np.subtract(1.0, u)
-            p = np.minimum(u, w)
-            # the guess: p to its table cell, then linear inside the cell; a
-            # NaN unit lands on some node, and the step check catches it
-            t = np.power(p, self._exponents.take(half))
-            t *= self._cells_per_t.take(half)
-            cell = t.astype(np.intp)
-            t -= cell
-            cell += self._offsets.take(half)
-            x = self._slopes.take(cell, mode="clip")
-            x *= t
-            x += self._nodes.take(cell, mode="clip")
-            del cell
-            # f = I_x(a, b) - p below 1/2 and I_{1-x}(b, a) - p above, then
-            # Newton's step f / density, signed as a move of x
-            np.subtract(1.0, x, out=w)
-            flip = upper.astype(np.float64)
-            z = np.abs(np.subtract(flip, x, out=t), out=t)
-            f = _scipy_special().betainc(self._first.take(half), self._second.take(half), z)
-            f -= p
-            d = np.power(x, a1)
-            d *= np.power(w, b1, out=t)
-            f /= d
-            f *= self._signed_beta.take(half)
-            # 1 - x is rounded where x < 1/2; the density times the rounding
-            # corrects I_{1-x}(b, a) to first order
-            np.subtract(1.0, w, out=t)
-            t -= x
-            t *= flip
-            f -= t
-            # Halley's correction, with the curvature of the log-density
-            np.divide(0.5 * a1, x, out=d)
-            d -= np.divide(0.5 * b1, w, out=t)
-            d *= f
-            np.subtract(1.0, d, out=d)
-            f /= d
-            keep = np.abs(f, out=d) <= np.minimum(x, w, out=t) * self._tol
-        x -= f
-        if not keep.all():
-            redo = ~keep
+            if not upper.any() or upper.all():
+                x, keep = self._step(self._halves[int(upper.any())], u)
+                redo = np.flatnonzero(~keep)
+            else:
+                x, redo = np.empty_like(u), []
+                for half, where in zip(self._halves, (np.flatnonzero(~upper), np.flatnonzero(upper))):
+                    x[where], keep = self._step(half, u.take(where))
+                    redo.append(where[~keep])
+                redo = np.concatenate(redo)
+        if len(redo):
             x[redo] = _betaincinv(self._a, self._b, u[redo])
         return x
+
+    def _step(self, half: tuple, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Halley steps of one half's units, and which of them to keep."""
+        flip, exponent, cells_per_t, nodes, slopes, starts, tails, zm1, ym1, beta_ab = half
+        a1, b1 = self._a - 1.0, self._b - 1.0
+        p = np.subtract(1.0, u) if flip else u
+        # the guess: p to its table cell, then linear inside the cell; a
+        # NaN unit lands on some node, and the step check catches it
+        t = np.power(p, exponent)
+        t *= cells_per_t
+        cell = t.astype(np.intp)
+        t -= cell
+        x = slopes.take(cell, mode="clip")
+        x *= t
+        x += nodes.take(cell, mode="clip", out=t)
+        w = np.subtract(1.0, x)
+        # f = B(a, b) (I_z - p), with z = x, or 1 - x rounded above: the tail
+        # at the cell's node minus p, plus the integral from the node to z
+        f = tails.take(cell, mode="clip")
+        f -= p
+        f *= beta_ab
+        lo = starts.take(cell, mode="clip", out=t)
+        del cell
+        f += _density_integral(zm1, ym1, lo, np.subtract(w if flip else x, lo))
+        # Newton's step f / density, signed as a move of x
+        d = _powered(x.copy(), a1)
+        d *= _powered(w.copy(), b1)
+        f /= d
+        if flip:
+            f = np.negative(f, out=f)
+            # 1 - x is rounded where x < 1/2; the density times the rounding
+            # corrects I_{1-x}(b, a) to first order
+            r = np.subtract(1.0, w, out=t)
+            r -= x
+            f -= r
+        # Halley's correction, with the curvature of the log-density
+        np.divide(0.5 * a1, x, out=d)
+        d -= np.divide(0.5 * b1, w, out=t)
+        d *= f
+        np.subtract(1.0, d, out=d)
+        f /= d
+        keep = np.abs(f, out=d) <= np.minimum(x, w, out=t) * self._tol
+        x -= f
+        return x, keep
 
 
 @dataclass(frozen=True)
