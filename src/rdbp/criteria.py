@@ -394,23 +394,22 @@ def beta_asymptotic_critical_resource(a: float, b: float, process_kind: str, m: 
 
 def critical_curve(claim, m_grid, cfg: SolverConfig = SolverConfig()) -> list[tuple[float, float, float, float]]:
     """Rows (m, r_wc, r_uc, r_sc): critical resource means per policy over a
-    grid of offspring means.  Solver errors propagate per row."""
+    grid of offspring means.  Each is the closed form where the claim law has
+    one, since the bisection is good to only about 1e-10, and the bisection
+    where it has none.  Solver errors propagate per row."""
     grid = [float(m) for m in m_grid]
     if not grid:
         raise DomainError("m_grid must be non-empty")
     if any(not (m > 1.0 and math.isfinite(m)) for m in grid):
         raise DomainError("every m in the grid must be in (1, inf)")
-    rows = []
-    for m in grid:
-        rows.append(
-            (
-                m,
-                critical_resource_mean("wf", claim, m, cfg),
-                critical_resource_mean("fcfs", claim, m, cfg),
-                critical_resource_mean("sf", claim, m, cfg),
-            )
-        )
-    return rows
+
+    def critical(kind: str, m: float) -> float:
+        try:
+            return closed_form_critical_resource(kind, claim, m)
+        except UnsupportedKindError:
+            return critical_resource_mean(kind, claim, m, cfg)
+
+    return [(m, critical("wf", m), critical("fcfs", m), critical("sf", m)) for m in grid]
 
 
 @dataclass(frozen=True)

@@ -462,6 +462,23 @@ class TestCriticalCurve:
         assert r_uc == pytest.approx(1.0, abs=1e-12)
         assert r_sc == pytest.approx(1.5, abs=1e-6)
 
+    def test_closed_forms_give_exact_values(self):
+        # the bisection alone stops about 1e-10 away: 0.666666666745 here
+        [(m, r_wc, r_uc, r_sc)] = critical_curve(Uniform(0.0, 2.0), [1.5], CFG)
+        assert (r_wc, r_uc) == (2.0 / 3.0, 1.0)
+        assert abs(r_sc - 4.0 / 3.0) <= math.ulp(4.0 / 3.0)
+        # and 0.62500000000137512 for the benchmark's beta claims at m = 2
+        assert critical_curve(ScaledBeta(2.0, 2.0, 2.0), [2.0], CFG)[0][1:] == (0.625, 1.0, 1.375)
+
+    def test_laws_without_closed_forms_are_solved(self):
+        law = Uniform(0.5, 1.5)
+        with pytest.raises(UnsupportedKindError):
+            closed_form_critical_resource("wf", law, 2.0)
+        assert critical_curve(law, [2.0], CFG) == [
+            (2.0, *(critical_resource_mean(kind, law, 2.0, CFG) for kind in ("wf", "fcfs", "sf")))]
+        with pytest.raises(UnboundedClaimError):
+            critical_curve(Exponential(1.0), [2.0], CFG)
+
     def test_bad_grid(self):
         with pytest.raises(DomainError):
             critical_curve(Uniform(0.0, 2.0), [], CFG)

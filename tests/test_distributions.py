@@ -17,6 +17,8 @@ from rdbp import (
     Uniform,
     validate_regularity,
 )
+from rdbp import distributions
+from rdbp.distributions import _INVERSE_CELLS
 
 CONTINUOUS_LAWS = [
     Uniform(0.0, 2.0),
@@ -197,6 +199,8 @@ class TestPickling:
 
 BETA_GRID = (0.5, 1.0, 2.0, 5.0)
 BETA_SHAPES = [(a, b) for a in BETA_GRID for b in BETA_GRID]
+#: the grid shapes that ``ScaledBeta.icdf`` solves by table-seeded steps
+TABLE_SHAPES = [(a, b) for a, b in BETA_SHAPES if a > 1.0 and b != 1.0]
 #: both far tails (the kernel's smallest unit, far below it, the largest
 #: unit below 1 and 1 itself, which the kernel can emit), the middle, and
 #: points on both sides of every shape's median
@@ -282,6 +286,34 @@ class TestBetaInverse:
         u = np.random.default_rng(14).random(200)
         for a, b in ((1.0, 2.0), (5.0, 1.0), (0.5, 0.5), (0.5, 2.0), (0.3, 5.0)):
             assert ScaledBeta(a, b, 2.0).icdf(u).tobytes() == (2.0 * special.betaincinv(a, b, u)).tobytes()
+
+    @pytest.mark.parametrize("a,b", TABLE_SHAPES + [(2.0, 12.0)])
+    def test_random_units_and_edge_cells_within_8_ulp_and_1_ulp_in_the_median(self, a, b, monkeypatch):
+        # 100 random units in each half, and three in each of cells 1, 2, 3,
+        # 63, 64 and the last cell of each half's table, whose cell k holds
+        # p = 0.5 * (t / cells)**alpha for t in [k, k + 1).  (2, 12) adds an
+        # upper half reaching down to x = 0.12, where the rounding of 1 - x
+        # is worth up to 2 ulp of x
+        rng = np.random.default_rng(15)
+        cells = _INVERSE_CELLS
+        t = np.repeat([1.0, 2.0, 3.0, 63.0, 64.0, cells - 1.0], 3) + rng.random(18)
+        u = np.concatenate([0.5 * rng.random(100), 0.5 + 0.5 * rng.random(100),
+                            0.5 * (t / cells) ** a, 1.0 - 0.5 * (t / cells) ** b])
+        # every unit from cell 64 on takes the table's step
+        p = np.minimum(u, 1.0 - u)
+        cell = np.floor(cells * (2.0 * p) ** np.where(u > 0.5, 1.0 / b, 1.0 / a))
+        fell = []
+        fallback = distributions._betaincinv
+        monkeypatch.setattr(distributions, "_betaincinv", lambda a, b, u: fell.extend(u) or fallback(a, b, u))
+        got = ScaledBeta(a, b, 2.0).icdf(u) / 2.0
+        assert set(fell) <= set(u[cell < 64])
+        ref = special.betaincinv(a, b, u)
+        ulps = []
+        for unit, x, x_ref in zip(u, got, ref):
+            root = beta_root(a, b, unit, x if 0.0 < x < 1.0 else x_ref)
+            ulps.append(_ulps(x, root))
+            assert math.isfinite(x) and (ulps[-1] <= 8.0 or ulps[-1] <= _ulps(x_ref, root)), (unit, ulps[-1])
+        assert np.median(ulps) <= 1.0
 
     def test_upper_half_below_one_half_corrects_the_rounding_of_1_minus_x(self):
         # u > 1/2 but x < 1/2: I_{1-x}(b, a) is read at 1 - x rounded, which
