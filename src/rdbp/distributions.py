@@ -318,7 +318,7 @@ class _BetaInverse:
         p = np.subtract(1.0, u) if flip else u
         # the guess: p to its table cell, then linear inside the cell; a
         # NaN unit lands on some node, and the step check catches it
-        t = np.power(p, exponent)
+        t = p ** exponent
         t *= cells_per_t
         cell = t.astype(np.intp)
         t -= cell
@@ -361,11 +361,12 @@ class ScaledBeta:
     """Beta(a, b) law stretched onto (0, scale).
 
     ``icdf`` inverts I_x(a, b) with table-seeded Halley steps (see
-    ``_BetaInverse``) when a > 1 and b != 1, and with
-    ``scipy.special.betaincinv`` for the far tails, for any step it cannot
-    trust, and for the other shapes (see ``_inverse``), with the
-    leading-order root where betaincinv fails far in the lower tail (see
-    ``_betaincinv``).
+    ``_BetaInverse``) when a > 1 and b != 1; their residuals come from node
+    tails that ``scipy.special.betainc`` gives once per table, not per
+    sample.  ``scipy.special.betaincinv`` serves the far tails, the cells
+    where the step's quadrature is not good enough, any step it cannot
+    trust, and the other shapes (see ``_inverse``), with the leading-order
+    root where betaincinv fails far in the lower tail (see ``_betaincinv``).
     """
 
     a: float
@@ -412,11 +413,11 @@ class ScaledBeta:
         """Built on first use; None for the shapes left to ``betaincinv``.
 
         a = 1 and b = 1 have closed forms there.  For a < 1 the lower tail
-        x ~ (a B(a, b) p)**(1/a) stretches the relative error of I_x by 1/a,
-        and ``betainc`` is off by up to about 10 ulp for such shapes, so a
-        step in double precision falls short of ``betaincinv``, which
-        iterates in extended precision; ``betainc`` also costs 200-400 ns a
-        sample there, which leaves little to gain.
+        x ~ (a B(a, b) p)**(1/a) stretches the relative error of I_x by 1/a.
+        The step reads I_x from node tails that ``betainc`` gives, which is
+        off by up to about 10 ulp for such shapes, so it would fall short of
+        ``betaincinv``, which iterates in extended precision; and the
+        density's pole at 0 defeats the 3-point rule in the lower cells.
         """
         if self.a <= 1.0 or self.b == 1.0:
             return None
