@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -242,6 +242,21 @@ def _density_integral(zm1: float, ym1: float, lo: np.ndarray, width: np.ndarray)
     return total
 
 
+class _InverseHalf(NamedTuple):
+    """One half of a ``_BetaInverse``: u <= 1/2, in z = x, or u > 1/2, in
+    z = 1 - x as the step rounds it."""
+
+    flip: bool  # z = 1 - x
+    exponent: float  # t = p**exponent ...
+    cells_per_t: float  # ... times this is p's table cell plus its place in it
+    nodes: np.ndarray  # the table of x
+    slopes: np.ndarray  # x's rise over each cell
+    starts: np.ndarray  # the nodes in z
+    tails: np.ndarray  # I_z at each node; NaN where the cell falls back
+    zm1: float  # the density in z is z**zm1 * (1 - z)**ym1 / B(a, b)
+    ym1: float
+
+
 class _BetaInverse:
     """x with I_x(a, b) = u for many units at once, each unit on its own.
 
@@ -264,11 +279,7 @@ class _BetaInverse:
         self._a, self._b = a, b
         n = _INVERSE_CELLS
         t = np.arange(n + 1) / n
-        beta_ab = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-        # per half, u <= 1/2 then u > 1/2: whether z = 1 - x, the map from p
-        # to its cell, the table of x and its slopes, the nodes in z and their
-        # tails, the exponents of the density in z, and B(a, b) with the sign
-        # that turns the residual over the density into the move of x
+        self._beta = math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
         self._halves = []
         for alpha, beta, flip in ((a, b, False), (b, a, True)):
             top = 0.5 ** (1.0 / alpha)
@@ -286,9 +297,9 @@ class _BetaInverse:
             whole = _density_integral(alpha - 1.0, beta - 1.0, z[:-1], width)
             split = _density_integral(alpha - 1.0, beta - 1.0, z[:-1], 0.5 * width)
             split += _density_integral(alpha - 1.0, beta - 1.0, z[:-1] + 0.5 * width, 0.5 * width)
-            tails[:-1][~(np.abs(whole - split) <= 2.0 ** -54 * beta_ab * tails[:-1])] = np.nan
-            self._halves.append((flip, 1.0 / alpha, n / top, x, np.append(np.diff(x), 0.0), z, tails,
-                                 alpha - 1.0, beta - 1.0, beta_ab))
+            tails[:-1][~(np.abs(whole - split) <= 2.0 ** -54 * self._beta * tails[:-1])] = np.nan
+            self._halves.append(_InverseHalf(flip, 1.0 / alpha, n / top, x, np.append(np.diff(x), 0.0), z, tails,
+                                             alpha - 1.0, beta - 1.0))
         # from relative error e in min(x, 1 - x), a Halley step leaves at most
         # K * e**3 with K = S**2/12 + S/6, S = |a - 1| + |b - 1|; keep only
         # steps after which that is below half an ulp
@@ -311,34 +322,33 @@ class _BetaInverse:
             x[redo] = _betaincinv(self._a, self._b, u[redo])
         return x
 
-    def _step(self, half: tuple, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _step(self, half: _InverseHalf, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The Halley steps of one half's units, and which of them to keep."""
-        flip, exponent, cells_per_t, nodes, slopes, starts, tails, zm1, ym1, beta_ab = half
         a1, b1 = self._a - 1.0, self._b - 1.0
-        p = np.subtract(1.0, u) if flip else u
+        p = np.subtract(1.0, u) if half.flip else u
         # the guess: p to its table cell, then linear inside the cell; a
         # NaN unit lands on some node, and the step check catches it
-        t = p ** exponent
-        t *= cells_per_t
+        t = p ** half.exponent
+        t *= half.cells_per_t
         cell = t.astype(np.intp)
         t -= cell
-        x = slopes.take(cell, mode="clip")
+        x = half.slopes.take(cell, mode="clip")
         x *= t
-        x += nodes.take(cell, mode="clip", out=t)
+        x += half.nodes.take(cell, mode="clip", out=t)
         w = np.subtract(1.0, x)
-        # f = B(a, b) (I_z - p), with z = x, or 1 - x rounded above: the tail
-        # at the cell's node minus p, plus the integral from the node to z
-        f = tails.take(cell, mode="clip")
+        # f = B(a, b) (I_z - p): the tail at the cell's node minus p, plus the
+        # integral of the density from the node to z
+        f = half.tails.take(cell, mode="clip")
         f -= p
-        f *= beta_ab
-        lo = starts.take(cell, mode="clip", out=t)
+        f *= self._beta
+        lo = half.starts.take(cell, mode="clip", out=t)
         del cell
-        f += _density_integral(zm1, ym1, lo, np.subtract(w if flip else x, lo))
+        f += _density_integral(half.zm1, half.ym1, lo, np.subtract(w if half.flip else x, lo))
         # Newton's step f / density, signed as a move of x
         d = _powered(x.copy(), a1)
         d *= _powered(w.copy(), b1)
         f /= d
-        if flip:
+        if half.flip:
             f = np.negative(f, out=f)
             # 1 - x is rounded where x < 1/2; the density times the rounding
             # corrects I_{1-x}(b, a) to first order
