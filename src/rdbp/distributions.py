@@ -307,17 +307,13 @@ class _BetaInverse:
         self._tol = min(1e-6, (2.0 ** -54 / (spread * spread / 12.0 + spread / 6.0)) ** (1.0 / 3.0))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
+        x, redo = np.empty_like(u), []
         upper = u > 0.5
         with np.errstate(all="ignore"):
-            if not upper.any() or upper.all():
-                x, keep = self._step(self._halves[int(upper.any())], u)
-                redo = np.flatnonzero(~keep)
-            else:
-                x, redo = np.empty_like(u), []
-                for half, where in zip(self._halves, (np.flatnonzero(~upper), np.flatnonzero(upper))):
-                    x[where], keep = self._step(half, u.take(where))
-                    redo.append(where[~keep])
-                redo = np.concatenate(redo)
+            for half, where in zip(self._halves, (np.flatnonzero(~upper), np.flatnonzero(upper))):
+                x[where], keep = self._step(half, u.take(where))
+                redo.append(where[~keep])
+        redo = np.concatenate(redo)
         if len(redo):
             x[redo] = _betaincinv(self._a, self._b, u[redo])
         return x
@@ -349,7 +345,7 @@ class _BetaInverse:
         d *= _powered(w.copy(), b1)
         f /= d
         if half.flip:
-            f = np.negative(f, out=f)
+            np.negative(f, out=f)
             # 1 - x is rounded where x < 1/2; the density times the rounding
             # corrects I_{1-x}(b, a) to first order
             r = np.subtract(1.0, w, out=t)
@@ -427,7 +423,7 @@ class ScaledBeta:
         The step reads I_x from node tails that ``betainc`` gives, which is
         off by up to about 10 ulp for such shapes, so it would fall short of
         ``betaincinv``, which iterates in extended precision; and the
-        density's pole at 0 defeats the 3-point rule in the lower cells.
+        density's pole at 0 defeats the 3-point rule in the first cells.
         """
         if self.a <= 1.0 or self.b == 1.0:
             return None

@@ -290,23 +290,24 @@ class TestBetaInverse:
     @pytest.mark.parametrize("a,b", TABLE_SHAPES + [(2.0, 12.0)])
     def test_random_units_and_edge_cells_within_8_ulp_and_1_ulp_in_the_median(self, a, b, monkeypatch):
         # 100 random units in each half, and three in each of cells 1, 2, 3,
-        # 63, 64 and the last cell of each half's table, whose cell k holds
-        # p = 0.5 * (t / cells)**alpha for t in [k, k + 1).  (2, 12) adds an
-        # upper half reaching down to x = 0.12, where the rounding of 1 - x
-        # is worth up to 2 ulp of x
+        # 63, 64, 256 and the last cell of each half's table, whose cell k
+        # holds p = 0.5 * (t / cells)**alpha for t in [k, k + 1).  (2, 12)
+        # adds an upper half reaching down to x = 0.12, where the rounding of
+        # 1 - x is worth up to 2 ulp of x
         rng = np.random.default_rng(15)
         cells = _INVERSE_CELLS
-        t = np.repeat([1.0, 2.0, 3.0, 63.0, 64.0, cells - 1.0], 3) + rng.random(18)
+        t = np.repeat([1.0, 2.0, 3.0, 63.0, 64.0, 256.0, cells - 1.0], 3) + rng.random(21)
         u = np.concatenate([0.5 * rng.random(100), 0.5 + 0.5 * rng.random(100),
                             0.5 * (t / cells) ** a, 1.0 - 0.5 * (t / cells) ** b])
-        # every unit from cell 64 on takes the table's step
+        # every unit from cell 128 on takes the table's step; below, the
+        # rounding of the cell check can send a cell to betaincinv
         p = np.minimum(u, 1.0 - u)
         cell = np.floor(cells * (2.0 * p) ** np.where(u > 0.5, 1.0 / b, 1.0 / a))
         fell = []
         fallback = distributions._betaincinv
         monkeypatch.setattr(distributions, "_betaincinv", lambda a, b, u: fell.extend(u) or fallback(a, b, u))
         got = ScaledBeta(a, b, 2.0).icdf(u) / 2.0
-        assert set(fell) <= set(u[cell < 64])
+        assert set(fell) <= set(u[cell < 128])
         ref = special.betaincinv(a, b, u)
         ulps = []
         for unit, x, x_ref in zip(u, got, ref):
