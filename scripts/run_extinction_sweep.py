@@ -3,8 +3,9 @@
 
 Sweeps the per-head resource production r over a grid, estimates the
 extinction probability for each policy by Monte Carlo, and writes a tidy
-CSV.  The solver's critical values are printed alongside so the crossing
-points in the empirical columns can be eyeballed against theory.
+CSV.  The closed-form critical resource means are printed alongside so
+the crossing points in the empirical columns can be eyeballed against
+theory.
 
 Example:
     python3 scripts/run_extinction_sweep.py --replicates 500 --out results

@@ -13,12 +13,10 @@ from .criteria import (
     ConvergenceError,
     CriticalReport,
     DomainError,
-    SolverConfig,
     UnboundedClaimError,
     UnsupportedKindError,
     beta_asymptotic_critical_resource,
     classify,
-    closed_form_critical_resource,
     critical_curve,
     critical_report,
     critical_resource_mean,
@@ -95,11 +93,11 @@ __all__ = [
     "ProcessSpec", "Outcome", "Trajectory", "EngineError",
     "step", "simulate", "trajectory_to_csv", "trajectory_to_json",
     "step_replicates", "simulate_replicates", "simulate_coupled_replicates",
-    "SolverConfig", "Classification", "CriticalReport", "CRITICAL_BAND",
+    "Classification", "CriticalReport", "CRITICAL_BAND",
     "DomainError", "UnboundedClaimError", "UnsupportedKindError",
     "solve_wf_threshold", "solve_sf_threshold", "effective_mean_wf", "effective_mean_sf",
     "classify", "moment_shortcut", "critical_resource_mean",
-    "closed_form_critical_resource", "beta_asymptotic_critical_resource",
+    "beta_asymptotic_critical_resource",
     "critical_curve", "critical_report",
     "ConvergenceError",
     "McConfig", "ExtinctionEstimate", "GrowthEstimate", "SafeHavenReport",

@@ -124,7 +124,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_classify(cfg: RunConfig, args) -> int:
     triple = cfg.triple()
-    report = critical_report(triple, cfg.solver)
+    report = critical_report(triple)
     payload = {
         "laws": {
             "offspring": offspring_law_to_json(triple.offspring),
@@ -145,7 +145,7 @@ def _cmd_curve(cfg: RunConfig, args) -> int:
         raise ConfigError("laws.claim: missing required field")
     if cfg.m_grid is None:
         raise ConfigError("config.m_grid: missing required field")
-    rows = critical_curve(cfg.claim, cfg.m_grid, cfg.solver)
+    rows = critical_curve(cfg.claim, cfg.m_grid)
     lines = ["m,r_wc,r_uc,r_sc"]
     for m, r_wc, r_uc, r_sc in rows:
         lines.append(",".join(_fmt(v) for v in (m, r_wc, r_uc, r_sc)))

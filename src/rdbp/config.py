@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
-from .criteria import SolverConfig
 from .distributions import (
     Constant,
     Exponential,
@@ -231,7 +230,6 @@ class RunConfig:
     policy: Optional[str]
     process: ProcessParams
     mc: McConfig
-    solver: SolverConfig
     m_grid: Optional[tuple[float, ...]]
     checks: Optional[tuple[str, ...]]
     check_params: dict
@@ -247,7 +245,7 @@ class RunConfig:
         return LawTriple(self.offspring, self.claim, self.resource)
 
 
-_TOP_KEYS = ("seed", "laws", "policy", "process", "mc", "solver", "m_grid", "checks", "check_params")
+_TOP_KEYS = ("seed", "laws", "policy", "process", "mc", "m_grid", "checks", "check_params")
 
 
 def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConfig:
@@ -315,16 +313,6 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
     except ValueError as exc:
         raise ConfigError(f"mc: {exc}") from exc
 
-    solver_obj = _as_mapping(data.get("solver", {}), "solver")
-    _reject_unknown(solver_obj, "solver", ("abs_tol", "max_iter"))
-    try:
-        solver = SolverConfig(
-            abs_tol=_number(solver_obj, "solver", "abs_tol", 1e-10),
-            max_iter=_integer(solver_obj, "solver", "max_iter", 200),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
     m_grid = None
     if "m_grid" in data:
         raw = data["m_grid"]
@@ -373,7 +361,6 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
         policy=policy,
         process=process,
         mc=mc,
-        solver=solver,
         m_grid=m_grid,
         checks=checks,
         check_params=check_params,

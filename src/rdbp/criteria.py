@@ -8,6 +8,13 @@ large claims first funds claims above a cutoff solving  E[X; X >= T] = r/m,
 giving m * (1 - F(T)).  Service in arrival order is blind to claim size and
 survives precisely when the resource mean r beats the claim mean.
 
+Every cutoff, effective mean and critical resource mean is a closed form:
+square roots for uniform claims, in exact rational arithmetic; the inverse
+incomplete beta for scaled beta claims, whose partial moments are incomplete
+betas with the first parameter raised by one; the inverse incomplete gamma
+of shape 2 for exponential claims, since E[X; X <= t] = P(2, rate t)/rate.
+``scipy.special`` is imported on first use, so uniform claims never load it.
+
 When r >= m * E[X] the demand of all prospective children is covered on
 average and the curtailment factor is taken as 1 (the cutoffs leave the
 support), so both effective means reduce to m.
@@ -17,11 +24,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .distributions import (
-    Constant,
     Exponential,
     LawTriple,
     ScaledBeta,
@@ -35,7 +42,6 @@ __all__ = [
     "UnboundedClaimError",
     "UnsupportedKindError",
     "ConvergenceError",
-    "SolverConfig",
     "Classification",
     "CriticalReport",
     "EXTINCTION",
@@ -50,7 +56,6 @@ __all__ = [
     "classify",
     "moment_shortcut",
     "critical_resource_mean",
-    "closed_form_critical_resource",
     "beta_asymptotic_critical_resource",
     "critical_curve",
     "critical_report",
@@ -70,7 +75,7 @@ class UnsupportedKindError(ValueError):
 
 
 class ConvergenceError(ArithmeticError):
-    """An iteration failed to reach its tolerance within the step budget."""
+    """A closed form's root or value is not good in double precision."""
 
 
 EXTINCTION = "almost_sure_extinction"
@@ -81,16 +86,6 @@ INAPPLICABLE = "inapplicable"
 #: half-width of the band around 1 in which the decisive quantity is
 #: reported as critical rather than rounded to one side
 CRITICAL_BAND = 1e-9
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    abs_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.abs_tol < math.inf or self.max_iter < 1:
-            raise ValueError("solver config requires a finite abs_tol > 0 and max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,103 +101,115 @@ def _check_rm(r: float, m: float) -> None:
         raise DomainError(f"offspring mean must be in (1, inf), got {m}")
 
 
-def _bisect(residual, lo: float, hi: float, tol: float, max_iter: int, what: str,
-            width: float = 0.0) -> float:
-    """Midpoint of [lo, hi] where the non-decreasing ``residual`` is within
-    ``tol`` of 0, or where the bracket has shrunk below ``width``.
-
-    Raises ConvergenceError after ``max_iter`` halvings.
-    """
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        val = residual(mid)
-        if abs(val) <= tol or hi - lo < width:
-            return mid
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(f"{what} residual above {tol:g} after {max_iter} bisections")
+def _root(inverse, forward, shape: tuple, p: float, what: str) -> tuple[float, float]:
+    """(x, forward(*shape, x)) for the x that ``inverse`` gives for
+    forward(*shape, x) = p.  Raises ConvergenceError where x is NaN, clamped
+    or below the normal doubles."""
+    x = float(inverse(*shape, p))
+    tail = float(forward(*shape, x))
+    # a NaN or clamped root leaves a large residual
+    if not (x >= sys.float_info.min and abs(tail - p) <= 1e-8 * p):
+        raise ConvergenceError(f"no {what} in double precision: {inverse.__name__} gave a root of {x:g}")
+    return x, tail
 
 
-def solve_wf_threshold(claim, r: float, m: float, cfg: SolverConfig = SolverConfig()) -> float:
+def _sqrt(q: Fraction) -> Fraction:
+    """The square root of q to 2**-120 relative, from an integer square root."""
+    n, d = q.numerator, q.denominator
+    return Fraction(math.isqrt(n * d << 240), d << 120)
+
+
+def _cutoff(side: str, claim, r: float, m: float) -> tuple[Optional[float], float]:
+    """(T, effective mean) of smallest-first ('wf') or largest-first ('sf')
+    service.  Once the funded share p = r / (m * E[X]) reaches 1 every claim
+    is served: the effective mean is m, and T is the edge of the support at
+    p = 1 with bounded claims and None otherwise."""
+    _check_rm(r, m)
+    if side == "sf" and not claim.is_bounded:
+        raise UnboundedClaimError("largest-first criteria need a bounded claim law")
+    if not claim.is_continuous:
+        raise UnsupportedKindError("cutoffs and effective means need a continuous claim law")
+    p = r / (m * claim.mean())
+    if p >= 1.0:
+        edge = claim.support_upper if side == "wf" else claim.support_lower
+        return (float(edge) if p == 1.0 and claim.is_bounded else None), float(m)
+
+    if isinstance(claim, Uniform):
+        # the squares of the served claims span 2r(hi - lo)/m; exact
+        # rationals round the cutoff and the effective mean once each
+        lo, hi = Fraction(claim.lo), Fraction(claim.hi)
+        span = 2 * Fraction(r) * (hi - lo) / Fraction(m)
+        if side == "wf":
+            cut = _sqrt(lo * lo + span)
+            return float(cut), float(2 * Fraction(r) / (cut + lo))
+        cut = _sqrt(hi * hi - span)
+        return float(cut), float(2 * Fraction(r) / (hi + cut))
+
+    special = _scipy_special()
+    what = f"{side} cutoff for {claim.kind} claims at r={r:g}, m={m:g}"
+    if isinstance(claim, ScaledBeta):
+        a, b, s = claim.a, claim.b, claim.scale
+        # E[X; X <= t] = E[X] I_{t/s}(a + 1, b) smallest-first; largest-first
+        # serves the lower tail of 1 - X/s, a beta(b, a) variable, whose
+        # moment there is E[X] I_y(b, a + 1)
+        shape, served_shape = ((a + 1.0, b), (a, b)) if side == "wf" else ((b, a + 1.0), (b, a))
+        u, moment = _root(special.betaincinv, special.betainc, shape, p, what)
+        unit_cut = u if side == "wf" else 1.0 - u
+        # betaincinv's root can be 1e-14 off for large shapes, and a steep
+        # served fraction multiplies that by up to a.  One Newton step on
+        # the moment mends the cutoff, and the served fraction takes the
+        # same step to first order: dF = E[X] dG / T = a dG / ((a + b) T/s)
+        miss = p - moment
+        log_density = special.xlogy(shape[0] - 1.0, u) + special.xlog1py(shape[1] - 1.0, -u) - special.betaln(*shape)
+        step = miss / math.exp(log_density)
+        served = float(special.betainc(*served_shape, u)) + miss * a / ((a + b) * unit_cut)
+        return s * (unit_cut + step if side == "wf" else unit_cut - step), m * served
+    if isinstance(claim, Exponential):
+        z, _ = _root(special.gammaincinv, special.gammainc, (2.0,), claim.rate * r / m, what)
+        return z / claim.rate, m * -math.expm1(-z)
+    raise UnsupportedKindError(f"no closed forms for claim law {type(claim).__name__}")
+
+
+def _threshold(side: str, claim, r: float, m: float) -> float:
+    cut, _ = _cutoff(side, claim, r, m)
+    if cut is None:
+        raise DomainError(f"no cutoff: r = {r:g} is not below m * claim mean = {m * claim.mean():g}")
+    return cut
+
+
+def solve_wf_threshold(claim, r: float, m: float) -> float:
     """Cutoff T with E[X; X <= T] = r/m, for smallest-first service.
 
-    Bisection on the lower partial moment, which is continuous and
-    non-decreasing for the continuous law kinds.  Raises DomainError when
-    r > m * E[X] (no cutoff exists) and when the cutoff would diverge.
+    The support's top at r = m * E[X] with bounded claims.  Raises
+    DomainError when r > m * E[X] (no cutoff exists) and when the cutoff
+    would diverge (r = m * E[X] with unbounded claims).  An r so near
+    m * E[X] that r / (m * E[X]) rounds to 1 counts as equal.
     """
-    _check_rm(r, m)
-    if not claim.is_continuous:
-        raise UnsupportedKindError("cutoff solving needs a continuous claim law")
-    mu = claim.mean()
-    target = r / m
-    if target > mu:
-        raise DomainError(f"r = {r:g} exceeds m * claim mean = {m * mu:g}; no cutoff exists")
-    if claim.is_bounded:
-        hi = float(claim.support_upper)
-        if target == mu:
-            return hi
-    else:
-        if target >= mu:
-            raise DomainError("cutoff diverges: r = m * claim mean with unbounded claims")
-        hi = max(claim.mean(), 1.0)
-        while claim.lower_partial_moment(hi) < target:
-            hi *= 2.0
-            if hi > 1e300:
-                raise ConvergenceError("failed to bracket the smallest-first cutoff")
-    return _bisect(lambda t: claim.lower_partial_moment(t) - target, 0.0, hi,
-                   cfg.abs_tol, cfg.max_iter, "lower partial moment")
+    return _threshold("wf", claim, r, m)
 
 
-def solve_sf_threshold(claim, r: float, m: float, cfg: SolverConfig = SolverConfig()) -> float:
+def solve_sf_threshold(claim, r: float, m: float) -> float:
     """Cutoff T with E[X; X >= T] = r/m, for largest-first service.
 
-    The upper partial moment is continuous and non-increasing; requires a
-    bounded claim law.
+    Requires a bounded claim law; the support's bottom at r = m * E[X].
     """
-    _check_rm(r, m)
-    if not claim.is_bounded:
-        raise UnboundedClaimError("largest-first cutoff needs a bounded claim law")
-    if not claim.is_continuous:
-        raise UnsupportedKindError("cutoff solving needs a continuous claim law")
-    mu = claim.mean()
-    target = r / m
-    if target > mu:
-        raise DomainError(f"r = {r:g} exceeds m * claim mean = {m * mu:g}; no cutoff exists")
-    # the upper partial moment falls as t grows, so its negation is bisected
-    return _bisect(lambda t: target - claim.upper_partial_moment(t), 0.0, float(claim.support_upper),
-                   cfg.abs_tol, cfg.max_iter, "upper partial moment")
+    return _threshold("sf", claim, r, m)
 
 
-def effective_mean_wf(claim, r: float, m: float, cfg: SolverConfig = SolverConfig()) -> float:
+def effective_mean_wf(claim, r: float, m: float) -> float:
     """m * F(T) with T the smallest-first cutoff; m itself once r >= m * E[X]."""
-    _check_rm(r, m)
-    if not claim.is_continuous:
-        raise UnsupportedKindError("effective means need a continuous claim law")
-    if r >= m * claim.mean():
-        return float(m)
-    cut = solve_wf_threshold(claim, r, m, cfg)
-    return float(m * claim.cdf(cut))
+    return _cutoff("wf", claim, r, m)[1]
 
 
-def effective_mean_sf(claim, r: float, m: float, cfg: SolverConfig = SolverConfig()) -> float:
+def effective_mean_sf(claim, r: float, m: float) -> float:
     """m * (1 - F(T)) with T the largest-first cutoff; m once r >= m * E[X]."""
-    _check_rm(r, m)
-    if not claim.is_bounded:
-        raise UnboundedClaimError("largest-first effective mean needs a bounded claim law")
-    if not claim.is_continuous:
-        raise UnsupportedKindError("effective means need a continuous claim law")
-    if r >= m * claim.mean():
-        return float(m)
-    cut = solve_sf_threshold(claim, r, m, cfg)
-    return float(m * (1.0 - claim.cdf(cut)))
+    return _cutoff("sf", claim, r, m)[1]
 
 
 _PROCESS_KINDS = ("wf", "sf", "fcfs")
 
 
-def classify(process_kind: str, triple: LawTriple, cfg: SolverConfig = SolverConfig()) -> Classification:
+def classify(process_kind: str, triple: LawTriple) -> Classification:
     """Almost-sure extinction versus positive survival for one policy kind.
 
     The verdict is 'critical' only when the decisive quantity sits within
@@ -231,7 +238,7 @@ def classify(process_kind: str, triple: LawTriple, cfg: SolverConfig = SolverCon
         basis = f"resource mean {r:g} vs claim mean {mu:g} (arrival-order criterion)"
     else:
         eff = effective_mean_wf if process_kind == "wf" else effective_mean_sf
-        decisive = eff(triple.claim, r, m, cfg)
+        decisive = eff(triple.claim, r, m)
         if r > m * mu:
             basis = f"r = {r:g} exceeds total demand m*mu = {m * mu:g}; effective mean equals m = {m:g}"
         else:
@@ -279,14 +286,17 @@ def moment_shortcut(process_kind: str, triple: LawTriple) -> Optional[Classifica
     return None
 
 
-def critical_resource_mean(
-    process_kind: str, claim, m: float, cfg: SolverConfig = SolverConfig()
-) -> float:
+def critical_resource_mean(process_kind: str, claim, m: float) -> float:
     """Resource mean at which the policy's decisive quantity crosses 1.
 
-    For 'fcfs' this is the claim mean.  For the ordered policies the
-    effective mean is increasing in r, so an outer bisection over r around
-    inner cutoff solves locates the crossing.
+    'fcfs': the claim mean, for every claim law.  The ordered policies
+    cross where the served tail holds mass 1/m, at r = m * E[X; tail]:
+    Uniform(lo, hi) gives lo + (hi - lo)/(2m) smallest-first and
+    hi - (hi - lo)/(2m) largest-first; Exponential(rate) gives
+    m P(2, -log(1 - 1/m))/rate smallest-first and no largest-first value.
+    Scaled beta uses ``scipy.special``'s regularized incomplete beta and its
+    inverse, and raises ConvergenceError where the value leaves double
+    precision.
     """
     if process_kind not in _PROCESS_KINDS:
         raise UnsupportedKindError(f"process kind must be one of {_PROCESS_KINDS}, got {process_kind!r}")
@@ -296,80 +306,39 @@ def critical_resource_mean(
         return float(claim.mean())
     if process_kind == "sf" and not claim.is_bounded:
         raise UnboundedClaimError("no critical resource mean for largest-first with unbounded claims")
-
-    eff = effective_mean_wf if process_kind == "wf" else effective_mean_sf
-    inner = replace(cfg, abs_tol=min(cfg.abs_tol, 1e-12), max_iter=max(cfg.max_iter, 200))
-    hi = m * claim.mean()
-    lo = hi * 1e-12
-    if eff(claim, lo, m, inner) >= 1.0:
-        return lo
-    # the bracket is narrower than the width after 44 halvings, long before
-    # the iterations run out
-    return _bisect(lambda r: eff(claim, r, m, inner) - 1.0, lo, hi, 1e-10, max(cfg.max_iter, 200),
-                   "effective mean", width=1e-13 * m * claim.mean())
-
-
-def closed_form_critical_resource(process_kind: str, claim, m: float) -> float:
-    """Critical resource mean in closed form, for the kinds that have one.
-
-    Uniform(0, d): d/(2m) smallest-first, d(1 - 1/(2m)) largest-first, d/2
-    arrival-order.  Scaled beta uses ``scipy.special``'s regularized
-    incomplete beta and its inverse, and raises ConvergenceError where the
-    value leaves double precision.  Exponential has a logarithmic form for
-    smallest-first and no largest-first value at all.
-    """
-    if process_kind not in _PROCESS_KINDS:
-        raise UnsupportedKindError(f"process kind must be one of {_PROCESS_KINDS}, got {process_kind!r}")
-    if not (m > 1.0 and math.isfinite(m)):
-        raise DomainError(f"offspring mean must be in (1, inf), got {m}")
+    if not claim.is_continuous:
+        raise UnsupportedKindError("critical resource means need a continuous claim law")
 
     if isinstance(claim, Uniform):
-        if claim.lo != 0.0:
-            raise UnsupportedKindError("uniform closed forms assume support starting at 0")
-        d = claim.hi
-        if process_kind == "wf":
-            return d / (2.0 * m)
-        if process_kind == "sf":
-            return d * (1.0 - 1.0 / (2.0 * m))
-        return d / 2.0
+        lo, hi = Fraction(claim.lo), Fraction(claim.hi)
+        half_width = (hi - lo) / (2 * Fraction(m))
+        return float(lo + half_width if process_kind == "wf" else hi - half_width)
 
+    special = _scipy_special()
     if isinstance(claim, ScaledBeta):
         a, b, s = claim.a, claim.b, claim.scale
-        if process_kind == "fcfs":
-            return s * a / (a + b)
-        special = _scipy_special()
+        what = f"{process_kind} closed form for beta(a={a:g}, b={b:g}) claims at m={m:g}"
         # the cutoff leaves mass 1/m in the served tail: s*x with I_x(a, b) = 1/m
         # smallest-first, s*(1 - y) with I_y(b, a) = 1/m largest-first
         if process_kind == "wf":
-            x = special.betaincinv(a, b, 1.0 / m)
-            cut, tail, moment = x, special.betainc(a, b, x), special.betainc(a + 1.0, b, x)
+            x, tail = _root(special.betaincinv, special.betainc, (a, b), 1.0 / m, what)
+            cut, moment = x, special.betainc(a + 1.0, b, x)
         else:
-            y = special.betaincinv(b, a, 1.0 / m)
-            cut, tail, moment = 1.0 - y, special.betainc(b, a, y), special.betainc(b, a + 1.0, y)
+            y, tail = _root(special.betaincinv, special.betainc, (b, a), 1.0 / m, what)
+            cut, moment = 1.0 - y, special.betainc(b, a + 1.0, y)
         # r = m E[X; tail] + cut * (1 - m P(tail)) is m E[X; tail] at the root
         # and stationary in the cutoff there, so betaincinv's error enters
         # squared instead of times the slope of the partial moment
         residual = 1.0 - m * tail
-        # a NaN or clamped root leaves a large residual, and a moment below
-        # the normal doubles has lost its digits
-        if not (abs(residual) <= 1e-8 and moment >= sys.float_info.min):
-            raise ConvergenceError(
-                f"no {process_kind} closed form in double precision for beta(a={a:g}, b={b:g}) "
-                f"claims at m={m:g}: betaincinv gave a cutoff of {cut:g}"
-            )
+        # a moment below the normal doubles has lost its digits
+        if not moment >= sys.float_info.min:
+            raise ConvergenceError(f"no {what} in double precision: the served moment is {moment:g}")
         # r < s (largest-first: m E[X; X >= T] < m s P(X >= T) = s), but
         # rounding can pass s by a few ulp where r nears it at large m
         return min(float(s * (m * a / (a + b) * moment + cut * residual)), s)
-
     if isinstance(claim, Exponential):
-        if process_kind == "wf":
-            return (1.0 - (m - 1.0) * math.log(m / (m - 1.0))) / claim.rate
-        if process_kind == "sf":
-            raise UnboundedClaimError("no largest-first critical value for exponential claims")
-        return 1.0 / claim.rate
-
-    if isinstance(claim, Constant):
-        raise UnsupportedKindError("no closed forms for a point-mass claim law")
+        # the cutoff rate * T = -log(1 - 1/m) leaves mass 1/m below it
+        return m * float(special.gammainc(2.0, -math.log1p(-1.0 / m))) / claim.rate
     raise UnsupportedKindError(f"no closed forms for claim law {type(claim).__name__}")
 
 
@@ -392,24 +361,15 @@ def beta_asymptotic_critical_resource(a: float, b: float, process_kind: str, m: 
     raise UnsupportedKindError("asymptotic forms exist for 'wf' and 'sf' only")
 
 
-def critical_curve(claim, m_grid, cfg: SolverConfig = SolverConfig()) -> list[tuple[float, float, float, float]]:
+def critical_curve(claim, m_grid) -> list[tuple[float, float, float, float]]:
     """Rows (m, r_wc, r_uc, r_sc): critical resource means per policy over a
-    grid of offspring means.  Each is the closed form where the claim law has
-    one, since the bisection is good to only about 1e-10, and the bisection
-    where it has none.  Solver errors propagate per row."""
+    grid of offspring means.  Errors propagate per row."""
     grid = [float(m) for m in m_grid]
     if not grid:
         raise DomainError("m_grid must be non-empty")
     if any(not (m > 1.0 and math.isfinite(m)) for m in grid):
         raise DomainError("every m in the grid must be in (1, inf)")
-
-    def critical(kind: str, m: float) -> float:
-        try:
-            return closed_form_critical_resource(kind, claim, m)
-        except UnsupportedKindError:
-            return critical_resource_mean(kind, claim, m, cfg)
-
-    return [(m, critical("wf", m), critical("fcfs", m), critical("sf", m)) for m in grid]
+    return [(m, *(critical_resource_mean(kind, claim, m) for kind in ("wf", "fcfs", "sf"))) for m in grid]
 
 
 @dataclass(frozen=True)
@@ -428,7 +388,7 @@ class CriticalReport:
     regularity: object
 
 
-def critical_report(triple: LawTriple, cfg: SolverConfig = SolverConfig()) -> CriticalReport:
+def critical_report(triple: LawTriple) -> CriticalReport:
     """Everything the classifier knows about one law triple, in one place."""
     m = triple.offspring.mean()
     mu = triple.claim.mean()
@@ -444,13 +404,13 @@ def critical_report(triple: LawTriple, cfg: SolverConfig = SolverConfig()) -> Cr
         offspring_mean=m,
         claim_mean=mu,
         resource_mean=r,
-        wf_cutoff=attempt(lambda: solve_wf_threshold(triple.claim, r, m, cfg)),
-        sf_cutoff=attempt(lambda: solve_sf_threshold(triple.claim, r, m, cfg)),
-        effective_mean_wf=attempt(lambda: effective_mean_wf(triple.claim, r, m, cfg)),
-        effective_mean_sf=attempt(lambda: effective_mean_sf(triple.claim, r, m, cfg)),
-        critical_resource_wf=attempt(lambda: critical_resource_mean("wf", triple.claim, m, cfg)),
-        critical_resource_fcfs=attempt(lambda: critical_resource_mean("fcfs", triple.claim, m, cfg)),
-        critical_resource_sf=attempt(lambda: critical_resource_mean("sf", triple.claim, m, cfg)),
-        classifications={kind: classify(kind, triple, cfg) for kind in _PROCESS_KINDS},
+        wf_cutoff=attempt(lambda: solve_wf_threshold(triple.claim, r, m)),
+        sf_cutoff=attempt(lambda: solve_sf_threshold(triple.claim, r, m)),
+        effective_mean_wf=attempt(lambda: effective_mean_wf(triple.claim, r, m)),
+        effective_mean_sf=attempt(lambda: effective_mean_sf(triple.claim, r, m)),
+        critical_resource_wf=attempt(lambda: critical_resource_mean("wf", triple.claim, m)),
+        critical_resource_fcfs=attempt(lambda: critical_resource_mean("fcfs", triple.claim, m)),
+        critical_resource_sf=attempt(lambda: critical_resource_mean("sf", triple.claim, m)),
+        classifications={kind: classify(kind, triple) for kind in _PROCESS_KINDS},
         regularity=validate_regularity(triple),
     )

@@ -98,8 +98,8 @@ def _first_word_above(cut: float) -> int:
     """Smallest 64-bit word whose unit ``((w >> 11) + 0.5) * 2**-53``, the
     universe's unit of a mixed word, exceeds ``cut``; 2**64 if none does.
 
-    The unit never decreases as the word grows, so bisection over the top
-    53 bits on that exact float expression finds the first one above.
+    The unit never decreases as the word grows, so a binary search over the
+    top 53 bits on that exact float expression finds the first one above.
     """
     lo, hi = 0, 1 << 53  # the first top bits above the cut lie in [lo, hi]
     while lo < hi:

@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .criteria import SolverConfig, effective_mean_sf, effective_mean_wf
+from .criteria import effective_mean_sf, effective_mean_wf
 from .distributions import LawTriple, OffspringLaw, Uniform
 from .engine import ProcessSpec, step_replicates
 from .engine import _replicate_generations, _run_table, _size_table, _trajectories
@@ -411,9 +411,8 @@ def envelope_check(
     """
     m = triple.offspring.mean()
     r = triple.resource.mean()
-    cfg = SolverConfig()
-    band_low = effective_mean_sf(triple.claim, r, m, cfg)
-    band_high = effective_mean_wf(triple.claim, r, m, cfg)
+    band_low = effective_mean_sf(triple.claim, r, m)
+    band_high = effective_mean_wf(triple.claim, r, m)
     spec = ProcessSpec(
         laws=triple,
         policy=policy,

@@ -17,13 +17,18 @@ served count of one claim row through a policy's ``count_rows``.
 ``size_at``, ``outcome_kinds``, ``excess_generations`` and ``late_ratios``
 read one replicate's trajectories at a time, against which the Monte Carlo
 checks' reductions of the size table are checked.  ``cumulative`` and
-``pdf`` are the laws' CDF grid and densities.
+``pdf`` are the laws' CDF grid and densities.  ``bisected_cutoff``,
+``bisected_effective_mean`` and ``bisected_critical_resource`` find the
+cutoffs, effective means and critical resource means by bisection on the
+laws' partial moments, against which the closed forms of ``rdbp.criteria``
+are checked.
 """
 
 import math
 
 import numpy as np
 
+from rdbp.criteria import ConvergenceError
 from rdbp.engine import EngineError, Outcome, Trajectory
 from rdbp.policies import CoinFlipPolicy, CustomPolicy, PriorityPolicy
 from rdbp.universe import (
@@ -283,3 +288,49 @@ def late_ratios(traj, min_size):
     """Growth ratios out of the generations of at least ``min_size`` members."""
     sizes = traj.sizes
     return [sizes[n + 1] / sizes[n] for n in range(len(sizes) - 1) if sizes[n] >= min_size]
+
+
+def bisect(residual, lo, hi, tol, max_iter=200, width=0.0):
+    """Midpoint of [lo, hi] where the non-decreasing ``residual`` is within
+    ``tol`` of 0, or where the bracket has shrunk below ``width``."""
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        val = residual(mid)
+        if abs(val) <= tol or hi - lo < width:
+            return mid
+        if val < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise ConvergenceError(f"residual above {tol:g} after {max_iter} bisections")
+
+
+def bisected_cutoff(side, claim, r, m, tol=1e-12):
+    """The cutoff T with E[X; X <= T] = r/m smallest-first ('wf') or
+    E[X; X >= T] = r/m largest-first ('sf'), for 0 < r < m * E[X]."""
+    target = r / m
+    if side == "sf":
+        # the upper partial moment falls as t grows, so its negation is bisected
+        return bisect(lambda t: target - claim.upper_partial_moment(t), 0.0, claim.support_upper, tol)
+    hi = claim.support_upper
+    if not math.isfinite(hi):
+        hi = max(claim.mean(), 1.0)
+        while claim.lower_partial_moment(hi) < target:
+            hi *= 2.0
+    return bisect(lambda t: claim.lower_partial_moment(t) - target, 0.0, hi, tol)
+
+
+def bisected_effective_mean(side, claim, r, m, tol=1e-12):
+    """m F(T) smallest-first, m (1 - F(T)) largest-first; m once r >= m * E[X]."""
+    if r >= m * claim.mean():
+        return float(m)
+    served = float(claim.cdf(bisected_cutoff(side, claim, r, m, tol)))
+    return m * (served if side == "wf" else 1.0 - served)
+
+
+def bisected_critical_resource(side, claim, m):
+    """The r at which the effective mean crosses 1, by an outer bisection
+    over r around bisected cutoffs; good to about 1e-10."""
+    hi = m * claim.mean()
+    return bisect(lambda r: bisected_effective_mean(side, claim, r, m) - 1.0, hi * 1e-12, hi, 1e-10,
+                  width=1e-13 * hi)

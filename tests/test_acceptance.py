@@ -29,7 +29,6 @@ from rdbp import (
     Uniform,
     Universe,
     beta_asymptotic_critical_resource,
-    closed_form_critical_resource,
     counterexample_search,
     critical_resource_mean,
     dominance_check,
@@ -52,7 +51,7 @@ from rdbp.policies import (
 )
 
 from lambert import lambert_w_minus1
-from oracle import count, reference_order
+from oracle import bisected_critical_resource, count, reference_order
 
 BINARY_OFFSPRING = OffspringLaw((0.25, 0.0, 0.75))
 UNIFORM_CLAIM = Uniform(0.0, 2.0)
@@ -94,20 +93,20 @@ def test_criterion_02_uniform_closed_forms():
     problems = []
     claim = Uniform(0.0, 2.0)
     for m in (1.5, 2.0, 3.0, 5.0):
-        r_wc = closed_form_critical_resource("wf", claim, m)
-        r_sc = closed_form_critical_resource("sf", claim, m)
-        r_uc = closed_form_critical_resource("fcfs", claim, m)
+        r_wc = critical_resource_mean("wf", claim, m)
+        r_sc = critical_resource_mean("sf", claim, m)
+        r_uc = critical_resource_mean("fcfs", claim, m)
         if abs(r_wc - 1.0 / m) > 1e-12:
             problems.append(f"m={m}: r_wc {r_wc} != 1/m")
         if abs(r_sc - (2.0 - 1.0 / m)) > 1e-12:
             problems.append(f"m={m}: r_sc {r_sc} != 2 - 1/m")
         for kind, closed in (("wf", r_wc), ("sf", r_sc)):
-            generic = critical_resource_mean(kind, claim, m)
-            if abs(generic - closed) > 1e-6:
+            generic = bisected_critical_resource(kind, claim, m)
+            if abs(generic - closed) > 1e-9:
                 problems.append(f"m={m} {kind}: bisection {generic} vs closed {closed}")
         if abs((r_uc - r_wc) - (r_sc - r_uc)) > 1e-9:
             problems.append(f"m={m}: arrival-order midpoint identity broken")
-    ratio = closed_form_critical_resource("sf", claim, 3.0) / closed_form_critical_resource(
+    ratio = critical_resource_mean("sf", claim, 3.0) / critical_resource_mean(
         "wf", claim, 3.0
     )
     if abs(ratio - 5.0) > 1e-12:
@@ -121,9 +120,9 @@ def test_criterion_03_exponential_closed_form():
     target = 1.0 - math.log(2.0)
     claim = Exponential(lam)
 
-    closed = closed_form_critical_resource("wf", claim, m)
+    closed = critical_resource_mean("wf", claim, m)
     if abs(closed - target) > 1e-12:
-        problems.append(f"log form {closed} vs {target}")
+        problems.append(f"closed form {closed} vs {target}")
 
     # second route: the growth factor expressed through the W branch,
     # m * (1 - exp(W(z(r)) + 1)) with z(r) = -(lam/e) * (1/lam - r/m),
@@ -143,8 +142,8 @@ def test_criterion_03_exponential_closed_form():
     if abs(r_lambert - target) > 1e-8:
         problems.append(f"W-branch route {r_lambert} vs {target}")
 
-    generic = critical_resource_mean("wf", claim, m)
-    if abs(generic - target) > 1e-8:
+    generic = bisected_critical_resource("wf", claim, m)
+    if abs(generic - target) > 1e-9:
         problems.append(f"bisection route {generic} vs {target}")
     _verdict(3, "exponential critical value", problems)
 
@@ -155,16 +154,16 @@ def test_criterion_04_beta_closed_forms_and_asymptotics():
         claim = ScaledBeta(a, b, 1.0)
         for m in (2.0, 3.0, 5.0, 10.0):
             for kind in ("wf", "sf"):
-                closed = closed_form_critical_resource(kind, claim, m)
-                generic = critical_resource_mean(kind, claim, m)
-                if abs(closed - generic) > 1e-6:
+                closed = critical_resource_mean(kind, claim, m)
+                generic = bisected_critical_resource(kind, claim, m)
+                if abs(closed - generic) > 1e-9:
                     problems.append(
-                        f"beta({a:g},{b:g}) m={m:g} {kind}: closed {closed} vs solver {generic}"
+                        f"beta({a:g},{b:g}) m={m:g} {kind}: closed {closed} vs bisection {generic}"
                     )
         for kind in ("wf", "sf"):
             errs = []
             for m in (10.0, 100.0, 1000.0):
-                closed = closed_form_critical_resource(kind, claim, m)
+                closed = critical_resource_mean(kind, claim, m)
                 asym = beta_asymptotic_critical_resource(a, b, kind, m)
                 scale = abs(closed) if kind == "wf" else abs(1.0 - closed)
                 errs.append(abs(asym - closed) / scale)
@@ -438,8 +437,8 @@ def test_criterion_10_property_suites():
             law = Uniform(0.0, 0.5 + (i % 31) / 7.0)
         else:
             law = ScaledBeta(0.4 + (i % 9) / 2.0, 0.4 + (i % 13) / 3.0, 2.0)
-        r_wc = closed_form_critical_resource("wf", law, m)
-        r_sc = closed_form_critical_resource("sf", law, m)
+        r_wc = critical_resource_mean("wf", law, m)
+        r_sc = critical_resource_mean("sf", law, m)
         mu = law.mean()
         if not (r_wc < mu < r_sc):
             problems.append(f"critical ordering broken for {law} at m={m:g}")

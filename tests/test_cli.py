@@ -416,13 +416,12 @@ class TestErrorPaths:
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"laws.{law}.params: scaled beta law requires finite" in capsys.readouterr().err
 
-    # NaN used to exit 3 after 200 bisections; 1e400 (inf) exited 0 with
-    # almost_sure_extinction for wf, whose effective mean is 1.342
-    @pytest.mark.parametrize("literal", ["NaN", "1e400"])
-    def test_non_finite_solver_tolerance(self, tmp_path, capsys, literal):
-        cfg = write_config_with(tmp_path, {"laws": base_laws(), "solver": {"abs_tol": "@"}}, literal)
+    # the criteria are closed forms, so a solver block has nothing to set
+    @pytest.mark.parametrize("solver", [{"abs_tol": 1e-12, "max_iter": 50}, {}])
+    def test_solver_block_is_an_unknown_key(self, tmp_path, capsys, solver):
+        cfg = write_config(tmp_path, {"laws": base_laws(), "solver": solver})
         assert cli.main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "solver: solver config requires a finite abs_tol" in capsys.readouterr().err
+        assert "config.solver: unknown field" in capsys.readouterr().err
 
     def test_infinite_grid_entry(self, tmp_path, capsys):
         # used to exit 3 from critical_curve
@@ -434,12 +433,12 @@ class TestErrorPaths:
 
     def test_convergence_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def stall(*args):
-            raise ConvergenceError("residual above 1e-10 after 200 bisections")
+            raise ConvergenceError("no wf closed form in double precision")
 
         monkeypatch.setattr(cli, "critical_curve", stall)
         cfg = write_config(tmp_path, {"laws": {"claim": {"kind": "uniform", "params": {"d": 2.0}}}, "m_grid": [2.0]})
         assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert "error: residual above 1e-10" in capsys.readouterr().err
+        assert "error: no wf closed form in double precision" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

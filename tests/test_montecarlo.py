@@ -26,7 +26,6 @@ from rdbp import (
     OffspringLaw,
     ProcessSpec,
     Seed,
-    SolverConfig,
     StrongestFirstPolicy,
     ThirdLargestFirstPolicy,
     Uniform,
@@ -263,9 +262,8 @@ class TestEnvelopeCheck:
     def test_band_endpoints_are_the_effective_means(self, basic_triple):
         mc = McConfig(replicates=40, horizon=60, explosion_cap=20000, base_seed=Seed(12))
         est = envelope_check(WeakestFirstPolicy(), basic_triple, mc, min_size=500, slack=0.1)
-        cfg = SolverConfig()
-        lo = effective_mean_sf(basic_triple.claim, 1.2, 1.5, cfg)
-        hi = effective_mean_wf(basic_triple.claim, 1.2, 1.5, cfg)
+        lo = effective_mean_sf(basic_triple.claim, 1.2, 1.5)
+        hi = effective_mean_wf(basic_triple.claim, 1.2, 1.5)
         assert est.band_low == pytest.approx(lo, abs=1e-12)
         assert est.band_high == pytest.approx(hi, abs=1e-12)
         # closed forms for uniform claims on (0, 2) at r = 1.2, m = 1.5
