@@ -11,8 +11,8 @@ relatively, or the two copies would mix; the script checks that first.
 
 Each call is timed with ``time.process_time`` after one untimed warm-up call
 per side.  It prints each side's median [Q1, Q3], the quartiles of the
-per-pair ratio change / parent, and the pairs the change won (ties count for
-neither).  It stops with an error if a call exits non-zero or if the two
+per-pair ratio change / parent, the pairs the change won (ties count for
+neither) and each checkout's line count of ``src/``.  It stops with an error if a call exits non-zero or if the two
 calls of a pair write files that differ in any byte.
 
 Example, with the parent exported to ../parent:
@@ -77,6 +77,11 @@ def call(cli, argv: list[str]) -> float:
     return seconds
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under the checkout's ``src/``."""
+    return sum(len(path.read_text().splitlines()) for path in (checkout / "src").rglob("*.py"))
+
+
 def written(out: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
@@ -138,7 +143,10 @@ def main() -> int:
     seed = "the config's seed" if args.seed is None else f"seed {args.seed}"
     print(f"{args.workload} {args.command}, {seed}, --threads {args.threads}: {args.pairs} "
           f"alternating pairs in one interpreter, every pair's files byte-identical")
+    lines = {side: src_lines(path) for side, path in (("parent", args.parent), ("change", args.change))}
     print(f"  process_time  parent {p2:.4f} s [{p1:.4f}, {p3:.4f}]   change {c2:.4f} s [{c1:.4f}, {c3:.4f}]")
+    print(f"  src/ lines    parent {lines['parent']}   change {lines['change']} "
+          f"({lines['change'] - lines['parent']:+d})")
     print(f"  change / parent per pair: median {r2:.3f} [{r1:.3f}, {r3:.3f}] ({100 * (r2 - 1):+.1f} %), "
           f"change won {won}/{args.pairs}")
     return 0

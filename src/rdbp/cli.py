@@ -18,8 +18,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Optional
 
 from .config import (
     CHECK_NAMES,
@@ -50,6 +50,7 @@ from .montecarlo import (
     counterexample_search,
     dominance_check,
     envelope_check,
+    run_coupled,
     safe_haven_check,
     sf_monotonicity_probe,
     superadditivity_check,
@@ -90,14 +91,6 @@ def _clean(obj):
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
     return obj
-
-
-def _policy_token(cfg: RunConfig, params: dict, fallback: Optional[str] = None) -> str:
-    # parse_run_config has checked both tokens
-    token = params.get("policy", cfg.policy or fallback)
-    if token is None:
-        raise ConfigError("config.policy: missing required field")
-    return token
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> int:
@@ -155,43 +148,57 @@ def _cmd_curve(cfg: RunConfig, args) -> int:
     return 0
 
 
+#: the checks that verify runs in one coupled pass
+_COUPLED = ("dominance", "safe_haven", "envelope")
+
+
+def _coupled_args(name: str, cfg: RunConfig) -> dict:
+    """The arguments of a coupled check's function, but for mc and workers."""
+    params, triple = cfg.check_params.get(name, {}), cfg.triple()
+    if name == "safe_haven":
+        return dict(triple=triple, initial_sizes=tuple(params.get("initial_sizes", (1, 2, 5, 10))))
+    # parse_run_config has checked both tokens
+    token = params.get("policy", cfg.policy or ("sf" if name == "dominance" else None))
+    if token is None:
+        raise ConfigError("config.policy: missing required field")
+    args = dict(policy=policy_from_token(token), triple=triple,
+                initial_size=params.get("initial_size", cfg.process.initial_size))
+    if name == "envelope":
+        args.update(min_size=params.get("min_size", 10 ** 4), slack=params.get("slack", 0.05))
+    return args
+
+
+def _coupled_entry(name: str, args: dict, finish) -> dict:
+    """The verify.json entry of a coupled check whose result ``finish`` returns."""
+    result = finish()
+    if name == "dominance":
+        return {"ok": result == 0, "hard": True, "result": {"policy": args["policy"].name, "violations": result}}
+    if name == "envelope":
+        ok = result.band_low - result.slack <= result.mean_ratio <= result.band_high + result.slack
+        return {"ok": ok, "hard": False, "result": dict(_clean(result), policy=args["policy"].name)}
+    ok = result.monotone_nonincreasing and all(row.within_bound for row in result.rows)
+    return {"ok": ok, "hard": False, "result": _clean(result)}
+
+
+def _coupled_checks(names, cfg: RunConfig, threads: int) -> dict:
+    """Each coupled check in ``names``, as a function that returns its entry.
+
+    The checks step their specs in one pass.  If that pass fails, each
+    reruns alone through its own function, so one failing check keeps the
+    others' results.
+    """
+    calls = [(name, _coupled_args(name, cfg)) for name in names]
+    try:
+        finishes = run_coupled(calls, cfg.mc, threads) if calls else []
+    except _RUNTIME_ERRORS:
+        functions = {"dominance": dominance_check, "safe_haven": safe_haven_check, "envelope": envelope_check}
+        finishes = [partial(functions[name], mc=cfg.mc, workers=threads, **args) for name, args in calls]
+    return {name: partial(_coupled_entry, name, args, finish) for (name, args), finish in zip(calls, finishes)}
+
+
 def _run_check(name: str, cfg: RunConfig, threads: int) -> dict:
     params = cfg.check_params.get(name, {})
     triple = cfg.triple()
-    if name == "dominance":
-        token = _policy_token(cfg, params, fallback="sf")
-        violations = dominance_check(
-            policy_from_token(token),
-            triple,
-            cfg.mc,
-            initial_size=params.get("initial_size", cfg.process.initial_size),
-            workers=threads,
-        )
-        return {"ok": violations == 0, "hard": True,
-                "result": {"policy": token, "violations": violations}}
-    if name == "envelope":
-        token = _policy_token(cfg, params)
-        est = envelope_check(
-            policy_from_token(token),
-            triple,
-            cfg.mc,
-            min_size=params.get("min_size", 10 ** 4),
-            slack=params.get("slack", 0.05),
-            initial_size=params.get("initial_size", cfg.process.initial_size),
-            workers=threads,
-        )
-        ok = est.band_low - est.slack <= est.mean_ratio <= est.band_high + est.slack
-        return {"ok": ok, "hard": False,
-                "result": dict(_clean(est), policy=token)}
-    if name == "safe_haven":
-        report = safe_haven_check(
-            triple,
-            tuple(params.get("initial_sizes", (1, 2, 5, 10))),
-            cfg.mc,
-            workers=threads,
-        )
-        ok = report.monotone_nonincreasing and all(row.within_bound for row in report.rows)
-        return {"ok": ok, "hard": False, "result": _clean(report)}
     if name == "superadditivity":
         report = superadditivity_check(
             triple,
@@ -221,9 +228,10 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
         raise ConfigError("config.checks: missing required field")
     results = {}
     hard_failure = runtime_failure = False
+    coupled = _coupled_checks([name for name in dict.fromkeys(cfg.checks) if name in _COUPLED], cfg, args.threads)
     for name in cfg.checks:
         try:
-            outcome = _run_check(name, cfg, args.threads)
+            outcome = coupled[name]() if name in coupled else _run_check(name, cfg, args.threads)
         except ConfigError:  # a ValueError, but a config problem exits with 2
             raise
         except _RUNTIME_ERRORS as exc:

@@ -74,9 +74,15 @@ def _integer(obj: Mapping, path: str, key: str, default=None) -> Optional[int]:
     return val
 
 
+def _integer_from(obj: Mapping, path: str, key: str, least: int, default=None) -> int:
+    val = _integer(obj, path, key, default)
+    if val < least:
+        raise ConfigError(f"{path}.{key}: expected an integer >= {least}")
+    return val
+
+
 def _count_param(obj: Mapping, path: str, key: str) -> None:
-    if _integer(obj, path, key) < 1:
-        raise ConfigError(f"{path}.{key}: expected an integer >= 1")
+    _integer_from(obj, path, key, 1)
 
 
 def _counts_param(obj: Mapping, path: str, key: str) -> None:
@@ -288,30 +294,27 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
         if policy not in POLICY_TOKENS:
             raise ConfigError(f"config.policy: expected one of {', '.join(POLICY_TOKENS)}, got {policy!r}")
 
-    proc = data.get("process", {})
-    proc = _as_mapping(proc, "process")
+    # both blocks are range-checked here, so their errors name the field
+    proc = _as_mapping(data.get("process", {}), "process")
     _reject_unknown(proc, "process", ("initial_size", "horizon", "explosion_cap"))
-    try:
-        process = ProcessParams(
-            initial_size=_integer(proc, "process", "initial_size", 1),
-            horizon=_integer(proc, "process", "horizon", HORIZON_DEFAULT),
-            explosion_cap=_integer(proc, "process", "explosion_cap", EXPLOSION_CAP_DEFAULT),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"process: {exc}") from exc
+    initial_size = _integer_from(proc, "process", "initial_size", 1, 1)
+    process = ProcessParams(
+        initial_size=initial_size,
+        horizon=_integer_from(proc, "process", "horizon", 1, HORIZON_DEFAULT),
+        explosion_cap=_integer_from(proc, "process", "explosion_cap", initial_size + 1, EXPLOSION_CAP_DEFAULT),
+    )
 
     mc_obj = _as_mapping(data.get("mc", {}), "mc")
     _reject_unknown(mc_obj, "mc", ("replicates", "horizon", "explosion_cap", "confidence"))
-    try:
-        mc = McConfig(
-            replicates=_integer(mc_obj, "mc", "replicates", 2000),
-            horizon=_integer(mc_obj, "mc", "horizon", HORIZON_DEFAULT),
-            explosion_cap=_integer(mc_obj, "mc", "explosion_cap", EXPLOSION_CAP_DEFAULT),
-            base_seed=seed,
-            confidence=_number(mc_obj, "mc", "confidence", 0.99),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mc: {exc}") from exc
+    if "confidence" in mc_obj:
+        _level_param(mc_obj, "mc", "confidence")
+    mc = McConfig(
+        replicates=_integer_from(mc_obj, "mc", "replicates", 1, 2000),
+        horizon=_integer_from(mc_obj, "mc", "horizon", 1, HORIZON_DEFAULT),
+        explosion_cap=_integer_from(mc_obj, "mc", "explosion_cap", 2, EXPLOSION_CAP_DEFAULT),
+        base_seed=seed,
+        confidence=_number(mc_obj, "mc", "confidence", 0.99),
+    )
 
     m_grid = None
     if "m_grid" in data:

@@ -219,15 +219,9 @@ def classify(process_kind: str, triple: LawTriple) -> Classification:
     """
     if process_kind not in _PROCESS_KINDS:
         raise UnsupportedKindError(f"process kind must be one of {_PROCESS_KINDS}, got {process_kind!r}")
-    reg = validate_regularity(triple)
-    # only the offspring-shape assumptions are preconditions here; the
-    # reachability proxy and moment flags stay informational in the report
-    if not (reg.supercritical_offspring and reg.extinction_reachable and reg.growth_reachable):
-        return Classification(INAPPLICABLE, "; ".join(reg.messages) or "regularity conditions fail")
-    if process_kind == "sf" and not reg.bounded_claims:
-        return Classification(INAPPLICABLE, "claim law is unbounded; largest-first criteria need a bounded claim")
-    if process_kind != "fcfs" and not triple.claim.is_continuous:
-        return Classification(INAPPLICABLE, "claim law has atoms; the cutoff criteria need a continuous claim law")
+    inapplicable = _inapplicable(process_kind, triple)
+    if inapplicable is not None:
+        return inapplicable
 
     m = triple.offspring.mean()
     mu = triple.claim.mean()
@@ -251,20 +245,36 @@ def classify(process_kind: str, triple: LawTriple) -> Classification:
     return Classification(SURVIVAL, basis)
 
 
+def _inapplicable(process_kind: str, triple: LawTriple) -> Optional[Classification]:
+    """The 'inapplicable' verdict where a precondition of the theory fails
+    for this policy kind, else None."""
+    reg = validate_regularity(triple)
+    # only the offspring-shape assumptions are preconditions here; the
+    # reachability proxy and moment flags stay informational in the report
+    if not (reg.supercritical_offspring and reg.extinction_reachable and reg.growth_reachable):
+        return Classification(INAPPLICABLE, "; ".join(reg.messages) or "regularity conditions fail")
+    if process_kind == "sf" and not reg.bounded_claims:
+        return Classification(INAPPLICABLE, "claim law is unbounded; largest-first criteria need a bounded claim")
+    if process_kind != "fcfs" and not triple.claim.is_continuous:
+        return Classification(INAPPLICABLE, "claim law has atoms; the cutoff criteria need a continuous claim law")
+    return None
+
+
 def moment_shortcut(process_kind: str, triple: LawTriple) -> Optional[Classification]:
     """Verdicts obtainable from means and variances alone, without solving.
 
-    Returns None when no shortcut clause applies.  The clauses are one-sided
-    sufficient conditions, so a None here says nothing about the verdict.
+    Returns None when no shortcut clause applies, and wherever ``classify``
+    calls the triple inapplicable.  The clauses are one-sided sufficient
+    conditions, so a None here says nothing about the verdict.
     """
     if process_kind not in ("wf", "sf"):
         raise UnsupportedKindError("moment shortcuts exist for 'wf' and 'sf' only")
+    if _inapplicable(process_kind, triple) is not None:
+        return None
     m = triple.offspring.mean()
     mu = triple.claim.mean()
     r = triple.resource.mean()
     var = triple.claim.variance()
-    if m <= 1.0:
-        return None
     if process_kind == "wf":
         if mu < r:
             return Classification(SURVIVAL, f"claim mean {mu:g} below resource mean {r:g}")

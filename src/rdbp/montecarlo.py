@@ -2,20 +2,21 @@
 
 Replicate i always runs on ``base_universe.derive_replicate(i)``, so every
 estimate is a pure function of (spec, config) and is bit-identical across
-runs and across worker counts.  Every check runs its replicates through
-``_per_replicate``, in one batched pass of the engine that steps all the
-coupled specs of the check (founder counts, or a policy and smallest-first)
-on the same ids together.  The pass hands each slice of ids over as one
-int64 size table, (specs, ids, generations reached + 1), and the check
-reduces it with array operations: outcome counts, generations where a
-policy beats smallest-first, late growth ratios, or the sizes at one
-generation.  Several workers are used only for a check that steps more
-than FANOUT_MEMBERS members: the pass starts in this process, and past
-that budget the ids it has not finished are split into one contiguous
-range per worker, each going on from its rows of the table the pass had
-reached.  Replicates that are still alive at the horizon are reported as
-their own category, never folded into either side of an extinction
-estimate.
+runs and across worker counts.  Each coupled check is a ``_Check``: its
+specs (founder counts, or a policy and smallest-first, on the same ids), a
+reduction of their rows of each slice's int64 size table, (specs, ids,
+generations reached + 1), and a ``finish`` that builds its result from the
+reductions (outcome counts, generations where a policy beats
+smallest-first, late growth ratios).  Any list of checks runs through one
+``_per_replicate`` pass of the engine that steps each distinct spec once;
+``run_coupled`` runs ``dominance``, ``safe_haven`` and ``envelope`` that
+way, and each check function runs its own check alone.  Several workers
+are used only for a pass that steps more than FANOUT_MEMBERS members: the
+pass starts in this process, and past that budget the ids it has not
+finished are split into one contiguous range per worker, each going on
+from its rows of the table the pass had reached.  Replicates that are
+still alive at the horizon are reported as their own category, never
+folded into either side of an extinction estimate.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .criteria import effective_mean_sf, effective_mean_wf
 from .distributions import LawTriple, OffspringLaw, Uniform
 from .engine import ProcessSpec, step_replicates
 from .engine import _replicate_generations, _run_table, _size_table, _trajectories
-from .policies import StrongestFirstPolicy, ThirdLargestFirstPolicy, WeakestFirstPolicy
+from .policies import StrongestFirstPolicy, ThirdLargestFirstPolicy, policy_from_token
 from .policies import count_sf  # noqa: F401  the benchmark's span tests reach it by this name
 from .universe import ReplicateRows, Seed, Universe
 
@@ -53,6 +54,7 @@ __all__ = [
     "safe_haven_check",
     "dominance_check",
     "envelope_check",
+    "run_coupled",
     "superadditivity_check",
     "counterexample_search",
     "sf_monotonicity_probe",
@@ -242,16 +244,47 @@ def _per_replicate(
     return results
 
 
+@dataclass(frozen=True)
+class _Check:
+    """A coupled check: its specs, the reduction of their rows of a slice's
+    size table (workers run it, so it pickles), and ``finish``, which builds
+    the result from the reductions of every slice in id order."""
+
+    specs: tuple[ProcessSpec, ...]
+    reduce: Callable[[np.ndarray], Any]
+    finish: Callable[[list], Any]
+
+
+def _spec(triple: LawTriple, policy, initial_size: int, mc: McConfig) -> ProcessSpec:
+    """A spec run to ``mc``'s horizon and explosion cap."""
+    return ProcessSpec(laws=triple, policy=policy, initial_size=initial_size, horizon=mc.horizon,
+                       explosion_cap=mc.explosion_cap)
+
+
+def _reduce_rows(reductions: Sequence[tuple[Callable, Any]], table: np.ndarray) -> list:
+    """Each (reduce, rows) pair's reduction of its rows of a size table."""
+    return [reduce(table[rows]) for reduce, rows in reductions]
+
+
+def _run_checks(checks: Sequence[_Check], mc: McConfig, workers: int = 1) -> list[Callable[[], Any]]:
+    """Each check's ``finish`` of the reductions of every slice of its rows,
+    as a function to call, from one pass that steps each distinct spec of
+    the checks once."""
+    specs = list(dict.fromkeys(spec for check in checks for spec in check.specs))
+    reductions = []
+    for check in checks:
+        at = [specs.index(spec) for spec in check.specs]
+        # consecutive rows are read as a view of the table, not a copy
+        rows = slice(at[0], at[-1] + 1) if at == list(range(at[0], at[-1] + 1)) else at
+        reductions.append((check.reduce, rows))
+    slices = _per_replicate(partial(_reduce_rows, reductions), specs, mc, workers)
+    return [partial(check.finish, [part[i] for part in slices]) for i, check in enumerate(checks)]
+
+
 def _outcome_counts(sizes: np.ndarray, cap: int) -> np.ndarray:
     """Extinct and exploded rows of each spec of a size table, as (specs, 2)."""
     last = sizes[..., -1]
     return np.stack([(last == 0).sum(axis=-1), ((last < 0) | (last >= cap)).sum(axis=-1)], axis=-1)
-
-
-def _outcome_tallies(specs: Sequence[ProcessSpec], mc: McConfig, workers: int) -> np.ndarray:
-    """``_outcome_counts`` of every replicate of ``specs``, summed."""
-    counts = partial(_outcome_counts, cap=mc.explosion_cap)
-    return np.sum(_per_replicate(counts, specs, mc, workers), axis=0)
 
 
 def estimate_extinction(spec: ProcessSpec, mc: McConfig, workers: int = 1) -> ExtinctionEstimate:
@@ -261,8 +294,13 @@ def estimate_extinction(spec: ProcessSpec, mc: McConfig, workers: int = 1) -> Ex
     worker count only partitions the replicate ids, never the outcome.
     """
     eff = replace(spec, horizon=mc.horizon, explosion_cap=mc.explosion_cap)
-    ((extinct, exploded),) = _outcome_tallies([eff], mc, workers).tolist()
-    return _extinction_estimate(extinct, exploded, mc)
+    check = _Check((eff,), partial(_outcome_counts, cap=mc.explosion_cap), lambda parts: _estimates(parts, mc)[0])
+    return _run_checks([check], mc, workers)[0]()
+
+
+def _estimates(parts: list, mc: McConfig) -> list[ExtinctionEstimate]:
+    """Each spec's estimate from the ``_outcome_counts`` of every slice."""
+    return [_extinction_estimate(extinct, exploded, mc) for extinct, exploded in np.sum(parts, axis=0).tolist()]
 
 
 def _extinction_estimate(extinct: int, exploded: int, mc: McConfig) -> ExtinctionEstimate:
@@ -305,48 +343,33 @@ def safe_haven_check(
     (lower confidence limit against the powered upper limit), and that the
     point estimates are non-increasing in L.
     """
+    return _run_checks([_safe_haven(triple, initial_sizes, mc)], mc, workers)[0]()
+
+
+def _safe_haven(triple: LawTriple, initial_sizes: Sequence[int], mc: McConfig) -> _Check:
     # a population founded at the explosion cap has exploded before its first
     # generation, so those founder counts are tallied without simulating
     founders = sorted(f for f in {1, *initial_sizes} if f < mc.explosion_cap)
-    # one policy object, so each block of equal-length rows is counted in
-    # one call whatever founder counts its rows start from
-    policy = WeakestFirstPolicy()
-    specs = [
-        ProcessSpec(
-            laws=triple,
-            policy=policy,
-            initial_size=initial,
-            horizon=mc.horizon,
-            explosion_cap=mc.explosion_cap,
-        )
-        for initial in founders
-    ]
-    # every founder count runs on the same replicate ids: the coupling that
-    # makes the estimates monotone in the founder count
-    tallies = _outcome_tallies(specs, mc, workers).tolist()
-    estimates = {
-        initial: _extinction_estimate(extinct, exploded, mc)
-        for initial, (extinct, exploded) in zip(founders, tallies)
-    }
-    exploded = _extinction_estimate(0, mc.replicates, mc)
-    baseline = estimates[1]
-    rows = []
-    for initial in initial_sizes:
-        est = estimates.get(initial, exploded)
-        bound = baseline.ci_high ** initial
-        rows.append(
-            SafeHavenRow(
-                initial_size=int(initial),
-                estimate=est,
-                power_bound=bound,
-                within_bound=est.ci_low <= bound,
-            )
-        )
-    mono = all(
-        rows[i + 1].estimate.p_extinct <= rows[i].estimate.p_extinct
-        for i in range(len(rows) - 1)
-    )
-    return SafeHavenReport(rows=tuple(rows), monotone_nonincreasing=mono, baseline=baseline)
+
+    def finish(parts: list) -> SafeHavenReport:
+        # every founder count runs on the same replicate ids: the coupling
+        # that makes the estimates monotone in the founder count
+        estimates = dict(zip(founders, _estimates(parts, mc)))
+        exploded = _extinction_estimate(0, mc.replicates, mc)
+        baseline = estimates[1]
+        rows = []
+        for initial in initial_sizes:
+            est = estimates.get(initial, exploded)
+            bound = baseline.ci_high ** initial
+            rows.append(SafeHavenRow(initial_size=int(initial), estimate=est, power_bound=bound,
+                                     within_bound=est.ci_low <= bound))
+        mono = all(b.estimate.p_extinct <= a.estimate.p_extinct for a, b in zip(rows, rows[1:]))
+        return SafeHavenReport(rows=tuple(rows), monotone_nonincreasing=mono, baseline=baseline)
+
+    # the shared smallest-first policy: each block of equal-length rows is
+    # counted in one call whatever founder counts its rows start from
+    specs = tuple(_spec(triple, policy_from_token("wf"), initial, mc) for initial in founders)
+    return _Check(specs, partial(_outcome_counts, cap=mc.explosion_cap), finish)
 
 
 def _excess_generations(sizes: np.ndarray) -> int:
@@ -361,14 +384,12 @@ def dominance_check(
 ) -> int:
     """Generation-by-generation count of policy sizes exceeding the coupled
     smallest-first sizes.  The theory says the count is exactly zero."""
-    kwargs = dict(
-        laws=triple,
-        initial_size=initial_size,
-        horizon=mc.horizon,
-        explosion_cap=mc.explosion_cap,
-    )
-    specs = [ProcessSpec(policy=policy, **kwargs), ProcessSpec(policy=WeakestFirstPolicy(), **kwargs)]
-    return sum(_per_replicate(_excess_generations, specs, mc, workers))
+    return _run_checks([_dominance(policy, triple, mc, initial_size)], mc, workers)[0]()
+
+
+def _dominance(policy, triple: LawTriple, mc: McConfig, initial_size: int) -> _Check:
+    specs = (_spec(triple, policy, initial_size, mc), _spec(triple, policy_from_token("wf"), initial_size, mc))
+    return _Check(specs, _excess_generations, sum)
 
 
 def _late_ratios(sizes: np.ndarray, min_size: int) -> tuple[np.ndarray, int]:
@@ -409,34 +430,46 @@ def envelope_check(
     smallest-first effective mean + slack].  Raises InsufficientSurvivors
     when no replicate grows that large.
     """
+    return _run_checks([_envelope(policy, triple, mc, min_size, slack, initial_size)], mc, workers)[0]()
+
+
+def _envelope(policy, triple: LawTriple, mc: McConfig, min_size: int, slack: float, initial_size: int) -> _Check:
     m = triple.offspring.mean()
     r = triple.resource.mean()
     band_low = effective_mean_sf(triple.claim, r, m)
     band_high = effective_mean_wf(triple.claim, r, m)
-    spec = ProcessSpec(
-        laws=triple,
-        policy=policy,
-        initial_size=initial_size,
-        horizon=mc.horizon,
-        explosion_cap=mc.explosion_cap,
-    )
-    parts = _per_replicate(partial(_late_ratios, min_size=min_size), [spec], mc, workers)
-    # slices and their rows in id order: the order of the ratios fixes the
-    # rounding of their mean
-    arr = np.concatenate([ratios for ratios, _ in parts])
-    if not arr.size:
-        raise InsufficientSurvivors(f"no replicate reached size {min_size}")
-    inside = (arr >= band_low - slack) & (arr <= band_high + slack)
-    return GrowthEstimate(
-        mean_ratio=float(arr.mean()),
-        dispersion=float(arr.std()),
-        n_ratios=int(arr.size),
-        n_trajectories=sum(contributing for _, contributing in parts),
-        band_low=band_low,
-        band_high=band_high,
-        fraction_in_band=float(inside.mean()),
-        slack=slack,
-    )
+
+    def finish(parts: list) -> GrowthEstimate:
+        # slices and their rows in id order: the order of the ratios fixes
+        # the rounding of their mean
+        arr = np.concatenate([ratios for ratios, _ in parts])
+        if not arr.size:
+            raise InsufficientSurvivors(f"no replicate reached size {min_size}")
+        inside = (arr >= band_low - slack) & (arr <= band_high + slack)
+        return GrowthEstimate(
+            mean_ratio=float(arr.mean()),
+            dispersion=float(arr.std()),
+            n_ratios=int(arr.size),
+            n_trajectories=sum(contributing for _, contributing in parts),
+            band_low=band_low,
+            band_high=band_high,
+            fraction_in_band=float(inside.mean()),
+            slack=slack,
+        )
+
+    return _Check((_spec(triple, policy, initial_size, mc),), partial(_late_ratios, min_size=min_size), finish)
+
+
+#: the checks ``run_coupled`` runs together, by name
+_COUPLED = {"dominance": _dominance, "safe_haven": _safe_haven, "envelope": _envelope}
+
+
+def run_coupled(calls: Sequence[tuple[str, dict]], mc: McConfig, workers: int = 1) -> list[Callable[[], Any]]:
+    """Checks run in one pass that steps each distinct spec once.  Each call
+    names ``dominance``, ``safe_haven`` or ``envelope`` and gives the
+    arguments of its function but ``mc`` and ``workers``.  Returns, for each,
+    a function that returns (or raises) what that check's function would."""
+    return _run_checks([_COUPLED[name](mc=mc, **args) for name, args in calls], mc, workers)
 
 
 @dataclass(frozen=True)
@@ -482,12 +515,9 @@ def superadditivity_check(
     """
     if initial_size < 1:
         raise ValueError("initial_size must be >= 1")
-    policy = WeakestFirstPolicy()
-    cap = max(mc.explosion_cap, 10 ** 9)
-    joint_spec = ProcessSpec(
-        laws=triple, policy=policy, initial_size=initial_size, horizon=n_gens, explosion_cap=cap
-    )
-    single_spec = ProcessSpec(laws=triple, policy=policy, initial_size=1, horizon=n_gens, explosion_cap=cap)
+    runs = replace(mc, horizon=n_gens, explosion_cap=max(mc.explosion_cap, 10 ** 9))
+    joint_spec = _spec(triple, policy_from_token("wf"), initial_size, runs)
+    single_spec = _spec(triple, policy_from_token("wf"), 1, runs)
     n_rep = mc.replicates
 
     # the cap lies above CLAIM_CAP, which bounds every size, so no row
@@ -668,25 +698,12 @@ def sf_monotonicity_probe(
     top = v_max if v_max is not None else max(observed_max, 1)
     v_values = tuple(range(1, top + 1))
 
-    cells = []
-    table: dict[tuple[int, int], SfProbeCell] = {}
+    cells: dict[tuple[int, int], SfProbeCell] = {}
     for t in t_values:
         for v in v_values:
             hits = int(np.sum(samples[t] >= v))
             lo, hi = wilson_interval(hits, mc.replicates, mc.confidence)
-            cell = SfProbeCell(t=t, v=v, rate=hits / mc.replicates, ci_low=lo, ci_high=hi)
-            cells.append(cell)
-            table[(t, v)] = cell
-
-    violations = []
-    for a, b in zip(t_values, t_values[1:]):
-        for v in v_values:
-            if table[(b, v)].ci_high < table[(a, v)].ci_low:
-                violations.append((a, b, v))
-
-    return SfProbeReport(
-        t_values=t_values,
-        v_values=v_values,
-        cells=tuple(cells),
-        violations=tuple(violations),
-    )
+            cells[t, v] = SfProbeCell(t=t, v=v, rate=hits / mc.replicates, ci_low=lo, ci_high=hi)
+    violations = tuple((a, b, v) for a, b in zip(t_values, t_values[1:]) for v in v_values
+                       if cells[b, v].ci_high < cells[a, v].ci_low)
+    return SfProbeReport(t_values=t_values, v_values=v_values, cells=tuple(cells.values()), violations=violations)

@@ -45,30 +45,16 @@ __all__ = [
 ]
 
 
-def _cumsum_count(ordered_claims: np.ndarray, budget: float, in_place: bool = False) -> int:
-    """Largest prefix of the ordered claims whose sequential sum is at most
-    the budget: the exact count, which every faster count must equal.
+def _cumsum_count_rows(ordered: np.ndarray, budgets: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """Largest prefix of each row of a 2-D block of ordered claims whose
+    sequential sum is at most the row's budget: the exact count, which
+    every faster count must equal.
 
+    ``cumsum`` runs along each row in order, exactly as on the row alone.
+    Non-negative claims keep the totals sorted, so counting the totals
+    within budget finds the prefix, and no total is at most a NaN budget.
     With ``in_place`` the running totals overwrite the claims, which spares
     a fresh array; policies pass it only for an ordered copy they own.
-    """
-    # no total is at most a NaN budget, as in _cumsum_count_rows (searchsorted
-    # would rank the NaN above every total and serve everyone)
-    if ordered_claims.size == 0 or np.isnan(budget):
-        return 0
-    cum = np.cumsum(ordered_claims, out=ordered_claims if in_place else None)
-    # claims are non-negative, so the running totals are non-decreasing
-    return int(np.searchsorted(cum, budget, side="right"))
-
-
-def _cumsum_count_rows(
-    ordered: np.ndarray, budgets: np.ndarray, in_place: bool = False
-) -> np.ndarray:
-    """_cumsum_count of every row of a 2-D block, with one budget per row.
-
-    ``cumsum`` runs along each row in order, exactly as on the row alone,
-    and non-negative claims keep the totals sorted, so counting the totals
-    within budget finds the same prefix as ``searchsorted``.
     """
     cum = np.cumsum(ordered, axis=1, out=ordered if in_place else None)
     return (cum <= budgets[:, None]).sum(axis=1)
@@ -154,25 +140,15 @@ def _is_long(claims: int) -> bool:
     return _SELECT_MIN_CLAIMS <= claims <= _CERTIFIED_MAX_CLAIMS
 
 
-def _prefix_count(ordered_claims: np.ndarray, budget: float, in_place: bool = False) -> int:
-    """Largest prefix of the ordered claims whose sequential sum is at most
-    the budget: certified by _served_prefix for a long row, and from the
-    full ``cumsum`` where that cannot decide and for short rows."""
-    if _is_long(ordered_claims.size):
-        count = _served_prefix(ordered_claims, budget)
-        if count >= 0:
-            return count
-    return _cumsum_count(ordered_claims, budget, in_place)
-
-
-def _prefix_count_rows(
-    ordered: np.ndarray, budgets: np.ndarray, in_place: bool = False
-) -> np.ndarray:
-    """_prefix_count of every row of a 2-D block, with one budget per row."""
+def _prefix_count_rows(ordered: np.ndarray, budgets: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """_cumsum_count_rows of a 2-D block, each long row certified by
+    _served_prefix where that can decide it."""
     if not _is_long(ordered.shape[1]):
         return _cumsum_count_rows(ordered, budgets, in_place)
-    return np.array([_prefix_count(row, b, in_place) for row, b in zip(ordered, budgets)],
-                    dtype=np.int64)
+    counts = np.array([_served_prefix(row, b) for row, b in zip(ordered, budgets)], dtype=np.int64)
+    for i in np.flatnonzero(counts < 0):  # views: no row is copied
+        counts[i] = _cumsum_count_rows(ordered[i:i + 1], budgets[i:i + 1], in_place)[0]
+    return counts
 
 
 def _selected_count(row: np.ndarray, budget: float, descending: bool = False) -> int:
@@ -252,8 +228,9 @@ def _sorted_count(row: np.ndarray, budget: float, descending: bool = False) -> i
         count = _selected_count(row, budget, descending)
         if count >= 0:
             return count
-    ordered = np.sort(row)
-    return _cumsum_count(ordered[::-1] if descending else ordered, budget, in_place=True)
+    ordered = np.sort(row)[None]
+    ordered = ordered[:, ::-1] if descending else ordered
+    return int(_cumsum_count_rows(ordered, np.array([budget]), in_place=True)[0])
 
 
 def _sorted_count_rows(claims: np.ndarray, budgets: np.ndarray, descending: bool) -> np.ndarray:
@@ -413,7 +390,7 @@ class PriorityPolicy:
         counts = np.empty(len(claims), dtype=np.int64)
         for i, row in enumerate(claims):
             perm = self.permutation(row, None if aux is None else aux[i])
-            counts[i] = _prefix_count(row[perm], budgets[i], in_place=True)
+            counts[i] = _prefix_count_rows(row[perm][None], budgets[i:i + 1], in_place=True)[0]
         return counts
 
 
@@ -512,19 +489,15 @@ def count_sf(claims: np.ndarray, budget: float) -> int:
     return _sorted_count(np.asarray(claims, dtype=np.float64), budget, descending=True)
 
 
-POLICY_TOKENS = ("fcfs", "wf", "sf", "coinflip", "counterexample")
+#: one stateless instance per token, so specs built from one token are equal
+_BY_TOKEN = {policy.name: policy for policy in (FcfsPolicy(), WeakestFirstPolicy(), StrongestFirstPolicy(),
+                                                CoinFlipPolicy(), ThirdLargestFirstPolicy())}
+POLICY_TOKENS = tuple(_BY_TOKEN)
 
 
 def policy_from_token(token: str) -> PriorityPolicy:
-    """CLI token to policy instance."""
-    table = {
-        "fcfs": FcfsPolicy,
-        "wf": WeakestFirstPolicy,
-        "sf": StrongestFirstPolicy,
-        "coinflip": CoinFlipPolicy,
-        "counterexample": ThirdLargestFirstPolicy,
-    }
+    """CLI token to its shared policy instance."""
     try:
-        return table[token]()
+        return _BY_TOKEN[token]
     except KeyError:
         raise ValueError(f"unknown policy token {token!r}; expected one of {', '.join(POLICY_TOKENS)}") from None

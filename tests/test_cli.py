@@ -15,6 +15,7 @@ import pytest
 
 import rdbp.cli as cli
 import rdbp.engine
+import rdbp.montecarlo
 import rdbp.universe
 from rdbp import ConvergenceError
 
@@ -231,9 +232,9 @@ class TestVerify:
         assert (out_a / "verify.json").read_bytes() == (out_b / "verify.json").read_bytes()
 
     def test_hard_violation_sets_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the engine cannot produce a dominance violation, so fake one to
-        # exercise the exit path
-        monkeypatch.setattr(cli, "dominance_check", lambda *a, **k: 3)
+        # the engine cannot produce a dominance violation, so fake one in
+        # the reduction verify's shared pass runs, to exercise the exit path
+        monkeypatch.setattr(rdbp.montecarlo, "_excess_generations", lambda sizes: 3)
         cfg = verify_config(tmp_path, ["dominance"])
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "check=dominance ok=False" in capsys.readouterr().out
@@ -392,6 +393,37 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert path + ":" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "block, values, path, bound",
+        [
+            # the process block used to parse, and simulate then exited 3
+            # with a message that named no field
+            ("process", {"initial_size": 0}, "process.initial_size", ">= 1"),
+            ("process", {"horizon": 0}, "process.horizon", ">= 1"),
+            ("process", {"initial_size": 5, "explosion_cap": 5}, "process.explosion_cap", ">= 6"),
+            ("mc", {"replicates": 0}, "mc.replicates", ">= 1"),
+            ("mc", {"explosion_cap": 1}, "mc.explosion_cap", ">= 2"),
+            ("mc", {"confidence": 1.0}, "mc.confidence", "in (0, 1)"),
+        ],
+    )
+    def test_out_of_range_run_limits_name_their_field(self, tmp_path, capsys, command, block, values, path,
+                                                       bound):
+        cfg = write_config(tmp_path, {"laws": base_laws(), "policy": "wf", block: values,
+                                      "checks": ["dominance"]})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: expected ") and bound in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("block, key", [("process", "initial_size"), ("process", "explosion_cap"),
+                                            ("mc", "replicates"), ("mc", "horizon")])
+    def test_wrong_type_names_its_field_once(self, tmp_path, capsys, block, key):
+        # the error used to carry the block twice: "process: process.initial_size: ..."
+        cfg = write_config(tmp_path, {"laws": base_laws(), "policy": "wf", block: {key: "x"}})
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {block}.{key}: expected an integer\n"
 
     def test_bad_policy_token(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"laws": base_laws(), "policy": "greedy"})

@@ -242,6 +242,16 @@ class TestMomentShortcut:
         with pytest.raises(UnsupportedKindError):
             moment_shortcut("fcfs", triple)
 
+    @pytest.mark.parametrize("kind, triple", [
+        # unbounded claims: no largest-first criterion, though r < mu
+        ("sf", LawTriple(OffspringLaw((0.25, 0.0, 0.75)), Exponential(1.0), Constant(0.5))),
+        # p0 = 0: extinction is unreachable, though mu < r
+        ("wf", LawTriple(OffspringLaw((0.0, 0.5, 0.5)), Uniform(0.0, 2.0), Constant(1.5))),
+    ])
+    def test_no_shortcut_where_classify_is_inapplicable(self, kind, triple):
+        assert classify(kind, triple).verdict == "inapplicable"
+        assert moment_shortcut(kind, triple) is None
+
     @given(
         st.floats(min_value=0.01, max_value=0.6),
         st.integers(min_value=2, max_value=6),
@@ -253,7 +263,8 @@ class TestMomentShortcut:
     )
     @settings(max_examples=400, deadline=None)
     def test_random_triples_never_contradict_classify(self, p0, top, kind, lo, width, shape, share):
-        """A shortcut's verdict is classify's, or classify calls it critical."""
+        """A shortcut's verdict is classify's, or classify calls it critical;
+        where classify calls the triple inapplicable there is no shortcut."""
         off = OffspringLaw((p0,) + (0.0,) * (top - 1) + (1.0 - p0,))
         claim = {"uniform": Uniform(lo, lo + width), "beta": ScaledBeta(shape, 1.0 + lo * shape, width),
                  "exponential": Exponential(1.0 / width)}[kind]
@@ -261,7 +272,7 @@ class TestMomentShortcut:
         for process_kind in ("wf", "sf"):
             got = moment_shortcut(process_kind, triple)
             verdict = classify(process_kind, triple).verdict
-            if got is not None and verdict != "inapplicable":
+            if got is not None:
                 assert verdict in (got.verdict, "critical"), (process_kind, got)
 
     def test_never_contradicts_classify(self):

@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdbp.cli
+import rdbp.config
 import rdbp.engine
 import rdbp.montecarlo
+import rdbp.policies
 from rdbp import (
     COUNTEREXAMPLE_TRIPLE,
     POLICY_TOKENS,
@@ -541,9 +543,87 @@ def test_threads_reach_every_check(monkeypatch, inline_pool, tmp_path):
     path.write_text(json.dumps(config))
     argv = ["verify", "--config", str(path), "--threads", "3", "--out", str(tmp_path)]
     assert rdbp.cli.main(argv) == 0
-    # superadditivity runs its joint founders and their single copies apart
-    # this process runs one range of each, and a pool of two workers the others
-    assert inline_pool.sizes == [2] * 5
+    # dominance, safe_haven and envelope share one pass, and superadditivity
+    # runs its joint founders and their single copies apart; this process
+    # runs one range of each pass, and a pool of two workers the others
+    assert inline_pool.sizes == [2] * 3
+
+
+def _coupled_config(tmp_path, policy, envelope_policy=None):
+    """A verify config that runs the three checks sharing one pass."""
+    envelope = {"min_size": 8} if envelope_policy is None else {"min_size": 8, "policy": envelope_policy}
+    config = {
+        "seed": 4,
+        "laws": {
+            "offspring": {"probabilities": [0.25, 0.0, 0.75]},
+            "claim": {"kind": "uniform", "params": {"d": 2.0}},
+            "resource": {"kind": "constant", "params": {"value": 1.8}},
+        },
+        "policy": policy,
+        "mc": {"replicates": 24, "horizon": 16, "explosion_cap": 300},
+        "checks": ["dominance", "safe_haven", "envelope"],
+        "check_params": {"envelope": envelope, "safe_haven": {"initial_sizes": [1, 3]}},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    return path, rdbp.config.parse_run_config(config)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("token", POLICY_TOKENS)
+def test_shared_pass_matches_each_check_run_alone(monkeypatch, inline_pool, tmp_path, token, threads):
+    path, cfg = _coupled_config(tmp_path, token)
+    triple, mc = cfg.triple(), cfg.mc
+    policy = rdbp.policies.policy_from_token(token)
+    alone = {
+        "dominance": {"policy": token, "violations": rdbp.montecarlo.dominance_check(policy, triple, mc)},
+        "safe_haven": rdbp.cli._clean(rdbp.montecarlo.safe_haven_check(triple, (1, 3), mc)),
+        "envelope": dict(rdbp.cli._clean(rdbp.montecarlo.envelope_check(policy, triple, mc, min_size=8)),
+                         policy=token),
+    }
+    monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", 0)
+    monkeypatch.setattr(rdbp.montecarlo, "_usable_cpus", lambda: 64)
+    argv = ["verify", "--config", str(path), "--threads", str(threads), "--out", str(tmp_path / "o")]
+    assert rdbp.cli.main(argv) == 0
+    checks = json.loads((tmp_path / "o" / "verify.json").read_text())["checks"]
+    assert {name: entry["result"] for name, entry in checks.items()} == json.loads(json.dumps(alone))
+    # one pass for the three checks, whose ids a pool shares out
+    assert inline_pool.sizes == ([2] if threads > 1 else [])
+
+
+def test_shared_pass_steps_each_spec_once(monkeypatch, tmp_path):
+    passes = []
+
+    def recorded(specs, base, ids, columns):
+        passes.append([(spec.policy.name, spec.initial_size) for spec in specs])
+        return generations(specs, base, ids, columns)
+
+    generations = rdbp.montecarlo._replicate_generations
+    monkeypatch.setattr(rdbp.montecarlo, "_replicate_generations", recorded)
+    path, _ = _coupled_config(tmp_path, "fcfs", envelope_policy="wf")
+    assert rdbp.cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    # dominance steps fcfs and wf from one founder, safe_haven wf from one
+    # and three, and envelope wf from one: wf from one founder is stepped once
+    assert passes == [[("fcfs", 1), ("wf", 1), ("wf", 3)]]
+
+
+def test_failing_pass_reruns_each_check_alone(monkeypatch, tmp_path, capsys):
+    path, _ = _coupled_config(tmp_path, "fcfs", envelope_policy="wf")
+    argv = ["verify", "--config", str(path), "--out", str(tmp_path / "clean")]
+    assert rdbp.cli.main(argv) == 0
+    clean = json.loads((tmp_path / "clean" / "verify.json").read_text())["checks"]
+
+    def broken(self, claims, budgets, aux=None):
+        raise EngineError("fcfs count failed")
+
+    # only dominance steps fcfs rows, so the shared pass fails there
+    monkeypatch.setattr(rdbp.policies.FcfsPolicy, "count_rows", broken)
+    argv = ["verify", "--config", str(path), "--out", str(tmp_path / "o")]
+    assert rdbp.cli.main(argv) == 3
+    assert "error: check dominance: fcfs count failed" in capsys.readouterr().err
+    checks = json.loads((tmp_path / "o" / "verify.json").read_text())["checks"]
+    assert checks["dominance"] == {"ok": False, "error": "fcfs count failed"}
+    assert checks["safe_haven"] == clean["safe_haven"] and checks["envelope"] == clean["envelope"]
 
 
 class TestWorkerSplitIsInvisibleOnBetaClaims(TestWorkerSplitIsInvisible):
