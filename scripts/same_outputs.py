@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Check that two checkouts write the same outputs for every CLI call.
+
+Runs ``python -m rdbp.cli`` with each of ``verify``, ``simulate``,
+``classify`` and ``curve`` on every config in ``perfbench/workloads/``, at
+each ``--seeds`` value and each ``--threads`` value, once in the parent
+checkout and once in the change.  Both sides read the change's configs.
+Each call runs in its own temporary directory with ``--out out``, so the
+paths printed on stdout match; nothing is written outside the temporary
+directories.  The two calls must agree on the exit code, stdout, stderr
+(with each checkout's path replaced by ``<checkout>``) and the bytes of
+every output file.  Calls that fail the same way on both sides, such as a
+config without ``m_grid`` given to ``curve``, agree.  The script lists
+every difference and exits 1 if there is one.
+
+Example, with the parent exported to ../parent:
+    python3 scripts/same_outputs.py --parent ../parent --seeds 1 2 7 --threads 1 2
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parents[1]
+COMMANDS = ("verify", "simulate", "classify", "curve")
+
+
+def run(checkout: Path, argv: list[str], workdir: Path) -> dict:
+    """One CLI call in ``workdir``: its exit code, streams and output files."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "rdbp.cli", *argv, "--out", "out"], cwd=workdir, env=env,
+                          capture_output=True, text=True)
+    out = workdir / "out"
+    files = {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+    return {"exit code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr.replace(str(checkout), "<checkout>"), "files": files}
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """What the change's call does differently from the parent's."""
+    found = [what for what in ("exit code", "stdout", "stderr") if parent[what] != change[what]]
+    for name in sorted(set(parent["files"]) | set(change["files"])):
+        if parent["files"].get(name) != change["files"].get(name):
+            found.append(f"out/{name}")
+    return found
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, default=HERE,
+                    help="checkout of the change (default: the one holding this script)")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 7])
+    ap.add_argument("--threads", type=int, nargs="+", default=[1, 2])
+    args = ap.parse_args()
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    configs = sorted((sides["change"] / "perfbench" / "workloads").glob("*.json"))
+    calls = differing = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for config in configs:
+            for command in COMMANDS:
+                for seed in args.seeds:
+                    for threads in args.threads:
+                        argv = [command, "--config", str(config), "--seed", str(seed), "--threads", str(threads)]
+                        tag = f"{config.stem}-{command}-{seed}-{threads}"
+                        got = {side: run(path, argv, Path(scratch) / side / tag) for side, path in sides.items()}
+                        found = differences(got["parent"], got["change"])
+                        calls += 1
+                        if found:
+                            differing += 1
+                            print(f"DIFFERS {config.name} {command} --seed {seed} --threads {threads}: "
+                                  f"{', '.join(found)}", flush=True)
+    print(f"{calls} calls, {differing} differ (exit codes, stdout, stderr and output files)")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

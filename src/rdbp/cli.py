@@ -25,10 +25,9 @@ from .config import (
     CHECK_NAMES,
     ConfigError,
     RunConfig,
-    claim_law_to_json,
+    law_to_json,
     offspring_law_to_json,
     parse_run_config,
-    resource_law_to_json,
 )
 from .criteria import (
     ConvergenceError,
@@ -121,8 +120,8 @@ def _cmd_classify(cfg: RunConfig, args) -> int:
     payload = {
         "laws": {
             "offspring": offspring_law_to_json(triple.offspring),
-            "claim": claim_law_to_json(triple.claim),
-            "resource": resource_law_to_json(triple.resource),
+            "claim": law_to_json(triple.claim, claim=True),
+            "resource": law_to_json(triple.resource),
         },
         "report": _clean(report),
     }
@@ -151,87 +150,80 @@ def _cmd_curve(cfg: RunConfig, args) -> int:
 #: the checks that verify runs in one coupled pass
 _COUPLED = ("dominance", "safe_haven", "envelope")
 
+#: each check verify runs: a call of its function with mc and workers
+#: (through this module's name for it, so a wrapper set on that name sees
+#: the call), its verdict on the result, and the default of each param
+#: check_params may set.  A callable default reads the run config
+_CHECKS = {
+    "dominance": (lambda mc, workers, **args: dominance_check(mc=mc, workers=workers, **args),
+                  lambda violations: violations == 0,
+                  {"policy": lambda cfg: cfg.policy or "sf", "initial_size": lambda cfg: cfg.process.initial_size}),
+    "envelope": (lambda mc, workers, **args: envelope_check(mc=mc, workers=workers, **args),
+                 lambda r: r.band_low - r.slack <= r.mean_ratio <= r.band_high + r.slack,
+                 {"policy": lambda cfg: cfg.policy, "initial_size": lambda cfg: cfg.process.initial_size,
+                  "min_size": 10 ** 4, "slack": 0.05}),
+    "safe_haven": (lambda mc, workers, **args: safe_haven_check(mc=mc, workers=workers, **args),
+                   lambda r: r.monotone_nonincreasing and all(row.within_bound for row in r.rows),
+                   {"initial_sizes": (1, 2, 5, 10)}),
+    "superadditivity": (lambda mc, workers, **args: superadditivity_check(mc=mc, workers=workers, **args),
+                        lambda r: r.ok, {"initial_size": 2, "n_gens": 3, "alpha": 1e-3}),
+    "counterexample": (lambda mc, workers, **args: counterexample_search(mc=mc, **args),
+                       lambda r: r.found, {"budget": 10 ** 6}),
+    "sf_probe": (lambda mc, workers, **args: sf_monotonicity_probe(mc=mc, **args),
+                 lambda r: True, {"t_values": (1, 2, 3, 4, 5), "v_max": None}),
+}
 
-def _coupled_args(name: str, cfg: RunConfig) -> dict:
-    """The arguments of a coupled check's function, but for mc and workers."""
-    params, triple = cfg.check_params.get(name, {}), cfg.triple()
-    if name == "safe_haven":
-        return dict(triple=triple, initial_sizes=tuple(params.get("initial_sizes", (1, 2, 5, 10))))
-    # parse_run_config has checked both tokens
-    token = params.get("policy", cfg.policy or ("sf" if name == "dominance" else None))
-    if token is None:
-        raise ConfigError("config.policy: missing required field")
-    args = dict(policy=policy_from_token(token), triple=triple,
-                initial_size=params.get("initial_size", cfg.process.initial_size))
-    if name == "envelope":
-        args.update(min_size=params.get("min_size", 10 ** 4), slack=params.get("slack", 0.05))
-    return args
+
+def _check_args(name: str, cfg: RunConfig) -> dict:
+    """The arguments of a check's function, but for mc and workers: each
+    param as check_params sets it, or else its default."""
+    triple, params = cfg.triple(), cfg.check_params.get(name, {})
+    args = {key: params[key] if key in params else default(cfg) if callable(default) else default
+            for key, default in _CHECKS[name][2].items()}
+    if "policy" in args:  # parse_run_config has checked both tokens
+        if args["policy"] is None:
+            raise ConfigError("config.policy: missing required field")
+        args["policy"] = policy_from_token(args["policy"])
+    return dict(args, triple=triple)
 
 
-def _coupled_entry(name: str, args: dict, finish) -> dict:
-    """The verify.json entry of a coupled check whose result ``finish`` returns."""
-    result = finish()
+def _entry(name: str, args: dict, result) -> dict:
+    """A check's verify.json entry; only a dominance violation fails hard."""
+    ok = _CHECKS[name][1](result)
     if name == "dominance":
-        return {"ok": result == 0, "hard": True, "result": {"policy": args["policy"].name, "violations": result}}
+        return {"ok": ok, "hard": True, "result": {"policy": args["policy"].name, "violations": result}}
+    payload = _clean(result)
     if name == "envelope":
-        ok = result.band_low - result.slack <= result.mean_ratio <= result.band_high + result.slack
-        return {"ok": ok, "hard": False, "result": dict(_clean(result), policy=args["policy"].name)}
-    ok = result.monotone_nonincreasing and all(row.within_bound for row in result.rows)
-    return {"ok": ok, "hard": False, "result": _clean(result)}
+        payload["policy"] = args["policy"].name
+    return {"ok": ok, "hard": False, "result": payload}
 
 
-def _coupled_checks(names, cfg: RunConfig, threads: int) -> dict:
-    """Each coupled check in ``names``, as a function that returns its entry.
+def _check_runs(calls: dict, mc, threads: int) -> dict:
+    """Each check's run: a function that returns (or raises) its result.
 
-    The checks step their specs in one pass.  If that pass fails, each
-    reruns alone through its own function, so one failing check keeps the
-    others' results.
+    dominance, safe_haven and envelope step their specs in one pass.  If
+    that pass fails, each reruns alone through its own function, so one
+    failing check keeps the others' results.
     """
-    calls = [(name, _coupled_args(name, cfg)) for name in names]
+    runs = {name: partial(_CHECKS[name][0], mc, threads, **args) for name, args in calls.items()}
+    coupled = [(name, args) for name, args in calls.items() if name in _COUPLED]
     try:
-        finishes = run_coupled(calls, cfg.mc, threads) if calls else []
+        runs.update(zip((name for name, _ in coupled), run_coupled(coupled, mc, threads) if coupled else []))
     except _RUNTIME_ERRORS:
-        functions = {"dominance": dominance_check, "safe_haven": safe_haven_check, "envelope": envelope_check}
-        finishes = [partial(functions[name], mc=cfg.mc, workers=threads, **args) for name, args in calls]
-    return {name: partial(_coupled_entry, name, args, finish) for (name, args), finish in zip(calls, finishes)}
-
-
-def _run_check(name: str, cfg: RunConfig, threads: int) -> dict:
-    params = cfg.check_params.get(name, {})
-    triple = cfg.triple()
-    if name == "superadditivity":
-        report = superadditivity_check(
-            triple,
-            initial_size=params.get("initial_size", 2),
-            n_gens=params.get("n_gens", 3),
-            mc=cfg.mc,
-            alpha=params.get("alpha", 1e-3),
-            workers=threads,
-        )
-        return {"ok": report.ok, "hard": False, "result": _clean(report)}
-    if name == "counterexample":
-        result = counterexample_search(triple, cfg.mc, budget=params.get("budget", 10 ** 6))
-        return {"ok": result.found, "hard": False, "result": _clean(result)}
-    if name == "sf_probe":
-        report = sf_monotonicity_probe(
-            triple,
-            tuple(params.get("t_values", (1, 2, 3, 4, 5))),
-            cfg.mc,
-            v_max=params.get("v_max"),
-        )
-        return {"ok": True, "hard": False, "result": _clean(report)}
-    raise ConfigError(f"config.checks: unknown check {name!r}")
+        pass  # each coupled check keeps its run alone
+    return runs
 
 
 def _cmd_verify(cfg: RunConfig, args) -> int:
     if cfg.checks is None:
         raise ConfigError("config.checks: missing required field")
+    calls = {name: _check_args(name, cfg) for name in cfg.checks}
+    runs = _check_runs(calls, cfg.mc, args.threads)
     results = {}
     hard_failure = runtime_failure = False
-    coupled = _coupled_checks([name for name in dict.fromkeys(cfg.checks) if name in _COUPLED], cfg, args.threads)
     for name in cfg.checks:
         try:
-            outcome = coupled[name]() if name in coupled else _run_check(name, cfg, args.threads)
+            outcome = _entry(name, calls[name], runs[name]())
         except ConfigError:  # a ValueError, but a config problem exits with 2
             raise
         except _RUNTIME_ERRORS as exc:

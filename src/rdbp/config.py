@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .distributions import (
     Constant,
@@ -24,10 +25,8 @@ from .montecarlo import McConfig
 from .policies import POLICY_TOKENS
 from .universe import Seed
 
-__all__ = ["ConfigError", "RunConfig", "ProcessParams", "parse_run_config",
-           "claim_law_to_json", "resource_law_to_json", "offspring_law_to_json"]
-
-CHECK_NAMES = ("dominance", "envelope", "safe_haven", "superadditivity", "counterexample", "sf_probe")
+__all__ = ["ConfigError", "RunConfig", "ProcessParams", "parse_run_config", "law_to_json",
+           "offspring_law_to_json"]
 
 
 class ConfigError(ValueError):
@@ -52,71 +51,86 @@ def _get_required(obj: Mapping, path: str, key: str) -> Any:
     return obj[key]
 
 
-def _number(obj: Mapping, path: str, key: str, default=None) -> Optional[float]:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing required field")
+def _field(obj: Mapping, path: str, key: str, read: Callable[[Any, str], Any], default=None):
+    """``obj[key]`` checked by ``read(value, path)``, or ``default`` where
+    the key is absent; a field without a default is required."""
+    if key not in obj and default is not None:
         return default
-    val = obj[key]
+    return read(_get_required(obj, path, key), f"{path}.{key}")
+
+
+def _number(val: Any, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
+        raise ConfigError(f"{path}: expected a number")
     return float(val)
 
 
-def _integer(obj: Mapping, path: str, key: str, default=None) -> Optional[int]:
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing required field")
-        return default
-    val = obj[key]
+def _integer(val: Any, path: str, least: int = 1) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    return val
-
-
-def _integer_from(obj: Mapping, path: str, key: str, least: int, default=None) -> int:
-    val = _integer(obj, path, key, default)
+        raise ConfigError(f"{path}: expected an integer")
     if val < least:
-        raise ConfigError(f"{path}.{key}: expected an integer >= {least}")
+        raise ConfigError(f"{path}: expected an integer >= {least}")
     return val
 
 
-def _count_param(obj: Mapping, path: str, key: str) -> None:
-    _integer_from(obj, path, key, 1)
+def _list(val: Any, path: str, what: str, item: Callable[[Any, str], Any]) -> tuple:
+    """A non-empty list, each item checked by ``item(value, path)``."""
+    if not isinstance(val, Sequence) or isinstance(val, (str, bytes)) or not val:
+        raise ConfigError(f"{path}: expected a non-empty list of {what}")
+    return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(val))
 
 
-def _counts_param(obj: Mapping, path: str, key: str) -> None:
-    raw = obj[key]
-    if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
-        raise ConfigError(f"{path}.{key}: expected a non-empty list of integers >= 1")
-    for i, val in enumerate(raw):
-        _count_param({f"{key}[{i}]": val}, path, f"{key}[{i}]")
+def _policy(val: Any, path: str) -> str:
+    if val not in POLICY_TOKENS:
+        raise ConfigError(f"{path}: expected one of {', '.join(POLICY_TOKENS)}, got {val!r}")
+    return val
 
 
-def _policy_param(obj: Mapping, path: str, key: str) -> None:
-    if obj[key] not in POLICY_TOKENS:
-        raise ConfigError(f"{path}.{key}: expected one of {', '.join(POLICY_TOKENS)}, got {obj[key]!r}")
+def _slack(val: Any, path: str):
+    if not 0.0 <= _number(val, path) < math.inf:
+        raise ConfigError(f"{path}: expected a finite number >= 0")
+    return val
 
 
-def _slack_param(obj: Mapping, path: str, key: str) -> None:
-    if not 0.0 <= _number(obj, path, key) < math.inf:
-        raise ConfigError(f"{path}.{key}: expected a finite number >= 0")
+def _level(val: Any, path: str) -> float:
+    if not 0.0 < _number(val, path) < 1.0:
+        raise ConfigError(f"{path}: expected a number in (0, 1)")
+    return float(val)
 
 
-def _level_param(obj: Mapping, path: str, key: str) -> None:
-    if not 0.0 < _number(obj, path, key) < 1.0:
-        raise ConfigError(f"{path}.{key}: expected a number in (0, 1)")
+def _mean(val: Any, path: str) -> float:
+    if not 1.0 < _number(val, path) < math.inf:
+        raise ConfigError(f"{path}: offspring mean must be in (1, inf)")
+    return float(val)
 
+
+def _check_name(val: Any, path: str) -> str:
+    if val not in CHECK_NAMES:
+        raise ConfigError(f"{path}: unknown check {val!r}; expected one of {', '.join(CHECK_NAMES)}")
+    return val
+
+
+_counts = partial(_list, what="integers >= 1", item=_integer)
 
 #: each check's parameters, with the test each value must pass
 _CHECK_PARAMS = {
-    "dominance": {"policy": _policy_param, "initial_size": _count_param},
-    "envelope": {"policy": _policy_param, "min_size": _count_param, "slack": _slack_param,
-                 "initial_size": _count_param},
-    "safe_haven": {"initial_sizes": _counts_param},
-    "superadditivity": {"initial_size": _count_param, "n_gens": _count_param, "alpha": _level_param},
-    "counterexample": {"budget": _count_param},
-    "sf_probe": {"t_values": _counts_param, "v_max": _count_param},
+    "dominance": {"policy": _policy, "initial_size": _integer},
+    "envelope": {"policy": _policy, "min_size": _integer, "slack": _slack, "initial_size": _integer},
+    "safe_haven": {"initial_sizes": _counts},
+    "superadditivity": {"initial_size": _integer, "n_gens": _integer, "alpha": _level},
+    "counterexample": {"budget": _integer},
+    "sf_probe": {"t_values": _counts, "v_max": _integer},
+}
+CHECK_NAMES = tuple(_CHECK_PARAMS)
+
+#: each law kind: its class, its params in constructor order (a missing
+#: scale reads 1.0) and the roles that take it.  A uniform claim is U(0, d):
+#: its one param d is the constructor's hi
+_LAWS = {
+    "uniform": (Uniform, ("lo", "hi"), ("claim", "resource")),
+    "scaled_beta": (ScaledBeta, ("a", "b", "scale"), ("claim", "resource")),
+    "exponential": (Exponential, ("rate",), ("claim",)),
+    "constant": (Constant, ("value",), ("claim", "resource")),
 }
 
 
@@ -132,92 +146,40 @@ def offspring_law_from_json(obj: Any, path: str) -> OffspringLaw:
         raise ConfigError(f"{path}.probabilities: {exc}") from exc
 
 
-def _scalar_law_from_json(obj: Any, path: str, kinds: Mapping[str, Any]):
+def _law_from_json(obj: Any, role: str):
+    """The claim or resource law (``role``) of ``laws.<role>``."""
+    path = f"laws.{role}"
     obj = _as_mapping(obj, path)
     _reject_unknown(obj, path, ("kind", "params"))
     kind = _get_required(obj, path, "kind")
+    kinds = [name for name, (_, _, roles) in _LAWS.items() if role in roles]
     if kind not in kinds:
         raise ConfigError(f"{path}.kind: expected one of {', '.join(kinds)}, got {kind!r}")
     params = _as_mapping(_get_required(obj, path, "params"), f"{path}.params")
+    path += ".params"
+    cls, names, _ = _LAWS[kind]
+    if role == "claim" and kind == "uniform":
+        cls, names = partial(Uniform, 0.0), ("d",)
+    _reject_unknown(params, path, names)
+    values = [_field(params, path, key, _number, 1.0 if key == "scale" else None) for key in names]
     try:
-        return kinds[kind](params, f"{path}.params")
-    except ConfigError:
-        raise
+        return cls(*values)
     except ValueError as exc:
-        raise ConfigError(f"{path}.params: {exc}") from exc
-
-
-def _claim_uniform(params: Mapping, path: str) -> Uniform:
-    _reject_unknown(params, path, ("d",))
-    return Uniform(0.0, _number(params, path, "d"))
-
-
-def _resource_uniform(params: Mapping, path: str) -> Uniform:
-    _reject_unknown(params, path, ("lo", "hi"))
-    return Uniform(_number(params, path, "lo"), _number(params, path, "hi"))
-
-
-def _scaled_beta(params: Mapping, path: str) -> ScaledBeta:
-    _reject_unknown(params, path, ("a", "b", "scale"))
-    return ScaledBeta(
-        _number(params, path, "a"),
-        _number(params, path, "b"),
-        _number(params, path, "scale", default=1.0),
-    )
-
-
-def _exponential(params: Mapping, path: str) -> Exponential:
-    _reject_unknown(params, path, ("rate",))
-    return Exponential(_number(params, path, "rate"))
-
-
-def _constant(params: Mapping, path: str) -> Constant:
-    _reject_unknown(params, path, ("value",))
-    return Constant(_number(params, path, "value"))
-
-
-_CLAIM_KINDS = {
-    "uniform": _claim_uniform,
-    "scaled_beta": _scaled_beta,
-    "exponential": _exponential,
-    "constant": _constant,
-}
-
-_RESOURCE_KINDS = {
-    "uniform": _resource_uniform,
-    "scaled_beta": _scaled_beta,
-    "constant": _constant,
-}
-
-
-def claim_law_from_json(obj: Any, path: str):
-    return _scalar_law_from_json(obj, path, _CLAIM_KINDS)
-
-
-def resource_law_from_json(obj: Any, path: str):
-    return _scalar_law_from_json(obj, path, _RESOURCE_KINDS)
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def offspring_law_to_json(law: OffspringLaw) -> dict:
     return {"probabilities": list(law.probabilities)}
 
 
-def claim_law_to_json(law) -> dict:
-    if isinstance(law, Uniform):
-        return {"kind": "uniform", "params": {"d": law.hi}}
-    return resource_law_to_json(law)
-
-
-def resource_law_to_json(law) -> dict:
-    if isinstance(law, Uniform):
-        return {"kind": "uniform", "params": {"lo": law.lo, "hi": law.hi}}
-    if isinstance(law, ScaledBeta):
-        return {"kind": "scaled_beta", "params": {"a": law.a, "b": law.b, "scale": law.scale}}
-    if isinstance(law, Exponential):
-        return {"kind": "exponential", "params": {"rate": law.rate}}
-    if isinstance(law, Constant):
-        return {"kind": "constant", "params": {"value": law.value}}
-    raise TypeError(f"cannot serialise law {type(law).__name__}")
+def law_to_json(law, claim: bool = False) -> dict:
+    """A claim law (``claim``) or resource law in the form ``laws.*`` reads."""
+    kind = getattr(law, "kind", None)
+    if kind not in _LAWS:
+        raise TypeError(f"cannot serialise law {type(law).__name__}")
+    if claim and kind == "uniform":
+        return {"kind": kind, "params": {"d": law.hi}}
+    return {"kind": kind, "params": {key: getattr(law, key) for key in _LAWS[kind][1]}}
 
 
 @dataclass(frozen=True)
@@ -258,103 +220,61 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
     data = _as_mapping(data, "config")
     _reject_unknown(data, "config", _TOP_KEYS)
 
-    if seed_override is not None:
-        seed = seed_override
-    elif "seed" in data:
-        raw = data["seed"]
-        if isinstance(raw, int) and not isinstance(raw, bool):
-            try:
-                seed = Seed(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config.seed: {exc}") from exc
-        elif isinstance(raw, str):
-            try:
-                seed = Seed.parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config.seed: {exc}") from exc
-        else:
+    seed = seed_override
+    if seed is None:
+        raw = data.get("seed", 0)
+        if isinstance(raw, bool) or not isinstance(raw, (int, str)):
             raise ConfigError("config.seed: expected an integer or a decimal/0x-hex string")
-    else:
-        seed = Seed(0)
+        try:
+            seed = Seed.parse(raw) if isinstance(raw, str) else Seed(raw)
+        except ValueError as exc:
+            raise ConfigError(f"config.seed: {exc}") from exc
 
-    offspring = claim = resource = None
-    if "laws" in data:
-        laws = _as_mapping(data["laws"], "laws")
-        _reject_unknown(laws, "laws", ("offspring", "claim", "resource"))
-        if "offspring" in laws:
-            offspring = offspring_law_from_json(laws["offspring"], "laws.offspring")
-        if "claim" in laws:
-            claim = claim_law_from_json(laws["claim"], "laws.claim")
-        if "resource" in laws:
-            resource = resource_law_from_json(laws["resource"], "laws.resource")
+    laws = _as_mapping(data.get("laws", {}), "laws")
+    _reject_unknown(laws, "laws", ("offspring", "claim", "resource"))
+    offspring = offspring_law_from_json(laws["offspring"], "laws.offspring") if "offspring" in laws else None
+    claim, resource = (_law_from_json(laws[role], role) if role in laws else None for role in ("claim", "resource"))
 
-    policy = None
-    if "policy" in data:
-        policy = data["policy"]
-        if policy not in POLICY_TOKENS:
-            raise ConfigError(f"config.policy: expected one of {', '.join(POLICY_TOKENS)}, got {policy!r}")
+    policy = _policy(data["policy"], "config.policy") if "policy" in data else None
 
     # both blocks are range-checked here, so their errors name the field
     proc = _as_mapping(data.get("process", {}), "process")
     _reject_unknown(proc, "process", ("initial_size", "horizon", "explosion_cap"))
-    initial_size = _integer_from(proc, "process", "initial_size", 1, 1)
+    initial_size = _field(proc, "process", "initial_size", _integer, 1)
     process = ProcessParams(
         initial_size=initial_size,
-        horizon=_integer_from(proc, "process", "horizon", 1, HORIZON_DEFAULT),
-        explosion_cap=_integer_from(proc, "process", "explosion_cap", initial_size + 1, EXPLOSION_CAP_DEFAULT),
+        horizon=_field(proc, "process", "horizon", _integer, HORIZON_DEFAULT),
+        explosion_cap=_field(proc, "process", "explosion_cap", partial(_integer, least=initial_size + 1),
+                             EXPLOSION_CAP_DEFAULT),
     )
 
     mc_obj = _as_mapping(data.get("mc", {}), "mc")
     _reject_unknown(mc_obj, "mc", ("replicates", "horizon", "explosion_cap", "confidence"))
-    if "confidence" in mc_obj:
-        _level_param(mc_obj, "mc", "confidence")
     mc = McConfig(
-        replicates=_integer_from(mc_obj, "mc", "replicates", 1, 2000),
-        horizon=_integer_from(mc_obj, "mc", "horizon", 1, HORIZON_DEFAULT),
-        explosion_cap=_integer_from(mc_obj, "mc", "explosion_cap", 2, EXPLOSION_CAP_DEFAULT),
+        confidence=_field(mc_obj, "mc", "confidence", _level, 0.99),
+        replicates=_field(mc_obj, "mc", "replicates", _integer, 2000),
+        horizon=_field(mc_obj, "mc", "horizon", _integer, HORIZON_DEFAULT),
+        explosion_cap=_field(mc_obj, "mc", "explosion_cap", partial(_integer, least=2), EXPLOSION_CAP_DEFAULT),
         base_seed=seed,
-        confidence=_number(mc_obj, "mc", "confidence", 0.99),
     )
 
-    m_grid = None
-    if "m_grid" in data:
-        raw = data["m_grid"]
-        if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
-            raise ConfigError("config.m_grid: expected a non-empty list of numbers")
-        vals = []
-        for i, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"config.m_grid[{i}]: expected a number")
-            if not 1.0 < v < math.inf:
-                raise ConfigError(f"config.m_grid[{i}]: offspring mean must be in (1, inf)")
-            vals.append(float(v))
-        m_grid = tuple(vals)
-
-    checks = None
-    if "checks" in data:
-        raw = data["checks"]
-        if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)) or not raw:
-            raise ConfigError("config.checks: expected a non-empty list of check names")
-        for i, name in enumerate(raw):
-            if name not in CHECK_NAMES:
-                raise ConfigError(
-                    f"config.checks[{i}]: unknown check {name!r}; expected one of {', '.join(CHECK_NAMES)}"
-                )
-        checks = tuple(raw)
+    m_grid = _list(data["m_grid"], "config.m_grid", "numbers", _mean) if "m_grid" in data else None
+    checks = _list(data["checks"], "config.checks", "check names", _check_name) if "checks" in data else None
 
     check_params = {}
-    if "check_params" in data:
-        cp = _as_mapping(data["check_params"], "check_params")
-        for name, params in cp.items():
-            if name not in CHECK_NAMES:
-                raise ConfigError(f"check_params.{name}: unknown check")
-            path = f"check_params.{name}"
-            params = _as_mapping(params, path)
-            _reject_unknown(params, path, tuple(_CHECK_PARAMS[name]))
-            for key, check in _CHECK_PARAMS[name].items():
-                if key in params:
-                    check(params, path, key)
-            check_params[name] = dict(params)
+    for name, params in _as_mapping(data.get("check_params", {}), "check_params").items():
+        if name not in CHECK_NAMES:
+            raise ConfigError(f"check_params.{name}: unknown check")
+        path = f"check_params.{name}"
+        params = _as_mapping(params, path)
+        _reject_unknown(params, path, tuple(_CHECK_PARAMS[name]))
+        check_params[name] = {key: read(params[key], f"{path}.{key}")
+                              for key, read in _CHECK_PARAMS[name].items() if key in params}
+        # an explicit founder count must be below the Monte Carlo cap; one
+        # taken from the process block may suit simulate, so it stays a
+        # run-time error of the check
+        if name in ("dominance", "envelope") and check_params[name].get("initial_size", 0) >= mc.explosion_cap:
+            raise ConfigError(f"{path}.initial_size: expected an integer < mc.explosion_cap = {mc.explosion_cap}")
 
     return RunConfig(
         seed=seed,

@@ -140,15 +140,24 @@ def _is_long(claims: int) -> bool:
     return _SELECT_MIN_CLAIMS <= claims <= _CERTIFIED_MAX_CLAIMS
 
 
+def _long_rows(certify: Callable, exact: Callable, claims: np.ndarray, budgets: np.ndarray,
+               *more: np.ndarray) -> np.ndarray:
+    """Served counts of a claim block: ``exact(claims, budgets, *more)`` for
+    short rows.  Long rows are counted one by one by ``certify(row, budget,
+    *that row of more)``, and each row it returns -1 for by ``exact`` on
+    that row's one-row block (views: no row is copied)."""
+    if not _is_long(claims.shape[1]):
+        return exact(claims, budgets, *more)
+    counts = np.array([certify(*row) for row in zip(claims, budgets, *more)], dtype=np.int64)
+    for i in np.flatnonzero(counts < 0):
+        counts[i] = exact(*(block[i:i + 1] for block in (claims, budgets, *more)))[0]
+    return counts
+
+
 def _prefix_count_rows(ordered: np.ndarray, budgets: np.ndarray, in_place: bool = False) -> np.ndarray:
     """_cumsum_count_rows of a 2-D block, each long row certified by
     _served_prefix where that can decide it."""
-    if not _is_long(ordered.shape[1]):
-        return _cumsum_count_rows(ordered, budgets, in_place)
-    counts = np.array([_served_prefix(row, b) for row, b in zip(ordered, budgets)], dtype=np.int64)
-    for i in np.flatnonzero(counts < 0):  # views: no row is copied
-        counts[i] = _cumsum_count_rows(ordered[i:i + 1], budgets[i:i + 1], in_place)[0]
-    return counts
+    return _long_rows(_served_prefix, lambda rows, b: _cumsum_count_rows(rows, b, in_place), ordered, budgets)
 
 
 def _selected_count(row: np.ndarray, budget: float, descending: bool = False) -> int:
@@ -220,27 +229,15 @@ def _window_count(row: np.ndarray, budget: float, lo: int, hi: int, descending: 
     return count if count < 0 else lo + count
 
 
-def _sorted_count(row: np.ndarray, budget: float, descending: bool = False) -> int:
-    """Served count of one row in ascending or descending claim order: by
-    selection for a long row, by a sort and a full ``cumsum`` otherwise and
-    wherever the selection cannot certify its count."""
-    if _is_long(row.size):
-        count = _selected_count(row, budget, descending)
-        if count >= 0:
-            return count
-    ordered = np.sort(row)[None]
-    ordered = ordered[:, ::-1] if descending else ordered
-    return int(_cumsum_count_rows(ordered, np.array([budget]), in_place=True)[0])
-
-
 def _sorted_count_rows(claims: np.ndarray, budgets: np.ndarray, descending: bool) -> np.ndarray:
     """Served counts of the rows of a claim block in ascending or descending
-    claim order: selection for long rows, a sort of the block otherwise."""
-    if _is_long(claims.shape[1]):
-        return np.array([_sorted_count(row, b, descending) for row, b in zip(claims, budgets)],
-                        dtype=np.int64)
-    ordered = np.sort(claims, axis=1)
-    return _cumsum_count_rows(ordered[:, ::-1] if descending else ordered, budgets, in_place=True)
+    claim order: selection for long rows, a sort of the block otherwise and
+    of each row whose selection is not certified."""
+    def exact(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
+        ordered = np.sort(rows, axis=1)
+        return _cumsum_count_rows(ordered[:, ::-1] if descending else ordered, b, in_place=True)
+
+    return _long_rows(lambda row, budget: _selected_count(row, budget, descending), exact, claims, budgets)
 
 
 #: smallest rows and blocks that _stable_order gives to the default argsort:
@@ -441,13 +438,8 @@ class CoinFlipPolicy(PriorityPolicy):
     def count_rows(self, claims, budgets, aux=None):
         if aux is None or aux.shape != claims.shape:
             raise ValueError("coinflip policy needs auxiliary deviates (one per claim)")
-        if not _is_long(claims.shape[1]):
-            return _stable_counts(claims, budgets, aux)
-        counts = np.array([_ranked_count(c, a, b) for c, a, b in zip(claims, aux, budgets)],
-                          dtype=np.int64)
-        for i in np.flatnonzero(counts < 0):  # views: no row is copied
-            counts[i] = _stable_counts(claims[i:i + 1], budgets[i:i + 1], aux[i:i + 1])[0]
-        return counts
+        return _long_rows(lambda row, budget, deviates: _ranked_count(row, deviates, budget), _stable_counts,
+                          claims, budgets, aux)
 
 
 class ThirdLargestFirstPolicy(PriorityPolicy):
@@ -486,7 +478,8 @@ class CustomPolicy(PriorityPolicy):
 
 def count_sf(claims: np.ndarray, budget: float) -> int:
     """Admitted count with largest claims first."""
-    return _sorted_count(np.asarray(claims, dtype=np.float64), budget, descending=True)
+    claims = np.asarray(claims, dtype=np.float64)[None]
+    return int(_sorted_count_rows(claims, np.array([budget], dtype=np.float64), descending=True)[0])
 
 
 #: one stateless instance per token, so specs built from one token are equal

@@ -269,6 +269,27 @@ class TestVerify:
         capped = result["rows"][2]["estimate"]
         assert capped["n_exploded"] == 50 and capped["p_extinct"] == 0.0
 
+    def test_founders_from_the_process_block_at_the_cap_fail_that_check_alone(self, tmp_path, capsys):
+        # the same config is valid for simulate, so verify reports the
+        # founder count of dominance, which it takes from the process block,
+        # as a run-time error of that check
+        cfg = write_config(tmp_path, {
+            "seed": 5,
+            "laws": base_laws(),
+            "policy": "wf",
+            "process": {"initial_size": 1000, "horizon": 3},
+            "mc": {"replicates": 30, "horizon": 12, "explosion_cap": 1000},
+            "checks": ["dominance", "safe_haven"],
+        })
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert "error: check dominance: explosion_cap must exceed initial_size" in capsys.readouterr().err
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        assert checks["dominance"] == {"ok": False, "error": "explosion_cap must exceed initial_size"}
+        assert checks["safe_haven"]["ok"] is True
+
     def test_failing_check_keeps_the_other_results(self, tmp_path, capsys):
         # the README laws have no litter of three, so the counterexample
         # search rejects them after dominance has already finished
@@ -385,6 +406,10 @@ class TestErrorPaths:
             ("superadditivity", "alpha", 2.0, "check_params.superadditivity.alpha"),
             # used to name only check_params.policy
             ("dominance", "policy", "greedy", "check_params.dominance.policy"),
+            # at or above mc.explosion_cap = 1000: used to fail at run time
+            # (exit 3) with a message that named no field
+            ("dominance", "initial_size", 1000, "check_params.dominance.initial_size"),
+            ("envelope", "initial_size", 5000, "check_params.envelope.initial_size"),
         ],
     )
     def test_bad_check_param_value(self, tmp_path, capsys, check, key, value, path):
