@@ -13,6 +13,10 @@ every output file.  Calls that fail the same way on both sides, such as a
 config without ``m_grid`` given to ``curve``, agree.  The script lists
 every difference and exits 1 if there is one.
 
+It also prints each call's peak RSS on both sides, the ``ru_maxrss`` of
+that child alone (``os.wait4``), and lists the calls whose peak moved by
+more than 10 %.  Peaks are for information only and never fail the run.
+
 Example, with the parent exported to ../parent:
     python3 scripts/same_outputs.py --parent ../parent --seeds 1 2 7 --threads 1 2
 """
@@ -26,18 +30,28 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 COMMANDS = ("verify", "simulate", "classify", "curve")
+#: a call whose peak RSS moved by more than this share is listed
+PEAK_MOVE = 0.10
 
 
 def run(checkout: Path, argv: list[str], workdir: Path) -> dict:
-    """One CLI call in ``workdir``: its exit code, streams and output files."""
+    """One CLI call in ``workdir``: its exit code, streams, output files and
+    peak RSS in MB."""
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, "-m", "rdbp.cli", *argv, "--out", "out"], cwd=workdir, env=env,
-                          capture_output=True, text=True)
+    # the streams go to files beside out/, so the call can be reaped by
+    # os.wait4, whose rusage holds this child's peak alone
+    streams = {name: workdir / name for name in ("stdout", "stderr")}
+    with open(streams["stdout"], "wb") as stdout, open(streams["stderr"], "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-m", "rdbp.cli", *argv, "--out", "out"], cwd=workdir, env=env,
+                                stdout=stdout, stderr=stderr)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
     out = workdir / "out"
     files = {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
-    return {"exit code": proc.returncode, "stdout": proc.stdout,
-            "stderr": proc.stderr.replace(str(checkout), "<checkout>"), "files": files}
+    return {"exit code": proc.returncode, "stdout": streams["stdout"].read_text(),
+            "stderr": streams["stderr"].read_text().replace(str(checkout), "<checkout>"), "files": files,
+            "peak MB": usage.ru_maxrss / 1024}  # kilobytes on Linux
 
 
 def differences(parent: dict, change: dict) -> list[str]:
@@ -60,6 +74,7 @@ def main() -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     configs = sorted((sides["change"] / "perfbench" / "workloads").glob("*.json"))
     calls = differing = 0
+    moved = []
     with tempfile.TemporaryDirectory() as scratch:
         for config in configs:
             for command in COMMANDS:
@@ -70,10 +85,17 @@ def main() -> int:
                         got = {side: run(path, argv, Path(scratch) / side / tag) for side, path in sides.items()}
                         found = differences(got["parent"], got["change"])
                         calls += 1
+                        call = f"{config.name} {command} --seed {seed} --threads {threads}"
+                        before, after = got["parent"]["peak MB"], got["change"]["peak MB"]
+                        print(f"{call}: peak RSS {before:.1f} -> {after:.1f} MB", flush=True)
+                        if abs(after - before) > PEAK_MOVE * before:
+                            moved.append(f"{call}: {before:.1f} -> {after:.1f} MB ({after / before - 1:+.1%})")
                         if found:
                             differing += 1
-                            print(f"DIFFERS {config.name} {command} --seed {seed} --threads {threads}: "
-                                  f"{', '.join(found)}", flush=True)
+                            print(f"DIFFERS {call}: {', '.join(found)}", flush=True)
+    print(f"peak RSS moved by more than {PEAK_MOVE:.0%} in {len(moved)} of {calls} calls (information only)")
+    for line in moved:
+        print(f"  {line}")
     print(f"{calls} calls, {differing} differ (exit codes, stdout, stderr and output files)")
     return 1 if differing else 0
 

@@ -62,7 +62,10 @@ def _field(obj: Mapping, path: str, key: str, read: Callable[[Any, str], Any], d
 def _number(val: Any, path: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:  # an integer past double range reads as 1e400 does
+        return math.inf if val > 0 else -math.inf
 
 
 def _integer(val: Any, path: str, least: int = 1) -> int:
@@ -142,7 +145,7 @@ def offspring_law_from_json(obj: Any, path: str) -> OffspringLaw:
         raise ConfigError(f"{path}.probabilities: expected a list of numbers")
     try:
         return OffspringLaw(tuple(float(p) for p in probs))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.probabilities: {exc}") from exc
 
 
@@ -178,6 +181,9 @@ def law_to_json(law, claim: bool = False) -> dict:
     if kind not in _LAWS:
         raise TypeError(f"cannot serialise law {type(law).__name__}")
     if claim and kind == "uniform":
+        if law.lo != 0.0:
+            raise ConfigError(f"laws.claim: a uniform claim reads as U(0, d), so U({law.lo!r}, {law.hi!r}) "
+                              "has no config form")
         return {"kind": kind, "params": {"d": law.hi}}
     return {"kind": kind, "params": {key: getattr(law, key) for key in _LAWS[kind][1]}}
 

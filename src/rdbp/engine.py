@@ -64,8 +64,10 @@ BLOCK_CELLS = 1 << 18
 #: masks (5 bytes, measured); a row it ranks whole holds the order, the
 #: ranked deviates and then the ordered claims instead (17 bytes).  So a
 #: coinflip row at the cap takes 21 bytes a claim (2.6 GiB), or 33
-#: (4.1 GiB) where it falls back.  The cap is far below INDEX_CAP, so every
-#: claim it admits has an address
+#: (4.1 GiB) where it falls back.  A streamed fcfs row (one longer than
+#: BLOCK_CELLS) holds no claim block, only one piece of the kernel at a
+#: time, but the cap applies to it all the same.  The cap is far below
+#: INDEX_CAP, so every claim it admits has an address
 CLAIM_CAP = 1 << 27
 
 
@@ -191,7 +193,9 @@ def _step_rows(
     offspring totals and budgets and prospective children for the claims,
     at most BLOCK_CELLS claim or resource cells at a time.  Rows of one
     length keep their order, so each run of them with one owner is a
-    C-contiguous block of the claims read, which that policy counts.
+    C-contiguous block of the claims read, which that policy counts.  A row
+    longer than BLOCK_CELLS whose policy serves in arrival order builds no
+    block: ``ReplicateRows.served_in_arrival_order`` counts it as it reads.
     """
     order = sizes.argsort(kind="stable")
     members = sizes[order]
@@ -219,6 +223,11 @@ def _step_rows(
     for lo, hi in _batches(children):
         block, lengths = born[lo:hi], children[lo:hi]
         mine = owners[block]
+        if lengths[0] > BLOCK_CELLS and policies[mine[0]].in_arrival_order:
+            # a row read alone, served in arrival order: its claims stream
+            # through the kernel's pieces up to the one the budget runs out in
+            served[block] = rows.served_in_arrival_order(int(block[0]), int(lengths[0]), budgets[block[0]])
+            continue
         claims = rows.claims(block, lengths)
         aux = None
         if with_aux is not None:

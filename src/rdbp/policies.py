@@ -371,6 +371,9 @@ class PriorityPolicy:
 
     name: str = "?"
     needs_aux: bool = False
+    #: whether the policy serves every row in arrival order, so that the
+    #: engine may count a long row as it reads it
+    in_arrival_order: bool = False
 
     def permutation(self, claims: np.ndarray, aux: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
@@ -395,6 +398,7 @@ class FcfsPolicy(PriorityPolicy):
     """Service in arrival order."""
 
     name = "fcfs"
+    in_arrival_order = True
 
     def count_rows(self, claims, budgets, aux=None):
         return _prefix_count_rows(claims, budgets)

@@ -19,11 +19,17 @@ place in buffers that every piece reuses, so the temporaries stay in cache
 however long or short the rows are and a law is applied once per piece.
 The readers reduce what they can while hashing: offspring are counted
 straight from the hashed words, so neither their units nor their counts
-are built, and a constant law needs no hashing at all.
+are built, and a constant law needs no hashing at all.  Two reductions
+build no row.  A row served in arrival order is counted piece by piece,
+its running total carried from one piece into the next, and no claim
+past the piece where the total crosses the budget is hashed.  A constant
+law's budget follows ``np.sum``'s pairwise tree down to leaves that are
+prefixes of one shared row of at most _CONSTANT_ROW cells.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
@@ -61,6 +67,12 @@ CHUNK_CELLS = 1 << 14
 #: golden multiples of the positions 1..CHUNK_CELLS, the most a piece holds
 #: (so CHUNK_CELLS may be lowered, as the tests do, but not raised alone)
 _GOLDEN_K = np.arange(1, CHUNK_CELLS + 1, dtype=np.uint64) * _U64_GOLDEN
+#: longest row of a constant law that ``budgets`` builds: a count up to it
+#: is one prefix sum of that row, a longer one goes to _constant_sum.  At
+#: least 128, numpy's pairwise block.  Every count of deep-growth verify
+#: (under its explosion cap of 50000) fits; at 2**14 its 955 longer ones
+#: (of 6312 distinct counts) made its constant budgets 19 % slower
+_CONSTANT_ROW = 1 << 16
 
 
 def _mix(z: int) -> int:
@@ -265,7 +277,9 @@ class ReplicateRows:
     which each run of rows of one count is a C-contiguous block, so
     ``block.sum(axis=1)`` adds every row with the same pairwise tree as
     ``np.sum`` of that row alone.  With one count for all rows, claims and
-    aux deviates come as that ``(len(rows), count)`` block.
+    aux deviates come as that ``(len(rows), count)`` block.  A row served
+    in arrival order can instead be counted as its claims are hashed
+    (``served_in_arrival_order``), and builds no block.
     """
 
     def __init__(self, base: Universe, ids: np.ndarray, n: int):
@@ -316,15 +330,18 @@ class ReplicateRows:
 
     def budgets(self, rows: np.ndarray, counts) -> np.ndarray:
         """Resources of members 1..counts[i] summed per row, with ``np.sum``'s
-        pairwise tree."""
+        pairwise tree.  A constant law builds no row longer than
+        _CONSTANT_ROW: every row of one count is the same constant row, so
+        one sum per count is taken by ``_constant_sum``."""
         counts = _as_counts(rows, counts)
         law = self._base.laws.resource
         if isinstance(law, Constant):
-            # every row of one count is the same constant row: sum one per
-            # count, a prefix of the longest, with the same tree
             distinct, which = np.unique(counts, return_inverse=True)
-            row = np.full(int(distinct[-1]) if distinct.size else 0, law.value, dtype=np.float64)
-            return np.array([row[:count].sum() for count in distinct.tolist()], dtype=np.float64)[which]
+            longest = int(distinct[-1]) if distinct.size else 0
+            row = np.full(min(longest, _CONSTANT_ROW), law.value, dtype=np.float64)
+            sums: dict[int, np.float64] = {}
+            return np.array([_constant_sum(row, count, sums) for count in distinct.tolist()],
+                            dtype=np.float64)[which]
         cells = self._fill(_TAG_RESOURCE, rows, counts, law)
         budgets = np.empty(len(rows), dtype=np.float64)
         for lo, hi, start, count in _row_runs(counts):
@@ -334,9 +351,51 @@ class ReplicateRows:
     def claims(self, rows: np.ndarray, counts) -> np.ndarray:
         return self._fill(_TAG_CLAIM, rows, counts, self._base.laws.claim)
 
+    def served_in_arrival_order(self, row: int, count: int, budget: float) -> int:
+        """Claims 1..count of row ``row`` served in arrival order: the longest
+        prefix whose sequential total is at most ``budget``, exactly as
+        ``np.cumsum`` of the whole row counts it, with no claim block built.
+
+        Each piece's claims follow the total carried from the pieces before,
+        so its ``cumsum`` continues the same sequential sum.  Claims are
+        >= 0, so the totals never fall (a NaN one stays NaN): the count
+        ends in the first piece whose last total is not within the budget,
+        and no piece after it is hashed.
+        """
+        law = self._base.laws.claim
+        totals = np.empty(CHUNK_CELLS + 1, dtype=np.float64)
+        served, carried = 0, 0.0
+        with closing(self._chunks(_TAG_CLAIM, np.array([row]), np.array([count]))) as chunks:
+            for *_, words, spare in chunks:
+                claims = law.icdf(_units(words, spare.view(np.float64)))
+                cum = totals[:claims.size + 1]
+                cum[0], cum[1:] = carried, claims
+                np.cumsum(cum, out=cum)
+                if not cum[-1] <= budget:
+                    return served + int(np.count_nonzero(cum[1:] <= budget))
+                served, carried = served + claims.size, cum[-1]
+        return served
+
     def aux(self, rows: np.ndarray, counts) -> np.ndarray:
         """Claim-independent uniforms, used by randomising policies."""
         return self._fill(_TAG_AUX, rows, counts)
+
+
+def _constant_sum(row: np.ndarray, n: int, sums: dict) -> np.float64:
+    """``np.full(n, c).sum()`` for the constant c that fills ``row``, which
+    holds at least 128 cells if fewer than n.
+
+    This is numpy's pairwise tree: a node longer than ``row`` is split as
+    numpy splits it, its first half n // 2 less that half's remainder mod 8,
+    and a leaf is a prefix of ``row``.  ``sums`` keeps the nodes already
+    summed, a few per level of the tree.
+    """
+    if n <= row.size:
+        return row[:n].sum()
+    if n not in sums:
+        half = n // 2 - n // 2 % 8
+        sums[n] = _constant_sum(row, half, sums) + _constant_sum(row, n - half, sums)
+    return sums[n]
 
 
 def _as_counts(rows: np.ndarray, counts) -> np.ndarray:

@@ -488,6 +488,30 @@ class TestErrorPaths:
         assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config.m_grid[1]: offspring mean must be in (1, inf)" in capsys.readouterr().err
 
+    # json reads a long integer literal as an int that float() refuses
+    HUGE = "1" + "0" * 401
+
+    def test_integer_past_double_range_in_the_grid(self, tmp_path, capsys):
+        cfg = write_config_with(
+            tmp_path, {"laws": {"claim": {"kind": "uniform", "params": {"d": 2.0}}}, "m_grid": [2.0, "@"]}, self.HUGE
+        )
+        assert cli.main(["curve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config.m_grid[1]: offspring mean must be in (1, inf)" in capsys.readouterr().err
+
+    def test_integer_past_double_range_in_a_law(self, tmp_path, capsys):
+        laws = base_laws()
+        laws["claim"] = {"kind": "uniform", "params": {"d": "@"}}
+        cfg = write_config_with(tmp_path, {"laws": laws}, self.HUGE)
+        assert cli.main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "laws.claim.params: uniform law requires 0 <= lo < hi < inf" in capsys.readouterr().err
+
+    def test_integer_past_double_range_in_the_offspring_law(self, tmp_path, capsys):
+        laws = base_laws()
+        laws["offspring"] = {"probabilities": [0.5, "@"]}
+        cfg = write_config_with(tmp_path, {"laws": laws}, self.HUGE)
+        assert cli.main(["classify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "laws.offspring.probabilities: " in capsys.readouterr().err
+
     def test_convergence_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def stall(*args):
             raise ConvergenceError("no wf closed form in double precision")

@@ -10,7 +10,8 @@ import json
 import pytest
 
 import rdbp.cli as cli
-from rdbp.config import _LAWS, law_to_json, parse_run_config
+from rdbp import Uniform
+from rdbp.config import _LAWS, ConfigError, law_to_json, parse_run_config
 
 #: one valid params object for each (role, kind) the table allows, and the
 #: params that make its constructor refuse it, with the message it gives
@@ -77,6 +78,14 @@ def test_classify_writes_each_law_as_the_table_gives_it(tmp_path, capsys):
     path.write_text(json.dumps({"laws": laws}))
     assert cli.main(["classify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     assert json.loads((tmp_path / "o" / "classification.json").read_text())["laws"] == laws
+
+
+def test_a_uniform_claim_off_zero_has_no_config_form():
+    # the config reads a uniform claim as U(0, d): writing {"d": hi} would
+    # name another law
+    with pytest.raises(ConfigError, match=r"laws.claim: a uniform claim reads as U\(0, d\), so U\(0.5, 1.5\)"):
+        law_to_json(Uniform(0.5, 1.5), claim=True)
+    assert law_to_json(Uniform(0.5, 1.5)) == {"kind": "uniform", "params": {"lo": 0.5, "hi": 1.5}}
 
 
 def test_an_object_that_is_no_law_is_not_serialised():
