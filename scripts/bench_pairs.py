@@ -14,6 +14,14 @@ runs of a pair differ.  ``--moved PATH`` names an output file, as its
 ``result_digest`` line does (``curve/curve.csv``), that the change moves on
 purpose: its digests may differ, and the summary says they did.
 
+Each side's runs compile into their own bytecode cache: an empty
+``PYTHONPYCACHEPREFIX`` directory per side, with ``PYTHONDONTWRITEBYTECODE``
+unset for them, so the warm-up of that side's first ``perfbench/run.py``
+writes the cache and every later process of that side reads it.  Neither a
+``__pycache__`` left in a checkout nor an environment that forbids writing
+bytecode then times one side differently from the other.  The mode is
+printed first.
+
 Example, with the parent exported to ../parent:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload deep-growth --pairs 10 --seconds 30
@@ -21,19 +29,28 @@ Example, with the parent exported to ../parent:
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parents[1]
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, list[str]]:
+def bytecode_env(cache: Path) -> dict:
+    """The environment of a side's processes, which compile into ``cache``."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    return env
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> tuple[dict, list[str]]:
     """One timed benchmark run: its metric values and its digest lines."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: {' '.join(argv[1:])} in {checkout} exited {proc.returncode}\n"
@@ -77,7 +94,16 @@ def main() -> int:
     lines = {side: src_lines(path) for side, path in sides.items()}
     print(f"src/ lines: parent {lines['parent']}, change {lines['change']} "
           f"({lines['change'] - lines['parent']:+d})", flush=True)
+    with tempfile.TemporaryDirectory() as caches:
+        envs = {side: bytecode_env(Path(caches) / side) for side in sides}
+        print("bytecode: each side compiles once into its own empty PYTHONPYCACHEPREFIX, "
+              "PYTHONDONTWRITEBYTECODE unset", flush=True)
+        compare(args, sides, better, envs)
+    return 0
 
+
+def compare(args: argparse.Namespace, sides: dict, better: dict, envs: dict) -> None:
+    """Runs the pairs of every workload and prints their summaries."""
     for workload in args.workload:
         values = {side: {name: [] for name in better} for side in sides}
         seeds = range(args.first_seed, args.first_seed + args.pairs)
@@ -86,7 +112,7 @@ def main() -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             digests = {}
             for side in order:
-                metrics, digests[side] = run(sides[side], workload, seed, args.seconds)
+                metrics, digests[side] = run(sides[side], workload, seed, args.seconds, envs[side])
                 for name in better:
                     values[side][name].append(metrics[name])
             diff = sorted(set(digests["parent"]) ^ set(digests["change"]))
@@ -111,7 +137,6 @@ def main() -> int:
             print(f"  {name:17} {unit:4} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]   "
                   f"change {c2:.4g} [{c1:.4g}, {c3:.4g}]   {100 * (c2 / p2 - 1):+.1f} %   "
                   f"change won {won}/{args.pairs}   (parent IQR {p3 - p1:.4g})")
-    return 0
 
 
 if __name__ == "__main__":

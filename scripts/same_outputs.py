@@ -16,6 +16,10 @@ every difference and exits 1 if there is one.
 It also prints each call's peak RSS on both sides, the ``ru_maxrss`` of
 that child alone (``os.wait4``), and lists the calls whose peak moved by
 more than 10 %.  Peaks are for information only and never fail the run.
+Each side's calls compile into their own empty ``PYTHONPYCACHEPREFIX``
+directory, with ``PYTHONDONTWRITEBYTECODE`` unset for them, so the first
+call of a side compiles and writes the bytecode and its later calls read
+it, whatever ``__pycache__`` a checkout holds; the mode is printed first.
 
 Example, with the parent exported to ../parent:
     python3 scripts/same_outputs.py --parent ../parent --seeds 1 2 7 --threads 1 2
@@ -34,11 +38,12 @@ COMMANDS = ("verify", "simulate", "classify", "curve")
 PEAK_MOVE = 0.10
 
 
-def run(checkout: Path, argv: list[str], workdir: Path) -> dict:
-    """One CLI call in ``workdir``: its exit code, streams, output files and
-    peak RSS in MB."""
+def run(checkout: Path, argv: list[str], workdir: Path, cache: Path) -> dict:
+    """One CLI call in ``workdir``, compiling into ``cache``: its exit code,
+    streams, output files and peak RSS in MB."""
     workdir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(checkout / "src"), PYTHONPYCACHEPREFIX=str(cache))
     # the streams go to files beside out/, so the call can be reaped by
     # os.wait4, whose rusage holds this child's peak alone
     streams = {name: workdir / name for name in ("stdout", "stderr")}
@@ -75,6 +80,8 @@ def main() -> int:
     configs = sorted((sides["change"] / "perfbench" / "workloads").glob("*.json"))
     calls = differing = 0
     moved = []
+    print("bytecode: each side compiles once into its own empty PYTHONPYCACHEPREFIX, PYTHONDONTWRITEBYTECODE unset",
+          flush=True)
     with tempfile.TemporaryDirectory() as scratch:
         for config in configs:
             for command in COMMANDS:
@@ -82,7 +89,8 @@ def main() -> int:
                     for threads in args.threads:
                         argv = [command, "--config", str(config), "--seed", str(seed), "--threads", str(threads)]
                         tag = f"{config.stem}-{command}-{seed}-{threads}"
-                        got = {side: run(path, argv, Path(scratch) / side / tag) for side, path in sides.items()}
+                        got = {side: run(path, argv, Path(scratch) / side / tag, Path(scratch) / f"{side}-cache")
+                               for side, path in sides.items()}
                         found = differences(got["parent"], got["change"])
                         calls += 1
                         call = f"{config.name} {command} --seed {seed} --threads {threads}"

@@ -1,7 +1,9 @@
 """Offspring, claim, and resource laws with exact moment helpers.
 
 Sampling is inverse-CDF throughout, so a single uniform deviate per cell
-determines the sample.  Partial moments (the mean restricted to claims below
+determines the sample.  Every scalar law's ``icdf(u, out=None)`` writes its
+values into ``out`` when given, which may be ``u`` itself, so a reader that
+owns a buffer of units turns them into the law's values in place.  Partial moments (the mean restricted to claims below
 or above a cutoff) are closed forms per law; numerical quadrature is used
 only as a cross-check in the test suite.
 """
@@ -143,8 +145,10 @@ class Uniform:
     def cdf(self, x):
         return np.clip((np.asarray(x, dtype=np.float64) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
-    def icdf(self, u):
-        return self.lo + np.asarray(u, dtype=np.float64) * (self.hi - self.lo)
+    def icdf(self, u, out=None):
+        """``lo + u * (hi - lo)``; the ``+ lo`` pass is skipped where lo = 0."""
+        x = np.multiply(np.asarray(u, dtype=np.float64), self.hi - self.lo, out=out)
+        return np.add(x, self.lo, out=out) if self.lo else x
 
     def lower_partial_moment(self, t: float) -> float:
         """E[X; X <= t], the mean restricted to values at most t."""
@@ -429,11 +433,15 @@ class ScaledBeta:
             return None
         return _BetaInverse(self.a, self.b)
 
-    def icdf(self, u):
+    def icdf(self, u, out=None):
+        """The inverse reads ``u`` after it writes, so its values are built
+        aside and copied into ``out``."""
         u = np.asarray(u, dtype=np.float64)
         if self._inverse is None:
-            return self.scale * _betaincinv(self.a, self.b, u)
+            return np.multiply(_betaincinv(self.a, self.b, u), self.scale, out=out)
         x = self._inverse(u.ravel()).reshape(u.shape)
+        if out is not None:
+            return np.multiply(x, self.scale, out=out)
         x *= self.scale
         return x[()]
 
@@ -485,8 +493,10 @@ class Exponential:
         x = np.asarray(x, dtype=np.float64)
         return np.where(x > 0.0, -np.expm1(-self.rate * x), 0.0)
 
-    def icdf(self, u):
-        return -np.log1p(-np.asarray(u, dtype=np.float64)) / self.rate
+    def icdf(self, u, out=None):
+        # -log1p(-u) / rate: division rounds the same whichever side is negated
+        x = np.log1p(np.negative(np.asarray(u, dtype=np.float64), out=out), out=out)
+        return np.divide(x, -self.rate, out=out)
 
     def lower_partial_moment(self, t: float) -> float:
         if t <= 0.0:
@@ -536,8 +546,11 @@ class Constant:
     def cdf(self, x):
         return np.where(np.asarray(x, dtype=np.float64) >= self.value, 1.0, 0.0)
 
-    def icdf(self, u):
-        return np.full_like(np.asarray(u, dtype=np.float64), self.value)
+    def icdf(self, u, out=None):
+        if out is None:
+            return np.full_like(np.asarray(u, dtype=np.float64), self.value)
+        out.fill(self.value)
+        return out
 
     def lower_partial_moment(self, t: float) -> float:
         return self.value if t >= self.value else 0.0

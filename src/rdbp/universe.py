@@ -16,19 +16,25 @@ One kernel hashes every cell.  A reader lays its rows back to back, and
 the kernel hashes that layout in pieces of at most CHUNK_CELLS cells (as
 many whole rows as fit, or a slice of one longer row), each computed in
 place in buffers that every piece reuses, so the temporaries stay in cache
-however long or short the rows are and a law is applied once per piece.
-The readers reduce what they can while hashing: offspring are counted
-straight from the hashed words, so neither their units nor their counts
-are built, and a constant law needs no hashing at all.  Two reductions
-build no row.  A row served in arrival order is counted piece by piece,
-its running total carried from one piece into the next, and no claim
-past the piece where the total crosses the budget is hashed.  A constant
-law's budget follows ``np.sum``'s pairwise tree down to leaves that are
-prefixes of one shared row of at most _CONSTANT_ROW cells.
+however long or short the rows are and a law is applied once per piece:
+its units are written straight into the reader's block or the kernel's
+spare buffer, and ``law.icdf(u, out=u)`` overwrites them with the law's
+values.  The readers reduce what they can while hashing: offspring are
+counted straight from the hashed words, so neither their units nor their
+counts are built, and a constant law needs no hashing at all.  Two
+reductions build no row.  A row served in arrival order is counted piece
+by piece from a pairwise running total: a piece that keeps it within the
+budget by a rounding margin is served whole, the piece where it leaves
+the budget is counted by ``policies._served_prefix``, whose bound proves
+the count equal to the sequential one, and no claim past that piece is
+hashed.  A constant law's budget follows ``np.sum``'s pairwise tree down
+to leaves that are prefixes of one shared row of at most _CONSTANT_ROW
+cells.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -36,6 +42,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .distributions import Constant, LawTriple
+from .policies import _CERTIFIED_MAX_CLAIMS, _EPS, _served_prefix
 
 __all__ = ["Seed", "Universe", "ReplicateRows", "INDEX_CAP"]
 
@@ -298,20 +305,20 @@ class ReplicateRows:
 
     def _fill(self, tag: int, rows: np.ndarray, counts, law=None) -> np.ndarray:
         """The cells of the rows back to back, as units or as ``law.icdf``
-        of them; the ``(len(rows), count)`` block for one count.  ``icdf``
-        acts element by element, so applying it piece by piece changes no
-        bit; a constant law needs no units at all."""
+        of them; the ``(len(rows), count)`` block for one count.  Each
+        piece's units are written straight into the block, and the law's
+        values overwrite them there.  ``icdf`` acts element by element, so
+        applying it piece by piece changes no bit; a constant law needs no
+        units at all."""
         flat = _as_counts(rows, counts)
         cells = np.empty(int(flat.sum()), dtype=np.float64)
         if isinstance(law, Constant):
             cells.fill(law.value)
         else:
-            for start, _, _, words, spare in self._chunks(tag, rows, flat):
-                stop = start + len(words)
-                if law is None:
-                    _units(words, cells[start:stop])
-                else:
-                    cells[start:stop] = law.icdf(_units(words, spare.view(np.float64)))
+            for start, _, _, words, _ in self._chunks(tag, rows, flat):
+                piece = _units(words, cells[start:start + len(words)])
+                if law is not None:
+                    law.icdf(piece, out=piece)
         return cells.reshape(len(rows), int(counts)) if np.ndim(counts) == 0 else cells
 
     def offspring_totals(self, rows: np.ndarray, counts) -> np.ndarray:
@@ -356,24 +363,65 @@ class ReplicateRows:
         prefix whose sequential total is at most ``budget``, exactly as
         ``np.cumsum`` of the whole row counts it, with no claim block built.
 
-        Each piece's claims follow the total carried from the pieces before,
-        so its ``cumsum`` continues the same sequential sum.  Claims are
-        >= 0, so the totals never fall (a NaN one stays NaN): the count
-        ends in the first piece whose last total is not within the budget,
-        and no piece after it is hashed.
+        Claims are >= 0, so the sequential totals never fall (a NaN one
+        stays NaN).  The count carries a pairwise total from piece to piece
+        in their place: each piece adds its ``np.add.reduce``, and a piece
+        is served whole while that total plus the margin 4 * terms * eps *
+        max(total, budget) of ``policies._served_prefix`` stays within the
+        budget.  The first piece that does not is counted by
+        ``_crossing_count``, and no piece after it is hashed.  A row that
+        cannot be certified so (a budget on or next to a prefix total, or
+        more claims than the rounding bound allows) is read once more by
+        ``_sequential_count``, the exact loop.
         """
+        budget = float(budget)
+        if count <= _CERTIFIED_MAX_CLAIMS:
+            served = self._certified_count(row, count, budget)
+            if served >= 0:
+                return served
+        return self._sequential_count(row, count, budget)
+
+    def _claim_pieces(self, row: int, count: int, into: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
+        """The claims 1..count of row ``row``, one kernel piece at a time.
+        Each piece's units are written into the kernel's spare buffer, or
+        into the start of ``into`` if given, and its claims overwrite them
+        there, until the next piece does."""
         law = self._base.laws.claim
-        totals = np.empty(CHUNK_CELLS + 1, dtype=np.float64)
-        served, carried = 0, 0.0
         with closing(self._chunks(_TAG_CLAIM, np.array([row]), np.array([count]))) as chunks:
             for *_, words, spare in chunks:
-                claims = law.icdf(_units(words, spare.view(np.float64)))
+                units = _units(words, spare.view(np.float64) if into is None else into[:len(words)])
+                yield law.icdf(units, out=units)
+
+    def _certified_count(self, row: int, count: int, budget: float) -> int:
+        """``served_in_arrival_order`` from pairwise piece sums, or -1 where
+        they cannot certify it."""
+        served, total = 0, 0.0
+        with closing(self._claim_pieces(row, count)) as pieces:
+            for claims in pieces:
+                after = total + float(np.add.reduce(claims))
+                terms = served + claims.size
+                # a NaN total fails this, and an infinite budget holds any other
+                if not after + 4.0 * terms * _EPS * max(after, budget) <= budget:
+                    fit = _crossing_count(claims, budget, total, served)
+                    if fit < claims.size:
+                        return fit if fit < 0 else served + fit
+                served, total = terms, after
+        return served
+
+    def _sequential_count(self, row: int, count: int, budget: float) -> int:
+        """``served_in_arrival_order`` by ``np.cumsum``: each piece's claims
+        follow the total carried from the pieces before, so its running
+        totals continue the one sequential sum, and the count ends in the
+        first piece whose last total is not within the budget."""
+        totals = np.empty(CHUNK_CELLS + 1, dtype=np.float64)
+        served, totals[0] = 0, 0.0
+        with closing(self._claim_pieces(row, count, totals[1:])) as pieces:
+            for claims in pieces:
                 cum = totals[:claims.size + 1]
-                cum[0], cum[1:] = carried, claims
                 np.cumsum(cum, out=cum)
                 if not cum[-1] <= budget:
                     return served + int(np.count_nonzero(cum[1:] <= budget))
-                served, carried = served + claims.size, cum[-1]
+                served, totals[0] = served + claims.size, cum[-1]
         return served
 
     def aux(self, rows: np.ndarray, counts) -> np.ndarray:
@@ -396,6 +444,25 @@ def _constant_sum(row: np.ndarray, n: int, sums: dict) -> np.float64:
         half = n // 2 - n // 2 % 8
         sums[n] = _constant_sum(row, half, sums) + _constant_sum(row, n - half, sums)
     return sums[n]
+
+
+def _crossing_count(claims: np.ndarray, budget: float, start: float, ahead: int) -> int:
+    """Served claims of the piece where a streamed total leaves the budget,
+    certified equal to the sequential count, or -1 where rounding could
+    decide it.  ``start`` is the computed total of the ``ahead`` claims
+    before the piece.
+
+    Past a NaN or infinite claim every sequential total is NaN or infinite,
+    within no finite budget, so the finite claims ahead of the first such
+    claim decide the count.  An infinite budget holds every total up to the
+    first NaN, which the piece holds if its total left that budget; a NaN
+    budget holds none.
+    """
+    if not math.isfinite(budget):
+        return int(np.isnan(claims).argmax()) if budget == math.inf else 0
+    bad = np.flatnonzero(~np.isfinite(claims))
+    end = int(bad[0]) if bad.size else claims.size
+    return _served_prefix(claims[:end], budget, start, ahead + end)
 
 
 def _as_counts(rows: np.ndarray, counts) -> np.ndarray:

@@ -218,3 +218,72 @@ def test_word_totals_match_row_totals_of_the_units(law):
         starts = np.cumsum(cells) - cells
         want = [int(row_totals(law, units[s:s + c].reshape(1, -1))[0]) for s, c in zip(starts, cells)]
         assert law.word_totals(words, np.array(cells)).tolist() == want
+
+
+#: words at the ends of the unit's range: the smallest unit 2**-54 (0 and
+#: 2**11 - 1), one just above 1/2, and 1.0, to which the top words round
+EXTREME_WORDS = [0, 2**11 - 1, 2**63, 2**64 - 2**11, 2**64 - 1]
+
+
+def _unmix(z):
+    """The word whose ``_mix`` is z: each xorshift and odd product undone."""
+    def unshift(z, s):
+        x = z
+        for _ in range(64 // s + 1):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64, 27)
+    return unshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64, 30)
+
+
+def test_unmix_inverts_the_mix():
+    assert [rdbp.universe._mix(_unmix(w)) for w in EXTREME_WORDS] == EXTREME_WORDS
+
+
+IN_PLACE_LAWS = {
+    "uniform": Uniform(0.0, 2.0),
+    "uniform-lo": Uniform(0.5, 1.5),
+    "exponential": Exponential(1.5),
+    "constant": Constant(0.3),
+    "beta-table": ScaledBeta(2.0, 3.0, 2.0),
+    "beta-betaincinv": ScaledBeta(0.5, 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("law", IN_PLACE_LAWS.values(), ids=IN_PLACE_LAWS.keys())
+def test_laws_write_in_place_what_they_return(law):
+    u = np.concatenate([_unit_of(EXTREME_WORDS), np.random.default_rng(3).random(3000)])
+    with np.errstate(divide="ignore"):
+        want = law.icdf(u)
+        got = u.copy()
+        assert law.icdf(got, out=got) is got
+        fresh = np.full_like(u, np.nan)
+        assert law.icdf(u, out=fresh) is fresh
+        one = law.icdf(u[3])
+    assert got.tobytes() == fresh.tobytes() == np.asarray(want).tobytes()
+    assert np.asarray(one).tobytes() == want[3:4].tobytes()
+
+
+@pytest.mark.parametrize("law", IN_PLACE_LAWS.values(), ids=IN_PLACE_LAWS.keys())
+def test_readers_match_the_laws_on_units_built_whole(monkeypatch, law):
+    """Claims, aux deviates and budgets read piece by piece, each piece's
+    values written over its units, against ``law.icdf`` of whole rows of
+    units hashed one cell at a time.  The first cell of each row has one of
+    EXTREME_WORDS, and the rows cross the lowered pieces."""
+    monkeypatch.setattr(rdbp.universe, "CHUNK_CELLS", 7)
+    keys = np.array([_unmix(w) ^ _GOLDEN for w in EXTREME_WORDS], dtype=np.uint64)
+    monkeypatch.setattr(rdbp.universe, "_row_keys", lambda base, tag, ids, n: keys[ids])
+    counts = np.array([1, 5, 9, 20, 3])
+    rows = np.arange(len(keys))
+    units = [np.array([word_unit(int(key), k) for k in range(1, c + 1)]) for key, c in zip(keys, counts)]
+    assert [u[0] for u in units] == _unit_of(EXTREME_WORDS).tolist()
+    reader = ReplicateRows(Universe(Seed(1), LawTriple(OffspringLaw((0.5, 0.5)), law, law)), rows, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = [law.icdf(u) for u in units]
+        assert reader.claims(rows, counts).tobytes() == np.concatenate(want).tobytes()
+        # one count for all rows: the (rows, count) block
+        assert reader.claims(rows[1:], 3).tobytes() == np.concatenate([law.icdf(u[:3]) for u in units[1:]]).tobytes()
+        assert reader.aux(rows, counts).tobytes() == np.concatenate(units).tobytes()
+        assert reader.budgets(rows, counts).tobytes() == np.array([row.sum() for row in want]).tobytes()

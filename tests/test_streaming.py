@@ -1,12 +1,13 @@
 """Rows that are reduced without being built, against the rows built whole.
 
 ``ReplicateRows.served_in_arrival_order`` counts a row served in arrival
-order piece by piece and stops hashing at the piece where its running
-total crosses the budget; the engine gives it every row longer than
-``BLOCK_CELLS`` that fcfs serves.  A constant resource law's budget
-follows ``np.sum``'s pairwise tree without a row as long as the row it
-sums.  With the kernel's pieces and the engine's batches patched small,
-each must give exactly what the materialised row gives.
+order piece by piece from certified pairwise piece sums and stops hashing
+at the piece where its running total crosses the budget; a row it cannot
+certify is read once more with ``np.cumsum``.  The engine gives it every
+row longer than ``BLOCK_CELLS`` that fcfs serves.  A constant resource
+law's budget follows ``np.sum``'s pairwise tree without a row as long as
+the row it sums.  With the kernel's pieces and the engine's batches patched
+small, each must give exactly what the materialised row gives.
 """
 
 import math
@@ -14,15 +15,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rdbp.engine
+import rdbp.policies
 import rdbp.universe
 import oracle
 from rdbp import (
     Constant,
+    Exponential,
     LawTriple,
     OffspringLaw,
     ProcessSpec,
+    ScaledBeta,
     Seed,
     Uniform,
     Universe,
@@ -44,9 +50,11 @@ class _Spiked(Uniform):
 
     spike = math.nan
 
-    def icdf(self, u):
-        claims = super().icdf(u)
-        claims[np.asarray(u) < 0.1] = self.spike
+    def icdf(self, u, out=None):
+        # the mask is taken before the claims may overwrite the units
+        spiked = np.asarray(u) < 0.1
+        claims = super().icdf(u, out=out)
+        claims[spiked] = self.spike
         return claims
 
 
@@ -58,21 +66,26 @@ def _laws(claim):
     return LawTriple(OffspringLaw((0.25, 0.0, 0.75)), claim, Constant(1.2))
 
 
-@pytest.fixture
-def pieces(monkeypatch):
-    """The claim cells of each piece the kernel hashes, with pieces of PIECE
-    cells."""
+def _count_passes(monkeypatch, piece=PIECE):
+    """Pieces of ``piece`` cells, and the claim cells of each piece the
+    kernel hashes, as one list per pass over a row."""
     seen = []
     real = rdbp.universe._word_chunks
 
     def counted(keys, counts):
-        for piece in real(keys, counts):
-            seen.append(len(piece[3]))
-            yield piece
+        seen.append([])
+        for chunk in real(keys, counts):
+            seen[-1].append(len(chunk[3]))
+            yield chunk
 
-    monkeypatch.setattr(rdbp.universe, "CHUNK_CELLS", PIECE)
+    monkeypatch.setattr(rdbp.universe, "CHUNK_CELLS", piece)
     monkeypatch.setattr(rdbp.universe, "_word_chunks", counted)
     return seen
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    return _count_passes(monkeypatch)
 
 
 def _row(claim, seed=5, n=3):
@@ -80,46 +93,66 @@ def _row(claim, seed=5, n=3):
     return reader, reader.claims(np.array([1]), COUNT)[0]
 
 
+#: budgets that sit on a sequential prefix total, or an ulp from one: the
+#: pairwise total cannot tell on which side of them the row crosses, so the
+#: row may be read a second time, by ``np.cumsum``
+ON_A_TOTAL = ("a piece's last total", "an ulp below a piece's last total", "an ulp above a piece's last total",
+              "the first piece's last total", "last piece", "the row's total")
+
+
 def _budgets(cum):
     """Budgets that cross the row at every kind of place: nowhere, at 0, at a
-    NaN, in the first piece, at a piece's last total, and in the last piece."""
+    NaN, in the first piece, at a piece's last total or an ulp from it, and
+    in the last piece."""
     return {
         "zero": 0.0,
         "nan": math.nan,
         "inf": math.inf,
         "first piece": (cum[2] + cum[3]) / 2,
         "a piece's last total": cum[3 * PIECE - 1],
+        "an ulp below a piece's last total": np.nextafter(cum[2 * PIECE - 1], -math.inf),
+        "an ulp above a piece's last total": np.nextafter(cum[2 * PIECE - 1], math.inf),
         "the first piece's last total": cum[PIECE - 1],
         "last piece": cum[-2],
         "the row's total": cum[-1],
     }
 
 
-def _crossing_pieces(cum, budget):
+def _crossing_pieces(cum, budget, piece=PIECE):
     """The pieces read up to the first running total not within the budget."""
     over = np.flatnonzero(~(cum <= budget))
-    return over[0] // PIECE + 1 if over.size else -(-cum.size // PIECE)
+    return over[0] // piece + 1 if over.size else -(-cum.size // piece)
+
+
+def _hashed_no_piece_past_the_crossing(passes, cum, budget, piece=PIECE):
+    """Each pass hashed whole pieces up to the crossing at most, and the
+    last pass, which decided the count, up to the crossing."""
+    crossing = _crossing_pieces(cum, budget, piece)
+    assert 1 <= len(passes) <= 2
+    assert all(len(hashed) <= crossing and hashed[:-1] == [piece] * (len(hashed) - 1) for hashed in passes)
+    return len(passes[-1]) == crossing
 
 
 @pytest.mark.parametrize("claim", [Uniform(0.0, 2.0), Constant(0.3), _Spiked(0.0, 2.0), _Infinite(0.0, 2.0)],
                          ids=["uniform", "constant", "nan claims", "inf claims"])
 @pytest.mark.parametrize("seed", [5, 6, 7])
-def test_the_streamed_count_is_the_count_of_the_whole_row(pieces, claim, seed):
+def test_the_streamed_count_is_the_count_of_the_whole_row(passes, claim, seed):
     reader, row = _row(claim, seed)
     cum = np.cumsum(row)
     # the spiked laws do spike this row
     assert np.isfinite(cum).all() != isinstance(claim, _Spiked)
     for where, budget in _budgets(cum).items():
-        del pieces[:]
+        del passes[:]
         got = reader.served_in_arrival_order(1, COUNT, np.float64(budget))
         want = int(_cumsum_count_rows(row[None].copy(), np.array([budget]))[0])
         assert got == want == oracle.reference_count("fcfs", row, budget), where
-        # no claim past the crossing is hashed
-        assert len(pieces) == _crossing_pieces(cum, budget), where
-        assert pieces[:-1] == [PIECE] * (len(pieces) - 1)
+        # no claim past the crossing is hashed, and only a budget on a
+        # prefix total reads the row twice
+        assert _hashed_no_piece_past_the_crossing(passes, cum, budget), where
+        assert len(passes) == 1 or where in ON_A_TOTAL, where
 
 
-def test_the_crossing_pieces_are_the_expected_ones(pieces):
+def test_the_crossing_pieces_are_the_expected_ones(passes):
     reader, row = _row(Uniform(0.0, 2.0))
     cum = np.cumsum(row)
     budgets = _budgets(cum)
@@ -131,11 +164,57 @@ def test_the_crossing_pieces_are_the_expected_ones(pieces):
     assert reader.served_in_arrival_order(1, COUNT, budgets["a piece's last total"]) == 3 * PIECE
 
 
-def test_an_empty_row_serves_nobody(pieces):
+def test_an_empty_row_serves_nobody(passes):
     reader, _ = _row(Uniform(0.0, 2.0))
-    del pieces[:]
+    del passes[:]
     assert reader.served_in_arrival_order(0, 0, 1.0) == 0
-    assert pieces == []
+    assert passes == [[]]
+
+
+STREAMED_CLAIMS = {
+    "uniform": Uniform(0.0, 2.0),
+    # every prefix total of a dyadic constant is exact, so budgets land on them
+    "lattice-0.25": Constant(0.25),
+    "lattice-0.3": Constant(0.3),
+    "nan-spiked": _Spiked(0.0, 2.0),
+    "inf-spiked": _Infinite(0.0, 2.0),
+    "exponential": Exponential(1.0),
+    "beta": ScaledBeta(2.0, 3.0, 2.0),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    law=st.sampled_from(sorted(STREAMED_CLAIMS)),
+    seed=st.integers(0, 2**32),
+    piece=st.sampled_from([3, 8, 40]),
+    block=st.sampled_from([4, 1024]),
+    count=st.integers(1, 240),
+    budget=st.one_of(st.sampled_from(["zero", "nan", "inf", "between"]), st.tuples(st.integers(0, 10**6),
+                                                                                  st.sampled_from([-1, 0, 1]))),
+    share=st.floats(0.0, 1.0),
+)
+@example(law="uniform", seed=1, piece=8, block=4, count=80, budget=(15, -1), share=0.0)
+@example(law="lattice-0.25", seed=1, piece=8, block=1024, count=80, budget=(23, 0), share=0.0)
+def test_the_certified_count_is_the_sequential_one(law, seed, piece, block, count, budget, share):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rdbp.policies, "_PREFIX_BLOCK", block)
+        passes = _count_passes(patch, piece)
+        reader = ReplicateRows(Universe(Seed(seed), _laws(STREAMED_CLAIMS[law])), np.array([17, 40]), 3)
+        row = reader.claims(np.array([1]), count)[0]
+        cum = np.cumsum(row)
+        if isinstance(budget, tuple):  # at a prefix total, or an ulp either side of it
+            at, side = budget
+            budget = cum[at % count] if side == 0 else np.nextafter(cum[at % count], side * math.inf)
+        else:
+            finite = cum[np.isfinite(cum)]
+            budget = {"zero": 0.0, "nan": math.nan, "inf": math.inf,
+                      "between": share * finite[-1] if finite.size else share}[budget]
+        del passes[:]
+        got = reader.served_in_arrival_order(1, count, np.float64(budget))
+        assert got == _cumsum_count_rows(row[None].copy(), np.array([budget]))[0]
+        assert got == oracle.reference_count("fcfs", row, budget)
+        _hashed_no_piece_past_the_crossing(passes, cum, budget, piece)
 
 
 LONG_ROW_TRIPLES = {
