@@ -20,6 +20,7 @@ from .distributions import (
     ScaledBeta,
     Uniform,
 )
+from . import engine
 from .engine import EXPLOSION_CAP_DEFAULT, HORIZON_DEFAULT
 from .montecarlo import McConfig
 from .policies import POLICY_TOKENS
@@ -68,11 +69,13 @@ def _number(val: Any, path: str) -> float:
         return math.inf if val > 0 else -math.inf
 
 
-def _integer(val: Any, path: str, least: int = 1) -> int:
+def _integer(val: Any, path: str, least: int = 1, most: Optional[int] = None) -> int:
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"{path}: expected an integer")
     if val < least:
         raise ConfigError(f"{path}: expected an integer >= {least}")
+    if most is not None and val > most:
+        raise ConfigError(f"{path}: expected an integer <= {most}")
     return val
 
 
@@ -246,7 +249,9 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
     # both blocks are range-checked here, so their errors name the field
     proc = _as_mapping(data.get("process", {}), "process")
     _reject_unknown(proc, "process", ("initial_size", "horizon", "explosion_cap"))
-    initial_size = _field(proc, "process", "initial_size", _integer, 1)
+    # only the founders can outnumber the claim cap; every later generation
+    # is served children
+    initial_size = _field(proc, "process", "initial_size", partial(_integer, most=engine.CLAIM_CAP), 1)
     process = ProcessParams(
         initial_size=initial_size,
         horizon=_field(proc, "process", "horizon", _integer, HORIZON_DEFAULT),

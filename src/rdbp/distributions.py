@@ -3,7 +3,10 @@
 Sampling is inverse-CDF throughout, so a single uniform deviate per cell
 determines the sample.  Every scalar law's ``icdf(u, out=None)`` writes its
 values into ``out`` when given, which may be ``u`` itself, so a reader that
-owns a buffer of units turns them into the law's values in place.  Partial moments (the mean restricted to claims below
+owns a buffer of units turns them into the law's values in place.  The
+engine then quantizes claims and resources onto the triple's lattice
+(``LawTriple.lattice_bits``): int64 multiples of one power of two, on which
+every sum is exact.  Partial moments (the mean restricted to claims below
 or above a cutoff) are closed forms per law; numerical quadrature is used
 only as a cross-check in the test suite.
 """
@@ -47,13 +50,13 @@ class OffspringLaw:
             raise ValueError("offspring probabilities must sum to 1 within 1e-12")
         # every CDF entry from max_offspring on is forced to 1.0, so a deviate
         # arbitrarily close to 1 still maps to a count with positive mass.  A
-        # deviate never exceeds 1, so only the cuts below 1 can count; each
-        # is kept as the first hashed word whose unit lies above it, out of
-        # the dataclass fields, so equality, hashing and repr still see the
-        # probabilities alone
+        # unit never exceeds _TOP_UNIT, so only the cuts below it can count;
+        # each is kept as the first hashed word whose unit lies above it, out
+        # of the dataclass fields, so equality, hashing and repr still see
+        # the probabilities alone
         cum = np.cumsum(np.asarray(probs, dtype=np.float64))
         cum[self.max_offspring:] = 1.0
-        cuts, times = np.unique(cum[cum < 1.0], return_counts=True)
+        cuts, times = np.unique(cum[cum < _TOP_UNIT], return_counts=True)
         object.__setattr__(self, "_word_cuts", tuple(
             (np.uint64(_first_word_above(cut)), times) for cut, times in zip(cuts.tolist(), times.tolist())))
 
@@ -97,7 +100,7 @@ class OffspringLaw:
 
 
 def _first_word_above(cut: float) -> int:
-    """Smallest 64-bit word whose unit ``((w >> 11) + 0.5) * 2**-53``, the
+    """Smallest 64-bit word whose unit ``((w >> 11) | 1) * 2**-53``, the
     universe's unit of a mixed word, exceeds ``cut``; 2**64 if none does.
 
     The unit never decreases as the word grows, so a binary search over the
@@ -106,7 +109,7 @@ def _first_word_above(cut: float) -> int:
     lo, hi = 0, 1 << 53  # the first top bits above the cut lie in [lo, hi]
     while lo < hi:
         mid = (lo + hi) // 2
-        if (mid + 0.5) * 2.0 ** -53 > cut:
+        if (mid | 1) * 2.0 ** -53 > cut:
             hi = mid
         else:
             lo = mid + 1
@@ -575,6 +578,40 @@ class LawTriple:
             law = getattr(self, name)
             if not hasattr(law, "lower_partial_moment"):
                 raise TypeError(f"{name} law must be a scalar law instance, got {type(law).__name__}")
+
+    @cached_property
+    def lattice_bits(self) -> int:
+        """s: claims and resources are int64 multiples of the quantum 2**-s.
+
+        It follows from the laws alone, so every process on this triple
+        shares one lattice, whatever its founder count or policy.
+        """
+        return _lattice_bits(max(_largest_value(self.claim), _largest_value(self.resource)))
+
+    @property
+    def quantum(self) -> float:
+        """2**-s, the value of one lattice step."""
+        return 2.0 ** -self.lattice_bits
+
+
+#: every value a unit can give lies below 2**_VALUE_BITS quanta, so the
+#: engine's CLAIM_CAP = 2**27 of them sum below 2**63
+_VALUE_BITS = 36
+#: the largest unit the universe gives, ``((w >> 11) | 1) * 2**-53``
+_TOP_UNIT = 1.0 - 2.0 ** -53
+
+
+def _largest_value(law: ScalarLaw) -> float:
+    """The largest value any unit can give: the upper end of a bounded
+    support, or the value of the largest unit."""
+    top = law.support_upper
+    return top if math.isfinite(top) else float(law.icdf(np.array([_TOP_UNIT]))[0])
+
+
+def _lattice_bits(top: float) -> int:
+    """The s that puts every value up to ``top`` below 2**_VALUE_BITS quanta
+    of 2**-s (at most 1023, so that 2.0**s is finite)."""
+    return min(_VALUE_BITS - math.frexp(top)[1], 1023)
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,18 @@ EXPLOSION_CAP_DEFAULT = 10 ** 6
 #: at 2 MiB: against 2**20 cells this cut deep-growth verify's peak from 43
 #: to 35 MB (the parent's 37) and left its time level (8 in-process pairs)
 BLOCK_CELLS = 1 << 18
-#: most prospective children one replicate may have in a generation.  Their
-#: claims (8 bytes each) and what a policy counts them with are the only
-#: blocks that grow with the population: 2**27 claims take 1 GiB.  wf, sf
-#: and the counterexample add a sorted copy (8 bytes a claim).  coinflip
-#: holds its aux block (8 bytes) and, on a long row, up to four boolean
-#: masks (5 bytes, measured); a row it ranks whole holds the order, the
-#: ranked deviates and then the ordered claims instead (17 bytes).  So a
-#: coinflip row at the cap takes 21 bytes a claim (2.6 GiB), or 33
-#: (4.1 GiB) where it falls back.  A streamed fcfs row (one longer than
-#: BLOCK_CELLS) holds no claim block, only one piece of the kernel at a
-#: time, but the cap applies to it all the same.  The cap is far below
+#: most prospective children one replicate may have in a generation, and
+#: most founders.  Their claims (8 bytes of int64 quanta each) and what a
+#: policy counts them with are the only blocks that grow with the
+#: population: 2**27 claims take 1 GiB.  Every value a unit gives lies
+#: below 2**36 quanta of its triple's lattice (distributions._VALUE_BITS),
+#: so no claim or budget total of 2**27 members reaches 2**63.  wf adds
+#: boolean probe masks (about 5 bytes a claim); sf adds its negated claims
+#: too (8 bytes), and the counterexample a sorted copy (8 bytes).  coinflip
+#: holds its aux block (8 bytes) and the masks.  So a row at the cap takes
+#: at most 21 bytes a claim (2.6 GiB).  A streamed fcfs row (one longer
+#: than BLOCK_CELLS) holds no claim block, only one piece of the kernel at
+#: a time, but the cap applies to it all the same.  The cap is far below
 #: INDEX_CAP, so every claim it admits has an address
 CLAIM_CAP = 1 << 27
 
@@ -88,6 +89,8 @@ class ProcessSpec:
     def __post_init__(self) -> None:
         if self.initial_size < 1:
             raise ValueError("initial_size must be >= 1")
+        if self.initial_size > CLAIM_CAP:
+            raise ValueError(f"initial_size {self.initial_size} exceeds the claim cap {CLAIM_CAP}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.explosion_cap <= self.initial_size:
@@ -126,13 +129,11 @@ def step(current_size: int, universe: Universe, n: int, policy: PriorityPolicy) 
     return int(_step_rows(sizes, universe.generation(n), n, (policy,), owners)[0])
 
 
-def _check_claims(total: int, n: int) -> None:
-    """Refuse a generation whose claims would exceed the claim cap before
-    they are allocated."""
+def _check_cap(total: int, what: str, n: int) -> None:
+    """Refuse a generation whose members or claims would exceed the claim
+    cap before they are read."""
     if total > CLAIM_CAP:
-        raise EngineError(
-            f"{total} prospective children in generation {n} exceed the claim cap {CLAIM_CAP}"
-        )
+        raise EngineError(f"{total} {what} in generation {n} exceed the claim cap {CLAIM_CAP}")
 
 
 def simulate(spec: ProcessSpec, universe: Universe) -> Trajectory:
@@ -201,17 +202,19 @@ def _step_rows(
     members = sizes[order]
     if members.size and members[0] < 0:
         raise EngineError("negative population size")
+    if members.size:
+        _check_cap(int(members[-1]), "members", n)
     empty = members.searchsorted(0, side="right")
     order, members = order[empty:], members[empty:]
     totals = np.zeros(len(sizes), dtype=np.int64)
     totals[order] = ordered_totals = rows.offspring_totals(order, members)
     if totals.size:
-        _check_claims(int(totals.max()), n)
+        _check_cap(int(totals.max()), "prospective children", n)
     # a budget is only ever compared with claims, so rows without children
     # need none, and none is read before every row's claims are known to fit
     fertile = ordered_totals > 0
     parents, members = order[fertile], members[fertile]
-    budgets = np.zeros(len(sizes), dtype=np.float64)
+    budgets = np.zeros(len(sizes), dtype=np.int64)
     for lo, hi in _batches(members):
         budgets[parents[lo:hi]] = rows.budgets(parents[lo:hi], members[lo:hi])
     served = np.zeros(len(sizes), dtype=np.int64)
@@ -244,7 +247,8 @@ def _step_rows(
                 run_aux = aux[aux_start:aux_start + cells].reshape(shape)
                 aux_start += cells
             run = block[a:b]
-            served[run] = policy.count_rows(claims[start:start + cells].reshape(shape), budgets[run], run_aux)
+            served[run] = policy.count_rows(claims[start:start + cells].reshape(shape), budgets[run], run_aux,
+                                            rows.quantum)
         # one batch of cells at a time: free this one before the next is read
         del claims, aux
     return served

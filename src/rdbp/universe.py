@@ -16,25 +16,22 @@ One kernel hashes every cell.  A reader lays its rows back to back, and
 the kernel hashes that layout in pieces of at most CHUNK_CELLS cells (as
 many whole rows as fit, or a slice of one longer row), each computed in
 place in buffers that every piece reuses, so the temporaries stay in cache
-however long or short the rows are and a law is applied once per piece:
-its units are written straight into the reader's block or the kernel's
-spare buffer, and ``law.icdf(u, out=u)`` overwrites them with the law's
-values.  The readers reduce what they can while hashing: offspring are
-counted straight from the hashed words, so neither their units nor their
-counts are built, and a constant law needs no hashing at all.  Two
-reductions build no row.  A row served in arrival order is counted piece
-by piece from a pairwise running total: a piece that keeps it within the
-budget by a rounding margin is served whole, the piece where it leaves
-the budget is counted by ``policies._served_prefix``, whose bound proves
-the count equal to the sequential one, and no claim past that piece is
-hashed.  A constant law's budget follows ``np.sum``'s pairwise tree down
-to leaves that are prefixes of one shared row of at most _CONSTANT_ROW
-cells.
+however long or short the rows are and a law is applied once per piece.
+Aux units are written straight into the reader's block.  A claim or
+resource piece's units are written into the kernel's spare buffer,
+``law.icdf(u, out=u)`` overwrites them with the law's values, and those
+are written, in quanta of the triple's lattice (``LawTriple.quantum``),
+into the reader's int64 block.  The readers reduce what they can while
+hashing: offspring are counted straight from the hashed words, so neither
+their units nor their counts are built, and a constant law needs no
+hashing at all (a constant budget is the count times the constant).  A row
+served in arrival order builds no row either: it is counted piece by
+piece, and no claim past the piece where its total leaves the budget is
+hashed.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -42,7 +39,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .distributions import Constant, LawTriple
-from .policies import _CERTIFIED_MAX_CLAIMS, _EPS, _served_prefix
+from .policies import _served_prefix
 
 __all__ = ["Seed", "Universe", "ReplicateRows", "INDEX_CAP"]
 
@@ -64,6 +61,7 @@ _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
+_ONE = np.uint64(1)
 _NP_M1 = np.uint64(_MIX_M1)
 _NP_M2 = np.uint64(_MIX_M2)
 _INV_2_53 = 2.0 ** -53
@@ -74,14 +72,6 @@ CHUNK_CELLS = 1 << 14
 #: golden multiples of the positions 1..CHUNK_CELLS, the most a piece holds
 #: (so CHUNK_CELLS may be lowered, as the tests do, but not raised alone)
 _GOLDEN_K = np.arange(1, CHUNK_CELLS + 1, dtype=np.uint64) * _U64_GOLDEN
-#: longest row of a constant law that ``budgets`` builds: a count up to it
-#: is one prefix sum of that row, a longer one goes to _constant_sum.  At
-#: least 128, numpy's pairwise block.  Every count of deep-growth verify
-#: (under its explosion cap of 50000) fits; at 2**14 its 955 longer ones
-#: (of 6312 distinct counts) made its constant budgets 19 % slower
-_CONSTANT_ROW = 1 << 16
-
-
 def _mix(z: int) -> int:
     """Scalar 64-bit finalizer with full avalanche."""
     z &= _MASK64
@@ -169,13 +159,24 @@ def _word_chunks(
 
 
 def _units(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The unit in (0, 1] of every mixed word, into ``out``: its top 53 bits,
-    centred in their interval of width 2**-53.  ``words`` is overwritten."""
+    """The unit of every mixed word, into ``out``: its top 52 bits centred
+    in their interval of width 2**-52, ``((w >> 11) | 1) * 2**-53``, which
+    lies in [2**-53, 1 - 2**-53].  ``words`` is overwritten."""
     np.right_shift(words, _SH11, out=words)
+    np.bitwise_or(words, _ONE, out=words)
     # below 2**53 the signed cast is exact too, and it is the faster one
     np.copyto(out, words.view(np.int64), casting="unsafe")
-    out += 0.5
     out *= _INV_2_53
+    return out
+
+
+def _quanta(values: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """``values`` in quanta, truncated into the int64 ``out``.  The scale is
+    a power of two, so multiplying ``values`` by it in place is exact, and a
+    plain cast then truncates them: 0.75 against 1.06 ns a cell for a
+    multiply that casts into ``out`` (2-vCPU x86 VM)."""
+    values *= scale
+    np.copyto(out, values, casting="unsafe")
     return out
 
 
@@ -244,8 +245,9 @@ class Universe:
         return ReplicateRows(self, np.array([self.replicate_id]), n)
 
     def claim_row(self, n: int, count: int) -> np.ndarray:
-        """Claims of the first ``count`` prospective children of generation n."""
-        return self.generation(n).claims(_FIRST_ROW, count)[0]
+        """Claim values of the first ``count`` prospective children of
+        generation n: their quanta times the quantum, which is exact."""
+        return self.generation(n).claims(_FIRST_ROW, count)[0] * self.laws.quantum
 
 
 _FIRST_ROW = np.zeros(1, dtype=np.intp)
@@ -280,13 +282,11 @@ class ReplicateRows:
     others.  The rows are laid back to back and hashed piece by piece in
     the kernel's buffers, and a law is applied once per piece.  Offspring
     are counted straight from the hashed words and summed per row across
-    pieces; claims, aux deviates and resources fill one flat array, in
-    which each run of rows of one count is a C-contiguous block, so
-    ``block.sum(axis=1)`` adds every row with the same pairwise tree as
-    ``np.sum`` of that row alone.  With one count for all rows, claims and
-    aux deviates come as that ``(len(rows), count)`` block.  A row served
-    in arrival order can instead be counted as its claims are hashed
-    (``served_in_arrival_order``), and builds no block.
+    pieces; claims and resources fill one flat int64 array of quanta, and
+    aux deviates one float array of units.  With one count for all rows,
+    claims and aux deviates come as that ``(len(rows), count)`` block.  A
+    row served in arrival order can instead be counted as its claims are
+    hashed (``served_in_arrival_order``), and builds no block.
     """
 
     def __init__(self, base: Universe, ids: np.ndarray, n: int):
@@ -296,6 +296,10 @@ class ReplicateRows:
         self._ids = ids
         self._n = n
         self._keys: dict[int, np.ndarray] = {}
+        #: the value of one quantum of the claims and budgets read, and its
+        #: inverse, by which the laws' values are multiplied
+        self.quantum = base.laws.quantum
+        self._scale = 2.0 ** base.laws.lattice_bits
 
     def _chunks(self, tag: int, rows: np.ndarray, counts: np.ndarray):
         keys = self._keys.get(tag)
@@ -304,21 +308,25 @@ class ReplicateRows:
         return _word_chunks(keys[rows], counts)
 
     def _fill(self, tag: int, rows: np.ndarray, counts, law=None) -> np.ndarray:
-        """The cells of the rows back to back, as units or as ``law.icdf``
-        of them; the ``(len(rows), count)`` block for one count.  Each
-        piece's units are written straight into the block, and the law's
-        values overwrite them there.  ``icdf`` acts element by element, so
-        applying it piece by piece changes no bit; a constant law needs no
-        units at all."""
+        """The cells of the rows back to back: units, or with a law its
+        values in int64 quanta; the ``(len(rows), count)`` block for one
+        count.  Units are written straight into the block, or for a law
+        into the kernel's spare buffer, where its values overwrite them, and
+        ``_quanta`` writes the block from there.  ``icdf`` acts element by
+        element, so applying it piece by piece changes no bit; a constant
+        law needs no units at all."""
         flat = _as_counts(rows, counts)
-        cells = np.empty(int(flat.sum()), dtype=np.float64)
+        cells = np.empty(int(flat.sum()), dtype=np.float64 if law is None else np.int64)
         if isinstance(law, Constant):
-            cells.fill(law.value)
+            cells.fill(int(law.value * self._scale))
         else:
-            for start, _, _, words, _ in self._chunks(tag, rows, flat):
-                piece = _units(words, cells[start:start + len(words)])
-                if law is not None:
-                    law.icdf(piece, out=piece)
+            for start, _, _, words, spare in self._chunks(tag, rows, flat):
+                block = cells[start:start + len(words)]
+                if law is None:
+                    _units(words, block)
+                else:
+                    units = _units(words, spare.view(np.float64))
+                    _quanta(law.icdf(units, out=units), self._scale, block)
         return cells.reshape(len(rows), int(counts)) if np.ndim(counts) == 0 else cells
 
     def offspring_totals(self, rows: np.ndarray, counts) -> np.ndarray:
@@ -336,133 +344,46 @@ class ReplicateRows:
         return totals
 
     def budgets(self, rows: np.ndarray, counts) -> np.ndarray:
-        """Resources of members 1..counts[i] summed per row, with ``np.sum``'s
-        pairwise tree.  A constant law builds no row longer than
-        _CONSTANT_ROW: every row of one count is the same constant row, so
-        one sum per count is taken by ``_constant_sum``."""
+        """Resources of members 1..counts[i] summed per row, in int64
+        quanta.  A constant law's budget is the count times its quanta."""
         counts = _as_counts(rows, counts)
         law = self._base.laws.resource
         if isinstance(law, Constant):
-            distinct, which = np.unique(counts, return_inverse=True)
-            longest = int(distinct[-1]) if distinct.size else 0
-            row = np.full(min(longest, _CONSTANT_ROW), law.value, dtype=np.float64)
-            sums: dict[int, np.float64] = {}
-            return np.array([_constant_sum(row, count, sums) for count in distinct.tolist()],
-                            dtype=np.float64)[which]
-        cells = self._fill(_TAG_RESOURCE, rows, counts, law)
-        budgets = np.empty(len(rows), dtype=np.float64)
-        for lo, hi, start, count in _row_runs(counts):
-            budgets[lo:hi] = cells[start:start + (hi - lo) * count].reshape(hi - lo, count).sum(axis=1)
+            return counts * int(law.value * self._scale)
+        budgets = np.zeros(len(rows), dtype=np.int64)
+        live = np.flatnonzero(counts)
+        if live.size:
+            cells = self._fill(_TAG_RESOURCE, rows, counts, law)
+            budgets[live] = np.add.reduceat(cells, (counts.cumsum() - counts)[live])
         return budgets
 
     def claims(self, rows: np.ndarray, counts) -> np.ndarray:
         return self._fill(_TAG_CLAIM, rows, counts, self._base.laws.claim)
 
-    def served_in_arrival_order(self, row: int, count: int, budget: float) -> int:
+    def served_in_arrival_order(self, row: int, count: int, budget: int) -> int:
         """Claims 1..count of row ``row`` served in arrival order: the longest
-        prefix whose sequential total is at most ``budget``, exactly as
-        ``np.cumsum`` of the whole row counts it, with no claim block built.
+        prefix whose total is at most ``budget``, with no claim block built.
 
-        Claims are >= 0, so the sequential totals never fall (a NaN one
-        stays NaN).  The count carries a pairwise total from piece to piece
-        in their place: each piece adds its ``np.add.reduce``, and a piece
-        is served whole while that total plus the margin 4 * terms * eps *
-        max(total, budget) of ``policies._served_prefix`` stays within the
-        budget.  The first piece that does not is counted by
-        ``_crossing_count``, and no piece after it is hashed.  A row that
-        cannot be certified so (a budget on or next to a prefix total, or
-        more claims than the rounding bound allows) is read once more by
-        ``_sequential_count``, the exact loop.
+        Each piece's claims are written, in quanta, over its hashed words,
+        and the running total adds each piece's sum.  The piece where that
+        total leaves the budget is counted by ``policies._served_prefix``,
+        and no piece after it is hashed.
         """
-        budget = float(budget)
-        if count <= _CERTIFIED_MAX_CLAIMS:
-            served = self._certified_count(row, count, budget)
-            if served >= 0:
-                return served
-        return self._sequential_count(row, count, budget)
-
-    def _claim_pieces(self, row: int, count: int, into: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
-        """The claims 1..count of row ``row``, one kernel piece at a time.
-        Each piece's units are written into the kernel's spare buffer, or
-        into the start of ``into`` if given, and its claims overwrite them
-        there, until the next piece does."""
         law = self._base.laws.claim
+        served, total = 0, 0
         with closing(self._chunks(_TAG_CLAIM, np.array([row]), np.array([count]))) as chunks:
             for *_, words, spare in chunks:
-                units = _units(words, spare.view(np.float64) if into is None else into[:len(words)])
-                yield law.icdf(units, out=units)
-
-    def _certified_count(self, row: int, count: int, budget: float) -> int:
-        """``served_in_arrival_order`` from pairwise piece sums, or -1 where
-        they cannot certify it."""
-        served, total = 0, 0.0
-        with closing(self._claim_pieces(row, count)) as pieces:
-            for claims in pieces:
-                after = total + float(np.add.reduce(claims))
-                terms = served + claims.size
-                # a NaN total fails this, and an infinite budget holds any other
-                if not after + 4.0 * terms * _EPS * max(after, budget) <= budget:
-                    fit = _crossing_count(claims, budget, total, served)
-                    if fit < claims.size:
-                        return fit if fit < 0 else served + fit
-                served, total = terms, after
-        return served
-
-    def _sequential_count(self, row: int, count: int, budget: float) -> int:
-        """``served_in_arrival_order`` by ``np.cumsum``: each piece's claims
-        follow the total carried from the pieces before, so its running
-        totals continue the one sequential sum, and the count ends in the
-        first piece whose last total is not within the budget."""
-        totals = np.empty(CHUNK_CELLS + 1, dtype=np.float64)
-        served, totals[0] = 0, 0.0
-        with closing(self._claim_pieces(row, count, totals[1:])) as pieces:
-            for claims in pieces:
-                cum = totals[:claims.size + 1]
-                np.cumsum(cum, out=cum)
-                if not cum[-1] <= budget:
-                    return served + int(np.count_nonzero(cum[1:] <= budget))
-                served, totals[0] = served + claims.size, cum[-1]
+                units = _units(words, spare.view(np.float64))
+                claims = _quanta(law.icdf(units, out=units), self._scale, words.view(np.int64))
+                after = total + int(claims.sum())
+                if after > budget:
+                    return served + _served_prefix(claims, budget - total)
+                served, total = served + claims.size, after
         return served
 
     def aux(self, rows: np.ndarray, counts) -> np.ndarray:
         """Claim-independent uniforms, used by randomising policies."""
         return self._fill(_TAG_AUX, rows, counts)
-
-
-def _constant_sum(row: np.ndarray, n: int, sums: dict) -> np.float64:
-    """``np.full(n, c).sum()`` for the constant c that fills ``row``, which
-    holds at least 128 cells if fewer than n.
-
-    This is numpy's pairwise tree: a node longer than ``row`` is split as
-    numpy splits it, its first half n // 2 less that half's remainder mod 8,
-    and a leaf is a prefix of ``row``.  ``sums`` keeps the nodes already
-    summed, a few per level of the tree.
-    """
-    if n <= row.size:
-        return row[:n].sum()
-    if n not in sums:
-        half = n // 2 - n // 2 % 8
-        sums[n] = _constant_sum(row, half, sums) + _constant_sum(row, n - half, sums)
-    return sums[n]
-
-
-def _crossing_count(claims: np.ndarray, budget: float, start: float, ahead: int) -> int:
-    """Served claims of the piece where a streamed total leaves the budget,
-    certified equal to the sequential count, or -1 where rounding could
-    decide it.  ``start`` is the computed total of the ``ahead`` claims
-    before the piece.
-
-    Past a NaN or infinite claim every sequential total is NaN or infinite,
-    within no finite budget, so the finite claims ahead of the first such
-    claim decide the count.  An infinite budget holds every total up to the
-    first NaN, which the piece holds if its total left that budget; a NaN
-    budget holds none.
-    """
-    if not math.isfinite(budget):
-        return int(np.isnan(claims).argmax()) if budget == math.inf else 0
-    bad = np.flatnonzero(~np.isfinite(claims))
-    end = int(bad[0]) if bad.size else claims.size
-    return _served_prefix(claims[:end], budget, start, ahead + end)
 
 
 def _as_counts(rows: np.ndarray, counts) -> np.ndarray:

@@ -4,16 +4,18 @@ engine, for tests only.
 The scalar readers hash one cell at a time with the pure-Python ``_mix``,
 independently of the vectorised kernel, so a wrong shift or constant in the
 kernel shows up as a disagreement.  The ``*_row`` readers materialise whole
-rows through the kernel, and ``quantile`` turns offspring units into counts;
-the engine itself only ever reads their sums.  ``StableCoinFlipPolicy``
+rows through the kernel, ``quantile`` turns offspring units into counts, and
+``quanta`` puts claim and resource values on the triple's lattice; the
+engine itself only ever reads their sums.  ``StableCoinFlipPolicy``
 ranks the aux deviates with the plain stable argsort, against which the
 policy's fast exact order is checked.  ``reference_count`` and
 ``ReferencePolicy`` count the served prefix of each built-in policy from
-stable argsorts and the full sequential running totals, against which the
-certified long-row counts are checked.  ``step``, ``simulate`` and
+stable argsorts and the full running totals, against which the long-row
+counts are checked.  ``step``, ``simulate`` and
 ``simulate_coupled`` run one replicate from those rows and counts alone,
 against which the engine's one batched pass is checked.  ``count`` is the
-served count of one claim row through a policy's ``count_rows``.
+served count of one int64 claim row through a policy's ``count_rows``,
+and ``on_lattice`` puts float test claims on a lattice.
 ``size_at``, ``outcome_kinds``, ``excess_generations`` and ``late_ratios``
 read one replicate's trajectories at a time, against which the Monte Carlo
 checks' reductions of the size table are checked.  ``cumulative`` and
@@ -56,7 +58,7 @@ def row_key(universe, tag, n):
 def word_unit(key, k):
     """Unit of the cell at position k of the row with this key."""
     word = _mix(((k * _GOLDEN) & _MASK64) ^ key)
-    return ((word >> 11) + 0.5) * 2.0 ** -53
+    return ((word >> 11) | 1) * 2.0 ** -53
 
 
 def unit_at(universe, tag, n, k):
@@ -128,12 +130,19 @@ def offspring_at(universe, n, k):
     return int(quantile(universe.laws.offspring, [unit_at(universe, _TAG_OFFSPRING, n, k)])[0])
 
 
+def quanta(laws, values):
+    """Claim or resource values in int64 quanta of the triple's lattice,
+    truncated toward zero."""
+    return (np.asarray(values, dtype=np.float64) * 2.0 ** laws.lattice_bits).astype(np.int64)
+
+
 def claim_at(universe, n, k):
-    return float(universe.laws.claim.icdf(np.array([unit_at(universe, _TAG_CLAIM, n, k)]))[0])
+    return int(quanta(universe.laws, universe.laws.claim.icdf(np.array([unit_at(universe, _TAG_CLAIM, n, k)])))[0])
 
 
 def resource_at(universe, n, k):
-    return float(universe.laws.resource.icdf(np.array([unit_at(universe, _TAG_RESOURCE, n, k)]))[0])
+    laws = universe.laws
+    return int(quanta(laws, laws.resource.icdf(np.array([unit_at(universe, _TAG_RESOURCE, n, k)])))[0])
 
 
 def kernel_units(universe, tag, n, count):
@@ -146,11 +155,14 @@ def offspring_row(universe, n, count):
 
 
 def claim_row(universe, n, count):
-    return np.asarray(universe.laws.claim.icdf(kernel_units(universe, _TAG_CLAIM, n, count)))
+    """Claims of one row in quanta, from the law of the kernel's units."""
+    laws = universe.laws
+    return quanta(laws, laws.claim.icdf(kernel_units(universe, _TAG_CLAIM, n, count)))
 
 
 def resource_row(universe, n, count):
-    return np.asarray(universe.laws.resource.icdf(kernel_units(universe, _TAG_RESOURCE, n, count)))
+    laws = universe.laws
+    return quanta(laws, laws.resource.icdf(kernel_units(universe, _TAG_RESOURCE, n, count)))
 
 
 def aux_row(universe, n, count):
@@ -169,7 +181,7 @@ class StableCoinFlipPolicy(CoinFlipPolicy):
 
 def reference_order(token, claims, aux=None):
     """The claims in the service order of the built-in policy ``token``."""
-    claims = np.asarray(claims, dtype=np.float64)
+    claims = np.asarray(claims)
     if token == "fcfs":
         return claims.copy()
     if token == "wf":
@@ -196,24 +208,30 @@ class ReferencePolicy(PriorityPolicy):
         self.name = f"reference-{token}"
         self.needs_aux = token == "coinflip"
 
-    def count_rows(self, claims, budgets, aux=None):
+    def count_rows(self, claims, budgets, aux=None, quantum=1.0):
         return np.array([reference_count(self.token, row, budget, None if aux is None else aux[i])
                          for i, (row, budget) in enumerate(zip(claims, budgets))], dtype=np.int64)
 
 
+def on_lattice(values, bits=30):
+    """Float values in int64 quanta of 2**-bits, truncated toward zero."""
+    return (np.asarray(values, dtype=np.float64) * 2.0 ** bits).astype(np.int64)
+
+
 def count(policy, claims, budget, aux=None):
-    """Served count of one claim row: ``policy.count_rows`` on a one-row block."""
-    claims = np.asarray(claims, dtype=np.float64)[None]
+    """Served count of one row of int64 claims against an int64 budget:
+    ``policy.count_rows`` on a one-row block."""
+    claims = np.asarray(claims, dtype=np.int64)[None]
     aux = None if aux is None else np.asarray(aux, dtype=np.float64)[None]
-    return int(policy.count_rows(claims, np.array([budget], dtype=np.float64), aux)[0])
+    return int(policy.count_rows(claims, np.array([budget], dtype=np.int64), aux)[0])
 
 
-def reference_served(policy, claims, budget, aux=None):
+def reference_served(policy, claims, budget, aux=None, quantum=1.0):
     """Served count of one claim row from the full sequential running
-    totals: in a ``CustomPolicy``'s permutation, or in the order of the
-    built-in (or reference) policy of that token."""
+    totals: in a ``CustomPolicy``'s permutation of the claim values, or in
+    the order of the built-in (or reference) policy of that token."""
     if isinstance(policy, CustomPolicy):
-        return int((np.cumsum(claims[policy.permutation(claims, aux)]) <= budget).sum())
+        return int((np.cumsum(claims[policy.permutation(claims * quantum, aux)]) <= budget).sum())
     return reference_count(getattr(policy, "token", policy.name), claims, budget, aux)
 
 
@@ -227,9 +245,9 @@ def step(current_size, universe, n, policy):
     total = int(offspring_row(universe, n, current_size).sum())
     if total == 0:
         return 0
-    budget = np.sum(resource_row(universe, n, current_size))
+    budget = resource_row(universe, n, current_size).sum()
     aux = aux_row(universe, n, total) if policy.needs_aux else None
-    return reference_served(policy, claim_row(universe, n, total), budget, aux)
+    return reference_served(policy, claim_row(universe, n, total), budget, aux, universe.laws.quantum)
 
 
 def simulate(spec, universe):

@@ -291,7 +291,7 @@ def test_criterion_09_counterexample_witness():
 # criterion 10: bulk property suites
 
 
-def _subset_best_count(claims: np.ndarray, budget: float) -> int:
+def _subset_best_count(claims: np.ndarray, budget: int) -> int:
     """Exact best admissible subset size by full enumeration (n <= 20)."""
     n = len(claims)
     if n == 0:
@@ -302,7 +302,7 @@ def _subset_best_count(claims: np.ndarray, budget: float) -> int:
     return int(bits.sum(axis=1)[feasible].max())
 
 
-def _policy_counts(claims: np.ndarray, budget: float, rng: np.random.Generator):
+def _policy_counts(claims: np.ndarray, budget: int, rng: np.random.Generator):
     aux = rng.random(len(claims))
     perm = rng.permutation(len(claims))
     custom = CustomPolicy(lambda c, p=perm: p[: len(c)] if len(c) == len(p) else np.arange(len(c)))
@@ -314,15 +314,15 @@ def _policy_counts(claims: np.ndarray, budget: float, rng: np.random.Generator):
     ]
 
 
-def count_wf(claims: np.ndarray, budget: float) -> int:
+def count_wf(claims: np.ndarray, budget: int) -> int:
     return count(WeakestFirstPolicy(), claims, budget)
 
 
-def count_sf(claims: np.ndarray, budget: float) -> int:
+def count_sf(claims: np.ndarray, budget: int) -> int:
     return count(StrongestFirstPolicy(), claims, budget)
 
 
-def _check_string_case(claims: np.ndarray, budget: float, rng, problems: list) -> None:
+def _check_string_case(claims: np.ndarray, budget: int, rng, problems: list) -> None:
     n = len(claims)
     n_count = count_wf(claims, budget)
     m_count = count_sf(claims, budget)
@@ -337,7 +337,7 @@ def _check_string_case(claims: np.ndarray, budget: float, rng, problems: list) -
     if n and count_wf(claims[:-1], budget) > n_count:
         problems.append(f"count not monotone in arrivals at {claims}")
         return
-    if count_wf(claims, budget + 0.25) < n_count or count_sf(claims, budget + 0.25) < m_count:
+    if count_wf(claims, budget + 1) < n_count or count_sf(claims, budget + 1) < m_count:
         problems.append(f"count not monotone in budget at {claims}")
         return
 
@@ -357,23 +357,22 @@ def test_criterion_10_property_suites():
     problems = []
     rng = np.random.Generator(np.random.PCG64(20240823))
 
-    # quarter-integer claims and budgets make every partial sum exact, so
-    # none of the counting comparisons can hinge on float rounding
+    # claims and budgets in quanta of 1/4: claims up to 10, budgets up to 40
     cases = 0
     while cases < 10_000 and len(problems) < 5:
         n = int(rng.integers(0, 9))
-        claims = rng.integers(0, 41, size=n).astype(np.float64) / 4.0
-        budget = float(rng.integers(0, 161)) / 4.0
+        claims = rng.integers(0, 41, size=n)
+        budget = int(rng.integers(0, 161))
         _check_string_case(claims, budget, rng, problems)
         cases += 1
 
-    # exhaustive: every claim string over a three-letter alphabet up to
-    # length eight, against three budgets
-    alphabet = (0.5, 1.0, 2.5)
+    # exhaustive: every claim string over a three-letter alphabet (0.5, 1 and
+    # 2.5 in quarters) up to length eight, against three budgets
+    alphabet = (2, 4, 10)
     for n in range(0, 9):
         for combo in itertools.product(alphabet, repeat=n):
-            claims = np.array(combo, dtype=np.float64)
-            for budget in (0.75, 2.0, 5.25):
+            claims = np.array(combo, dtype=np.int64)
+            for budget in (3, 8, 21):
                 if len(problems) >= 5:
                     break
                 _check_string_case(claims, budget, rng, problems)

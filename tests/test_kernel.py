@@ -2,16 +2,19 @@
 
 Units come from the pure-Python oracle, hashed one cell at a time; offspring
 totals are checked against ``quantile(u).sum()``, budgets against the summed
-materialised row and claims against ``icdf`` of a whole row at once.  Counts
+materialised row and claims against the quanta of ``icdf`` of a whole row
+at once.  Counts
 sit on either side of the kernel's piece size, so every way of cutting a
 block (one piece, runs of whole rows, pieces of one row) is compared.  The
 word thresholds from which offspring are counted must classify every word
 as the float comparison of its unit does.
 """
 
+import math
+
 import numpy as np
 import pytest
-from oracle import cumulative, cuts, kernel_units, quantile, resource_row, row_totals, unit_row, word_unit
+from oracle import cumulative, cuts, kernel_units, quanta, quantile, resource_row, row_totals, unit_row, word_unit
 
 import rdbp.universe
 from rdbp import (
@@ -97,12 +100,15 @@ def test_positions_near_the_index_cap():
     np.testing.assert_array_equal(got, [word_unit(key, k) for k in positions])
 
 
-def test_unit_one_is_reachable_and_counted_like_quantile():
-    # the largest word maps to exactly 1.0 after rounding: the interval is
-    # open only below
-    assert ((2**53 - 1) + 0.5) * 2.0**-53 == 1.0
+def test_the_largest_word_gives_a_unit_below_one_and_a_finite_draw():
+    # units lie strictly inside (0, 1): 2**-53 at the bottom, 1 - 2**-53 at the top
+    low, top = _unit_of([0, _MASK64])
+    assert low == 2.0**-53 and top == 1.0 - 2.0**-53
+    draw = float(Exponential(1.5).icdf(np.array([top]))[0])
+    assert math.isfinite(draw) and draw == pytest.approx(53 * math.log(2.0) / 1.5, rel=1e-12)
+    # and it is counted like quantile, as the largest litter
     law = OffspringLaw((0.5, 0.0, 0.0, 0.5))
-    u = np.array([[1.0, 0.5, np.nextafter(0.5, 1.0)]])
+    u = np.array([[top, 0.5, np.nextafter(0.5, 1.0)]])
     assert row_totals(law, u).tolist() == [quantile(law, u).sum()] == [6]
 
 
@@ -143,11 +149,12 @@ def test_constant_budgets_match_the_summed_row(counts):
     triple = LawTriple(OffspringLaw((0.5, 0.5)), Uniform(0.0, 1.0), Constant(0.3))
     base = Universe(Seed(4), triple)
     rows = ReplicateRows(base, np.arange(3), 1)
+    step = int(quanta(triple, 0.3))
     for count in counts:
         got = rows.budgets(np.array([2, 0]), count)
         row = resource_row(base, 1, count)
-        assert np.all(row == 0.3)
-        assert got.tolist() == [row.sum()] * 2 == np.full((2, count), 0.3).sum(axis=1).tolist()
+        assert np.all(row == step)
+        assert got.tolist() == [row.sum()] * 2 == [count * step] * 2
 
 
 @pytest.mark.parametrize("count", [1, 9, 130, CHUNK + 1, 2 * CHUNK + 3])
@@ -167,8 +174,9 @@ def test_budgets_match_the_summed_row(count):
 def test_chunked_claims_match_one_whole_row_icdf(claim):
     count = 3 * CHUNK + 5
     base = Universe(Seed(6), LawTriple(OffspringLaw((0.5, 0.5)), claim, Constant(1.0)), 2)
-    want = claim.icdf(unit_row(base, _TAG_CLAIM, 7, count))
-    np.testing.assert_array_equal(base.claim_row(7, count), want)
+    want = quanta(base.laws, claim.icdf(unit_row(base, _TAG_CLAIM, 7, count)))
+    np.testing.assert_array_equal(base.generation(7).claims(np.zeros(1, dtype=np.intp), count)[0], want)
+    np.testing.assert_array_equal(base.claim_row(7, count), want * base.laws.quantum)
 
 
 def test_resource_units_are_hashed_like_the_oracle():
@@ -189,19 +197,29 @@ def _unit_of(words):
 @pytest.mark.parametrize("cut", WORD_CUTS)
 def test_word_threshold_classifies_like_the_unit(cut):
     first = _first_word_above(cut)
-    words = [0, first, _MASK64] + ([first - 1] if first else [])
+    # 2**64 (no unit exceeds the cut) is no word
+    words = [0, _MASK64] + [w for w in (first - 1, first) if 0 <= w <= _MASK64]
     # first is above the cut and the word before it is not, as the units say
     above = [w >= first for w in words]
     assert above == (_unit_of(words) > cut).tolist()
     # the same expression in Python floats, as the oracle computes units
-    assert above == [((w >> 11) + 0.5) * 2.0**-53 > cut for w in words]
+    assert above == [((w >> 11) | 1) * 2.0**-53 > cut for w in words]
 
 
 def test_word_thresholds_at_the_extremes():
-    # the largest unit below 1 is 1 - 2**-52; only the top 53-bit value rounds to 1.0
-    assert _first_word_above(1 - 2.0**-53) == (2**53 - 1) << 11
+    # no unit exceeds the largest, 1 - 2**-53, which the top two 53-bit
+    # values give; the next unit down is 1 - 3 * 2**-53
+    assert _first_word_above(1 - 2.0**-53) == 2**64
+    assert _first_word_above(1 - 3 * 2.0**-53) == (2**53 - 2) << 11
+    # every unit exceeds 1e-300, and all but the smallest, 2**-53, exceed it
     assert _first_word_above(1e-300) == 0
+    assert _first_word_above(2.0**-53) == 2 << 11
     assert _first_word_above(1.0) == 2**64
+
+
+def test_a_cut_no_unit_exceeds_counts_nothing():
+    law = OffspringLaw((1.0 - 2.0**-53, 2.0**-53))
+    assert law.word_totals(np.array([_MASK64, 0], dtype=np.uint64), np.array([1, 1])).tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("law", [*OFFSPRING_LAWS.values(), *WORKLOAD_LAWS],
@@ -220,9 +238,10 @@ def test_word_totals_match_row_totals_of_the_units(law):
         assert law.word_totals(words, np.array(cells)).tolist() == want
 
 
-#: words at the ends of the unit's range: the smallest unit 2**-54 (0 and
-#: 2**11 - 1), one just above 1/2, and 1.0, to which the top words round
-EXTREME_WORDS = [0, 2**11 - 1, 2**63, 2**64 - 2**11, 2**64 - 1]
+#: words at the ends of the unit's range: the smallest unit 2**-53 (0 and
+#: 2**12 - 1), one just above 1/2, and the largest unit 1 - 2**-53
+#: (2**64 - 2**12 and 2**64 - 1)
+EXTREME_WORDS = [0, 2**12 - 1, 2**63, 2**64 - 2**12, 2**64 - 1]
 
 
 def _unmix(z):
@@ -269,8 +288,9 @@ def test_laws_write_in_place_what_they_return(law):
 @pytest.mark.parametrize("law", IN_PLACE_LAWS.values(), ids=IN_PLACE_LAWS.keys())
 def test_readers_match_the_laws_on_units_built_whole(monkeypatch, law):
     """Claims, aux deviates and budgets read piece by piece, each piece's
-    values written over its units, against ``law.icdf`` of whole rows of
-    units hashed one cell at a time.  The first cell of each row has one of
+    values written over its units and then in quanta into the block,
+    against the quanta of ``law.icdf`` of whole rows of units hashed one
+    cell at a time.  The first cell of each row has one of
     EXTREME_WORDS, and the rows cross the lowered pieces."""
     monkeypatch.setattr(rdbp.universe, "CHUNK_CELLS", 7)
     keys = np.array([_unmix(w) ^ _GOLDEN for w in EXTREME_WORDS], dtype=np.uint64)
@@ -279,11 +299,11 @@ def test_readers_match_the_laws_on_units_built_whole(monkeypatch, law):
     rows = np.arange(len(keys))
     units = [np.array([word_unit(int(key), k) for k in range(1, c + 1)]) for key, c in zip(keys, counts)]
     assert [u[0] for u in units] == _unit_of(EXTREME_WORDS).tolist()
-    reader = ReplicateRows(Universe(Seed(1), LawTriple(OffspringLaw((0.5, 0.5)), law, law)), rows, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        want = [law.icdf(u) for u in units]
-        assert reader.claims(rows, counts).tobytes() == np.concatenate(want).tobytes()
-        # one count for all rows: the (rows, count) block
-        assert reader.claims(rows[1:], 3).tobytes() == np.concatenate([law.icdf(u[:3]) for u in units[1:]]).tobytes()
-        assert reader.aux(rows, counts).tobytes() == np.concatenate(units).tobytes()
-        assert reader.budgets(rows, counts).tobytes() == np.array([row.sum() for row in want]).tobytes()
+    triple = LawTriple(OffspringLaw((0.5, 0.5)), law, law)
+    reader = ReplicateRows(Universe(Seed(1), triple), rows, 0)
+    want = [quanta(triple, law.icdf(u)) for u in units]
+    assert reader.claims(rows, counts).tobytes() == np.concatenate(want).tobytes()
+    # one count for all rows: the (rows, count) block
+    assert reader.claims(rows[1:], 3).tobytes() == np.concatenate([row[:3] for row in want[1:]]).tobytes()
+    assert reader.aux(rows, counts).tobytes() == np.concatenate(units).tobytes()
+    assert reader.budgets(rows, counts).tobytes() == np.array([row.sum() for row in want]).tobytes()

@@ -21,7 +21,7 @@ from rdbp import (
 from rdbp.policies import POLICY_TOKENS, _stable_order
 
 from conftest import WORKED_BUDGET, WORKED_CLAIMS
-from oracle import StableCoinFlipPolicy, count, reference_count, reference_order
+from oracle import StableCoinFlipPolicy, count, on_lattice, reference_count, reference_order
 
 FCFS, WF, SF = FcfsPolicy(), WeakestFirstPolicy(), StrongestFirstPolicy()
 SELECT_MIN = rdbp.policies._SELECT_MIN_CLAIMS
@@ -29,7 +29,7 @@ SELECT_MIN = rdbp.policies._SELECT_MIN_CLAIMS
 
 def brute_prefix_count(ordered, budget):
     """Reference greedy loop, no numpy."""
-    total = 0.0
+    total = 0
     served = 0
     for c in ordered:
         if total + c > budget:
@@ -44,10 +44,10 @@ def brute_best_count(claims, budget):
     return brute_prefix_count(sorted(claims), budget)
 
 
-claims_arrays = st.lists(
-    st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=0, max_size=25
-).map(lambda xs: np.array(xs, dtype=float))
-budgets = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
+#: claims of 0 to 100 and budgets of 0 to 300 in quanta of 1/4, so that
+#: ties and budgets on prefix totals are common
+claims_arrays = st.lists(st.integers(0, 400), min_size=0, max_size=25).map(lambda xs: np.array(xs, dtype=np.int64))
+budgets = st.integers(0, 1200)
 
 
 class TestWorkedExample:
@@ -108,13 +108,13 @@ class TestProperties:
                         break
             assert n == best
 
-    @given(claims_arrays, budgets, st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
+    @given(claims_arrays, budgets, st.integers(0, 200))
     def test_monotone_in_budget(self, claims, budget, extra):
         assert count(WF, claims, budget + extra) >= count(WF, claims, budget)
         assert count(SF, claims, budget + extra) >= count(SF, claims, budget)
         assert count(FCFS, claims, budget + extra) >= count(FCFS, claims, budget)
 
-    @given(claims_arrays, budgets, st.floats(min_value=0.0, max_value=100.0, allow_nan=False))
+    @given(claims_arrays, budgets, st.integers(0, 400))
     def test_wf_monotone_in_arrivals(self, claims, budget, newcomer):
         extended = np.append(claims, newcomer)
         assert count(WF, extended, budget) >= count(WF, claims, budget)
@@ -138,23 +138,23 @@ class TestProperties:
     @given(claims_arrays)
     def test_zero_budget_serves_no_one_with_positive_claims(self, claims):
         positive = claims[claims > 0]
-        assert count(WF, positive, 0.0) == 0
-        assert count(SF, positive, 0.0) == 0
+        assert count(WF, positive, 0) == 0
+        assert count(SF, positive, 0) == 0
 
     def test_free_riders_with_zero_claims(self):
         # zero claims cost nothing, so they are all served even on nothing
-        claims = np.array([0.0, 0.0, 1.0])
-        assert count(WF, claims, 0.0) == 2
+        claims = np.array([0, 0, 1])
+        assert count(WF, claims, 0) == 2
 
 
 class TestCoinFlip:
     def test_uses_aux_ranks(self):
-        claims = np.array([4.0, 1.0, 2.0])
+        claims = np.array([40, 10, 20])
         aux = np.array([0.9, 0.2, 0.5])
         np.testing.assert_array_equal(_stable_order(aux[None]), [[1, 2, 0]])
-        # the claims 1 and 2 fill the budget of 3, and the 4 is left out
-        assert count(CoinFlipPolicy(), claims, 3.0, aux) == 2
-        assert count(CoinFlipPolicy(), claims, 2.9, aux) == 1
+        # the claims 10 and 20 fill the budget of 30, and the 40 is left out
+        assert count(CoinFlipPolicy(), claims, 30, aux) == 2
+        assert count(CoinFlipPolicy(), claims, 29, aux) == 1
 
     def test_requires_aux(self):
         with pytest.raises(ValueError):
@@ -182,8 +182,8 @@ def tied_blocks(draw, min_rows=1, max_rows=50):
     length = draw(st.integers(min_value=0, max_value=40))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     aux = alphabet[rng.integers(0, 3, size=(rows, length))]
-    claims = rng.random((rows, length)) * 2.0
-    budgets = rng.random(rows) * length * 0.6
+    claims = on_lattice(rng.random((rows, length)) * 2.0)
+    budgets = on_lattice(rng.random(rows) * length * 0.6)
     return claims, budgets, aux
 
 
@@ -289,10 +289,10 @@ class TestStableOrder:
         # rows past the fast sort's limits and the certified counts, some
         # of them tied
         rng = np.random.default_rng(12)
-        claims = rng.uniform(0.0, 2.0, shape)
+        claims = on_lattice(rng.uniform(0.0, 2.0, shape))
         aux = rng.random(shape)
         aux[::2, ::7] = 0.5
-        budgets = rng.uniform(0.2, 0.8, shape[0]) * shape[1]
+        budgets = on_lattice(rng.uniform(0.2, 0.8, shape[0]) * shape[1])
         counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
         assert counts.tolist() == StableCoinFlipPolicy().count_rows(claims, budgets, aux).tolist()
 
@@ -307,10 +307,10 @@ ALL_POLICIES = [policy_from_token(token) for token in POLICY_TOKENS] + [
 def test_counting_leaves_the_callers_arrays_alone(policy, shape):
     # the prefix sums run in place, but only in copies the policy owns
     rng = np.random.default_rng(11)
-    claims = rng.random(shape) * 2.0
+    claims = on_lattice(rng.random(shape) * 2.0)
     aux = rng.random(shape)
-    aux[:, ::3] = 0.5  # ties send rows through the stable fallback too
-    budgets = rng.random(shape[0]) * shape[1]
+    aux[:, ::3] = 0.5  # ties send rows through the stable sort too
+    budgets = on_lattice(rng.random(shape[0]) * shape[1])
     before = [a.copy() for a in (claims, budgets, aux)]
     for i in range(shape[0]):
         count(policy, claims[i], budgets[i], aux[i])
@@ -322,24 +322,24 @@ def test_counting_leaves_the_callers_arrays_alone(policy, shape):
 class TestThirdLargestFirst:
     def test_small_batches_fall_back_to_strongest_first(self):
         policy = ThirdLargestFirstPolicy()
-        for claims in (np.array([]), np.array([2.0]), np.array([3.0, 1.0])):
-            for budget in (0.0, 1.0, 2.5, 3.0, 4.0, 5.0):
+        for claims in (np.array([], dtype=np.int64), np.array([4]), np.array([6, 2])):
+            for budget in (0, 2, 5, 6, 8, 10):
                 assert count(policy, claims, budget) == count(SF, claims, budget)
 
     def test_priority_order(self):
         policy = ThirdLargestFirstPolicy()
-        claims = np.array([5.0, 1.0, 3.0, 0.5])
+        claims = np.array([50, 10, 30, 5])
         # third largest first, then the largest, the second largest, the rest
-        assert reference_order("counterexample", claims).tolist() == [1.0, 5.0, 3.0, 0.5]
-        # whose running totals are 1, 6, 9 and 9.5
-        for budget, served in ((0.9, 0), (1.0, 1), (5.9, 1), (6.0, 2), (9.0, 3), (9.4, 3), (9.5, 4)):
+        assert reference_order("counterexample", claims).tolist() == [10, 50, 30, 5]
+        # whose running totals are 10, 60, 90 and 95
+        for budget, served in ((9, 0), (10, 1), (59, 1), (60, 2), (90, 3), (94, 3), (95, 4)):
             assert count(policy, claims, budget) == served
 
     def test_can_waste_budget_relative_to_strongest_first(self):
-        claims = np.array([5.0, 1.0, 3.0])
+        claims = np.array([5, 1, 3])
         policy = ThirdLargestFirstPolicy()
-        assert count(policy, claims, 4.0) == 1  # serves the 1, then blocks on the 5
-        assert count(SF, claims, 4.0) == 0
+        assert count(policy, claims, 4) == 1  # serves the 1, then blocks on the 5
+        assert count(SF, claims, 4) == 0
 
     @given(claims_arrays, budgets)
     def test_sandwich(self, claims, budget):
@@ -347,8 +347,8 @@ class TestThirdLargestFirst:
         assert count(SF, claims, budget) <= c <= count(WF, claims, budget)
 
     @given(
-        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), max_size=40).map(np.array),
-        st.floats(min_value=0.0, max_value=40.0),
+        st.lists(st.sampled_from([0, 2, 4, 10]), max_size=40).map(lambda xs: np.array(xs, dtype=np.int64)),
+        st.integers(0, 160),
     )
     def test_count_from_sorted_values_matches_the_permutation(self, claims, budget):
         # tied claims are served in some order, but only their values count
@@ -360,7 +360,7 @@ class TestCustomPolicy:
     def test_rejects_non_permutation(self):
         bad = CustomPolicy(lambda c: np.zeros(len(c), dtype=int), name="broken")
         with pytest.raises(ValueError):
-            count(bad, np.array([1.0, 2.0]), 10.0)
+            count(bad, np.array([1, 2]), 10)
 
     def test_identity_matches_fcfs(self):
         ident = CustomPolicy(lambda c: np.arange(len(c)), name="ident")
@@ -378,72 +378,52 @@ class TestTokens:
             policy_from_token("zigzag")
 
 
-class TestNonFiniteCounts:
-    """A row counts alike alone and among other rows on non-finite budgets
-    and claims, on short rows and on long ones."""
+class TestCustomPolicyValues:
+    def test_the_permutation_sees_the_claim_values(self):
+        # the order is taken from the values, quanta times the quantum
+        seen = []
 
-    @pytest.mark.parametrize("n", [5, SELECT_MIN + 3], ids=["short", "long"])
-    @pytest.mark.parametrize("token", POLICY_TOKENS)
-    def test_both_count_paths_agree(self, token, n):
-        rng = np.random.default_rng(3)
-        plain = rng.uniform(0.0, 2.0, n)
-        aux = rng.random(n)
-        with_inf, with_nan = plain.copy(), plain.copy()
-        with_inf[n // 2] = np.inf
-        with_nan[n // 3] = np.nan
-        cases = [(plain, np.nan), (plain, np.inf), (plain, 0.6 * n),
-                 (with_inf, 0.3 * n), (with_inf, 4.0 * n), (with_inf, np.inf),
-                 (with_nan, 0.3 * n), (with_nan, 4.0 * n), (with_nan, np.nan)]
-        policy = policy_from_token(token)
-        for claims, budget in cases:
-            one = count(policy, claims, budget, aux)
-            block = np.stack([plain, claims, claims])
-            rows = policy.count_rows(block, np.array([0.6 * n, budget, budget]), np.stack([aux] * 3))
-            assert one == rows[1] == rows[2], (budget, claims is with_nan)
-            if claims is not with_nan:
-                assert one == reference_count(token, claims, budget, aux)
+        def spy(values):
+            seen.append(values.copy())
+            return np.argsort(values, kind="stable")
 
-    @pytest.mark.parametrize("n", [5, SELECT_MIN + 3], ids=["short", "long"])
-    def test_nan_budget_serves_no_one(self, n):
-        claims, aux = np.zeros(n), np.random.default_rng(4).random(n)
-        for token in POLICY_TOKENS:
-            assert count(policy_from_token(token), claims, np.nan, aux) == 0
+        claims = np.array([[12, 4, 8]])
+        custom = CustomPolicy(spy, name="values")
+        assert custom.count_rows(claims, np.array([12]), None, 0.25).tolist() == [2]
+        assert seen[0].tolist() == [3.0, 1.0, 2.0]
 
 
-CLAIM_KINDS = ("uniform", "ties", "exponential", "inf")
+CLAIM_KINDS = ("uniform", "ties", "exponential")
 
 
 def claim_row(rng, kind, n):
-    """Claims of one law: U(0, 2); halves 0-1.5 (ties, zeros, exact sums);
-    Exp(1) with a twentieth set to 0; or U(0, 2) with one inf claim."""
+    """Claims of one law in quanta of 2**-30: U(0, 2); 0 to 3 quanta (ties,
+    zeros); or Exp(1) with a twentieth set to 0."""
     if kind == "ties":
-        return rng.integers(0, 4, n) * 0.5
+        return rng.integers(0, 4, n)
     claims = rng.exponential(1.0, n) if kind == "exponential" else rng.uniform(0.0, 2.0, n)
     if kind == "exponential":
         claims[rng.random(n) < 0.05] = 0.0
-    if kind == "inf":
-        claims[rng.integers(n)] = np.inf
-    return claims
+    return on_lattice(claims)
 
 
 BUDGET_KINDS = ("zero", "prefix", "below-prefix", "above-prefix", "total", "beyond")
 
 
 def budget_for(rng, kind, totals):
-    """A budget at 0, at one of the sequential prefix totals of a policy's
-    order or its float neighbours, at the full total, or beyond it."""
+    """A budget at 0, at one of the prefix totals of a policy's order or a
+    quantum either side of it, at the full total, or beyond it."""
     if kind == "zero":
-        return 0.0
+        return 0
     if kind == "total":
-        return float(totals[-1])
+        return int(totals[-1])
     if kind == "beyond":
-        return float(np.nextafter(totals[-1], np.inf))
-    finite = totals[np.isfinite(totals)]
-    prefix = float(finite[rng.integers(finite.size)]) if finite.size else 0.0
+        return int(totals[-1]) + 1
+    prefix = int(totals[rng.integers(totals.size)])
     if kind == "below-prefix":
-        return float(np.nextafter(prefix, -np.inf)) if prefix > 0 else 0.0
+        return max(prefix - 1, 0)
     if kind == "above-prefix":
-        return float(np.nextafter(prefix, np.inf))
+        return prefix + 1
     return prefix
 
 
@@ -459,12 +439,12 @@ def assert_counts_like_the_reference(rng, n, claim_kind, budget_kind):
         assert policy.count_rows(block, budgets, aux).tolist() == want, token
 
 
-AUX_KINDS = ("untied", "tied", "signed-zeros", "nan")
+AUX_KINDS = ("untied", "tied", "signed-zeros")
 
 
 def deviate_row(rng, kind, n):
-    """Aux deviates: U(0, 1); 2-8 levels; U(0, 1) with a third of them 0.0
-    or -0.0, which tie; or U(0, 1) with one NaN, which ranks last."""
+    """Aux deviates: U(0, 1); 2-8 levels; or U(0, 1) with a third of them
+    0.0 or -0.0, which tie."""
     if kind == "tied":
         levels = int(rng.integers(2, 9))
         return rng.integers(0, levels, n) / levels
@@ -472,8 +452,6 @@ def deviate_row(rng, kind, n):
     if kind == "signed-zeros":
         zeros = np.flatnonzero(rng.random(n) < 1 / 3)
         aux[zeros] = np.where(rng.random(zeros.size) < 0.5, 0.0, -0.0)
-    if kind == "nan":
-        aux[rng.integers(n)] = np.nan
     return aux
 
 
@@ -489,16 +467,17 @@ def assert_coinflip_counts_like_the_stable_policy(rng, n, claim_kind, aux_kind, 
     assert policy.count_rows(block, budgets, aux).tolist() == want
 
 
-def spy_on_the_exact_path():
-    """A spy on _stable_counts, which still runs: it sees each block or
-    row that coinflip ranks whole."""
+def spy_on_the_whole_ranking():
+    """A spy on _stable_counts, which still runs: it sees each block that
+    coinflip ranks whole."""
     return mock.patch.object(rdbp.policies, "_stable_counts", side_effect=rdbp.policies._stable_counts)
 
 
-class TestCertifiedCounts:
-    """Long rows are counted by certified block sums and, for wf, sf and
-    coinflip, by selection; every count equals the full sort-and-cumsum
-    reference (tests/oracle.py), for a row alone and in a block."""
+class TestLongRowCounts:
+    """Long rows are counted by block sums and, for wf, sf and coinflip, by
+    ranking only the claims around the crossing; every count equals the
+    full sort-and-cumsum reference (tests/oracle.py), for a row alone and in
+    a block, ties and budgets on prefix totals included."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -519,42 +498,23 @@ class TestCertifiedCounts:
     )
     def test_small_blocks_and_samples_count_like_the_reference(self, n, claim_kind, budget_kind, seed):
         # blocks of 4 claims and samples of 8 put crossings on block and
-        # window edges, and send windows past the crossing, in short rows
+        # window edges in short rows
         with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=1, _PREFIX_BLOCK=4, _SAMPLE=8):
             assert_counts_like_the_reference(np.random.default_rng(seed), n, claim_kind, budget_kind)
 
-    @pytest.mark.parametrize("descending", [False, True], ids=["wf", "sf"])
-    @pytest.mark.parametrize("bias", [0.7, 1.3], ids=["window-above", "window-below"])
-    def test_a_window_that_misses_is_widened_once(self, bias, descending):
-        # every sampled claim scaled by the bias moves the estimated crossing
-        # out of the first window, but not out of the second
-        rng = np.random.default_rng(9)
-        claims = rng.uniform(0.0, 2.0, 16384)
-        claims[::16384 // rdbp.policies._SAMPLE] *= bias
-        budget = 0.5 * claims.sum()
-        window = rdbp.policies._window_count
-        with mock.patch.object(rdbp.policies, "_window_count", side_effect=window) as spy:
-            count = rdbp.policies._selected_count(claims, budget, descending)
-        assert spy.call_count == 2 and window(*spy.call_args_list[0].args) is None
-        assert count == reference_count("sf" if descending else "wf", claims, budget)
-
-    def test_a_budget_on_a_prefix_total_is_left_to_the_exact_path(self):
-        # the block sums round differently from the sequential totals, so
-        # a budget equal to a sequential total is within the bound of it
+    @pytest.mark.parametrize("token", ["fcfs", "wf", "sf", "coinflip", "counterexample"])
+    def test_budgets_on_prefix_totals_are_counted_directly(self, token):
+        # every prefix total is exact, so a budget on one needs no second look
         rng = np.random.default_rng(5)
-        claims = rng.uniform(0.0, 2.0, 50_000)
-        totals = np.cumsum(claims)
-        for k in rng.integers(1, claims.size, 20):
-            assert rdbp.policies._served_prefix(claims, totals[k]) == -1
-            assert count(FCFS, claims, totals[k]) == k + 1
-
-    def test_a_clear_budget_is_certified(self):
-        rng = np.random.default_rng(6)
-        claims = rng.uniform(0.0, 2.0, 50_000)
-        totals = np.cumsum(claims)
-        budget = (totals[20_000] + totals[20_001]) / 2
-        assert rdbp.policies._served_prefix(claims, budget) == 20_001
-        assert rdbp.policies._selected_count(claims, budget) == reference_count("wf", claims, budget)
+        claims = on_lattice(rng.uniform(0.0, 2.0, 50_000))
+        aux = rng.random(claims.size)
+        totals = np.cumsum(reference_order(token, claims, aux))
+        policy = policy_from_token(token)
+        with spy_on_the_whole_ranking() as spy:
+            for k in rng.integers(1, claims.size, 10):
+                assert count(policy, claims, totals[k], aux) == k + 1
+                assert count(policy, claims, totals[k] - 1, aux) == k
+        assert spy.call_count == 0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -566,7 +526,7 @@ class TestCertifiedCounts:
     )
     def test_coinflip_counts_like_the_stable_policy(self, n, claim_kind, aux_kind, budget_kind, seed):
         # long rows ranked around the crossing, alone and in a block, on
-        # untied, tied, signed-zero and NaN deviates
+        # untied, tied and signed-zero deviates
         assert_coinflip_counts_like_the_stable_policy(
             np.random.default_rng(seed), n, claim_kind, aux_kind, budget_kind)
 
@@ -586,84 +546,32 @@ class TestCertifiedCounts:
             assert_coinflip_counts_like_the_stable_policy(
                 np.random.default_rng(seed), n, claim_kind, aux_kind, budget_kind)
 
-    @pytest.mark.parametrize("above", [0.0, 1.0, 2.0 ** 20], ids=["total", "one-above", "far-above"])
-    def test_a_nan_deviate_ranks_last_and_is_still_served(self, above):
-        rng = np.random.default_rng(7)
-        claims = rng.uniform(0.0, 2.0, 3 * 10 ** 4)
-        aux = rng.random(claims.size)
-        aux[123] = np.nan
-        total = float(np.cumsum(reference_order("coinflip", claims, aux))[-1])
-        budget = total + above
-        assert count(CoinFlipPolicy(), claims, budget, aux) == claims.size
-        # one below the NaN's claim: everyone else is served, but not it
-        short = float(np.cumsum(reference_order("coinflip", claims, aux))[-2]) + claims[123] / 2
-        assert count(CoinFlipPolicy(), claims, short, aux) == claims.size - 1
-        assert rdbp.policies._ranked_count(claims, aux, short) == claims.size - 1
-
-    def test_a_budget_on_a_coinflip_prefix_total_falls_back_to_the_exact_path(self):
-        rng = np.random.default_rng(8)
-        claims = rng.uniform(0.0, 2.0, 50_000)
-        aux = rng.random(claims.size)
-        totals = np.cumsum(reference_order("coinflip", claims, aux))
-        for k in rng.integers(1, claims.size, 10):
-            assert rdbp.policies._ranked_count(claims, aux, totals[k]) == -1
-            with spy_on_the_exact_path() as spy:
-                assert count(CoinFlipPolicy(), claims, totals[k], aux) == k + 1
-            assert spy.call_count == 1
-
-
-def long_coinflip_block(seed, n=SELECT_MIN + 5):
-    """Three long rows of U(0, 2) claims and U(0, 1) deviates, each row's
-    budget a third of its total."""
-    rng = np.random.default_rng(seed)
-    claims = rng.uniform(0.0, 2.0, (3, n))
-    return claims, claims.sum(axis=1) / 3, rng.random((3, n))
-
-
-class TestCoinFlipFallbacks:
-    """Each way a long coinflip row can miss its certified count sends that
-    row, and only that row, to the full stable ranking."""
-
-    def assert_falls_back(self, claims, budgets, aux, rows):
-        with spy_on_the_exact_path() as spy:
-            counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
-        ranked = [call.args[0] for call in spy.call_args_list]
-        assert len(ranked) == len(rows)
-        for got, row in zip(ranked, rows):
-            assert got.tobytes() == claims[row:row + 1].tobytes()
-        want = StableCoinFlipPolicy().count_rows(claims, budgets, aux)
-        assert counts.tolist() == want.tolist()
-
-    def test_the_ranked_rows_take_no_fallback(self):
-        self.assert_falls_back(*long_coinflip_block(1), rows=[])
-
-    @pytest.mark.parametrize("probes", [0, 1])
-    def test_running_out_of_probes(self, monkeypatch, probes):
-        # 2048 sampled deviates take at least two probes to close to 64
+    @pytest.mark.parametrize("probes", [0, 1, 12])
+    def test_few_probes_widen_the_window_but_keep_the_count(self, monkeypatch, probes):
+        # without probes the whole row is the window; it is still ranked by
+        # _ranked_count, not by the whole-block path
         monkeypatch.setattr(rdbp.policies, "_RANK_PROBES", probes)
-        self.assert_falls_back(*long_coinflip_block(2), rows=[0, 1, 2])
+        rng = np.random.default_rng(2)
+        claims = on_lattice(rng.uniform(0.0, 2.0, (3, SELECT_MIN + 5)))
+        aux = rng.random(claims.shape)
+        budgets = claims.sum(axis=1) // 3
+        with spy_on_the_whole_ranking() as spy:
+            got = CoinFlipPolicy().count_rows(claims, budgets, aux)
+        assert spy.call_count == 0
+        assert got.tolist() == [reference_count("coinflip", *args) for args in zip(claims, budgets, aux)]
 
-    def test_a_window_served_to_its_top(self, monkeypatch):
-        # a window count that reaches the window's top under a threshold
-        # whose prefix total exceeds the budget can only come from rounding
-        window_count = rdbp.policies._served_prefix
-
-        def served_to_the_top(ordered, budget, start=0.0, terms=0):
-            if terms:
-                return ordered.size
-            return window_count(ordered, budget, start, terms)
-
-        monkeypatch.setattr(rdbp.policies, "_served_prefix", served_to_the_top)
-        self.assert_falls_back(*long_coinflip_block(3), rows=[0, 1, 2])
-
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
-    def test_a_non_finite_claim(self, value):
-        claims, budgets, aux = long_coinflip_block(4)
-        claims[1, 77] = value
-        self.assert_falls_back(claims, budgets, aux, rows=[1])
-
-    @pytest.mark.parametrize("value", [np.inf, np.nan, -1.0])
-    def test_a_non_finite_or_negative_budget(self, value):
-        claims, budgets, aux = long_coinflip_block(5)
-        budgets[2] = value
-        self.assert_falls_back(claims, budgets, aux, rows=[2])
+    @pytest.mark.parametrize("descending", [False, True], ids=["wf", "sf"])
+    @pytest.mark.parametrize("bias", [0.7, 1.3], ids=["window-above", "window-below"])
+    def test_a_window_that_misses_is_widened(self, bias, descending):
+        # every sampled claim scaled by the bias moves the estimated crossing
+        # out of the first window, but not out of the second
+        rng = np.random.default_rng(9)
+        claims = rng.uniform(0.0, 2.0, 16384)
+        claims[::16384 // rdbp.policies._SAMPLE] *= bias
+        claims = on_lattice(claims)
+        budget = int(claims.sum()) // 2
+        window = rdbp.policies._window_count
+        with mock.patch.object(rdbp.policies, "_window_count", side_effect=window) as spy:
+            got = rdbp.policies._selected_count(claims, budget, descending)
+        assert spy.call_count == 2 and window(*spy.call_args_list[0].args) is None
+        assert got == reference_count("sf" if descending else "wf", claims, budget)

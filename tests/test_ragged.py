@@ -7,7 +7,7 @@ batches of at most ``BLOCK_CELLS`` cells.  With both patched small, mixes
 of row lengths around the piece size (0, 1, a piece and one either side,
 rows spanning several pieces, many equal rows) cut a layout every way it
 can be cut.  Every tag must match the scalar oracle bit for bit, every
-budget must equal ``np.sum`` of its row alone, and the engine must
+budget must equal the summed quanta of its row alone, and the engine must
 reproduce the reference ``simulate`` for every policy.
 """
 
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import rdbp.engine
 import rdbp.universe
 import oracle
-from oracle import quantile, unit_row
+from oracle import quanta, quantile, unit_row
 from rdbp import (
     POLICY_TOKENS,
     Constant,
@@ -58,8 +58,8 @@ layouts = st.one_of(
 )
 
 
-def _bits(values):
-    return np.asarray(values, dtype=np.float64).tobytes()
+def _bits(values, dtype=np.float64):
+    return np.asarray(values, dtype=dtype).tobytes()
 
 
 @pytest.mark.parametrize("triple", READ_TRIPLES.values(), ids=READ_TRIPLES.keys())
@@ -87,16 +87,17 @@ def test_every_tag_matches_the_scalar_oracle(triple, lengths, in_order, seed, n,
     def units(tag):
         return [unit_row(base.derive_replicate(int(ids[r])), tag, n, int(c)) for r, c in zip(rows, counts)]
 
-    assert _bits(claims) == _bits(np.concatenate([[], *(triple.claim.icdf(u) for u in units(_TAG_CLAIM))]))
+    want = np.concatenate([[], *(quanta(triple, triple.claim.icdf(u)) for u in units(_TAG_CLAIM))])
+    assert _bits(claims, np.int64) == _bits(want, np.int64)
     assert _bits(aux) == _bits(np.concatenate([[], *units(_TAG_AUX)]))
     assert totals.tolist() == [int(quantile(triple.offspring, u).sum()) for u in units(_TAG_OFFSPRING)]
-    want = [np.sum(np.asarray(triple.resource.icdf(u), dtype=np.float64)) for u in units(_TAG_RESOURCE)]
-    assert _bits(budgets) == _bits(want)
+    want = [quanta(triple, triple.resource.icdf(u)).sum() for u in units(_TAG_RESOURCE)]
+    assert _bits(budgets, np.int64) == _bits(want, np.int64)
 
 
-def test_budgets_are_each_rows_own_pairwise_sum():
-    # lengths on both sides of 8 and 128, the block edges of numpy's pairwise
-    # summation, at shifting offsets in the flat array of cells
+def test_budgets_are_each_rows_own_sum():
+    # lengths on both sides of 8 and 128 at shifting offsets in the flat
+    # array of cells
     rng = np.random.default_rng(11)
     lengths = [1, 7, 8, 9, 127, 128, 129, 130, 300, 1000, 1000, 1031, 4099, 5000]
     triple = READ_TRIPLES["exponential-uniform"]
@@ -104,9 +105,10 @@ def test_budgets_are_each_rows_own_pairwise_sum():
     for counts in (np.array(lengths), rng.permutation(np.repeat(lengths, 2))):
         ids = rng.permutation(10 ** 4)[:len(counts)]
         got = ReplicateRows(base, ids, 5).budgets(np.arange(len(counts)), counts)
-        want = [np.sum(triple.resource.icdf(unit_row(base.derive_replicate(int(i)), _TAG_RESOURCE, 5, int(c))))
+        want = [quanta(triple, triple.resource.icdf(unit_row(base.derive_replicate(int(i)), _TAG_RESOURCE, 5,
+                                                               int(c)))).sum()
                 for i, c in zip(ids, counts)]
-        assert _bits(got) == _bits(want)
+        assert _bits(got, np.int64) == _bits(want, np.int64)
 
 
 ENGINE_TRIPLES = {

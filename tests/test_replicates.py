@@ -138,30 +138,30 @@ def test_certified_counts_run_like_the_reference(monkeypatch, name, token):
     assert [simulate(fast, base.derive_replicate(i)) for i in ids] == want
 
 
-def test_wf_windows_and_fallbacks_on_deep_growth_are_pinned(monkeypatch):
+def test_wf_windows_on_deep_growth_are_pinned(monkeypatch):
     # the deep-growth laws from 6000 founders, at the real thresholds: every
-    # wf row holds 8192 claims or more.  A narrower window shows up as more
-    # windows, and a weaker estimate or bound as fallbacks
-    tally = {"rows": 0, "windows": 0, "fallbacks": 0}
+    # wf row holds 8192 claims or more.  A weaker estimate shows up as a
+    # wider window, or as more windows than rows
+    rows, windows = [], []
     selected, window = rdbp.policies._selected_count, rdbp.policies._window_count
 
-    def counted_selection(*args):
-        count = selected(*args)
-        tally["rows"] += 1
-        tally["fallbacks"] += count < 0
-        return count
+    def counted_selection(row, *args):
+        rows.append(row.size)
+        return selected(row, *args)
 
-    def counted_window(*args):
-        tally["windows"] += 1
-        return window(*args)
+    def counted_window(keys, sign, budget, lo, hi):
+        windows.append((hi - lo) / keys.size)
+        return window(keys, sign, budget, lo, hi)
 
     monkeypatch.setattr(rdbp.policies, "_selected_count", counted_selection)
     monkeypatch.setattr(rdbp.policies, "_window_count", counted_window)
     triple = TRIPLES["uniform-constant"]
-    spec = ProcessSpec(laws=triple, policy=WeakestFirstPolicy(), initial_size=6000,
-                       horizon=6, explosion_cap=10 ** 5)
-    simulate_replicates(spec, Universe(Seed(1), triple), range(20))
-    assert tally == {"rows": 120, "windows": 120, "fallbacks": 0}
+    base = Universe(Seed(1), triple)
+    fast, ref = (ProcessSpec(laws=triple, policy=policy, initial_size=6000, horizon=6, explosion_cap=10 ** 5)
+                 for policy in (WeakestFirstPolicy(), ReferencePolicy("wf")))
+    assert simulate_replicates(fast, base, range(20)) == simulate_replicates(ref, base, range(20))
+    assert len(rows) == len(windows) == 120 and min(rows) >= 8192
+    assert max(windows) < 0.1
 
 
 def test_small_blocks_split_without_changing_results(monkeypatch):
@@ -613,7 +613,7 @@ def test_failing_pass_reruns_each_check_alone(monkeypatch, tmp_path, capsys):
     assert rdbp.cli.main(argv) == 0
     clean = json.loads((tmp_path / "clean" / "verify.json").read_text())["checks"]
 
-    def broken(self, claims, budgets, aux=None):
+    def broken(self, claims, budgets, aux=None, quantum=1.0):
         raise EngineError("fcfs count failed")
 
     # only dominance steps fcfs rows, so the shared pass fails there

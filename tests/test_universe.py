@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracle import aux_row, claim_at, offspring_at, offspring_row, resource_at, resource_row
+from oracle import aux_row, claim_at, claim_row, offspring_at, offspring_row, resource_at, resource_row
 
 from rdbp import INDEX_CAP, Constant, LawTriple, OffspringLaw, Seed, Uniform, Universe
 from rdbp.universe import ReplicateRows
@@ -55,9 +55,11 @@ class TestAddressing:
         np.testing.assert_array_equal(long[:7], short)
 
     def test_scalar_equals_row_entry(self, u):
-        row = u.claim_row(2, 20)
+        row = claim_row(u, 2, 20)
         for k in (1, 7, 20):
             assert claim_at(u, 2, k) == row[k - 1]
+        # the claim values shown are the quanta times the quantum
+        assert (u.claim_row(2, 20) == row * u.laws.quantum).all()
         orow = offspring_row(u, 2, 20)
         for k in (1, 20):
             assert offspring_at(u, 2, k) == orow[k - 1]
@@ -117,7 +119,7 @@ class TestAddressing:
         rows = ReplicateRows(u, ids, 1)
         picked = np.array([4, 0, 2])  # any subset of the ids, in any order
         for block, row_of in [
-            (rows.claims(picked, 3), lambda v: v.claim_row(1, 3)),
+            (rows.claims(picked, 3), lambda v: claim_row(v, 1, 3)),
             (rows.budgets(picked, 3), lambda v: resource_row(v, 1, 3).sum()),
             (rows.offspring_totals(picked, 3), lambda v: offspring_row(v, 1, 3).sum()),
             (rows.aux(picked, 3), lambda v: aux_row(v, 1, 3)),
@@ -170,7 +172,7 @@ class TestLawFidelity:
         assert p > 1e-3, f"KS d={d}, p={p}"
 
     def test_resource_law_bounds_and_mean(self, u):
-        x = resource_row(u, 0, self.N)
+        x = resource_row(u, 0, self.N) * u.laws.quantum
         assert x.min() >= 0.5 and x.max() <= 1.5
         band = 3 * math.sqrt(u.laws.resource.variance() / self.N)
         assert abs(x.mean() - u.laws.resource.mean()) < band
@@ -178,5 +180,6 @@ class TestLawFidelity:
     def test_constant_resource_is_exact(self):
         triple = LawTriple(OffspringLaw((0.5, 0.5)), Uniform(0.0, 1.0), Constant(0.75))
         v = Universe(Seed(1), triple)
-        assert np.all(resource_row(v, 0, 100) == 0.75)
-        assert v.generation(0).budgets(np.arange(1), 100)[0] == np.full(100, 0.75).sum()
+        # 0.75 lies on the lattice, so its quanta give it back exactly
+        assert np.all(resource_row(v, 0, 100) * v.laws.quantum == 0.75)
+        assert v.generation(0).budgets(np.arange(1), 100)[0] * v.laws.quantum == 75.0
