@@ -176,9 +176,8 @@ def step_replicates(
     """Next sizes of many replicates of ``base`` from ``sizes``, in one pass.
 
     Entry i equals ``step(sizes[i], base.derive_replicate(ids[i]), n, policy)``:
-    each run of rows of equal length is one C-contiguous block of the cells
-    read, so a row's budget sum and claim prefix sums do not depend on the
-    rows read with it.
+    every budget and claim total is an exact int64 sum, so a row's count
+    does not depend on the rows read with it.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     owners = np.zeros(len(sizes), dtype=np.intp)
@@ -192,7 +191,9 @@ def _step_rows(
 
     The live rows are read back to back in length order, members for the
     offspring totals and budgets and prospective children for the claims,
-    at most BLOCK_CELLS claim or resource cells at a time.  Rows of one
+    at most BLOCK_CELLS claim or resource cells at a time.  No row may have
+    more members or children than CLAIM_CAP, which keeps its totals within
+    int64.  Rows of one
     length keep their order, so each run of them with one owner is a
     C-contiguous block of the claims read, which that policy counts.  A row
     longer than BLOCK_CELLS whose policy serves in arrival order builds no

@@ -563,7 +563,8 @@ def superadditivity_check(
 # Reference laws for the search below: half the time three children arrive,
 # their claims can dwarf a resource unit, and three light claims still fit
 # one.  Witnesses are rare and the seed decides where the first one lands:
-# replicate 118357 from base seed 0, none within 10**6 from seed 3.
+# replicate 118357 from base seed 0, and replicate 1209997, past the default
+# budget of 10**6, from seed 3.
 COUNTEREXAMPLE_TRIPLE = LawTriple(
     offspring=OffspringLaw((0.5, 0.0, 0.0, 0.5)),
     claim=Uniform(0.0, 2.0),

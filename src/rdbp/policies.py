@@ -64,7 +64,10 @@ def _cumsum_count_rows(ordered: np.ndarray, budgets: np.ndarray, in_place: bool 
 
 
 #: shortest rows counted by _served_prefix and, for wf and sf, by
-#: _selected_count and, for coinflip, by _ranked_count instead of a full sort
+#: _selected_count and, for coinflip, by _ranked_count instead of a full
+#: sort.  At 8192 int64 claims (scripts/count_ns_per_claim.py, 2-vCPU x86
+#: VM) wf, coinflip and fcfs took 5.9, 10.4 and 1.6 ns per claim, against
+#: 10.0, 23.3 and 4.3 for blocks of 1000-claim rows counted whole
 _SELECT_MIN_CLAIMS = 8192
 #: claims per block whose sums _served_prefix accumulates
 _PREFIX_BLOCK = 1024

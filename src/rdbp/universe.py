@@ -72,6 +72,8 @@ CHUNK_CELLS = 1 << 14
 #: golden multiples of the positions 1..CHUNK_CELLS, the most a piece holds
 #: (so CHUNK_CELLS may be lowered, as the tests do, but not raised alone)
 _GOLDEN_K = np.arange(1, CHUNK_CELLS + 1, dtype=np.uint64) * _U64_GOLDEN
+
+
 def _mix(z: int) -> int:
     """Scalar 64-bit finalizer with full avalanche."""
     z &= _MASK64

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import rdbp.cli as cli
+import rdbp.config
 import rdbp.engine
 import rdbp.montecarlo
 import rdbp.universe
@@ -441,6 +442,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: expected ") and bound in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_founders_over_the_claim_cap_name_their_field(self, tmp_path, capsys, monkeypatch, command):
+        # founders are the one generation the claim cap does not bound by
+        # itself: a founder row of the cap's size would take gigabytes, and
+        # its budget could leave int64.  The cap is lowered, so nothing large
+        # is built either way
+        monkeypatch.setattr(rdbp.engine, "CLAIM_CAP", 100)
+        process = {"initial_size": 101, "explosion_cap": 1000}
+        cfg = write_config(tmp_path, {"laws": base_laws(), "policy": "wf", "process": process,
+                                      "checks": ["dominance"]})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: process.initial_size: expected an integer <= 100\n"
+        assert not (tmp_path / "o").exists()
+        process["initial_size"] = 100
+        assert rdbp.config.parse_run_config({"process": process}).process.initial_size == 100
 
     @pytest.mark.parametrize("block, key", [("process", "initial_size"), ("process", "explosion_cap"),
                                             ("mc", "replicates"), ("mc", "horizon")])

@@ -179,6 +179,18 @@ class TestSimulate:
         with pytest.raises(IndexError):
             oracle.size_at(alive, 6)
 
+    def test_founders_over_the_claim_cap_are_refused(self, basic_triple, universe, monkeypatch):
+        # the cap is lowered, so no row of the cap's size is ever built
+        monkeypatch.setattr(rdbp.engine, "CLAIM_CAP", 50)
+        with pytest.raises(ValueError, match="initial_size 51 exceeds the claim cap 50"):
+            ProcessSpec(laws=basic_triple, policy=FcfsPolicy(), initial_size=51)
+        assert ProcessSpec(laws=basic_triple, policy=FcfsPolicy(), initial_size=50).initial_size == 50
+        # a generation stepped from more members than the cap is refused
+        # before anything is read
+        monkeypatch.setattr(ReplicateRows, "offspring_totals", _unread)
+        with pytest.raises(EngineError, match="51 members in generation 3 exceed the claim cap 50"):
+            step(51, universe, 3, FcfsPolicy())
+
     def test_spec_validation(self, basic_triple):
         with pytest.raises(ValueError):
             ProcessSpec(laws=basic_triple, policy=FcfsPolicy(), initial_size=0)

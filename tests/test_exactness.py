@@ -8,7 +8,13 @@ path alike:
 * smallest-first dominance: no policy, built-in or a random ``CustomPolicy``
   order, ever has more members than the coupled smallest-first process;
 * the coupling across founder counts: fcfs and smallest-first sizes never
-  fall as the founder count grows, at any generation.
+  fall as the founder count grows, at any generation.  Largest-first is
+  left out: more founders bring more claims, and a larger one served first
+  can leave fewer children served (exponential claims and uniform
+  resources give such a pair within a few examples).
+
+The lattice itself keeps every value below 2**36 quanta, so the claims of
+``engine.CLAIM_CAP`` = 2**27 members sum below 2**63.
 """
 
 import numpy as np
@@ -101,3 +107,27 @@ def test_coupled_sizes_never_fall_as_the_founder_count_grows(triple, token, seed
                 assert a.sizes[n] <= b.sizes[n], (n, a.sizes, b.sizes)
             if len(b.sizes) < len(a.sizes):
                 assert b.outcome.kind == "exploded"
+
+
+LATTICE_LAWS = [Uniform(0.0, 2.0), Uniform(0.5, 1.5), Exponential(0.1), Exponential(40.0), ScaledBeta(2.0, 3.0, 7.0),
+                ScaledBeta(0.05, 1.0), Constant(1e-3), Constant(0.0), Constant(3.0)]
+
+
+@pytest.mark.parametrize("claim", LATTICE_LAWS, ids=repr)
+@pytest.mark.parametrize("resource", [Constant(1.2), Uniform(0.0, 300.0)], ids=repr)
+def test_every_value_lies_below_two_to_the_36_quanta(claim, resource):
+    laws = LawTriple(OffspringLaw((0.5, 0.5)), claim, resource)
+    scale = 2.0 ** laws.lattice_bits
+    units = np.array([2.0 ** -53, 0.5, 1.0 - 2.0 ** -53])
+    tops = [law.icdf(units)[-1] * scale for law in (claim, resource)]
+    # every value lies below 2**36 quanta, on a lattice at most one power of
+    # two coarser than the finest that keeps it there (the largest draw of
+    # a bounded law lies just below the end of its support)
+    assert max(tops) < 2 ** 36 and (max(tops) >= 2 ** 34 or max(tops) == 0)
+    assert rdbp.engine.CLAIM_CAP * 2 ** 36 <= 2 ** 63
+    # the lattice follows from the laws alone, and the values shown are
+    # exactly their quanta times the quantum
+    assert LawTriple(OffspringLaw((0.2, 0.8)), claim, resource).lattice_bits == laws.lattice_bits
+    universe = Universe(Seed(3), laws)
+    quanta = universe.generation(1).claims(np.zeros(1, dtype=np.intp), 500)[0]
+    assert (universe.claim_row(1, 500) * scale == quanta).all()
