@@ -189,7 +189,7 @@ def _betaincinv(a: float, b: float, u):
     u = 1e-300, whose root is 4.4e-601.  The leading root x0 stands in only
     where the next term of the series, of relative size (b - 1) x0 / (a + 1),
     is at most an ulp; elsewhere betaincinv's value, NaN included, is kept.
-    The kernel's units are at least 2**-54; there only shapes with a below
+    The kernel's units are at least 2**-53; there only shapes with a below
     about 0.05 reach roots under the smallest normal double, so every other
     shape keeps betaincinv's values bit for bit.
     """

@@ -30,7 +30,7 @@ import numpy as np
 
 from .distributions import LawTriple
 from .policies import PriorityPolicy
-from .universe import ReplicateRows, Universe, _row_runs
+from .universe import ReplicateRows, Universe
 
 __all__ = [
     "EngineError",
@@ -61,13 +61,14 @@ BLOCK_CELLS = 1 << 18
 #: policy counts them with are the only blocks that grow with the
 #: population: 2**27 claims take 1 GiB.  Every value a unit gives lies
 #: below 2**36 quanta of its triple's lattice (distributions._VALUE_BITS),
-#: so no claim or budget total of 2**27 members reaches 2**63.  wf adds
-#: boolean probe masks (about 5 bytes a claim); sf adds its negated claims
-#: too (8 bytes), and the counterexample a sorted copy (8 bytes).  coinflip
-#: holds its aux block (8 bytes) and the masks.  So a row at the cap takes
-#: at most 21 bytes a claim (2.6 GiB).  A streamed fcfs row (one longer
-#: than BLOCK_CELLS) holds no claim block, only one piece of the kernel at
-#: a time, but the cap applies to it all the same.  The cap is far below
+#: so no claim or budget total of 2**27 members reaches 2**63.  wf
+#: partitions a copy (8 bytes a claim), sf a copy of its negated claims (16
+#: bytes), and the counterexample sorts a copy (8 bytes).  coinflip holds
+#: its aux block (8 bytes) and, on a long row, up to four boolean masks (5
+#: bytes, measured).  So a row at the cap takes at most 24 bytes a claim
+#: (3 GiB).  A streamed fcfs row (one longer than BLOCK_CELLS) holds no
+#: claim block, only one piece of the kernel at a time, but the cap applies
+#: to it all the same.  The cap is far below
 #: INDEX_CAP, so every claim it admits has an address
 CLAIM_CAP = 1 << 27
 
@@ -170,6 +171,21 @@ def _batches(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
+def _row_runs(counts: np.ndarray, groups: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """``(lo, hi, start, count)`` for each longest run of rows lo..hi-1 of
+    equal counts and equal ``groups``, whose cells are laid back to back
+    from cell ``start``: the run is the C-contiguous block
+    ``cells[start:start + (hi - lo) * count].reshape(hi - lo, count)``."""
+    change = (counts[1:] != counts[:-1]) | (groups[1:] != groups[:-1])
+    edges = [0, *(change.nonzero()[0] + 1).tolist(), len(counts)]
+    runs = []
+    start = 0
+    for lo, hi, count in zip(edges, edges[1:], counts[edges[:-1]].tolist()):
+        runs.append((lo, hi, start, count))
+        start += (hi - lo) * count
+    return runs
+
+
 def step_replicates(
     sizes: np.ndarray, base: Universe, ids: np.ndarray, n: int, policy: PriorityPolicy
 ) -> np.ndarray:
@@ -193,9 +209,9 @@ def _step_rows(
     offspring totals and budgets and prospective children for the claims,
     at most BLOCK_CELLS claim or resource cells at a time.  No row may have
     more members or children than CLAIM_CAP, which keeps its totals within
-    int64.  Rows of one
-    length keep their order, so each run of them with one owner is a
-    C-contiguous block of the claims read, which that policy counts.  A row
+    int64.  Rows of one length keep their order, so each run of them with
+    one owner is a C-contiguous block of the claims read, which that policy
+    counts.  A row
     longer than BLOCK_CELLS whose policy serves in arrival order builds no
     block: ``ReplicateRows.served_in_arrival_order`` counts it as it reads.
     """

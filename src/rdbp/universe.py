@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -172,33 +172,16 @@ def _units(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quanta(values: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """``values`` in quanta, truncated into the int64 ``out``.  The scale is
-    a power of two, so multiplying ``values`` by it in place is exact, and a
-    plain cast then truncates them: 0.75 against 1.06 ns a cell for a
-    multiply that casts into ``out`` (2-vCPU x86 VM)."""
+def _quanta(law, words: np.ndarray, spare: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """The law's values of the units of mixed ``words``, computed over the
+    units in ``spare``, in quanta of 1 / ``scale`` truncated into the int64
+    ``out``.  The scale is a power of two, so the multiply in place is
+    exact, and a plain cast then truncates: 0.75 ns a cell against 1.06 for
+    a multiply that casts into ``out`` (2-vCPU x86 VM)."""
+    values = law.icdf(_units(words, spare), out=spare)
     values *= scale
     np.copyto(out, values, casting="unsafe")
     return out
-
-
-def _row_runs(counts: np.ndarray, groups: Optional[np.ndarray] = None) -> list[tuple[int, int, int, int]]:
-    """``(lo, hi, start, count)`` for each longest run of rows lo..hi-1 of
-    equal counts (and, if given, equal ``groups``), whose cells are laid
-    back to back from cell ``start``: the run is the C-contiguous block
-    ``cells[start:start + (hi - lo) * count].reshape(hi - lo, count)``."""
-    if not len(counts):
-        return []
-    change = counts[1:] != counts[:-1]
-    if groups is not None:
-        change |= groups[1:] != groups[:-1]
-    edges = [0, *(change.nonzero()[0] + 1).tolist(), len(counts)]
-    runs = []
-    start = 0
-    for lo, hi, count in zip(edges, edges[1:], counts[edges[:-1]].tolist()):
-        runs.append((lo, hi, start, count))
-        start += (hi - lo) * count
-    return runs
 
 
 @dataclass(frozen=True)
@@ -327,8 +310,7 @@ class ReplicateRows:
                 if law is None:
                     _units(words, block)
                 else:
-                    units = _units(words, spare.view(np.float64))
-                    _quanta(law.icdf(units, out=units), self._scale, block)
+                    _quanta(law, words, spare.view(np.float64), self._scale, block)
         return cells.reshape(len(rows), int(counts)) if np.ndim(counts) == 0 else cells
 
     def offspring_totals(self, rows: np.ndarray, counts) -> np.ndarray:
@@ -352,11 +334,10 @@ class ReplicateRows:
         law = self._base.laws.resource
         if isinstance(law, Constant):
             return counts * int(law.value * self._scale)
+        # a row of no members adds nothing, and reduceat must not see it
         budgets = np.zeros(len(rows), dtype=np.int64)
         live = np.flatnonzero(counts)
-        if live.size:
-            cells = self._fill(_TAG_RESOURCE, rows, counts, law)
-            budgets[live] = np.add.reduceat(cells, (counts.cumsum() - counts)[live])
+        budgets[live] = np.add.reduceat(self._fill(_TAG_RESOURCE, rows, counts, law), (counts.cumsum() - counts)[live])
         return budgets
 
     def claims(self, rows: np.ndarray, counts) -> np.ndarray:
@@ -375,8 +356,7 @@ class ReplicateRows:
         served, total = 0, 0
         with closing(self._chunks(_TAG_CLAIM, np.array([row]), np.array([count]))) as chunks:
             for *_, words, spare in chunks:
-                units = _units(words, spare.view(np.float64))
-                claims = _quanta(law.icdf(units, out=units), self._scale, words.view(np.int64))
+                claims = _quanta(law, words, spare.view(np.float64), self._scale, words.view(np.int64))
                 after = total + int(claims.sum())
                 if after > budget:
                     return served + _served_prefix(claims, budget - total)
