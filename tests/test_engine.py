@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 import oracle
-from oracle import offspring_row, quantile, reference_count, unit_row
+from oracle import offspring_row, quanta, quantile, reference_count, unit_row
 
 import rdbp.engine
 from rdbp import (
@@ -47,15 +47,14 @@ class TestStep:
         for size in (5, 9, 130):
             for n in range(4):
                 total = int(quantile(laws.offspring, unit_row(universe, _TAG_OFFSPRING, n, size)).sum())
-                budget = float(np.sum(laws.resource.icdf(unit_row(universe, _TAG_RESOURCE, n, size))))
-                claims = laws.claim.icdf(unit_row(universe, _TAG_CLAIM, n, total))
+                budget = quanta(laws, laws.resource.icdf(unit_row(universe, _TAG_RESOURCE, n, size))).sum()
+                claims = quanta(laws, laws.claim.icdf(unit_row(universe, _TAG_CLAIM, n, total)))
                 expected = reference_count("wf", claims, budget) if total else 0
                 assert step(size, universe, n, WeakestFirstPolicy()) == expected
 
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.name)
     def test_matches_the_reference_step(self, universe, policy):
-        # founders of 9 and 130 cross 8 and 128 members, the block edges of
-        # numpy's pairwise summation
+        # rows of none to 130 members, short and long budgets alike
         for size in (0, 1, 5, 9, 130):
             for n in range(4):
                 got = step(size, universe, n, policy)

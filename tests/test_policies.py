@@ -286,7 +286,7 @@ class TestStableOrder:
 
     @pytest.mark.parametrize("shape", [(1, 3000), (1, SELECT_MIN + 3), (64, 64), (3, SELECT_MIN + 3)], ids=str)
     def test_long_rows_count_like_the_stable_policy(self, shape):
-        # rows past the fast sort's limits and the certified counts, some
+        # rows past the fast sort's limits and the long-row counts, some
         # of them tied
         rng = np.random.default_rng(12)
         claims = on_lattice(rng.uniform(0.0, 2.0, shape))

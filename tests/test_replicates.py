@@ -4,8 +4,7 @@
 ``step_replicates`` must reproduce the reference ``simulate`` and ``step``
 of tests/oracle.py bit for bit: the same sizes, outcomes and growth ratios
 for every replicate, whatever the policy or law kinds.  Founder counts of 9 and
-130 make rows cross 8 and 128 members, the block edges of numpy's pairwise
-summation, so a budget summed over a differently shaped row would show.
+130 give rows of many lengths, read together in one pass.
 """
 
 import json
@@ -118,8 +117,8 @@ def test_fast_coinflip_order_matches_the_stable_argsort(initial_size):
 
 @pytest.mark.parametrize("token", POLICY_TOKENS)
 @pytest.mark.parametrize("name", ["uniform-constant", "beta-uniform", "exponential-uniform"])
-def test_certified_counts_run_like_the_reference(monkeypatch, name, token):
-    # rows of 16 claims or more take the certified counts, in blocks of 32
+def test_long_row_counts_run_like_the_reference(monkeypatch, name, token):
+    # rows of 16 claims or more take the long-row counts, in blocks of 32
     # claims and from samples of 8, and every trajectory equals the one
     # counted through the full sort and cumsum
     monkeypatch.setattr(rdbp.policies, "_SELECT_MIN_CLAIMS", 16)
