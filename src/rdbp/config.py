@@ -116,16 +116,22 @@ def _check_name(val: Any, path: str) -> str:
     return val
 
 
-_counts = partial(_list, what="integers >= 1", item=_integer)
+def _founders(val: Any, path: str) -> int:
+    # only the founders can outnumber the claim cap; every later generation
+    # is served children.  The cap is read here, not bound at import
+    return _integer(val, path, most=engine.CLAIM_CAP)
+
+
+_founder_counts = partial(_list, what="integers >= 1", item=_founders)
 
 #: each check's parameters, with the test each value must pass
 _CHECK_PARAMS = {
-    "dominance": {"policy": _policy, "initial_size": _integer},
-    "envelope": {"policy": _policy, "min_size": _integer, "slack": _slack, "initial_size": _integer},
-    "safe_haven": {"initial_sizes": _counts},
-    "superadditivity": {"initial_size": _integer, "n_gens": _integer, "alpha": _level},
+    "dominance": {"policy": _policy, "initial_size": _founders},
+    "envelope": {"policy": _policy, "min_size": _integer, "slack": _slack, "initial_size": _founders},
+    "safe_haven": {"initial_sizes": _founder_counts},
+    "superadditivity": {"initial_size": _founders, "n_gens": _integer, "alpha": _level},
     "counterexample": {"budget": _integer},
-    "sf_probe": {"t_values": _counts, "v_max": _integer},
+    "sf_probe": {"t_values": _founder_counts, "v_max": _integer},
 }
 CHECK_NAMES = tuple(_CHECK_PARAMS)
 
@@ -249,9 +255,7 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
     # both blocks are range-checked here, so their errors name the field
     proc = _as_mapping(data.get("process", {}), "process")
     _reject_unknown(proc, "process", ("initial_size", "horizon", "explosion_cap"))
-    # only the founders can outnumber the claim cap; every later generation
-    # is served children
-    initial_size = _field(proc, "process", "initial_size", partial(_integer, most=engine.CLAIM_CAP), 1)
+    initial_size = _field(proc, "process", "initial_size", _founders, 1)
     process = ProcessParams(
         initial_size=initial_size,
         horizon=_field(proc, "process", "horizon", _integer, HORIZON_DEFAULT),

@@ -459,6 +459,30 @@ class TestErrorPaths:
         process["initial_size"] = 100
         assert rdbp.config.parse_run_config({"process": process}).process.initial_size == 100
 
+    @pytest.mark.parametrize(
+        "check, key, value, path",
+        [
+            # each used to parse and fail at run time (exit 3), naming no field
+            ("dominance", "initial_size", 101, "check_params.dominance.initial_size"),
+            ("envelope", "initial_size", 101, "check_params.envelope.initial_size"),
+            ("superadditivity", "initial_size", 101, "check_params.superadditivity.initial_size"),
+            ("safe_haven", "initial_sizes", [1, 101], "check_params.safe_haven.initial_sizes[1]"),
+            ("sf_probe", "t_values", [101], "check_params.sf_probe.t_values[0]"),
+        ],
+    )
+    def test_check_founders_over_the_claim_cap_name_their_field(self, tmp_path, capsys, monkeypatch, check, key,
+                                                                 value, path):
+        # a check's founder counts are bounded like process.initial_size,
+        # under mc.explosion_cap = 1000
+        monkeypatch.setattr(rdbp.engine, "CLAIM_CAP", 100)
+        cfg = verify_config(tmp_path, [check], {check: {key: value}})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: expected an integer <= 100\n"
+        assert not (tmp_path / "o").exists()
+        at_cap = [100] if isinstance(value, list) else 100
+        assert rdbp.config.parse_run_config({"check_params": {check: {key: at_cap}}}).check_params[check][key] \
+            in (100, (100,))
+
     @pytest.mark.parametrize("block, key", [("process", "initial_size"), ("process", "explosion_cap"),
                                             ("mc", "replicates"), ("mc", "horizon")])
     def test_wrong_type_names_its_field_once(self, tmp_path, capsys, block, key):
