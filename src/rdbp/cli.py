@@ -147,9 +147,6 @@ def _cmd_curve(cfg: RunConfig, args) -> int:
     return 0
 
 
-#: the checks that verify runs in one coupled pass
-_COUPLED = ("dominance", "safe_haven", "envelope")
-
 #: each check verify runs: a call of its function with mc and workers
 #: (through this module's name for it, so a wrapper set on that name sees
 #: the call), its verdict on the result, and the default of each param
@@ -201,14 +198,13 @@ def _entry(name: str, args: dict, result) -> dict:
 def _check_runs(calls: dict, mc, threads: int) -> dict:
     """Each check's run: a function that returns (or raises) its result.
 
-    dominance, safe_haven and envelope step their specs in one pass.  If
-    that pass fails, each reruns alone through its own function, so one
+    The checks that ``run_coupled`` couples step their specs in one pass.
+    If that pass fails, each reruns alone through its own function, so one
     failing check keeps the others' results.
     """
     runs = {name: partial(_CHECKS[name][0], mc, threads, **args) for name, args in calls.items()}
-    coupled = [(name, args) for name, args in calls.items() if name in _COUPLED]
     try:
-        runs.update(zip((name for name, _ in coupled), run_coupled(coupled, mc, threads) if coupled else []))
+        runs.update(run_coupled(calls, mc, threads))
     except _RUNTIME_ERRORS:
         pass  # each coupled check keeps its run alone
     return runs

@@ -116,6 +116,14 @@ def _check_name(val: Any, path: str) -> str:
     return val
 
 
+def _check_names(val: Any, path: str) -> tuple[str, ...]:
+    names = _list(val, path, "check names", _check_name)
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"{path}[{i}]: check {name!r} is listed twice")
+    return names
+
+
 def _founders(val: Any, path: str) -> int:
     # only the founders can outnumber the claim cap; every later generation
     # is served children.  The cap is read here, not bound at import
@@ -274,7 +282,7 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
     )
 
     m_grid = _list(data["m_grid"], "config.m_grid", "numbers", _mean) if "m_grid" in data else None
-    checks = _list(data["checks"], "config.checks", "check names", _check_name) if "checks" in data else None
+    checks = _check_names(data["checks"], "config.checks") if "checks" in data else None
 
     check_params = {}
     for name, params in _as_mapping(data.get("check_params", {}), "check_params").items():

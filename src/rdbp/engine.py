@@ -143,17 +143,9 @@ def simulate(spec: ProcessSpec, universe: Universe) -> Trajectory:
     if spec.laws != universe.laws:
         raise EngineError("spec and universe disagree on the law triple")
     sizes = [spec.initial_size]
-    outcome = Outcome("alive_at_horizon")
-    for n in range(spec.horizon):
-        nxt = step(sizes[-1], universe, n, spec.policy)
-        sizes.append(nxt)
-        if nxt == 0:
-            outcome = Outcome("extinct", n + 1)
-            break
-        if nxt >= spec.explosion_cap:
-            outcome = Outcome("exploded", n + 1)
-            break
-    return Trajectory(sizes, outcome)
+    while len(sizes) <= spec.horizon and 0 < sizes[-1] < spec.explosion_cap:
+        sizes.append(step(sizes[-1], universe, len(sizes) - 1, spec.policy))
+    return _trajectories(np.array([[sizes]]), spec.explosion_cap)[0][0]
 
 
 def _batches(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -251,7 +243,7 @@ def _step_rows(
         claims = rows.claims(block, lengths)
         aux = None
         if with_aux is not None:
-            # the deviates of the rows that need them, back to back in the
+            # the aux words of the rows that need them, back to back in the
             # order of their runs
             aux_rows = with_aux[mine]
             aux = rows.aux(block[aux_rows], lengths[aux_rows])

@@ -467,12 +467,15 @@ def _envelope(policy, triple: LawTriple, mc: McConfig, min_size: int, slack: flo
 _COUPLED = {"dominance": _dominance, "safe_haven": _safe_haven, "envelope": _envelope}
 
 
-def run_coupled(calls: Sequence[tuple[str, dict]], mc: McConfig, workers: int = 1) -> list[Callable[[], Any]]:
-    """Checks run in one pass that steps each distinct spec once.  Each call
-    names ``dominance``, ``safe_haven`` or ``envelope`` and gives the
-    arguments of its function but ``mc`` and ``workers``.  Returns, for each,
-    a function that returns (or raises) what that check's function would."""
-    return _run_checks([_COUPLED[name](mc=mc, **args) for name, args in calls], mc, workers)
+def run_coupled(calls: dict[str, dict], mc: McConfig, workers: int = 1) -> dict[str, Callable[[], Any]]:
+    """The calls of ``dominance``, ``safe_haven`` and ``envelope`` among
+    ``calls`` (each check's arguments but ``mc`` and ``workers``, by name)
+    run in one pass that steps each distinct spec once.  Returns, by name,
+    a function for each that returns (or raises) what its function would."""
+    coupled = [name for name in calls if name in _COUPLED]
+    if not coupled:
+        return {}
+    return dict(zip(coupled, _run_checks([_COUPLED[name](mc=mc, **calls[name]) for name in coupled], mc, workers)))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ claim total stays within that generation's resource budget.  Claims and
 budgets are int64 multiples of the law triple's quantum
 (``LawTriple.quantum``), so every total is exact, whatever order it is
 summed in.  ``count_rows`` counts the admitted children of every row of a
-2-D claim block, one replicate per row, in one pass.  Ties rank by arrival
-order (the orders are those of stable sorts; coinflip reaches its own
-through the faster default sort and a tie check), and the admitted count is
-zero whenever the first-ranked claim already exceeds the budget.  A
+2-D claim block, one replicate per row, in one pass.  Tied claims rank by
+arrival order (the orders are those of stable sorts); coinflip ranks aux
+words, which never tie within a row.  The admitted count is zero whenever
+the first-ranked claim already exceeds the budget.  A
 ``CustomPolicy`` gives its order as a permutation of each row's claim
 values.
 
@@ -19,11 +19,10 @@ totals of claim blocks, then the ``cumsum`` of the one block where the
 budget is crossed (``_served_prefix``).  wf, sf and coinflip rows are not
 sorted either.  For wf and sf, two partitions cut a window of ranks around
 the estimated crossing, and only the window is sorted
-(``_selected_count``).  For coinflip, probes at sampled deviates bracket
-the crossing, each with one compare and one masked sum, and only the
-deviates between the two bracketing thresholds are ranked
-(``_ranked_count``).  Every total is exact, so none of these counts needs
-a fallback.
+(``_selected_count``).  For coinflip, probes at sampled aux words bracket
+the crossing, each with one compare and one masked sum, and only the words
+between the two bracketing thresholds are ranked (``_ranked_count``).
+Every total is exact, so none of these counts needs a fallback.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ _SELECT_MIN_CLAIMS = 8192
 #: claims per block whose sums _served_prefix accumulates
 _PREFIX_BLOCK = 1024
 #: sampled claims from which _selected_count estimates the crossing rank;
-#: _ranked_count samples four times as many deviates
+#: _ranked_count samples four times as many aux words
 _SAMPLE = 512
 #: _ranked_count stops probing once the bracket spans at most this share
 #: of its sample (1/32: about 2 probes and a window of 3 % of the row), or
@@ -179,12 +178,12 @@ def _sorted_count_rows(claims: np.ndarray, budgets: np.ndarray, descending: bool
     return _long_rows(lambda row, budget: _selected_count(row, budget, descending), short, claims, budgets)
 
 
-#: smallest rows and blocks that _stable_order gives to the default argsort:
-#: below them the stable sort costs no more than the default sort plus its
-#: tie check (measured on rows of 2-12 deviates, and blocks under 1024 cells
-#: spend most of their time in call overhead)
-_FAST_ORDER_MIN_ROW = 16
-_FAST_ORDER_MIN_CELLS = 1024
+#: shortest rows of aux words that _word_counts ranks by the default argsort
+#: rather than the stable one.  Words never tie within a row, so both give
+#: the same order, and the kind only sets the speed: the stable and the
+#: default sort took 7 and 13 ns a word on (2000, 3) blocks, 35 and 10 on
+#: (1000, 200), and 59 and 13 on (64, 4096) (2-vCPU x86 VM)
+_DEFAULT_SORT_MIN_ROW = 16
 
 
 def _flat_positions(order: np.ndarray) -> np.ndarray:
@@ -203,42 +202,19 @@ def _flat_positions(order: np.ndarray) -> np.ndarray:
     return order
 
 
-def _stable_order(aux: np.ndarray) -> np.ndarray:
-    """Exactly ``np.argsort(aux, axis=1, kind="stable")`` of an (m, t)
-    block, as positions in the flattened block (``_flat_positions``),
-    mostly from the vectorised default argsort.
-
-    A row whose ranked deviates strictly increase has only one sorting
-    order, so the default sort found the stable one.  Equal deviates
-    (``0.0`` and ``-0.0`` included) may come out in either order, and a NaN
-    compares false, so only rows holding such a pair are sorted again stably.
-    """
-    t = aux.shape[1]
-    if t < _FAST_ORDER_MIN_ROW or aux.size < _FAST_ORDER_MIN_CELLS:
-        return _flat_positions(np.argsort(aux, axis=1, kind="stable"))
-    order = _flat_positions(np.argsort(aux, axis=1))
-    ranked = aux.reshape(-1)[order]
-    unsure = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-    if unsure.any():
-        again = np.argsort(aux[unsure], axis=1, kind="stable")
-        again += (np.flatnonzero(unsure) * t)[:, None]
-        order[unsure] = again
-    return order
-
-
 def _ranked_count(claims: np.ndarray, budget: int, aux: np.ndarray) -> int:
-    """Served count of one long row in the stable order of its aux deviates
+    """Served count of one long row in the ascending order of its aux words
     without sorting the row.
 
-    The claims ranked ahead of a threshold deviate are exactly those whose
-    deviate lies below it, so one compare and one masked sum give the total
+    The claims ranked ahead of a threshold word are exactly those whose
+    word lies below it, so one compare and one masked sum give the total
     of a prefix of the order.  The sum is an ``einsum`` of the claims and
     the mask, which casts the mask in small buffers and, unlike ``np.dot``,
     wakes no BLAS threads.  Thresholds come from a sorted strided sample of
-    the deviates.  Each probe lands two standard deviations of the sample's
+    the words.  Each probe lands two standard deviations of the sample's
     order statistics from the interpolated crossing, toward the farther end
     of the bracket, so the first two usually close it.  Then only the
-    deviates between the two bracketing thresholds are ranked, and their
+    words between the two bracketing thresholds are ranked, and their
     claims' running totals are counted against what the claims below left
     of the budget.
     """
@@ -246,7 +222,7 @@ def _ranked_count(claims: np.ndarray, budget: int, aux: np.ndarray) -> int:
     total = int(claims.sum())
     if total <= budget:  # every claim fits, in any order
         return t
-    sample = np.unique(aux[::max(t // (4 * _SAMPLE), 1)])
+    sample = np.sort(aux[::max(t // (4 * _SAMPLE), 1)])
     # thresholds sample[lo] < sample[hi] have prefix totals s_lo <= budget <
     # s_hi; lo = -1 stands for no claim, hi = sample.size for every claim
     lo, hi, s_lo, s_hi = -1, sample.size, 0, total
@@ -275,15 +251,16 @@ def _ranked_count(claims: np.ndarray, budget: int, aux: np.ndarray) -> int:
     if below_hi is not None:
         inside &= below_hi
     at = np.flatnonzero(inside)
-    window = claims[at[_stable_order(aux[at][None])[0]]]
+    window = claims[at[np.argsort(aux[at])]]
     ahead = 0 if below_lo is None else int(np.count_nonzero(below_lo))
     return ahead + int(window.cumsum().searchsorted(budget - s_lo, "right"))
 
 
-def _stable_counts(claims: np.ndarray, budgets: np.ndarray, aux: np.ndarray) -> np.ndarray:
-    """Served counts of a claim block in the stable order of its aux
-    deviates: the whole block ranked, then counted by _prefix_count_rows."""
-    return _prefix_count_rows(claims.reshape(-1)[_stable_order(aux)], budgets, in_place=True)
+def _word_counts(claims: np.ndarray, budgets: np.ndarray, aux: np.ndarray) -> np.ndarray:
+    """Served counts of a claim block in the ascending order of its aux
+    words: the whole block ranked, then counted by _prefix_count_rows."""
+    order = np.argsort(aux, axis=1, kind="stable" if aux.shape[1] < _DEFAULT_SORT_MIN_ROW else None)
+    return _prefix_count_rows(claims.reshape(-1)[_flat_positions(order)], budgets, in_place=True)
 
 
 def _third_largest_first(descending: np.ndarray) -> np.ndarray:
@@ -360,19 +337,21 @@ class CoinFlipPolicy(PriorityPolicy):
     """Uniformly random service order, drawn from the universe's auxiliary
     stream so it is independent of the claims themselves.
 
-    The order is the stable argsort of the deviates.  A long row is counted
-    by ``_ranked_count``, which ranks only the deviates around the crossing;
-    every short block is ranked whole by ``_stable_order`` and counted by
-    ``_prefix_count_rows``.
+    Claims are served in ascending order of their aux words.  A long row is
+    counted by ``_ranked_count``, which ranks only the words around the
+    crossing; every short block is ranked whole by ``_word_counts``.
     """
 
     name = "coinflip"
     needs_aux = True
 
     def count_rows(self, claims, budgets, aux=None, quantum=1.0):
-        if aux is None or aux.shape != claims.shape:
-            raise ValueError("coinflip policy needs auxiliary deviates (one per claim)")
-        return _long_rows(_ranked_count, _stable_counts, claims, budgets, aux)
+        """Served counts in the order of ``aux``, uint64 words distinct
+        within each row, as ``ReplicateRows.aux`` reads them; float units
+        could tie, and a tie has no defined rank, so they are refused."""
+        if aux is None or aux.shape != claims.shape or aux.dtype.type is not np.uint64:
+            raise ValueError("coinflip policy needs one uint64 auxiliary word per claim")
+        return _long_rows(_ranked_count, _word_counts, claims, budgets, aux)
 
 
 class ThirdLargestFirstPolicy(PriorityPolicy):

@@ -1,7 +1,7 @@
 """Addressed randomness: every sample has a coordinate, none are streamed.
 
 A universe is a virtual table of offspring counts, claims, resources, and
-auxiliary deviates, indexed by (array, generation n, position k).  Each cell
+auxiliary words, indexed by (array, generation n, position k).  Each cell
 is a pure hash of (seed, replicate_id, array, n, k), so reads are order
 independent and re-reads always agree.  Two processes simulated against the
 same universe automatically see the same arrays cell for cell, which is what
@@ -12,22 +12,21 @@ avalanche), with n and k each limited to 32 bits.  Statistical quality is
 enforced by fixed-seed chi-square and Kolmogorov-Smirnov checks in the test
 suite.
 
-One kernel hashes every cell.  A reader lays its rows back to back, and
-the kernel hashes that layout in pieces of at most CHUNK_CELLS cells (as
-many whole rows as fit, or a slice of one longer row), each computed in
-place in buffers that every piece reuses, so the temporaries stay in cache
-however long or short the rows are and a law is applied once per piece.
-Aux units are written straight into the reader's block.  A claim or
+One kernel hashes every cell.  A reader lays its rows back to back, and the
+kernel hashes that layout in pieces of at most CHUNK_CELLS cells (as many
+whole rows as fit, or a slice of one longer row), each computed in place in
+buffers that every piece reuses, so the temporaries stay in cache however
+long or short the rows are and a law is applied once per piece.  Aux cells
+are the mixed words themselves, copied into the reader's block.  A claim or
 resource piece's units are written into the kernel's spare buffer,
-``law.icdf(u, out=u)`` overwrites them with the law's values, and those
-are written, in quanta of the triple's lattice (``LawTriple.quantum``),
-into the reader's int64 block.  The readers reduce what they can while
-hashing: offspring are counted straight from the hashed words, so neither
-their units nor their counts are built, and a constant law needs no
-hashing at all (a constant budget is the count times the constant).  A row
-served in arrival order builds no row either: it is counted piece by
-piece, and no claim past the piece where its total leaves the budget is
-hashed.
+``law.icdf(u, out=u)`` overwrites them with the law's values, and those are
+written, in quanta of the triple's lattice (``LawTriple.quantum``), into
+the reader's int64 block.  The readers reduce what they can while hashing:
+offspring are counted straight from the hashed words, so neither their
+units nor their counts are built, and a constant law needs no hashing at
+all (a constant budget is the count times the constant).  A row served in
+arrival order builds no row either: it is counted piece by piece, and no
+claim past the piece where its total leaves the budget is hashed.
 """
 
 from __future__ import annotations
@@ -268,8 +267,8 @@ class ReplicateRows:
     the kernel's buffers, and a law is applied once per piece.  Offspring
     are counted straight from the hashed words and summed per row across
     pieces; claims and resources fill one flat int64 array of quanta, and
-    aux deviates one float array of units.  With one count for all rows,
-    claims and aux deviates come as that ``(len(rows), count)`` block.  A
+    aux cells one uint64 array of words.  With one count for all rows,
+    claims and aux words come as that ``(len(rows), count)`` block.  A
     row served in arrival order can instead be counted as its claims are
     hashed (``served_in_arrival_order``), and builds no block.
     """
@@ -293,22 +292,22 @@ class ReplicateRows:
         return _word_chunks(keys[rows], counts)
 
     def _fill(self, tag: int, rows: np.ndarray, counts, law=None) -> np.ndarray:
-        """The cells of the rows back to back: units, or with a law its
-        values in int64 quanta; the ``(len(rows), count)`` block for one
-        count.  Units are written straight into the block, or for a law
-        into the kernel's spare buffer, where its values overwrite them, and
-        ``_quanta`` writes the block from there.  ``icdf`` acts element by
-        element, so applying it piece by piece changes no bit; a constant
-        law needs no units at all."""
+        """The cells of the rows back to back: mixed words, or with a law
+        its values in int64 quanta; the ``(len(rows), count)`` block for
+        one count.  Words are copied straight into the block.  A law's
+        units are written into the kernel's spare buffer, where its values
+        overwrite them, and ``_quanta`` writes the block from there.
+        ``icdf`` acts element by element, so applying it piece by piece
+        changes no bit; a constant law needs no units at all."""
         flat = _as_counts(rows, counts)
-        cells = np.empty(int(flat.sum()), dtype=np.float64 if law is None else np.int64)
+        cells = np.empty(int(flat.sum()), dtype=np.uint64 if law is None else np.int64)
         if isinstance(law, Constant):
             cells.fill(int(law.value * self._scale))
         else:
             for start, _, _, words, spare in self._chunks(tag, rows, flat):
                 block = cells[start:start + len(words)]
                 if law is None:
-                    _units(words, block)
+                    block[...] = words
                 else:
                     _quanta(law, words, spare.view(np.float64), self._scale, block)
         return cells.reshape(len(rows), int(counts)) if np.ndim(counts) == 0 else cells
@@ -364,7 +363,10 @@ class ReplicateRows:
         return served
 
     def aux(self, rows: np.ndarray, counts) -> np.ndarray:
-        """Claim-independent uniforms, used by randomising policies."""
+        """Claim-independent uint64 words, which randomising policies rank.
+        Word k of a row is ``_mix(key ^ (k * G mod 2**64))``, and each step
+        from k to it can be undone (G and the multipliers of ``_mix`` are
+        odd), so the words of a row are pairwise distinct."""
         return self._fill(_TAG_AUX, rows, counts)
 
 

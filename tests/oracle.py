@@ -3,15 +3,16 @@ engine, for tests only.
 
 The scalar readers hash one cell at a time with the pure-Python ``_mix``,
 independently of the vectorised kernel, so a wrong shift or constant in the
-kernel shows up as a disagreement.  The ``*_row`` readers materialise whole
-rows through the kernel, ``quantile`` turns offspring units into counts, and
-``quanta`` puts claim and resource values on the triple's lattice; the
-engine itself only ever reads their sums.  ``StableCoinFlipPolicy``
-ranks the aux deviates with the plain stable argsort, against which the
-policy's fast exact order is checked.  ``reference_count`` and
-``ReferencePolicy`` count the served prefix of each built-in policy from
-stable argsorts and the full running totals, against which the long-row
-counts are checked.  ``step``, ``simulate`` and
+kernel shows up as a disagreement.  ``units`` turns words into units as the
+kernel does.  The ``*_row`` readers materialise whole rows through the
+kernel, ``quantile`` turns offspring units into counts, and ``quanta`` puts
+claim and resource values on the triple's lattice; the engine itself only
+ever reads their sums.  ``distinct_words`` makes rows of aux words for
+coinflip, distinct within each row as the kernel's are.
+``reference_count`` and ``ReferencePolicy`` count the served prefix of
+each built-in policy from stable argsorts (of the aux words, for coinflip)
+and the full running totals, against which the policies' counts are
+checked.  ``step``, ``simulate`` and
 ``simulate_coupled`` run one replicate from those rows and counts alone,
 against which the engine's one batched pass is checked.  ``count`` is the
 served count of one int64 claim row through a policy's ``count_rows``,
@@ -32,7 +33,7 @@ import numpy as np
 
 from rdbp.criteria import ConvergenceError
 from rdbp.engine import EngineError, Outcome, Trajectory
-from rdbp.policies import CoinFlipPolicy, CustomPolicy, PriorityPolicy
+from rdbp.policies import CustomPolicy, PriorityPolicy
 from rdbp.universe import (
     _GOLDEN,
     _MASK64,
@@ -42,6 +43,7 @@ from rdbp.universe import (
     _TAG_RESOURCE,
     INDEX_CAP,
     _mix,
+    _mix_in_place,
 )
 
 FIRST_ROW = np.zeros(1, dtype=np.intp)
@@ -55,10 +57,21 @@ def row_key(universe, tag, n):
     return _mix(h + _GOLDEN * n)
 
 
+def word_at_key(key, k):
+    """Word of the cell at position k of the row with this key."""
+    return _mix(((k * _GOLDEN) & _MASK64) ^ key)
+
+
 def word_unit(key, k):
     """Unit of the cell at position k of the row with this key."""
-    word = _mix(((k * _GOLDEN) & _MASK64) ^ key)
-    return ((word >> 11) | 1) * 2.0 ** -53
+    return ((word_at_key(key, k) >> 11) | 1) * 2.0 ** -53
+
+
+def units(words):
+    """The unit of each word: its top 52 bits centred in their interval of
+    width 2**-52, exact in float64."""
+    words = np.asarray(words, dtype=np.uint64)
+    return ((words >> np.uint64(11)) | np.uint64(1)).astype(np.float64) * 2.0 ** -53
 
 
 def unit_at(universe, tag, n, k):
@@ -67,9 +80,13 @@ def unit_at(universe, tag, n, k):
     return word_unit(row_key(universe, tag, n), k)
 
 
-def unit_row(universe, tag, n, count):
+def word_row(universe, tag, n, count):
     key = row_key(universe, tag, n)
-    return np.array([word_unit(key, k) for k in range(1, count + 1)], dtype=np.float64)
+    return np.array([word_at_key(key, k) for k in range(1, count + 1)], dtype=np.uint64)
+
+
+def unit_row(universe, tag, n, count):
+    return units(word_row(universe, tag, n, count))
 
 
 def cumulative(law):
@@ -145,9 +162,14 @@ def resource_at(universe, n, k):
     return int(quanta(laws, laws.resource.icdf(np.array([unit_at(universe, _TAG_RESOURCE, n, k)])))[0])
 
 
-def kernel_units(universe, tag, n, count):
-    """Units of k = 1..count of one row, through the vectorised kernel."""
+def kernel_words(universe, tag, n, count):
+    """Words of k = 1..count of one row, through the vectorised kernel."""
     return universe.generation(n)._fill(tag, FIRST_ROW, count)[0]
+
+
+def kernel_units(universe, tag, n, count):
+    """Units of k = 1..count of one row, from the kernel's words."""
+    return units(kernel_words(universe, tag, n, count))
 
 
 def offspring_row(universe, n, count):
@@ -166,17 +188,17 @@ def resource_row(universe, n, count):
 
 
 def aux_row(universe, n, count):
-    return kernel_units(universe, _TAG_AUX, n, count)
+    """Aux words of one row, as ``ReplicateRows.aux`` reads them."""
+    return kernel_words(universe, _TAG_AUX, n, count)
 
 
-class StableCoinFlipPolicy(CoinFlipPolicy):
-    """``coinflip`` through ``np.argsort(aux, kind="stable")`` alone, with
-    blocks counted row by row."""
-
-    def permutation(self, claims, aux=None):
-        return np.argsort(np.asarray(aux, dtype=np.float64), kind="stable")
-
-    count_rows = PriorityPolicy.count_rows
+def distinct_words(rng, shape):
+    """Random uint64 words of ``shape``, distinct along its last axis: the
+    mixed words of positions 1, 2, ... of a random key per row, as the
+    kernel builds a row."""
+    keys = rng.integers(0, 2 ** 64, size=(*shape[:-1], 1), dtype=np.uint64)
+    words = (np.arange(1, shape[-1] + 1, dtype=np.uint64) * np.uint64(_GOLDEN)) ^ keys
+    return _mix_in_place(words, np.empty_like(words))
 
 
 def reference_order(token, claims, aux=None):
@@ -187,7 +209,7 @@ def reference_order(token, claims, aux=None):
     if token == "wf":
         return claims[np.argsort(claims, kind="stable")]
     if token == "coinflip":
-        return claims[np.argsort(np.asarray(aux, dtype=np.float64), kind="stable")]
+        return claims[np.argsort(aux, kind="stable")]
     descending = claims[np.argsort(-claims, kind="stable")]
     if token == "counterexample" and descending.size >= 3:
         # the third largest, then the largest two, then the rest
@@ -222,7 +244,7 @@ def count(policy, claims, budget, aux=None):
     """Served count of one row of int64 claims against an int64 budget:
     ``policy.count_rows`` on a one-row block."""
     claims = np.asarray(claims, dtype=np.int64)[None]
-    aux = None if aux is None else np.asarray(aux, dtype=np.float64)[None]
+    aux = None if aux is None else np.asarray(aux)[None]
     return int(policy.count_rows(claims, np.array([budget], dtype=np.int64), aux)[0])
 
 

@@ -303,7 +303,8 @@ def _subset_best_count(claims: np.ndarray, budget: int) -> int:
 
 
 def _policy_counts(claims: np.ndarray, budget: int, rng: np.random.Generator):
-    aux = rng.random(len(claims))
+    # the ranks of U(0, 1) deviates: distinct aux words in a random order
+    aux = rng.random(len(claims)).argsort(kind="stable").argsort().astype(np.uint64)
     perm = rng.permutation(len(claims))
     custom = CustomPolicy(lambda c, p=perm: p[: len(c)] if len(c) == len(p) else np.arange(len(c)))
     return [

@@ -379,6 +379,18 @@ class TestErrorPaths:
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "checks[1]" in capsys.readouterr().err
 
+    def test_repeated_check_name(self, tmp_path, capsys):
+        # a repeated check would run twice and print its line twice, but
+        # keep one entry in verify.json
+        checks = ["superadditivity", "superadditivity", "dominance", "dominance"]
+        cfg = write_config(tmp_path, {"laws": base_laws(), "checks": checks})
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "config.checks[1]: check 'superadditivity' is listed twice" in captured.err
+        assert "check=" not in captured.out
+        assert not out.exists()
+
     def test_unknown_check_param(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

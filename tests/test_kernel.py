@@ -11,10 +11,27 @@ as the float comparison of its unit does.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from oracle import cumulative, cuts, kernel_units, quanta, quantile, resource_row, row_totals, unit_row, word_unit
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracle import (
+    cumulative,
+    cuts,
+    kernel_units,
+    quanta,
+    quantile,
+    resource_row,
+    row_key,
+    row_totals,
+    unit_row,
+    units,
+    word_at_key,
+    word_row,
+    word_unit,
+)
 
 import rdbp.universe
 from rdbp import (
@@ -73,8 +90,46 @@ def test_short_rows_across_a_piece_boundary(count):
     block = rows.aux(np.arange(len(ids)), count)
     assert block.shape[0] * count > CHUNK
     for i in (0, len(ids) // 2, len(ids) - 1, *range(CHUNK // count - 1, CHUNK // count + 2)):
-        want = unit_row(Universe(Seed(3), TRIPLE, int(ids[i])), _TAG_AUX, 4, count)
+        want = word_row(Universe(Seed(3), TRIPLE, int(ids[i])), _TAG_AUX, 4, count)
         np.testing.assert_array_equal(block[i], want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    layout=st.sampled_from(["equal-counts", "ragged", "sliced-row"]),
+    seed=st.integers(0, 2 ** 64 - 1),
+    n=st.integers(0, INDEX_CAP),
+    first=st.integers(0, 10 ** 9),
+    data=st.data(),
+)
+@example(layout="equal-counts", seed=0, n=0, first=0, data=None)
+@example(layout="ragged", seed=0, n=0, first=0, data=None)
+@example(layout="sliced-row", seed=0, n=0, first=0, data=None)
+def test_aux_words_are_distinct_within_every_row(layout, seed, n, first, data):
+    """Every row of ``ReplicateRows.aux`` holds pairwise distinct words, each
+    the scalar oracle's word of its position, in pieces of 8 cells: a block
+    of rows of one count, ragged rows, and one row longer than a piece."""
+    def draw(strategy, fixed):
+        return fixed if data is None else data.draw(strategy)
+
+    if layout == "equal-counts":
+        m, counts = draw(st.integers(1, 6), 3), draw(st.integers(1, 8), 5)
+    elif layout == "ragged":
+        counts = np.array(draw(st.lists(st.integers(0, 7), min_size=2, max_size=8), [3, 1, 0, 7, 2]))
+        m = len(counts)
+    else:
+        m, counts = 1, np.array([draw(st.integers(9, 60), 30)])
+    base = Universe(Seed(seed), TRIPLE)
+    ids = first + np.arange(m)
+    with mock.patch.object(rdbp.universe, "CHUNK_CELLS", 8):
+        got = ReplicateRows(base, ids, n).aux(np.arange(m), counts)
+    assert got.dtype == np.uint64
+    flat = np.broadcast_to(counts, (m,))
+    rows = got if np.ndim(counts) == 0 else np.split(got, np.cumsum(flat)[:-1])
+    for i, (row, count) in enumerate(zip(rows, flat.tolist())):
+        assert np.unique(row).size == row.size == count
+        key = row_key(base.derive_replicate(int(ids[i])), _TAG_AUX, n)
+        assert row.tolist() == [word_at_key(key, k) for k in range(1, count + 1)]
 
 
 def test_every_cut_of_a_block_with_tiny_pieces(monkeypatch):
@@ -287,7 +342,7 @@ def test_laws_write_in_place_what_they_return(law):
 
 @pytest.mark.parametrize("law", IN_PLACE_LAWS.values(), ids=IN_PLACE_LAWS.keys())
 def test_readers_match_the_laws_on_units_built_whole(monkeypatch, law):
-    """Claims, aux deviates and budgets read piece by piece, each piece's
+    """Claims, aux words and budgets read piece by piece, each piece's
     values written over its units and then in quanta into the block,
     against the quanta of ``law.icdf`` of whole rows of units hashed one
     cell at a time.  The first cell of each row has one of
@@ -297,13 +352,17 @@ def test_readers_match_the_laws_on_units_built_whole(monkeypatch, law):
     monkeypatch.setattr(rdbp.universe, "_row_keys", lambda base, tag, ids, n: keys[ids])
     counts = np.array([1, 5, 9, 20, 3])
     rows = np.arange(len(keys))
-    units = [np.array([word_unit(int(key), k) for k in range(1, c + 1)]) for key, c in zip(keys, counts)]
-    assert [u[0] for u in units] == _unit_of(EXTREME_WORDS).tolist()
+    words = [np.array([word_at_key(int(key), k) for k in range(1, c + 1)], dtype=np.uint64)
+             for key, c in zip(keys, counts)]
+    assert [int(w[0]) for w in words] == EXTREME_WORDS
+    rows_units = [units(w) for w in words]
+    assert [u[0] for u in rows_units] == _unit_of(EXTREME_WORDS).tolist()
+    assert [u[1] for u in rows_units[1:]] == [word_unit(int(key), 2) for key in keys[1:]]
     triple = LawTriple(OffspringLaw((0.5, 0.5)), law, law)
     reader = ReplicateRows(Universe(Seed(1), triple), rows, 0)
-    want = [quanta(triple, law.icdf(u)) for u in units]
+    want = [quanta(triple, law.icdf(u)) for u in rows_units]
     assert reader.claims(rows, counts).tobytes() == np.concatenate(want).tobytes()
     # one count for all rows: the (rows, count) block
     assert reader.claims(rows[1:], 3).tobytes() == np.concatenate([row[:3] for row in want[1:]]).tobytes()
-    assert reader.aux(rows, counts).tobytes() == np.concatenate(units).tobytes()
+    assert reader.aux(rows, counts).tobytes() == np.concatenate(words).tobytes()
     assert reader.budgets(rows, counts).tobytes() == np.array([row.sum() for row in want]).tobytes()

@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 from unittest import mock
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rdbp.policies
 from rdbp import (
@@ -18,10 +18,10 @@ from rdbp import (
     count_sf,
     policy_from_token,
 )
-from rdbp.policies import POLICY_TOKENS, _stable_order
+from rdbp.policies import POLICY_TOKENS
 
 from conftest import WORKED_BUDGET, WORKED_CLAIMS
-from oracle import StableCoinFlipPolicy, count, on_lattice, reference_count, reference_order
+from oracle import count, distinct_words, on_lattice, reference_count, reference_order
 
 FCFS, WF, SF = FcfsPolicy(), WeakestFirstPolicy(), StrongestFirstPolicy()
 SELECT_MIN = rdbp.policies._SELECT_MIN_CLAIMS
@@ -150,151 +150,93 @@ class TestProperties:
 class TestCoinFlip:
     def test_uses_aux_ranks(self):
         claims = np.array([40, 10, 20])
-        aux = np.array([0.9, 0.2, 0.5])
-        np.testing.assert_array_equal(_stable_order(aux[None]), [[1, 2, 0]])
+        aux = np.array([9, 2, 5], dtype=np.uint64)
         # the claims 10 and 20 fill the budget of 30, and the 40 is left out
         assert count(CoinFlipPolicy(), claims, 30, aux) == 2
         assert count(CoinFlipPolicy(), claims, 29, aux) == 1
 
+    def test_words_rank_as_unsigned(self):
+        # read as signed, the two words from 2**63 up would rank first
+        claims = np.array([1, 2, 4])
+        aux = np.array([2 ** 63, 5, 2 ** 64 - 1], dtype=np.uint64)
+        assert [count(CoinFlipPolicy(), claims, b, aux) for b in (1, 2, 3, 7)] == [0, 1, 2, 3]
+
     def test_requires_aux(self):
         with pytest.raises(ValueError):
-            CoinFlipPolicy().count_rows(np.array([[1.0]]), np.array([5.0]))
+            CoinFlipPolicy().count_rows(np.array([[1]]), np.array([5]))
         with pytest.raises(ValueError):
-            CoinFlipPolicy().count_rows(np.array([[1.0, 2.0]]), np.array([5.0]), np.array([[0.5]]))
+            CoinFlipPolicy().count_rows(np.array([[1, 2]]), np.array([5]), np.array([[3]], dtype=np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_refuses_aux_that_is_not_uint64_words(self, dtype):
+        # float units may tie, and a tie has no defined rank
+        with pytest.raises(ValueError, match="uint64"):
+            CoinFlipPolicy().count_rows(np.array([[1, 2]]), np.array([5]), np.array([[0.5, 0.5]]).astype(dtype))
 
     @given(claims_arrays, budgets, st.integers(min_value=0, max_value=2 ** 32 - 1))
     def test_sandwich_holds_for_random_order(self, claims, budget, seed):
-        aux = np.random.default_rng(seed).random(len(claims))
+        aux = distinct_words(np.random.default_rng(seed), (len(claims),))
         c = count(CoinFlipPolicy(), claims, budget, aux)
         assert count(SF, claims, budget) <= c <= count(WF, claims, budget)
 
 
-# deviates from three values, so that most rows tie; signed zeros compare
-# equal and NaN compares false
-TIE_ALPHABETS = [(0.25, 0.5, 0.75), (0.0, -0.0, 0.5), (np.nan, 0.5, -0.0)]
-
-
 @st.composite
-def tied_blocks(draw, min_rows=1, max_rows=50):
-    """An (m, t) block of tied aux deviates, with claims and one budget per row."""
-    alphabet = np.array(draw(st.sampled_from(TIE_ALPHABETS)))
-    rows = draw(st.integers(min_value=min_rows, max_value=max_rows))
-    length = draw(st.integers(min_value=0, max_value=40))
+def word_blocks(draw, max_rows=20, max_length=40):
+    """An (m, t) block of claims, one budget per row, and aux words that
+    are distinct within each row; hypothesis shrinks them toward small,
+    nearby words."""
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    length = draw(st.integers(min_value=0, max_value=max_length))
+    aux = draw(arrays(np.uint64, (rows, length), elements=st.integers(0, 2 ** 64 - 1), unique=True))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    aux = alphabet[rng.integers(0, 3, size=(rows, length))]
     claims = on_lattice(rng.random((rows, length)) * 2.0)
     budgets = on_lattice(rng.random(rows) * length * 0.6)
     return claims, budgets, aux
 
 
-def fast_order_everywhere(on):
-    """Sends every row through the default argsort and its tie check."""
-    if not on:
-        return contextlib.nullcontext()
-    return mock.patch.multiple(rdbp.policies, _FAST_ORDER_MIN_ROW=0, _FAST_ORDER_MIN_CELLS=0)
+WORD_KINDS = ("mixed", "ascending", "descending", "around-2**63")
 
 
-_argsort = np.argsort
+def word_block(rng, kind, shape):
+    """Aux words distinct within each row: the kernel's kind of mixed words,
+    words in arrival order or its reverse, or consecutive words across
+    2**63 in random order, which a signed compare would misrank."""
+    if kind == "mixed":
+        return distinct_words(rng, shape)
+    words = np.broadcast_to(np.arange(shape[-1], dtype=np.uint64), shape).copy()
+    if kind == "descending":
+        return words[..., ::-1].copy()
+    if kind == "around-2**63":
+        words += np.uint64(2 ** 63 - shape[-1] // 2)
+        return rng.permuted(words, axis=-1)
+    return words
 
 
-def argsort_reversing_ties(a, axis=-1, kind=None):
-    """A valid sort that puts every run of equal deviates (NaNs as one run)
-    in reverse arrival order; with ``kind`` given, numpy's own argsort."""
-    order = _argsort(a, axis=axis, kind="stable")
-    if kind is not None:
-        return order
-    for row, row_order in zip(np.atleast_2d(a), np.atleast_2d(order)):
-        ranked = row[row_order]
-        start = 0
-        for k in range(1, len(ranked) + 1):
-            if k == len(ranked) or not (
-                ranked[k] == ranked[start] or (np.isnan(ranked[k]) and np.isnan(ranked[start]))
-            ):
-                row_order[start:k] = row_order[start:k][::-1].copy()
-                start = k
-    return order
+class TestWordOrder:
+    """coinflip serves in the ascending order of its aux words, which is
+    the reference's stable argsort of them: on rows either side of
+    _DEFAULT_SORT_MIN_ROW, which picks the sort kind, and of
+    _SELECT_MIN_CLAIMS, lowered so that hypothesis's short rows reach the
+    long-row count."""
 
-
-def stable_counts(claims, budgets, aux):
-    return [
-        brute_prefix_count(c[np.argsort(a, kind="stable")], b)
-        for c, b, a in zip(claims, budgets, aux)
-    ]
-
-
-def flat_stable_order(aux):
-    """The stable argsort of each row, as positions in the flattened block."""
-    return np.argsort(aux, axis=1, kind="stable") + np.arange(len(aux))[:, None] * aux.shape[1]
-
-
-class TestStableOrder:
-    """coinflip ranks its aux deviates exactly as the stable argsort would."""
-
-    @pytest.mark.parametrize("fast", [False, True], ids=["default-sizes", "fast-everywhere"])
-    @given(block=tied_blocks())
-    def test_order_is_the_stable_argsort(self, fast, block):
-        _, _, aux = block
-        with fast_order_everywhere(fast):
-            order = _stable_order(aux)
-        np.testing.assert_array_equal(order, flat_stable_order(aux))
-
-    @pytest.mark.parametrize("fast", [False, True], ids=["default-sizes", "fast-everywhere"])
-    @given(block=tied_blocks())
-    def test_count_rows_counts_through_the_stable_order(self, fast, block):
+    @pytest.mark.parametrize("select_min", [24, SELECT_MIN], ids=["select-from-24", "default-sizes"])
+    @settings(max_examples=150, deadline=None)
+    @given(block=word_blocks())
+    def test_count_rows_counts_like_the_reference(self, select_min, block):
         claims, budgets, aux = block
-        with fast_order_everywhere(fast):
-            counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
-        assert counts.tolist() == stable_counts(claims, budgets, aux)
+        want = [reference_count("coinflip", *row) for row in zip(claims, budgets, aux)]
+        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=select_min, _PREFIX_BLOCK=4, _SAMPLE=2):
+            assert CoinFlipPolicy().count_rows(claims, budgets, aux).tolist() == want
 
-    def test_tie_reversing_sort_differs_from_the_stable_one(self):
-        aux = np.array([0.5, -0.0, 0.5, 0.0, np.nan, np.nan])
-        assert argsort_reversing_ties(aux).tolist() == [3, 1, 2, 0, 5, 4]
-
-    @given(block=tied_blocks())
-    def test_ties_are_ranked_stably_whatever_the_fast_sort_does(self, block):
-        claims, budgets, aux = block
-        want_counts = stable_counts(claims, budgets, aux)
-        want_order = flat_stable_order(aux)
-        with fast_order_everywhere(True), mock.patch.object(np, "argsort", argsort_reversing_ties):
-            counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
-            order = _stable_order(aux)
-        assert counts.tolist() == want_counts
-        np.testing.assert_array_equal(order, want_order)
-
-    def test_untied_deviates_take_the_fast_sort_alone(self):
-        # distinct deviates need no second sort, whichever the block size
-        aux = np.random.default_rng(4).random((64, 64))
-        calls = []
-
-        def spy(a, axis=-1, kind=None):
-            calls.append(kind)
-            return _argsort(a, axis=axis, kind=kind)
-
-        with mock.patch.object(np, "argsort", spy):
-            order = _stable_order(aux)
-        assert calls == [None]
-        np.testing.assert_array_equal(order, flat_stable_order(aux))
-
-    @pytest.mark.parametrize("fast", [False, True], ids=["default-sizes", "fast-everywhere"])
-    @pytest.mark.parametrize("rows", [(1, 1), (2, 50)], ids=["one-row", "many-rows"])
-    @given(data=st.data())
-    def test_count_rows_matches_the_stable_policy(self, fast, rows, data):
-        claims, budgets, aux = data.draw(tied_blocks(*rows))
-        with fast_order_everywhere(fast):
-            counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
-        assert counts.tolist() == StableCoinFlipPolicy().count_rows(claims, budgets, aux).tolist()
-
+    @pytest.mark.parametrize("kind", WORD_KINDS)
     @pytest.mark.parametrize("shape", [(1, 3000), (1, SELECT_MIN + 3), (64, 64), (3, SELECT_MIN + 3)], ids=str)
-    def test_long_rows_count_like_the_stable_policy(self, shape):
-        # rows past the fast sort's limits and the long-row counts, some
-        # of them tied
+    def test_long_rows_count_like_the_reference(self, shape, kind):
         rng = np.random.default_rng(12)
         claims = on_lattice(rng.uniform(0.0, 2.0, shape))
-        aux = rng.random(shape)
-        aux[::2, ::7] = 0.5
+        aux = word_block(rng, kind, shape)
         budgets = on_lattice(rng.uniform(0.2, 0.8, shape[0]) * shape[1])
-        counts = CoinFlipPolicy().count_rows(claims, budgets, aux)
-        assert counts.tolist() == StableCoinFlipPolicy().count_rows(claims, budgets, aux).tolist()
+        want = [reference_count("coinflip", *row) for row in zip(claims, budgets, aux)]
+        assert CoinFlipPolicy().count_rows(claims, budgets, aux).tolist() == want
 
 
 ALL_POLICIES = [policy_from_token(token) for token in POLICY_TOKENS] + [
@@ -308,8 +250,7 @@ def test_counting_leaves_the_callers_arrays_alone(policy, shape):
     # the prefix sums run in place, but only in copies the policy owns
     rng = np.random.default_rng(11)
     claims = on_lattice(rng.random(shape) * 2.0)
-    aux = rng.random(shape)
-    aux[:, ::3] = 0.5  # ties send rows through the stable sort too
+    aux = distinct_words(rng, shape)
     budgets = on_lattice(rng.random(shape[0]) * shape[1])
     before = [a.copy() for a in (claims, budgets, aux)]
     for i in range(shape[0]):
@@ -429,7 +370,7 @@ def budget_for(rng, kind, totals):
 
 def assert_counts_like_the_reference(rng, n, claim_kind, budget_kind):
     block = np.stack([claim_row(rng, claim_kind, n) for _ in range(2)])
-    aux = rng.random((2, n))
+    aux = distinct_words(rng, (2, n))
     for token in POLICY_TOKENS:
         totals = [np.cumsum(reference_order(token, row, a)) for row, a in zip(block, aux)]
         budgets = np.array([budget_for(rng, budget_kind, tot) for tot in totals])
@@ -439,38 +380,21 @@ def assert_counts_like_the_reference(rng, n, claim_kind, budget_kind):
         assert policy.count_rows(block, budgets, aux).tolist() == want, token
 
 
-AUX_KINDS = ("untied", "tied", "signed-zeros")
-
-
-def deviate_row(rng, kind, n):
-    """Aux deviates: U(0, 1); 2-8 levels; or U(0, 1) with a third of them
-    0.0 or -0.0, which tie."""
-    if kind == "tied":
-        levels = int(rng.integers(2, 9))
-        return rng.integers(0, levels, n) / levels
-    aux = rng.random(n)
-    if kind == "signed-zeros":
-        zeros = np.flatnonzero(rng.random(n) < 1 / 3)
-        aux[zeros] = np.where(rng.random(zeros.size) < 0.5, 0.0, -0.0)
-    return aux
-
-
-def assert_coinflip_counts_like_the_stable_policy(rng, n, claim_kind, aux_kind, budget_kind):
+def assert_coinflip_counts_like_the_reference(rng, n, claim_kind, word_kind, budget_kind):
     block = np.stack([claim_row(rng, claim_kind, n) for _ in range(2)])
-    aux = np.stack([deviate_row(rng, aux_kind, n) for _ in range(2)])
+    aux = word_block(rng, word_kind, (2, n))
     totals = [np.cumsum(reference_order("coinflip", row, a)) for row, a in zip(block, aux)]
     budgets = np.array([budget_for(rng, budget_kind, tot) for tot in totals])
-    want = StableCoinFlipPolicy().count_rows(block, budgets, aux).tolist()
-    assert want == [int((tot <= b).sum()) for tot, b in zip(totals, budgets)]
+    want = [int((tot <= b).sum()) for tot, b in zip(totals, budgets)]
     policy = CoinFlipPolicy()
     assert count(policy, block[0], budgets[0], aux[0]) == want[0]
     assert policy.count_rows(block, budgets, aux).tolist() == want
 
 
 def spy_on_the_whole_ranking():
-    """A spy on _stable_counts, which still runs: it sees each block that
+    """A spy on _word_counts, which still runs: it sees each block that
     coinflip ranks whole."""
-    return mock.patch.object(rdbp.policies, "_stable_counts", side_effect=rdbp.policies._stable_counts)
+    return mock.patch.object(rdbp.policies, "_word_counts", side_effect=rdbp.policies._word_counts)
 
 
 class TestLongRowCounts:
@@ -507,7 +431,7 @@ class TestLongRowCounts:
         # every prefix total is exact, so a budget on one needs no second look
         rng = np.random.default_rng(5)
         claims = on_lattice(rng.uniform(0.0, 2.0, 50_000))
-        aux = rng.random(claims.size)
+        aux = distinct_words(rng, claims.shape)
         totals = np.cumsum(reference_order(token, claims, aux))
         policy = policy_from_token(token)
         with spy_on_the_whole_ranking() as spy:
@@ -520,31 +444,31 @@ class TestLongRowCounts:
     @given(
         st.sampled_from([SELECT_MIN, SELECT_MIN + 1, 3 * 10 ** 4]),
         st.sampled_from(CLAIM_KINDS),
-        st.sampled_from(AUX_KINDS),
+        st.sampled_from(WORD_KINDS),
         st.sampled_from(BUDGET_KINDS),
         st.integers(min_value=0, max_value=2 ** 32 - 1),
     )
-    def test_coinflip_counts_like_the_stable_policy(self, n, claim_kind, aux_kind, budget_kind, seed):
+    def test_coinflip_counts_like_the_reference(self, n, claim_kind, word_kind, budget_kind, seed):
         # long rows ranked around the crossing, alone and in a block, on
-        # untied, tied and signed-zero deviates
-        assert_coinflip_counts_like_the_stable_policy(
-            np.random.default_rng(seed), n, claim_kind, aux_kind, budget_kind)
+        # mixed, ordered and sign-straddling words
+        assert_coinflip_counts_like_the_reference(
+            np.random.default_rng(seed), n, claim_kind, word_kind, budget_kind)
 
     @settings(max_examples=150, deadline=None)
     @given(
         st.integers(min_value=1, max_value=400),
         st.sampled_from(CLAIM_KINDS),
-        st.sampled_from(AUX_KINDS),
+        st.sampled_from(WORD_KINDS),
         st.sampled_from(BUDGET_KINDS),
         st.integers(min_value=0, max_value=2 ** 32 - 1),
     )
-    def test_coinflip_small_blocks_and_samples_count_like_the_stable_policy(
-            self, n, claim_kind, aux_kind, budget_kind, seed):
-        # samples of 32 deviates probe down to neighbouring thresholds, and
+    def test_coinflip_small_blocks_and_samples_count_like_the_reference(
+            self, n, claim_kind, word_kind, budget_kind, seed):
+        # samples of 32 words probe down to neighbouring thresholds, and
         # blocks of 4 claims put crossings on block and window edges
         with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=1, _PREFIX_BLOCK=4, _SAMPLE=8):
-            assert_coinflip_counts_like_the_stable_policy(
-                np.random.default_rng(seed), n, claim_kind, aux_kind, budget_kind)
+            assert_coinflip_counts_like_the_reference(
+                np.random.default_rng(seed), n, claim_kind, word_kind, budget_kind)
 
     @pytest.mark.parametrize("probes", [0, 1, 12])
     def test_few_probes_widen_the_window_but_keep_the_count(self, monkeypatch, probes):
@@ -553,7 +477,7 @@ class TestLongRowCounts:
         monkeypatch.setattr(rdbp.policies, "_RANK_PROBES", probes)
         rng = np.random.default_rng(2)
         claims = on_lattice(rng.uniform(0.0, 2.0, (3, SELECT_MIN + 5)))
-        aux = rng.random(claims.shape)
+        aux = distinct_words(rng, claims.shape)
         budgets = claims.sum(axis=1) // 3
         with spy_on_the_whole_ranking() as spy:
             got = CoinFlipPolicy().count_rows(claims, budgets, aux)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import rdbp.engine
 import rdbp.universe
 import oracle
-from oracle import quanta, quantile, unit_row
+from oracle import quanta, quantile, unit_row, word_row
 from rdbp import (
     POLICY_TOKENS,
     Constant,
@@ -89,7 +89,8 @@ def test_every_tag_matches_the_scalar_oracle(triple, lengths, in_order, seed, n,
 
     want = np.concatenate([[], *(quanta(triple, triple.claim.icdf(u)) for u in units(_TAG_CLAIM))])
     assert _bits(claims, np.int64) == _bits(want, np.int64)
-    assert _bits(aux) == _bits(np.concatenate([[], *units(_TAG_AUX)]))
+    words = [word_row(base.derive_replicate(int(ids[r])), _TAG_AUX, n, int(c)) for r, c in zip(rows, counts)]
+    assert _bits(aux, np.uint64) == _bits(np.concatenate([np.empty(0, np.uint64), *words]), np.uint64)
     assert totals.tolist() == [int(quantile(triple.offspring, u).sum()) for u in units(_TAG_OFFSPRING)]
     want = [quanta(triple, triple.resource.icdf(u)).sum() for u in units(_TAG_RESOURCE)]
     assert _bits(budgets, np.int64) == _bits(want, np.int64)

@@ -53,7 +53,7 @@ from rdbp import (
 from rdbp.policies import StrongestFirstPolicy, WeakestFirstPolicy
 
 import oracle
-from oracle import ReferencePolicy, StableCoinFlipPolicy
+from oracle import ReferencePolicy
 
 TRIPLES = {
     # a zero inside the offspring law
@@ -101,18 +101,18 @@ def test_step_replicates_matches_step(policy):
 
 
 @pytest.mark.parametrize("initial_size", [1, 130, 30000])
-def test_fast_coinflip_order_matches_the_stable_argsort(initial_size):
+def test_coinflip_runs_like_the_reference(initial_size):
     # the short-lived laws; from 30000 founders every generation ranks
-    # thousands of aux deviates through the default argsort and tie check
-    fast, stable = (
+    # thousands of aux words through the default argsort
+    fast, ref = (
         ProcessSpec(laws=COUNTEREXAMPLE_TRIPLE, policy=policy, initial_size=initial_size,
                     explosion_cap=10 ** 6)
-        for policy in (CoinFlipPolicy(), StableCoinFlipPolicy())
+        for policy in (CoinFlipPolicy(), ReferencePolicy("coinflip"))
     )
     base = Universe(Seed(101), COUNTEREXAMPLE_TRIPLE)
     ids = range(60) if initial_size == 1 else range(4)
-    assert simulate(fast, base) == simulate(stable, base)
-    assert simulate_replicates(fast, base, ids) == simulate_replicates(stable, base, ids)
+    assert simulate(fast, base) == simulate(ref, base)
+    assert simulate_replicates(fast, base, ids) == simulate_replicates(ref, base, ids)
 
 
 @pytest.mark.parametrize("token", POLICY_TOKENS)

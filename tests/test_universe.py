@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracle import aux_row, claim_at, claim_row, offspring_at, offspring_row, resource_at, resource_row
+from oracle import aux_row, claim_at, claim_row, offspring_at, offspring_row, resource_at, resource_row, units
 
 from rdbp import INDEX_CAP, Constant, LawTriple, OffspringLaw, Seed, Uniform, Universe
 from rdbp.universe import ReplicateRows
@@ -132,7 +132,7 @@ class TestLawFidelity:
     N = 100_000
 
     def _units(self, u):
-        return aux_row(u, 0, self.N)
+        return units(aux_row(u, 0, self.N))
 
     def test_unit_uniformity_ks(self, u):
         d, p = stats.kstest(self._units(u), "uniform")
@@ -154,8 +154,8 @@ class TestLawFidelity:
         assert stats.chi2.sf(chi2, 63) > 1e-4, f"chi2={chi2}"
 
     def test_replicates_uncorrelated(self, u):
-        a = aux_row(u.derive_replicate(0), 0, 10_000)
-        b = aux_row(u.derive_replicate(1), 0, 10_000)
+        a = units(aux_row(u.derive_replicate(0), 0, 10_000))
+        b = units(aux_row(u.derive_replicate(1), 0, 10_000))
         rho = np.corrcoef(a, b)[0, 1]
         assert abs(rho) < 0.05
 
