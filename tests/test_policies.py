@@ -181,12 +181,12 @@ class TestCoinFlip:
 
 
 @st.composite
-def word_blocks(draw, max_rows=20, max_length=40):
+def word_blocks(draw):
     """An (m, t) block of claims, one budget per row, and aux words that
     are distinct within each row; hypothesis shrinks them toward small,
     nearby words."""
-    rows = draw(st.integers(min_value=1, max_value=max_rows))
-    length = draw(st.integers(min_value=0, max_value=max_length))
+    rows = draw(st.integers(min_value=1, max_value=20))
+    length = draw(st.integers(min_value=0, max_value=40))
     aux = draw(arrays(np.uint64, (rows, length), elements=st.integers(0, 2 ** 64 - 1), unique=True))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     claims = on_lattice(rng.random((rows, length)) * 2.0)
