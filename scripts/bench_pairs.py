@@ -5,10 +5,11 @@ For each of ``--pairs`` seeds (``--first-seed``, ``--first-seed + 1``, ...)
 it runs ``python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in each checkout, the parent first in even pairs and the
 change first in odd ones.  ``perfbench/`` is only read.  It first prints
-the line count of each checkout's ``src/`` (its ``*.py`` files, as
-``wc -l`` counts them).  Per workload it then prints, for every end-to-end metric of ``BENCHMARK.json``, each side's
-median [Q1, Q3], the change of the medians, and the pairs the change won
-(ties count for neither side).  It stops with an error if a run fails or
+the line count of each checkout's ``src/`` (its ``*.py`` files), and per
+workload then, for every end-to-end metric of ``BENCHMARK.json``, each
+side's median [Q1, Q3], the change of the medians, and the pairs the
+change won (ties count for neither side).  The line count and the
+quartiles are those of ``scripts/ab_inprocess.py``.  It stops with an error if a run fails or
 reports ``"correct": false``, or if the ``result_digest`` lines of the two
 runs of a pair differ.  ``--moved PATH`` names an output file, as its
 ``result_digest`` line does (``curve/curve.csv``), that the change moves on
@@ -30,13 +31,13 @@ Example, with the parent exported to ../parent:
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab_inprocess import HERE, quartiles, src_lines  # noqa: E402
 
 
 def bytecode_env(cache: Path) -> dict:
@@ -61,18 +62,6 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> 
                          f"({report['failed']} of {report['attempted']} operations failed)")
     metrics = {name: m["value"] for name, m in report["metrics"].items()}
     return metrics, [line for line in lines if line.startswith("result_digest ")]
-
-
-def src_lines(checkout: Path) -> int:
-    """Newlines in the ``*.py`` files under the checkout's ``src/``."""
-    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q1, q2, q3
 
 
 def main() -> int:

@@ -6,7 +6,10 @@ interpreter.
 For each row length (10^2, 10^3, 8192, 3*10^4, 10^5 and 4.5*10^5 claims)
 it counts a block of U(0, 2) claims, as many rows as fill 2^18 cells (the
 engine's claim batch; one row if longer), each row's budget a third of its
-total.  Claims and budgets are int64 quanta of 2^-32.  A checkout from
+total.  fcfs is timed only on rows shorter than the change's
+``policies._SELECT_MIN_CLAIMS``: the engine counts every longer fcfs row
+as it reads it (``ReplicateRows.served_in_arrival_order``) and never hands
+it to ``count_rows``.  Claims and budgets are int64 quanta of 2^-32.  A checkout from
 before the int64 lattice (its ``LawTriple`` has no ``lattice_bits``)
 counts the same values as floats, q * 2^-32, whose every prefix total is
 exact at these lengths.  Each side gets aux cells in the format its own
@@ -70,6 +73,8 @@ def main() -> int:
     for token in tokens:
         policies = {side: module.policy_from_token(token) for side, module in modules.items()}
         for length in LENGTHS:
+            if policies["change"].in_arrival_order and length >= modules["change"]._SELECT_MIN_CLAIMS:
+                continue
             rows = max(BLOCK_CELLS // length, 1)
             claims = (rng.uniform(0.0, 2.0, (rows, length)) * 2.0 ** 32).astype(np.int64)
             # random words tie within a row with odds below 1e-8 at these

@@ -130,7 +130,13 @@ def _founders(val: Any, path: str) -> int:
     return _integer(val, path, most=engine.CLAIM_CAP)
 
 
-_founder_counts = partial(_list, what="integers >= 1", item=_founders)
+def _founder_counts(val: Any, path: str) -> tuple[int, ...]:
+    # the checks compare each count's result with the one before it
+    counts = _list(val, path, "integers >= 1", _founders)
+    for i in range(1, len(counts)):
+        if counts[i] <= counts[i - 1]:
+            raise ConfigError(f"{path}[{i}]: expected an integer > {counts[i - 1]}, as the list must increase")
+    return counts
 
 #: each check's parameters, with the test each value must pass
 _CHECK_PARAMS = {

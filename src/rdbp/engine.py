@@ -28,6 +28,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import policies as _policies
 from .distributions import LawTriple
 from .policies import PriorityPolicy
 from .universe import ReplicateRows, Universe
@@ -66,9 +67,9 @@ BLOCK_CELLS = 1 << 18
 #: bytes), and the counterexample sorts a copy (8 bytes).  coinflip holds
 #: its aux block (8 bytes) and, on a long row, up to four boolean masks (5
 #: bytes, measured).  So a row at the cap takes at most 24 bytes a claim
-#: (3 GiB).  A streamed fcfs row (one longer than BLOCK_CELLS) holds no
-#: claim block, only one piece of the kernel at a time, but the cap applies
-#: to it all the same.  The cap is far below
+#: (3 GiB).  A streamed fcfs row (one of policies._SELECT_MIN_CLAIMS
+#: claims or more) holds no claim block, only one piece of the kernel at a
+#: time, but the cap applies to it all the same.  The cap is far below
 #: INDEX_CAP, so every claim it admits has an address
 CLAIM_CAP = 1 << 27
 
@@ -203,9 +204,10 @@ def _step_rows(
     more members or children than CLAIM_CAP, which keeps its totals within
     int64.  Rows of one length keep their order, so each run of them with
     one owner is a C-contiguous block of the claims read, which that policy
-    counts.  A row
-    longer than BLOCK_CELLS whose policy serves in arrival order builds no
-    block: ``ReplicateRows.served_in_arrival_order`` counts it as it reads.
+    counts.  A row of at least ``policies._SELECT_MIN_CLAIMS`` children
+    whose policy serves in arrival order builds no block, in whatever batch
+    it would fall: ``ReplicateRows.served_in_arrival_order`` counts it as it
+    reads.
     """
     order = sizes.argsort(kind="stable")
     members = sizes[order]
@@ -229,17 +231,23 @@ def _step_rows(
     served = np.zeros(len(sizes), dtype=np.int64)
     born = totals.nonzero()[0]
     born = born[totals[born].argsort(kind="stable")]
+    # a long row served in arrival order builds no block, whatever batch it
+    # would fall in: its claims stream through the kernel's pieces up to the
+    # one the budget runs out in.  The threshold is read where policies
+    # keeps it, so that lowering it there lowers it here too
+    threshold = _policies._SELECT_MIN_CLAIMS
+    arrival = [policy.in_arrival_order for policy in policies]
+    if any(arrival) and born.size and totals[born[-1]] >= threshold:
+        streams = np.array(arrival)[owners[born]] & (totals[born] >= threshold)
+        for row in born[streams].tolist():
+            served[row] = rows.served_in_arrival_order(row, int(totals[row]), budgets[row])
+        born = born[~streams]
     children = totals[born]
     needs_aux = [policy.needs_aux for policy in policies]
     with_aux = np.array(needs_aux) if any(needs_aux) else None
     for lo, hi in _batches(children):
         block, lengths = born[lo:hi], children[lo:hi]
         mine = owners[block]
-        if lengths[0] > BLOCK_CELLS and policies[mine[0]].in_arrival_order:
-            # a row read alone, served in arrival order: its claims stream
-            # through the kernel's pieces up to the one the budget runs out in
-            served[block] = rows.served_in_arrival_order(int(block[0]), int(lengths[0]), budgets[block[0]])
-            continue
         claims = rows.claims(block, lengths)
         aux = None
         if with_aux is not None:

@@ -36,7 +36,7 @@ from .engine import ProcessSpec, step_replicates
 from .engine import _replicate_generations, _run_table, _size_table, _trajectories
 from .policies import StrongestFirstPolicy, ThirdLargestFirstPolicy, policy_from_token
 from .policies import count_sf  # noqa: F401  the benchmark's span tests reach it by this name
-from .universe import ReplicateRows, Seed, Universe
+from .universe import Seed, Universe
 
 __all__ = [
     "McConfig",
@@ -63,10 +63,10 @@ __all__ = [
 
 #: replicate ids simulated together; bounds the sizes held at once
 REPLICATE_CHUNK = 1 << 12
-#: replicate ids ``counterexample_search`` screens in one vectorised pass.
+#: replicate ids ``counterexample_search`` screens in one strongest-first step.
 #: The first hit in id order is reported whatever the chunk; on the
-#: short-lived counterexample config 2**15 peaks at 3.75 MiB of traced
-#: memory against 7.37 MiB at 2**16, in about the same time
+#: short-lived counterexample config 2**15 peaks at 4.9 MiB of traced
+#: memory against 9.3 MiB at 2**16, in about the same time
 COUNTEREXAMPLE_CHUNK = 1 << 15
 #: members a check with several workers steps in this process before it
 #: splits the ids it has not finished among them; a check that steps fewer
@@ -349,7 +349,16 @@ def safe_haven_check(
     return _run_checks([_safe_haven(triple, initial_sizes, mc)], mc, workers)[0]()
 
 
+def _increasing(values: Sequence[int], what: str) -> None:
+    """Refuses ``values`` unless each exceeds the one before it: a check
+    compares each value's result with the one before it."""
+    for a, b in zip(values, values[1:]):
+        if b <= a:
+            raise ValueError(f"{what} must increase, but {b} follows {a}")
+
+
 def _safe_haven(triple: LawTriple, initial_sizes: Sequence[int], mc: McConfig) -> _Check:
+    _increasing(initial_sizes, "initial sizes")
     # a population founded at the explosion cap has exploded before its first
     # generation, so those founder counts are tallied without simulating
     founders = sorted(f for f in {1, *initial_sizes} if f < mc.explosion_cap)
@@ -615,14 +624,14 @@ def counterexample_search(
     """Scan replicates for a universe where the third-largest-first policy
     dies by generation 2 while coupled strongest-first is still alive.
 
-    A vectorised first pass discards replicates whose strongest-first line is
-    already dead after one generation (a necessary condition for any
-    witness); survivors get a full coupled two-generation run through the
-    engine, and the first hit in replicate order is reported.
+    One strongest-first step of every replicate from one founder discards
+    those whose strongest-first line is already dead after one generation
+    (a necessary condition for any witness); survivors get a full coupled
+    two-generation run through the engine, and the first hit in replicate
+    order is reported.
     """
     _counterexample_feasibility(triple)
     base = Universe(mc.base_seed, triple, 0)
-    max_k = triple.offspring.max_offspring
     policy_spec = ProcessSpec(
         laws=triple, policy=ThirdLargestFirstPolicy(), initial_size=1, horizon=2
     )
@@ -632,13 +641,7 @@ def counterexample_search(
     for start in range(0, budget, COUNTEREXAMPLE_CHUNK):
         ids = np.arange(start, min(budget, start + COUNTEREXAMPLE_CHUNK), dtype=np.int64)
         scanned = int(ids[-1]) + 1
-        rows = ReplicateRows(base, ids, 0)
-        everyone = np.arange(len(ids))
-        t0 = rows.offspring_totals(everyone, 1)
-        res = rows.budgets(everyone, 1)  # a founder's budget is its own resource
-        born = np.arange(1, max_k + 1) <= t0[:, None]
-        largest = np.where(born, rows.claims(everyone, max_k), -np.inf).max(axis=1)
-        candidates = ids[(t0 >= 1) & (largest <= res)]
+        candidates = ids[step_replicates(np.ones(len(ids), dtype=np.int64), base, ids, 0, sf_spec.policy) > 0]
         table = _run_table([policy_spec, sf_spec], base, candidates)
         got, ref = _sizes_at(table, 2)
         hits = np.flatnonzero((got == 0) & (ref > 0))
@@ -693,22 +696,28 @@ def sf_monotonicity_probe(
     t_values = tuple(int(t) for t in t_values)
     if any(t < 1 for t in t_values):
         raise ValueError("t values must be >= 1")
+    _increasing(t_values, "t values")
     base = Universe(mc.base_seed, triple, 0)
-    ids = np.arange(mc.replicates)
-    # generation row t keeps the draws for different t disjoint
-    samples = {
-        t: step_replicates(np.full(mc.replicates, t), base, ids, t, StrongestFirstPolicy())
-        for t in t_values
-    }
+    # how many replicates serve each count, per t, summed over slices of
+    # REPLICATE_CHUNK ids, so that no size outlives its slice
+    tallies = {t: np.zeros(1, dtype=np.int64) for t in t_values}
+    for lo in range(0, mc.replicates, REPLICATE_CHUNK):
+        ids = np.arange(lo, min(mc.replicates, lo + REPLICATE_CHUNK))
+        for t in t_values:
+            # generation row t keeps the draws for different t disjoint
+            served = step_replicates(np.full(len(ids), t), base, ids, t, StrongestFirstPolicy())
+            tally = np.bincount(served, minlength=tallies[t].size)
+            tally[:tallies[t].size] += tallies[t]
+            tallies[t] = tally
 
-    observed_max = max((int(samples[t].max()) for t in t_values), default=0)
+    observed_max = max((tally.size - 1 for tally in tallies.values()), default=0)
     top = v_max if v_max is not None else max(observed_max, 1)
     v_values = tuple(range(1, top + 1))
 
     cells: dict[tuple[int, int], SfProbeCell] = {}
     for t in t_values:
         for v in v_values:
-            hits = int(np.sum(samples[t] >= v))
+            hits = int(tallies[t][v:].sum())
             lo, hi = wilson_interval(hits, mc.replicates, mc.confidence)
             cells[t, v] = SfProbeCell(t=t, v=v, rate=hits / mc.replicates, ci_low=lo, ci_high=hi)
     violations = tuple((a, b, v) for a, b in zip(t_values, t_values[1:]) for v in v_values

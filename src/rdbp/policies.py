@@ -13,16 +13,17 @@ the first-ranked claim already exceeds the budget.  A
 ``CustomPolicy`` gives its order as a permutation of each row's claim
 values.
 
-Rows of at least ``_SELECT_MIN_CLAIMS`` claims are counted without a full
-``cumsum``.  Arrival-order and counterexample rows search the running
-totals of claim blocks, then the ``cumsum`` of the one block where the
-budget is crossed (``_served_prefix``).  wf, sf and coinflip rows are not
-sorted either.  For wf and sf, two partitions cut a window of ranks around
-the estimated crossing, and only the window is sorted
-(``_selected_count``).  For coinflip, probes at sampled aux words bracket
-the crossing, each with one compare and one masked sum, and only the words
-between the two bracketing thresholds are ranked (``_ranked_count``).
-Every total is exact, so none of these counts needs a fallback.
+Arrival-order, counterexample and custom rows are counted by one
+``cumsum`` of the ordered claims.  The engine never hands an arrival-order
+row of ``_SELECT_MIN_CLAIMS`` claims or more to a policy: it counts such a
+row as it reads it (``ReplicateRows.served_in_arrival_order``).  wf, sf
+and coinflip rows of that length are not sorted.  For wf and sf, two
+partitions cut a window of ranks around the estimated crossing, and only
+the window is sorted (``_selected_count``).  For coinflip, probes at
+sampled aux words bracket the crossing, each with one compare and one
+masked sum, and only the words between the two bracketing thresholds are
+ranked (``_ranked_count``).  Every total is exact, so none of these counts
+needs a fallback.
 """
 
 from __future__ import annotations
@@ -62,14 +63,13 @@ def _cumsum_count_rows(ordered: np.ndarray, budgets: np.ndarray, in_place: bool 
     return (cum <= budgets[:, None]).sum(axis=1)
 
 
-#: shortest rows counted by _served_prefix and, for wf and sf, by
-#: _selected_count and, for coinflip, by _ranked_count instead of a full
-#: sort.  At 8192 int64 claims (scripts/count_ns_per_claim.py, 2-vCPU x86
-#: VM) wf, coinflip and fcfs took 5.9, 10.4 and 1.6 ns per claim, against
-#: 10.0, 23.3 and 4.3 for blocks of 1000-claim rows counted whole
+#: shortest rows counted, for wf and sf, by _selected_count and, for
+#: coinflip, by _ranked_count instead of a full sort, and shortest
+#: arrival-order rows the engine streams.  At 8192 int64 claims
+#: (scripts/count_ns_per_claim.py, 2-vCPU x86 VM) wf and coinflip took 5.9
+#: and 10.4 ns per claim, against 10.0 and 23.3 for blocks of 1000-claim
+#: rows counted whole
 _SELECT_MIN_CLAIMS = 8192
-#: claims per block whose sums _served_prefix accumulates
-_PREFIX_BLOCK = 1024
 #: sampled claims from which _selected_count estimates the crossing rank;
 #: _ranked_count samples four times as many aux words
 _SAMPLE = 512
@@ -80,20 +80,6 @@ _RANK_WINDOW = 32
 _RANK_PROBES = 12
 
 
-def _served_prefix(ordered: np.ndarray, budget: int) -> int:
-    """Served count of one row of ordered claims: blocks of
-    ``_PREFIX_BLOCK`` claims are summed, a ``cumsum`` runs over the block
-    sums, and one local ``cumsum`` runs inside the block where the running
-    total crosses the budget."""
-    size = _PREFIX_BLOCK
-    whole = ordered.size // size
-    totals = np.add.reduce(ordered[:whole * size].reshape(whole, size), axis=1).cumsum()
-    cross = int(totals.searchsorted(budget, "right"))
-    ahead = int(totals[cross - 1]) if cross else 0
-    local = ordered[cross * size:(cross + 1) * size].cumsum()
-    return cross * size + int(local.searchsorted(budget - ahead, "right"))
-
-
 def _long_rows(count_one: Callable, short: Callable, claims: np.ndarray, budgets: np.ndarray,
                *more: np.ndarray) -> np.ndarray:
     """Served counts of a claim block: ``short(claims, budgets, *more)`` for
@@ -102,12 +88,6 @@ def _long_rows(count_one: Callable, short: Callable, claims: np.ndarray, budgets
     if claims.shape[1] < _SELECT_MIN_CLAIMS:
         return short(claims, budgets, *more)
     return np.array([count_one(*row) for row in zip(claims, budgets, *more)], dtype=np.int64)
-
-
-def _prefix_count_rows(ordered: np.ndarray, budgets: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """_cumsum_count_rows of a 2-D block, each long row counted by
-    _served_prefix."""
-    return _long_rows(_served_prefix, lambda rows, b: _cumsum_count_rows(rows, b, in_place), ordered, budgets)
 
 
 def _selected_count(row: np.ndarray, budget: int, descending: bool = False) -> int:
@@ -176,14 +156,6 @@ def _sorted_count_rows(claims: np.ndarray, budgets: np.ndarray, descending: bool
         return _cumsum_count_rows(ordered[:, ::-1] if descending else ordered, b, in_place=True)
 
     return _long_rows(lambda row, budget: _selected_count(row, budget, descending), short, claims, budgets)
-
-
-#: shortest rows of aux words that _word_counts ranks by the default argsort
-#: rather than the stable one.  Words never tie within a row, so both give
-#: the same order, and the kind only sets the speed: the stable and the
-#: default sort took 7 and 13 ns a word on (2000, 3) blocks, 35 and 10 on
-#: (1000, 200), and 59 and 13 on (64, 4096) (2-vCPU x86 VM)
-_DEFAULT_SORT_MIN_ROW = 16
 
 
 def _flat_positions(order: np.ndarray) -> np.ndarray:
@@ -258,9 +230,10 @@ def _ranked_count(claims: np.ndarray, budget: int, aux: np.ndarray) -> int:
 
 def _word_counts(claims: np.ndarray, budgets: np.ndarray, aux: np.ndarray) -> np.ndarray:
     """Served counts of a claim block in the ascending order of its aux
-    words: the whole block ranked, then counted by _prefix_count_rows."""
-    order = np.argsort(aux, axis=1, kind="stable" if aux.shape[1] < _DEFAULT_SORT_MIN_ROW else None)
-    return _prefix_count_rows(claims.reshape(-1)[_flat_positions(order)], budgets, in_place=True)
+    words: the whole block ranked, then counted by _cumsum_count_rows.
+    Words never tie within a row, so every sort kind gives that order."""
+    order = np.argsort(aux, axis=1)
+    return _cumsum_count_rows(claims.reshape(-1)[_flat_positions(order)], budgets, in_place=True)
 
 
 def _third_largest_first(descending: np.ndarray) -> np.ndarray:
@@ -297,7 +270,7 @@ class PriorityPolicy:
         counts = np.empty(len(claims), dtype=np.int64)
         for i, row in enumerate(claims):
             perm = self.permutation(row * quantum, None if aux is None else aux[i])
-            counts[i] = _prefix_count_rows(row[perm][None], budgets[i:i + 1], in_place=True)[0]
+            counts[i] = _cumsum_count_rows(row[perm][None], budgets[i:i + 1], in_place=True)[0]
         return counts
 
 
@@ -308,7 +281,7 @@ class FcfsPolicy(PriorityPolicy):
     in_arrival_order = True
 
     def count_rows(self, claims, budgets, aux=None, quantum=1.0):
-        return _prefix_count_rows(claims, budgets)
+        return _cumsum_count_rows(claims, budgets)
 
 
 class WeakestFirstPolicy(PriorityPolicy):
@@ -371,7 +344,7 @@ class ThirdLargestFirstPolicy(PriorityPolicy):
         # a stable descending argsort puts tied claims in some order, but
         # the served prefix only sees their values, which a sort reproduces
         ordered = _third_largest_first(np.sort(claims, axis=1)[:, ::-1])
-        return _prefix_count_rows(ordered, budgets, in_place=True)
+        return _cumsum_count_rows(ordered, budgets, in_place=True)
 
 
 class CustomPolicy(PriorityPolicy):

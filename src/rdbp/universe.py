@@ -24,9 +24,10 @@ written, in quanta of the triple's lattice (``LawTriple.quantum``), into
 the reader's int64 block.  The readers reduce what they can while hashing:
 offspring are counted straight from the hashed words, so neither their
 units nor their counts are built, and a constant law needs no hashing at
-all (a constant budget is the count times the constant).  A row served in
-arrival order builds no row either: it is counted piece by piece, and no
-claim past the piece where its total leaves the budget is hashed.
+all (a constant budget is the count times the constant).  A long row served
+in arrival order builds no row either: each piece's sum is added to a
+running total, the piece where that total leaves the budget is counted by
+one ``cumsum``, and no claim past it is hashed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from typing import Iterator
 import numpy as np
 
 from .distributions import Constant, LawTriple
-from .policies import _served_prefix
 
 __all__ = ["Seed", "Universe", "ReplicateRows", "INDEX_CAP"]
 
@@ -348,8 +348,9 @@ class ReplicateRows:
 
         Each piece's claims are written, in quanta, over its hashed words,
         and the running total adds each piece's sum.  The piece where that
-        total leaves the budget is counted by ``policies._served_prefix``,
-        and no piece after it is hashed.
+        total leaves the budget, of at most CHUNK_CELLS claims, is counted
+        by one ``cumsum`` written over its claims and a search for what the
+        pieces before it left of the budget; no piece after it is hashed.
         """
         law = self._base.laws.claim
         served, total = 0, 0
@@ -358,7 +359,7 @@ class ReplicateRows:
                 claims = _quanta(law, words, spare.view(np.float64), self._scale, words.view(np.int64))
                 after = total + int(claims.sum())
                 if after > budget:
-                    return served + _served_prefix(claims, budget - total)
+                    return served + int(claims.cumsum(out=claims).searchsorted(budget - total, "right"))
                 served, total = served + claims.size, after
         return served
 

@@ -495,6 +495,29 @@ class TestErrorPaths:
         assert rdbp.config.parse_run_config({"check_params": {check: {key: at_cap}}}).check_params[check][key] \
             in (100, (100,))
 
+    @pytest.mark.parametrize(
+        "check, key, value, at",
+        [
+            # each used to run: safe_haven reported ok=False for estimates
+            # monotone in the founder count, sf_probe a "significant
+            # decrease" from 3 to 1 arrivals, and a repeat duplicated a row
+            # or reported two t values with cells for one
+            ("safe_haven", "initial_sizes", [10, 1, 2], 1),
+            ("safe_haven", "initial_sizes", [2, 2, 5], 1),
+            ("sf_probe", "t_values", [3, 1], 1),
+            ("sf_probe", "t_values", [1, 2, 2], 2),
+        ],
+    )
+    def test_founder_lists_must_increase(self, tmp_path, capsys, check, key, value, at):
+        cfg = verify_config(tmp_path, [check], {check: {key: value}})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"config error: check_params.{check}.{key}[{at}]: expected an integer "
+                                           f"> {value[at - 1]}, as the list must increase\n")
+        assert not (tmp_path / "o").exists()
+        run = {"safe_haven": rdbp.montecarlo.safe_haven_check, "sf_probe": rdbp.montecarlo.sf_monotonicity_probe}
+        with pytest.raises(ValueError, match=f"must increase, but {value[at]} follows {value[at - 1]}"):
+            run[check](rdbp.montecarlo.COUNTEREXAMPLE_TRIPLE, value, rdbp.montecarlo.McConfig(replicates=5))
+
     @pytest.mark.parametrize("block, key", [("process", "initial_size"), ("process", "explosion_cap"),
                                             ("mc", "replicates"), ("mc", "horizon")])
     def test_wrong_type_names_its_field_once(self, tmp_path, capsys, block, key):

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rdbp.engine
+import rdbp.policies
 import rdbp.universe
 from rdbp import (
     POLICY_TOKENS,
@@ -62,9 +63,11 @@ def _random_order(seed):
 
 
 def _streaming(patch, streamed):
-    """Every fcfs row longer than 24 claims streamed through 8-cell pieces."""
+    """Every fcfs row of 24 claims or more streamed through 8-cell pieces,
+    and the other rows read in batches of at most 24 cells."""
     if streamed:
         patch.setattr(rdbp.engine, "BLOCK_CELLS", 24)
+        patch.setattr(rdbp.policies, "_SELECT_MIN_CLAIMS", 24)
         patch.setattr(rdbp.universe, "CHUNK_CELLS", 8)
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdbp.montecarlo
 from rdbp import (
     COUNTEREXAMPLE_TRIPLE,
     Constant,
@@ -456,6 +457,16 @@ class TestSfMonotonicityProbe:
         a = sf_monotonicity_probe(probe_triple, (1, 2), mc)
         b = sf_monotonicity_probe(probe_triple, (1, 2), mc)
         assert a == b
+
+    @pytest.mark.parametrize("v_max", [None, 9])
+    def test_replicate_slices_are_invisible(self, monkeypatch, probe_triple, v_max):
+        # slices of 7 ids, one of them partial, against a single slice; a
+        # v_max past every served count reads tallies beyond their end
+        mc = McConfig(replicates=45, base_seed=Seed(17))
+        monkeypatch.setattr(rdbp.montecarlo, "REPLICATE_CHUNK", mc.replicates)
+        whole = sf_monotonicity_probe(probe_triple, (1, 2, 4), mc, v_max)
+        monkeypatch.setattr(rdbp.montecarlo, "REPLICATE_CHUNK", 7)
+        assert sf_monotonicity_probe(probe_triple, (1, 2, 4), mc, v_max) == whole
 
     def test_rejects_empty_crowds(self, probe_triple):
         with pytest.raises(ValueError):

@@ -215,7 +215,6 @@ def word_block(rng, kind, shape):
 class TestWordOrder:
     """coinflip serves in the ascending order of its aux words, which is
     the reference's stable argsort of them: on rows either side of
-    _DEFAULT_SORT_MIN_ROW, which picks the sort kind, and of
     _SELECT_MIN_CLAIMS, lowered so that hypothesis's short rows reach the
     long-row count."""
 
@@ -225,7 +224,7 @@ class TestWordOrder:
     def test_count_rows_counts_like_the_reference(self, select_min, block):
         claims, budgets, aux = block
         want = [reference_count("coinflip", *row) for row in zip(claims, budgets, aux)]
-        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=select_min, _PREFIX_BLOCK=4, _SAMPLE=2):
+        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=select_min, _SAMPLE=2):
             assert CoinFlipPolicy().count_rows(claims, budgets, aux).tolist() == want
 
     @pytest.mark.parametrize("kind", WORD_KINDS)
@@ -398,10 +397,11 @@ def spy_on_the_whole_ranking():
 
 
 class TestLongRowCounts:
-    """Long rows are counted by block sums and, for wf, sf and coinflip, by
-    ranking only the claims around the crossing; every count equals the
-    full sort-and-cumsum reference (tests/oracle.py), for a row alone and in
-    a block, ties and budgets on prefix totals included."""
+    """Long rows are counted, for wf, sf and coinflip, by ranking only the
+    claims around the crossing, and for the other orders by one cumsum;
+    every count equals the full sort-and-cumsum reference (tests/oracle.py),
+    for a row alone and in a block, ties and budgets on prefix totals
+    included."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -421,9 +421,8 @@ class TestLongRowCounts:
         st.integers(min_value=0, max_value=2 ** 32 - 1),
     )
     def test_small_blocks_and_samples_count_like_the_reference(self, n, claim_kind, budget_kind, seed):
-        # blocks of 4 claims and samples of 8 put crossings on block and
-        # window edges in short rows
-        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=1, _PREFIX_BLOCK=4, _SAMPLE=8):
+        # samples of 8 put crossings on window edges in short rows
+        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=1, _SAMPLE=8):
             assert_counts_like_the_reference(np.random.default_rng(seed), n, claim_kind, budget_kind)
 
     @pytest.mark.parametrize("token", ["fcfs", "wf", "sf", "coinflip", "counterexample"])
@@ -464,9 +463,9 @@ class TestLongRowCounts:
     )
     def test_coinflip_small_blocks_and_samples_count_like_the_reference(
             self, n, claim_kind, word_kind, budget_kind, seed):
-        # samples of 32 words probe down to neighbouring thresholds, and
-        # blocks of 4 claims put crossings on block and window edges
-        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=1, _PREFIX_BLOCK=4, _SAMPLE=8):
+        # samples of 32 words probe down to neighbouring thresholds and put
+        # crossings on window edges
+        with mock.patch.multiple(rdbp.policies, _SELECT_MIN_CLAIMS=1, _SAMPLE=8):
             assert_coinflip_counts_like_the_reference(
                 np.random.default_rng(seed), n, claim_kind, word_kind, budget_kind)
 

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rdbp.engine
+import rdbp.policies
 import rdbp.universe
 import oracle
 from oracle import quanta, quantile, unit_row, word_row
@@ -132,6 +133,7 @@ def test_batched_runs_match_simulate_with_small_pieces(monkeypatch, triple, toke
     want = [[oracle.simulate(spec, base.derive_replicate(i)) for i in ids] for spec in specs]
     monkeypatch.setattr(rdbp.universe, "CHUNK_CELLS", 64)
     monkeypatch.setattr(rdbp.engine, "BLOCK_CELLS", 200)
+    monkeypatch.setattr(rdbp.policies, "_SELECT_MIN_CLAIMS", 200)  # fcfs rows of 200+ claims stream
     assert simulate_replicates(specs[0], base, ids) == want[0]
     assert [simulate(specs[0], base.derive_replicate(i)) for i in ids] == want[0]
     assert simulate_coupled_replicates(specs, base, ids) == want

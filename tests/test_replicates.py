@@ -118,11 +118,10 @@ def test_coinflip_runs_like_the_reference(initial_size):
 @pytest.mark.parametrize("token", POLICY_TOKENS)
 @pytest.mark.parametrize("name", ["uniform-constant", "beta-uniform", "exponential-uniform"])
 def test_long_row_counts_run_like_the_reference(monkeypatch, name, token):
-    # rows of 16 claims or more take the long-row counts, in blocks of 32
-    # claims and from samples of 8, and every trajectory equals the one
-    # counted through the full sort and cumsum
+    # rows of 16 claims or more take the long-row counts, from samples of
+    # 8, and fcfs streams them; every trajectory equals the one counted
+    # through the full sort and cumsum
     monkeypatch.setattr(rdbp.policies, "_SELECT_MIN_CLAIMS", 16)
-    monkeypatch.setattr(rdbp.policies, "_PREFIX_BLOCK", 32)
     monkeypatch.setattr(rdbp.policies, "_SAMPLE", 8)
     triple = TRIPLES[name]
     fast, ref = (
@@ -238,7 +237,10 @@ def test_coupled_specs_step_together_as_if_alone(triple, coupled, seed, first, c
     ids = range(first, first + count)
     want = [_reference(spec, base, ids) for spec in specs]
     mc = McConfig(horizon=6, explosion_cap=400, base_seed=Seed(seed))
+    # small: batches of 16 cells, fcfs rows of 16 claims or more streamed,
+    # and slices of 3 ids
     with mock.patch.object(rdbp.engine, "BLOCK_CELLS", 16 if small else rdbp.engine.BLOCK_CELLS), \
+            mock.patch.object(rdbp.policies, "_SELECT_MIN_CLAIMS", 16 if small else rdbp.policies._SELECT_MIN_CLAIMS), \
             mock.patch.object(rdbp.montecarlo, "REPLICATE_CHUNK", 3 if small else rdbp.montecarlo.REPLICATE_CHUNK):
         assert simulate_coupled_replicates(specs, base, ids) == want
         assert _runs(specs, mc, start=first, count=count) == want

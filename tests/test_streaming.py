@@ -3,11 +3,11 @@
 ``ReplicateRows.served_in_arrival_order`` counts a row served in arrival
 order piece by piece from exact piece sums of its int64 claims, and stops
 hashing at the piece where its running total crosses the budget.  The
-engine gives it every row longer than ``BLOCK_CELLS`` that fcfs serves.  A
-constant resource law's budget is the member count times the constant's
-quanta, and builds no row.  With the kernel's pieces and the engine's
-batches patched small, each must give exactly what the materialised row
-gives.
+engine gives it every fcfs row of at least ``policies._SELECT_MIN_CLAIMS``
+claims, in whatever batch.  A constant resource law's budget is the member
+count times the constant's quanta, and builds no row.  With the kernel's
+pieces and that threshold patched small, each must give exactly what the
+materialised row gives.
 """
 
 import tracemalloc
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import rdbp.engine
 import rdbp.policies
 import rdbp.universe
 import oracle
@@ -155,17 +154,15 @@ STREAMED_CLAIMS = {
     law=st.sampled_from(sorted(STREAMED_CLAIMS)),
     seed=st.integers(0, 2**32),
     piece=st.sampled_from([3, 8, 40]),
-    block=st.sampled_from([4, 1024]),
     count=st.integers(1, 240),
     budget=st.one_of(st.sampled_from(["zero", "beyond", "between"]),
                      st.tuples(st.integers(0, 10**6), st.sampled_from([-1, 0, 1]))),
     share=st.floats(0.0, 1.0),
 )
-@example(law="uniform", seed=1, piece=8, block=4, count=80, budget=(15, -1), share=0.0)
-@example(law="lattice-0.25", seed=1, piece=8, block=1024, count=80, budget=(23, 0), share=0.0)
-def test_the_streamed_count_is_the_simple_one(law, seed, piece, block, count, budget, share):
+@example(law="uniform", seed=1, piece=8, count=80, budget=(15, -1), share=0.0)
+@example(law="lattice-0.25", seed=1, piece=8, count=80, budget=(23, 0), share=0.0)
+def test_the_streamed_count_is_the_simple_one(law, seed, piece, count, budget, share):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rdbp.policies, "_PREFIX_BLOCK", block)
         passes = _count_passes(patch, piece)
         reader = ReplicateRows(Universe(Seed(seed), _laws(STREAMED_CLAIMS[law])), np.array([17, 40]), 3)
         row = reader.claims(np.array([1]), count)[0]
@@ -192,10 +189,14 @@ LONG_ROW_TRIPLES = {
 }
 
 
+#: the streaming threshold the ``streamed`` fixture sets
+THRESHOLD = 20
+
+
 @pytest.fixture
 def streamed(monkeypatch):
     """The count of every row the engine streams, with the kernel's pieces
-    and the engine's batches made small."""
+    and the streaming threshold made small."""
     counts = []
     real = ReplicateRows.served_in_arrival_order
 
@@ -204,7 +205,7 @@ def streamed(monkeypatch):
         return real(self, row, count, budget)
 
     monkeypatch.setattr(rdbp.universe, "CHUNK_CELLS", PIECE)
-    monkeypatch.setattr(rdbp.engine, "BLOCK_CELLS", 20)
+    monkeypatch.setattr(rdbp.policies, "_SELECT_MIN_CLAIMS", THRESHOLD)
     monkeypatch.setattr(ReplicateRows, "served_in_arrival_order", spy)
     return counts
 
@@ -219,7 +220,7 @@ def test_the_engine_streams_long_fcfs_rows_and_matches_the_oracle(streamed, trip
         want = [oracle.step(int(s), base.derive_replicate(int(i)), n, fcfs) for s, i in zip(sizes, ids)]
         assert step_replicates(sizes, base, ids, n, fcfs).tolist() == want
         assert [step(int(s), base.derive_replicate(int(i)), n, fcfs) for s, i in zip(sizes, ids)] == want
-    assert streamed and min(streamed) > 20
+    assert streamed and min(streamed) >= THRESHOLD
 
 
 @pytest.mark.parametrize("triple", LONG_ROW_TRIPLES.values(), ids=LONG_ROW_TRIPLES.keys())
@@ -231,13 +232,32 @@ def test_a_coupled_pass_streams_only_its_long_fcfs_rows(streamed, triple):
     ids = range(6)
     want = [[oracle.simulate(spec, base.derive_replicate(i)) for i in ids] for spec in specs]
     assert simulate_coupled_replicates(specs, base, ids) == want
-    # every fcfs generation of more than BLOCK_CELLS children streamed, and
-    # no wf or coinflip one did
+    # every fcfs generation of THRESHOLD children or more streamed, and no
+    # wf or coinflip one did
     long_rows = [int(oracle.offspring_row(base.derive_replicate(i), n, size).sum())
                  for trajectories in want[:2] for i, traj in zip(ids, trajectories)
                  for n, size in enumerate(traj.sizes[:-1])]
-    assert sorted(streamed) == sorted(c for c in long_rows if c > 20)
+    assert sorted(streamed) == sorted(c for c in long_rows if c >= THRESHOLD)
     assert streamed
+
+
+def test_fcfs_rows_stream_from_the_threshold_on_in_a_shared_batch(streamed):
+    # one child per member, so the first generation holds fcfs rows of
+    # exactly THRESHOLD - 1, THRESHOLD and THRESHOLD + 1 claims, read in one
+    # batch with wf and coinflip rows of those lengths and with short rows
+    triple = LawTriple(OffspringLaw((0.0, 1.0)), Uniform(0.0, 2.0), Uniform(0.0, 2.4))
+    specs = [ProcessSpec(laws=triple, policy=policy_from_token(token), initial_size=initial, horizon=4,
+                         explosion_cap=400)
+             for token in ("fcfs", "wf", "coinflip") for initial in (3, THRESHOLD - 1, THRESHOLD, THRESHOLD + 1)]
+    base = Universe(Seed(4), triple)
+    ids = range(5)
+    want = [[oracle.simulate(spec, base.derive_replicate(i)) for i in ids] for spec in specs]
+    assert simulate_coupled_replicates(specs, base, ids) == want
+    # a row's claims are its members; exactly the fcfs rows at or above the
+    # threshold streamed, the first generation's among them
+    fcfs_rows = [size for trajectories in want[:4] for traj in trajectories for size in traj.sizes[:-1]]
+    assert sorted(streamed) == sorted(c for c in fcfs_rows if c >= THRESHOLD)
+    assert streamed.count(THRESHOLD) >= len(ids) and streamed.count(THRESHOLD + 1) >= len(ids)
 
 
 CONSTANTS = (1.2, 0.1, 1 / 3, 2.7, 1e-7)
