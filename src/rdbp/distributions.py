@@ -118,7 +118,12 @@ def _first_word_above(cut: float) -> int:
 
 @dataclass(frozen=True)
 class Uniform:
-    """Uniform law on (lo, hi).  Claim laws use lo = 0."""
+    """Uniform law on (lo, hi).  Claim laws use lo = 0.
+
+    With lo = 0 and hi a power of two, the quanta of a hashed word's value
+    are the word shifted right (``word_shift``), so the universe's reader
+    builds neither units nor values for such a law.
+    """
 
     lo: float
     hi: float
@@ -152,6 +157,22 @@ class Uniform:
         """``lo + u * (hi - lo)``; the ``+ lo`` pass is skipped where lo = 0."""
         x = np.multiply(np.asarray(u, dtype=np.float64), self.hi - self.lo, out=out)
         return np.add(x, self.lo, out=out) if self.lo else x
+
+    def word_shift(self, bits: int) -> Optional[int]:
+        """The k for which ``w >> k`` is, for every 64-bit word w, the value
+        of w's unit in truncated quanta of 2**-bits; None unless lo = 0 and
+        hi = 2**E with E + bits <= 52 and E >= -1021.
+
+        The unit is m * 2**-53 with m = (w >> 11) | 1 below 2**53, so its
+        value m * 2**(E - 53) is a double (E >= -1021) and the scaling by
+        2**bits is exact.  Truncating m * 2**(E + bits - 53) drops the
+        ``| 1`` bit when E + bits <= 52, which leaves w >> (64 - E - bits).
+        A k of 64 or more means every value lies below one quantum.
+        """
+        mantissa, exponent = math.frexp(self.hi)
+        if self.lo or mantissa != 0.5 or not -1021 <= exponent - 1 <= 52 - bits:
+            return None
+        return 65 - exponent - bits
 
     def lower_partial_moment(self, t: float) -> float:
         """E[X; X <= t], the mean restricted to values at most t."""
@@ -587,6 +608,14 @@ class LawTriple:
         shares one lattice, whatever its founder count or policy.
         """
         return _lattice_bits(max(_largest_value(self.claim), _largest_value(self.resource)))
+
+    @cached_property
+    def word_shifts(self) -> tuple[Optional[int], Optional[int]]:
+        """The claim and the resource law's ``Uniform.word_shift`` on this
+        lattice, None for a law that has none: the reader writes the quanta
+        of a law with a shift straight from the hashed words."""
+        return tuple(law.word_shift(self.lattice_bits) if isinstance(law, Uniform) else None
+                     for law in (self.claim, self.resource))
 
     @property
     def quantum(self) -> float:
