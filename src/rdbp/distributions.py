@@ -122,7 +122,8 @@ class Uniform:
 
     With lo = 0 and hi a power of two, the quanta of a hashed word's value
     are the word shifted right (``word_shift``), so the universe's reader
-    builds neither units nor values for such a law.
+    builds neither units nor values for such a law: it passes the words to
+    ``icdf`` with that shift.
     """
 
     lo: float
@@ -153,8 +154,21 @@ class Uniform:
     def cdf(self, x):
         return np.clip((np.asarray(x, dtype=np.float64) - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
-    def icdf(self, u, out=None):
-        """``lo + u * (hi - lo)``; the ``+ lo`` pass is skipped where lo = 0."""
+    def icdf(self, u, out=None, *, shift=None):
+        """``lo + u * (hi - lo)``; the ``+ lo`` pass is skipped where lo = 0.
+
+        With a ``shift`` from ``word_shift(bits)``, ``u`` holds the hashed
+        uint64 words rather than their units, and their values are written
+        into the int64 ``out`` in truncated quanta of 2**-bits: ``u >> shift``,
+        or zeros for a shift of 64 or more, rather than rely on what numpy
+        makes of a shift that wide.
+        """
+        if shift is not None:
+            if shift < 64:
+                np.right_shift(u, shift, out=out.view(np.uint64))
+            else:
+                out.fill(0)
+            return out
         x = np.multiply(np.asarray(u, dtype=np.float64), self.hi - self.lo, out=out)
         return np.add(x, self.lo, out=out) if self.lo else x
 

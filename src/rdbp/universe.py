@@ -20,8 +20,9 @@ long or short the rows are and a law is applied once per piece.  Aux cells
 are the mixed words themselves, copied into the reader's block.  Claims and
 resources go into the reader's int64 block in quanta of the triple's
 lattice (``LawTriple.quantum``).  A law U(0, 2**E) writes them with one
-shift of the words, ``w >> (64 - E - s)`` (``LawTriple.word_shifts``),
-which gives the float path's quanta word for word.  Any other law's units
+shift of the words, ``w >> (64 - E - s)`` (``LawTriple.word_shifts``,
+applied by ``Uniform.icdf``), which gives the float path's quanta word for
+word.  Any other law's units
 are written into the kernel's spare buffer, ``law.icdf(u, out=u)``
 overwrites them with the law's values, and those are truncated into the
 block.  The readers reduce what they can while hashing:
@@ -178,19 +179,14 @@ def _quanta(law, shift, words: np.ndarray, spare: np.ndarray, scale: float, out:
     """The law's values of the units of mixed ``words``, in quanta of
     1 / ``scale`` truncated into the int64 ``out``, which may be ``words``.
 
-    A law with a shift (``LawTriple.word_shifts``) is one pass: ``out`` is
-    ``words >> shift``.  A shift of 64 or more fills zeros, which is what
-    the float path gives, rather than rely on what numpy makes of a shift
-    that wide.  Any other law's values are computed over the units in
-    ``spare``.  The scale is a power of two, so the multiply in place is
+    A law with a shift (``LawTriple.word_shifts``) is one pass:
+    ``Uniform.icdf`` writes ``words >> shift`` into ``out``, or zeros for a
+    shift of 64 or more, which is what the float path gives.  Any other
+    law's values are computed over the units in ``spare``.  The scale is a power of two, so the multiply in place is
     exact, and a plain cast then truncates: 0.75 ns a cell against 1.06 for
     a multiply that casts into ``out`` (2-vCPU x86 VM)."""
     if shift is not None:
-        if shift < 64:
-            np.right_shift(words, shift, out=out.view(np.uint64))
-        else:
-            out.fill(0)
-        return out
+        return law.icdf(words, out=out, shift=shift)
     values = law.icdf(_units(words, spare), out=spare)
     values *= scale
     np.copyto(out, values, casting="unsafe")

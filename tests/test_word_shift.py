@@ -99,18 +99,23 @@ def test_each_law_gets_its_shift_on_the_triples_lattice(claim, resource, shifts)
     assert LawTriple(OFFSPRING, claim, resource).word_shifts == shifts
 
 
-@pytest.mark.parametrize("claim,uses_icdf", [(Uniform(0.0, 2.0), False), (Uniform(0.0, 3.0), True),
-                                              (Uniform(0.5, 1.5), True), (Uniform(0.2, 1.0), True)],
+@pytest.mark.parametrize("claim,uses_units", [(Uniform(0.0, 2.0), False), (Uniform(0.0, 3.0), True),
+                                               (Uniform(0.5, 1.5), True), (Uniform(0.2, 1.0), True)],
                          ids=["dyadic", "width-3", "lo-0.5", "lo-0.2"])
-def test_only_laws_with_a_shift_skip_icdf(monkeypatch, claim, uses_icdf):
+def test_only_laws_with_a_shift_skip_the_units(monkeypatch, claim, uses_units):
     laws = LawTriple(OFFSPRING, claim, Constant(1.2))
     universe = Universe(Seed(4), laws, 9)
     want = oracle.claim_row(universe, 2, 500)
-    calls, icdf = [], Uniform.icdf
-    monkeypatch.setattr(Uniform, "icdf", lambda self, u, out=None: calls.append(len(u)) or icdf(self, u, out=out))
+    units, shifts = [], []
+    real_units, icdf = rdbp.universe._units, Uniform.icdf
+    monkeypatch.setattr(rdbp.universe, "_units", lambda words, out: units.append(len(words)) or real_units(words, out))
+    monkeypatch.setattr(Uniform, "icdf", lambda self, u, out=None, *, shift=None:
+                        shifts.append(shift) or icdf(self, u, out=out, shift=shift))
     got = universe.generation(2).claims(np.zeros(1, dtype=np.intp), 500)[0]
     assert got.tobytes() == want.tobytes()
-    assert bool(calls) is uses_icdf
+    assert bool(units) is uses_units
+    # both paths read the law through icdf; only the float path gives it units
+    assert shifts and all((s is None) is uses_units for s in shifts)
 
 
 #: claim and resource laws of the readers' tests: both with a shift (the
