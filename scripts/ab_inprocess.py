@@ -26,6 +26,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import os
 import statistics
 import sys
 import tempfile
@@ -64,6 +65,13 @@ def load(checkout: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def bytecode_env(cache: Path) -> dict:
+    """The environment of a side's processes, which compile into ``cache``."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    return env
 
 
 def call(cli, argv: list[str]) -> float:

@@ -30,21 +30,13 @@ Example, with the parent exported to ../parent:
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ab_inprocess import HERE, quartiles, src_lines  # noqa: E402
-
-
-def bytecode_env(cache: Path) -> dict:
-    """The environment of a side's processes, which compile into ``cache``."""
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPYCACHEPREFIX"] = str(cache)
-    return env
+from ab_inprocess import HERE, bytecode_env, quartiles, src_lines  # noqa: E402
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> tuple[dict, list[str]]:

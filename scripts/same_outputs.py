@@ -32,7 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab_inprocess import HERE, bytecode_env  # noqa: E402
+
 COMMANDS = ("verify", "simulate", "classify", "curve")
 #: a call whose peak RSS moved by more than this share is listed
 PEAK_MOVE = 0.10
@@ -42,8 +44,7 @@ def run(checkout: Path, argv: list[str], workdir: Path, cache: Path) -> dict:
     """One CLI call in ``workdir``, compiling into ``cache``: its exit code,
     streams, output files and peak RSS in MB."""
     workdir.mkdir(parents=True)
-    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
-    env.update(PYTHONPATH=str(checkout / "src"), PYTHONPYCACHEPREFIX=str(cache))
+    env = dict(bytecode_env(cache), PYTHONPATH=str(checkout / "src"))
     # the streams go to files beside out/, so the call can be reaped by
     # os.wait4, whose rusage holds this child's peak alone
     streams = {name: workdir / name for name in ("stdout", "stderr")}

@@ -15,13 +15,15 @@ Example, from the root of a checkout:
 import argparse
 import contextlib
 import io
-import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 import rdbp.cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab_inprocess import quartiles  # noqa: E402
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 CONFIGS = ("short-lived", "deep-growth", "beta-claims")
@@ -40,7 +42,7 @@ def verify(config: Path, seed: int, threads: int, out: Path) -> tuple[float, byt
 
 
 def summary(times: list[float]) -> str:
-    q1, q2, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    q1, q2, q3 = quartiles(times)
     return f"{q2:.4f} s [{q1:.4f}, {q3:.4f}]"
 
 

@@ -7,79 +7,12 @@ extinction from the law triple alone, and checks the structural theory
 (envelope bounds, policy dominance, counterexamples) by Monte Carlo.
 """
 
-from .criteria import (
-    CRITICAL_BAND,
-    Classification,
-    ConvergenceError,
-    CriticalReport,
-    DomainError,
-    UnboundedClaimError,
-    UnsupportedKindError,
-    beta_asymptotic_critical_resource,
-    classify,
-    critical_curve,
-    critical_report,
-    critical_resource_mean,
-    effective_mean_sf,
-    effective_mean_wf,
-    moment_shortcut,
-    solve_sf_threshold,
-    solve_wf_threshold,
-)
-from .distributions import (
-    Constant,
-    Exponential,
-    LawTriple,
-    OffspringLaw,
-    RegularityReport,
-    ScaledBeta,
-    Uniform,
-    validate_regularity,
-)
-from .engine import (
-    EngineError,
-    Outcome,
-    ProcessSpec,
-    Trajectory,
-    simulate,
-    simulate_coupled_replicates,
-    simulate_replicates,
-    step,
-    step_replicates,
-    trajectory_to_csv,
-    trajectory_to_json,
-)
-from .montecarlo import (
-    COUNTEREXAMPLE_TRIPLE,
-    CounterexampleSearchResult,
-    ExtinctionEstimate,
-    GrowthEstimate,
-    InsufficientSurvivors,
-    McConfig,
-    SafeHavenReport,
-    SuperadditivityReport,
-    counterexample_search,
-    dominance_check,
-    envelope_check,
-    estimate_extinction,
-    safe_haven_check,
-    sf_monotonicity_probe,
-    superadditivity_check,
-    wilson_interval,
-)
-from .policies import (
-    CoinFlipPolicy,
-    CustomPolicy,
-    FcfsPolicy,
-    POLICY_TOKENS,
-    PriorityPolicy,
-    StrongestFirstPolicy,
-    ThirdLargestFirstPolicy,
-    WeakestFirstPolicy,
-    count_sf,
-    policy_from_token,
-)
-from .universe import INDEX_CAP, Seed, Universe
+from .criteria import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .policies import *  # noqa: F401,F403
+from .universe import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 

@@ -149,8 +149,10 @@ def _cmd_curve(cfg: RunConfig, args) -> int:
 
 #: each check verify runs: a call of its function with mc and workers
 #: (through this module's name for it, so a wrapper set on that name sees
-#: the call), its verdict on the result, and the default of each param
-#: check_params may set.  A callable default reads the run config
+#: the call), its verdict on the result, and the default of each param its
+#: function leaves without one or that verify sets otherwise.  A callable
+#: default reads the run config.  Envelope keeps min_size and slack here,
+#: since run_coupled builds it from arguments that have no defaults
 _CHECKS = {
     "dominance": (lambda mc, workers, **args: dominance_check(mc=mc, workers=workers, **args),
                   lambda violations: violations == 0,
@@ -163,20 +165,20 @@ _CHECKS = {
                    lambda r: r.monotone_nonincreasing and all(row.within_bound for row in r.rows),
                    {"initial_sizes": (1, 2, 5, 10)}),
     "superadditivity": (lambda mc, workers, **args: superadditivity_check(mc=mc, workers=workers, **args),
-                        lambda r: r.ok, {"initial_size": 2, "n_gens": 3, "alpha": 1e-3}),
+                        lambda r: r.ok, {"initial_size": 2, "n_gens": 3}),
     "counterexample": (lambda mc, workers, **args: counterexample_search(mc=mc, **args),
-                       lambda r: r.found, {"budget": 10 ** 6}),
+                       lambda r: r.found, {}),
     "sf_probe": (lambda mc, workers, **args: sf_monotonicity_probe(mc=mc, **args),
-                 lambda r: True, {"t_values": (1, 2, 3, 4, 5), "v_max": None}),
+                 lambda r: True, {"t_values": (1, 2, 3, 4, 5)}),
 }
 
 
 def _check_args(name: str, cfg: RunConfig) -> dict:
-    """The arguments of a check's function, but for mc and workers: each
-    param as check_params sets it, or else its default."""
-    triple, params = cfg.triple(), cfg.check_params.get(name, {})
-    args = {key: params[key] if key in params else default(cfg) if callable(default) else default
-            for key, default in _CHECKS[name][2].items()}
+    """The arguments of a check's function, but for mc and workers: the
+    params check_params sets, laid over the defaults of ``_CHECKS``."""
+    triple = cfg.triple()
+    args = {key: default(cfg) if callable(default) else default for key, default in _CHECKS[name][2].items()}
+    args.update(cfg.check_params.get(name, {}))
     if "policy" in args:  # parse_run_config has checked both tokens
         if args["policy"] is None:
             raise ConfigError("config.policy: missing required field")

@@ -7,6 +7,7 @@ bearable.  Law parameters follow the {"kind": ..., "params": {...}} shape.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -52,12 +53,15 @@ def _get_required(obj: Mapping, path: str, key: str) -> Any:
     return obj[key]
 
 
-def _field(obj: Mapping, path: str, key: str, read: Callable[[Any, str], Any], default=None):
-    """``obj[key]`` checked by ``read(value, path)``, or ``default`` where
-    the key is absent; a field without a default is required."""
-    if key not in obj and default is not None:
-        return default
-    return read(_get_required(obj, path, key), f"{path}.{key}")
+def _fields(obj: Any, path: str, reads: Mapping[str, Callable[[Any, str], Any]], required=()) -> dict:
+    """The fields of the block ``obj`` that it sets, or that ``required``
+    names, each checked by its ``read(value, path)``.  A field it leaves
+    out is absent, so the class built from the result applies its own
+    default; an unknown field is refused."""
+    obj = _as_mapping(obj, path)
+    _reject_unknown(obj, path, tuple(reads))
+    return {key: read(_get_required(obj, path, key), f"{path}.{key}")
+            for key, read in reads.items() if key in obj or key in required}
 
 
 def _number(val: Any, path: str) -> float:
@@ -92,10 +96,10 @@ def _policy(val: Any, path: str) -> str:
     return val
 
 
-def _slack(val: Any, path: str):
+def _slack(val: Any, path: str) -> float:
     if not 0.0 <= _number(val, path) < math.inf:
         raise ConfigError(f"{path}: expected a finite number >= 0")
-    return val
+    return float(val)
 
 
 def _level(val: Any, path: str) -> float:
@@ -148,10 +152,15 @@ _CHECK_PARAMS = {
     "sf_probe": {"t_values": _founder_counts, "v_max": _integer},
 }
 CHECK_NAMES = tuple(_CHECK_PARAMS)
+#: the process and mc blocks' fields, with the test each value must pass.
+#: process.explosion_cap is bounded below by the founder count, which is
+#: known only once the defaults apply
+_PROCESS = {"initial_size": _founders, "horizon": _integer, "explosion_cap": partial(_integer, least=-math.inf)}
+_MC = {"confidence": _level, "replicates": _integer, "horizon": _integer, "explosion_cap": partial(_integer, least=2)}
 
-#: each law kind: its class, its params in constructor order (a missing
-#: scale reads 1.0) and the roles that take it.  A uniform claim is U(0, d):
-#: its one param d is the constructor's hi
+#: each law kind: its class, its params in constructor order and the roles
+#: that take it.  A param the constructor gives a default may be left out.
+#: A uniform claim is U(0, d): its one param d is the constructor's hi
 _LAWS = {
     "uniform": (Uniform, ("lo", "hi"), ("claim", "resource")),
     "scaled_beta": (ScaledBeta, ("a", "b", "scale"), ("claim", "resource")),
@@ -181,17 +190,19 @@ def _law_from_json(obj: Any, role: str):
     kinds = [name for name, (_, _, roles) in _LAWS.items() if role in roles]
     if kind not in kinds:
         raise ConfigError(f"{path}.kind: expected one of {', '.join(kinds)}, got {kind!r}")
-    params = _as_mapping(_get_required(obj, path, "params"), f"{path}.params")
-    path += ".params"
     cls, names, _ = _LAWS[kind]
     if role == "claim" and kind == "uniform":
-        cls, names = partial(Uniform, 0.0), ("d",)
-    _reject_unknown(params, path, names)
-    values = [_field(params, path, key, _number, 1.0 if key == "scale" else None) for key in names]
+        cls, names = _uniform_claim, ("d",)
+    required = [key for key, param in inspect.signature(cls).parameters.items() if param.default is param.empty]
+    values = _fields(_get_required(obj, path, "params"), f"{path}.params", dict.fromkeys(names, _number), required)
     try:
-        return cls(*values)
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}.params: {exc}") from exc
+
+
+def _uniform_claim(d: float) -> Uniform:
+    return Uniform(0.0, d)
 
 
 def offspring_law_to_json(law: OffspringLaw) -> dict:
@@ -266,26 +277,12 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
 
     policy = _policy(data["policy"], "config.policy") if "policy" in data else None
 
-    # both blocks are range-checked here, so their errors name the field
-    proc = _as_mapping(data.get("process", {}), "process")
-    _reject_unknown(proc, "process", ("initial_size", "horizon", "explosion_cap"))
-    initial_size = _field(proc, "process", "initial_size", _founders, 1)
-    process = ProcessParams(
-        initial_size=initial_size,
-        horizon=_field(proc, "process", "horizon", _integer, HORIZON_DEFAULT),
-        explosion_cap=_field(proc, "process", "explosion_cap", partial(_integer, least=initial_size + 1),
-                             EXPLOSION_CAP_DEFAULT),
-    )
-
-    mc_obj = _as_mapping(data.get("mc", {}), "mc")
-    _reject_unknown(mc_obj, "mc", ("replicates", "horizon", "explosion_cap", "confidence"))
-    mc = McConfig(
-        confidence=_field(mc_obj, "mc", "confidence", _level, 0.99),
-        replicates=_field(mc_obj, "mc", "replicates", _integer, 2000),
-        horizon=_field(mc_obj, "mc", "horizon", _integer, HORIZON_DEFAULT),
-        explosion_cap=_field(mc_obj, "mc", "explosion_cap", partial(_integer, least=2), EXPLOSION_CAP_DEFAULT),
-        base_seed=seed,
-    )
+    # both blocks are range-checked here, so their errors name the field;
+    # the cap is checked with the defaults applied, as simulate runs it
+    process = ProcessParams(**_fields(data.get("process", {}), "process", _PROCESS))
+    if process.explosion_cap <= process.initial_size:
+        raise ConfigError(f"process.explosion_cap: expected an integer >= {process.initial_size + 1}")
+    mc = McConfig(base_seed=seed, **_fields(data.get("mc", {}), "mc", _MC))
 
     m_grid = _list(data["m_grid"], "config.m_grid", "numbers", _mean) if "m_grid" in data else None
     checks = _check_names(data["checks"], "config.checks") if "checks" in data else None
@@ -295,10 +292,7 @@ def parse_run_config(data: Any, seed_override: Optional[Seed] = None) -> RunConf
         if name not in CHECK_NAMES:
             raise ConfigError(f"check_params.{name}: unknown check")
         path = f"check_params.{name}"
-        params = _as_mapping(params, path)
-        _reject_unknown(params, path, tuple(_CHECK_PARAMS[name]))
-        check_params[name] = {key: read(params[key], f"{path}.{key}")
-                              for key, read in _CHECK_PARAMS[name].items() if key in params}
+        check_params[name] = _fields(params, path, _CHECK_PARAMS[name])
         # an explicit founder count must be below the Monte Carlo cap; one
         # taken from the process block may suit simulate, so it stays a
         # run-time error of the check

@@ -32,7 +32,7 @@ import numpy as np
 
 from .criteria import effective_mean_sf, effective_mean_wf
 from .distributions import LawTriple, OffspringLaw, Uniform
-from .engine import ProcessSpec, step_replicates
+from .engine import EXPLOSION_CAP_DEFAULT, HORIZON_DEFAULT, ProcessSpec, step_replicates
 from .engine import _replicate_generations, _run_table, _size_table, _trajectories
 from .policies import StrongestFirstPolicy, ThirdLargestFirstPolicy, policy_from_token
 from .policies import count_sf  # noqa: F401  the benchmark's span tests reach it by this name
@@ -97,8 +97,8 @@ class InsufficientSurvivors(RuntimeError):
 @dataclass(frozen=True)
 class McConfig:
     replicates: int = 2000
-    horizon: int = 200
-    explosion_cap: int = 10 ** 6
+    horizon: int = HORIZON_DEFAULT
+    explosion_cap: int = EXPLOSION_CAP_DEFAULT
     base_seed: Seed = Seed(0)
     confidence: float = 0.99
 

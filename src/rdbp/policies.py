@@ -65,10 +65,10 @@ def _cumsum_count_rows(ordered: np.ndarray, budgets: np.ndarray, in_place: bool 
 
 #: shortest rows counted, for wf and sf, by _selected_count and, for
 #: coinflip, by _ranked_count instead of a full sort, and shortest
-#: arrival-order rows the engine streams.  At 8192 int64 claims
-#: (scripts/count_ns_per_claim.py, 2-vCPU x86 VM) wf and coinflip took 5.9
-#: and 10.4 ns per claim, against 10.0 and 23.3 for blocks of 1000-claim
-#: rows counted whole
+#: arrival-order rows the engine streams.  At 8192 int64 claims (timed as
+#: the count_rows section of scripts/bench_layers.py does, 2-vCPU x86 VM)
+#: wf and coinflip took 5.9 and 10.4 ns per claim, against 10.0 and 23.3
+#: for blocks of 1000-claim rows counted whole
 _SELECT_MIN_CLAIMS = 8192
 #: sampled claims from which _selected_count estimates the crossing rank;
 #: _ranked_count samples four times as many aux words

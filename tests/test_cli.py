@@ -232,6 +232,16 @@ class TestVerify:
         assert cli.main(["verify", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "verify.json").read_bytes() == (out_b / "verify.json").read_bytes()
 
+    def test_integral_slack_writes_what_its_float_writes(self, tmp_path, capsys):
+        written = []
+        for slack in (0, 0.0):
+            cfg = verify_config(tmp_path, ["envelope"], {"envelope": {"policy": "wf", "min_size": 10, "slack": slack}},
+                                resource_value=1.2)
+            assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+            written.append((tmp_path / "o" / "verify.json").read_bytes())
+        assert b'"slack": 0.0' in written[0]
+        assert written[0] == written[1]
+
     def test_hard_violation_sets_exit_code(self, tmp_path, capsys, monkeypatch):
         # the engine cannot produce a dominance violation, so fake one in
         # the reduction verify's shared pass runs, to exercise the exit path
@@ -441,6 +451,8 @@ class TestErrorPaths:
             ("process", {"initial_size": 0}, "process.initial_size", ">= 1"),
             ("process", {"horizon": 0}, "process.horizon", ">= 1"),
             ("process", {"initial_size": 5, "explosion_cap": 5}, "process.explosion_cap", ">= 6"),
+            # founders above the default cap are checked against it too
+            ("process", {"initial_size": 2 * 10 ** 6}, "process.explosion_cap", ">= 2000001"),
             ("mc", {"replicates": 0}, "mc.replicates", ">= 1"),
             ("mc", {"explosion_cap": 1}, "mc.explosion_cap", ">= 2"),
             ("mc", {"confidence": 1.0}, "mc.confidence", "in (0, 1)"),
