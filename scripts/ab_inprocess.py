@@ -12,8 +12,16 @@ relatively, or the two copies would mix; the script checks that first.
 Each call is timed with ``time.process_time`` after one untimed warm-up call
 per side.  It prints each side's median [Q1, Q3], the quartiles of the
 per-pair ratio change / parent, the pairs the change won (ties count for
-neither) and each checkout's line count of ``src/``.  It stops with an error if a call exits non-zero or if the two
-calls of a pair write files that differ in any byte.
+neither) and each checkout's line count of ``src/``.  It stops with an
+error if a call exits non-zero or writes files that differ in any byte
+from those of the parent's warm-up call.  ``alternate`` is the
+alternating-pairs loop that ``bench_layers.py``, ``beta_inverse_ulp.py``
+and ``threads_ab.py`` share with it.
+
+In-process pairs still drift by a few percent: on the deep-growth workload
+an identical copy of a checkout read -2.4 % to +0.3 % against itself over
+three runs of 16 pairs.  A reading of 2-5 % there needs
+``scripts/bench_pairs.py``, which times separate processes, to confirm it.
 
 Example, with the parent exported to ../parent:
     python3 scripts/ab_inprocess.py --parent ../parent --workload beta-claims \\
@@ -31,7 +39,9 @@ import statistics
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable, Optional
 
 HERE = Path(__file__).resolve().parents[1]
 
@@ -101,6 +111,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def alternate(timers: dict, pairs: int, after_pair: Optional[Callable[[int, dict], None]] = None) -> dict:
+    """Each side's samples of ``pairs`` alternating pairs of its timer.
+
+    ``timers`` maps two sides (the parent first, where there is one) to
+    timers of no arguments; the first side goes first in even pairs and the
+    second in odd ones.  Returns one list of samples per side, and calls
+    ``after_pair(pair, samples)`` after each pair.
+    """
+    sides = tuple(timers)
+    samples = {side: [] for side in sides}
+    for pair in range(pairs):
+        for side in (sides if pair % 2 == 0 else sides[::-1]):
+            samples[side].append(timers[side]())
+        if after_pair is not None:
+            after_pair(pair, samples)
+    return samples
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -115,7 +143,6 @@ def main() -> int:
     config = args.change / "perfbench" / "workloads" / f"{args.workload}.json"
     clis = {"parent": load(args.parent.resolve(), "rdbp_parent"),
             "change": load(args.change.resolve(), "rdbp_change")}
-    times: dict[str, list[float]] = {side: [] for side in clis}
     with tempfile.TemporaryDirectory() as scratch:
         def run(side: str) -> tuple[float, dict[str, bytes]]:
             out = Path(scratch) / side
@@ -125,22 +152,24 @@ def main() -> int:
                 argv += ["--seed", str(args.seed)]
             return call(clis[side], argv), written(out)
 
-        for side in clis:  # lazy set-up (scipy, tables) happens here, untimed
-            run(side)
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            files = {}
-            for side in order:
-                seconds, files[side] = run(side)
-                times[side].append(seconds)
-            if files["parent"] != files["change"]:
-                differ = sorted(name for name in files["parent"].keys() | files["change"].keys()
-                                if files["parent"].get(name) != files["change"].get(name))
-                print(f"error: pair {pair}: the two sides wrote different {', '.join(differ)}",
-                      file=sys.stderr)
-                return 1
+        # lazy set-up (scipy, tables) happens here, untimed; every timed call
+        # must write what the parent's warm-up wrote
+        _, reference = run("parent")
+        run("change")
+
+        def timer(side: str) -> float:
+            seconds, files = run(side)
+            if files != reference:
+                differ = sorted(name for name in files.keys() | reference.keys()
+                                if files.get(name) != reference.get(name))
+                raise SystemExit(f"error: {side} wrote {', '.join(differ)} unlike the parent's warm-up")
+            return seconds
+
+        def progress(pair: int, times: dict[str, list[float]]) -> None:
             print(f"  pair {pair}: parent {times['parent'][-1]:.4f} s, change {times['change'][-1]:.4f} s",
                   file=sys.stderr, flush=True)
+
+        times = alternate({side: partial(timer, side) for side in clis}, args.pairs, progress)
 
     parent, change = times["parent"], times["change"]
     ratios = [c / p for p, c in zip(parent, change)]

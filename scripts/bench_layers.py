@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ab_inprocess import HERE, load  # noqa: E402
+from ab_inprocess import HERE, alternate, load  # noqa: E402
 
 SIDES = ("parent", "change")
 #: claim laws by label, as (class name, constructor arguments)
@@ -69,10 +69,7 @@ class Disagree(Exception):
 def paired(timers: dict[str, Callable[[], float]], pairs: int) -> str:
     """Each side's median over ``pairs`` alternating pairs of its timer, the
     median ratio change / parent and the pairs the change won, as columns."""
-    ns = {side: [] for side in SIDES}
-    for pair in range(pairs):
-        for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-            ns[side].append(timers[side]())
+    ns = alternate(timers, pairs)
     ratios = [c / p for p, c in zip(ns["parent"], ns["change"])]
     won = sum(c < p for p, c in zip(ns["parent"], ns["change"]))
     return (f"{statistics.median(ns['parent']):8.2f} {statistics.median(ns['change']):8.2f} "

@@ -23,13 +23,14 @@ import importlib
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from ab_inprocess import HERE, load  # noqa: E402
+from ab_inprocess import HERE, alternate, load  # noqa: E402
 from mp_beta import beta_root  # noqa: E402
 
 GRID = (0.5, 1.0, 2.0, 5.0)
@@ -41,6 +42,12 @@ def ulps(x: np.ndarray, roots: list) -> np.ndarray:
     """|x - root| in units of the spacing of doubles at each root."""
     return np.array([float(abs(root - v)) / float(np.spacing(float(root))) if np.isfinite(v) else np.inf
                      for v, root in zip(x.tolist(), roots)])
+
+
+def ns_per_sample(law, piece: np.ndarray) -> float:
+    t0 = time.perf_counter()
+    law.icdf(piece)
+    return (time.perf_counter() - t0) * 1e9 / PIECE
 
 
 def main() -> int:
@@ -63,12 +70,7 @@ def main() -> int:
         piece = rng.random(PIECE)
         for law in laws.values():  # builds the tables, untimed
             law.icdf(piece)
-        ns = {side: [] for side in laws}
-        for pair in range(args.pairs):
-            for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
-                t0 = time.perf_counter()
-                laws[side].icdf(piece)
-                ns[side].append((time.perf_counter() - t0) * 1e9 / PIECE)
+        ns = alternate({side: partial(ns_per_sample, law, piece) for side, law in laws.items()}, args.pairs)
         ratios = [c / p for p, c in zip(ns["parent"], ns["change"])]
         won = sum(c < p for p, c in zip(ns["parent"], ns["change"]))
         half = args.units // 2

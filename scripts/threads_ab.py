@@ -4,9 +4,9 @@
 Runs ``rdbp.cli.main(["verify", ...])`` in this process at ``--threads 1``
 and ``--threads 2`` in interleaved pairs, alternating which side goes
 first, on the workload configs in ``perfbench/workloads/`` (read only).
-Every pair must write byte-identical ``verify.json`` files; the script
-stops with an error otherwise.  It prints the median and quartiles of each
-side, per config.
+Every timed call must write the ``verify.json`` of an untimed call at one
+worker, byte for byte; the script stops with an error otherwise.  It
+prints the median and quartiles of each side, per config.
 
 Example, from the root of a checkout:
     PYTHONPATH=src python3 scripts/threads_ab.py --pairs 10 --seed 1
@@ -18,12 +18,13 @@ import io
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import rdbp.cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ab_inprocess import quartiles  # noqa: E402
+from ab_inprocess import alternate, quartiles  # noqa: E402
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 CONFIGS = ("short-lived", "deep-growth", "beta-claims")
@@ -56,18 +57,17 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         for name in args.configs:
             config = WORKLOADS / f"{name}.json"
-            times = {1: [], 2: []}
-            for pair in range(args.pairs):
-                sides = (1, 2) if pair % 2 == 0 else (2, 1)
-                written = {}
-                for threads in sides:
-                    seconds, written[threads] = verify(config, args.seed, threads,
-                                                       Path(scratch) / f"{name}-{threads}")
-                    times[threads].append(seconds)
-                if written[1] != written[2]:
-                    print(f"error: {name} pair {pair}: verify.json differs between 1 and 2 workers",
-                          file=sys.stderr)
-                    return 1
+            # an untimed call at one worker writes the verify.json every
+            # timed call must write
+            _, reference = verify(config, args.seed, 1, Path(scratch) / name)
+
+            def timer(threads: int) -> float:
+                seconds, written = verify(config, args.seed, threads, Path(scratch) / f"{name}-{threads}")
+                if written != reference:
+                    raise SystemExit(f"error: {name}: verify.json differs between 1 and {threads} workers")
+                return seconds
+
+            times = alternate({1: partial(timer, 1), 2: partial(timer, 2)}, args.pairs)
             print(f"{name}: --threads 1 {summary(times[1])}   --threads 2 {summary(times[2])}"
                   f"   ({args.pairs} pairs, verify.json identical)")
     return 0

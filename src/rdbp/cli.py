@@ -151,16 +151,14 @@ def _cmd_curve(cfg: RunConfig, args) -> int:
 #: (through this module's name for it, so a wrapper set on that name sees
 #: the call), its verdict on the result, and the default of each param its
 #: function leaves without one or that verify sets otherwise.  A callable
-#: default reads the run config.  Envelope keeps min_size and slack here,
-#: since run_coupled builds it from arguments that have no defaults
+#: default reads the run config
 _CHECKS = {
     "dominance": (lambda mc, workers, **args: dominance_check(mc=mc, workers=workers, **args),
                   lambda violations: violations == 0,
                   {"policy": lambda cfg: cfg.policy or "sf", "initial_size": lambda cfg: cfg.process.initial_size}),
     "envelope": (lambda mc, workers, **args: envelope_check(mc=mc, workers=workers, **args),
                  lambda r: r.band_low - r.slack <= r.mean_ratio <= r.band_high + r.slack,
-                 {"policy": lambda cfg: cfg.policy, "initial_size": lambda cfg: cfg.process.initial_size,
-                  "min_size": 10 ** 4, "slack": 0.05}),
+                 {"policy": lambda cfg: cfg.policy, "initial_size": lambda cfg: cfg.process.initial_size}),
     "safe_haven": (lambda mc, workers, **args: safe_haven_check(mc=mc, workers=workers, **args),
                    lambda r: r.monotone_nonincreasing and all(row.within_bound for row in r.rows),
                    {"initial_sizes": (1, 2, 5, 10)}),

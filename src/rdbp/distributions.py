@@ -316,6 +316,9 @@ class _BetaInverse:
     units whose step is too large to trust fall back to ``betaincinv``.
     """
 
+    # b just above ScaledBeta._inverse's cut leaves NaN and inf in the upper
+    # half's far cells, which fall back as any such cell does
+    @np.errstate(all="ignore")
     def __init__(self, a: float, b: float):
         special = _scipy_special()
         self._a, self._b = a, b
@@ -466,8 +469,10 @@ class ScaledBeta:
         off by up to about 10 ulp for such shapes, so it would fall short of
         ``betaincinv``, which iterates in extended precision; and the
         density's pole at 0 defeats the 3-point rule in the first cells.
+        For b below about 9.3e-4 the upper half's top cut 0.5**(1/b)
+        underflows to 0, which leaves that half no table.
         """
-        if self.a <= 1.0 or self.b == 1.0:
+        if self.a <= 1.0 or self.b == 1.0 or 0.5 ** (1.0 / self.b) == 0.0:
             return None
         return _BetaInverse(self.a, self.b)
 
@@ -512,6 +517,11 @@ class Exponential:
     def __post_init__(self) -> None:
         if self.rate <= 0.0 or not math.isfinite(self.rate):
             raise ValueError("exponential law requires rate > 0")
+        # the lattice is read off the largest draw, about 36.7 / rate, which
+        # a rate below about 2.044e-307 sends past the largest double
+        with np.errstate(over="ignore"):
+            if not math.isfinite(_largest_value(self)):
+                raise ValueError(f"exponential law requires a rate whose largest draw is finite, not {self.rate!r}")
 
     @property
     def support_lower(self) -> float:

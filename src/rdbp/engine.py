@@ -63,11 +63,11 @@ BLOCK_CELLS = 1 << 18
 #: population: 2**27 claims take 1 GiB.  Every value a unit gives lies
 #: below 2**36 quanta of its triple's lattice (distributions._VALUE_BITS),
 #: so no claim or budget total of 2**27 members reaches 2**63.  wf
-#: partitions a copy (8 bytes a claim), sf a copy of its negated claims (16
-#: bytes), and the counterexample sorts a copy (8 bytes).  coinflip holds
-#: its aux block (8 bytes) and, on a long row, up to four boolean masks (5
-#: bytes, measured).  So a row at the cap takes at most 24 bytes a claim
-#: (3 GiB).  A streamed fcfs row (one of policies._SELECT_MIN_CLAIMS
+#: partitions a copy (8 bytes a claim), and sf, which also counts the
+#: counterexample's rows, a copy of its negated claims (16 bytes).
+#: coinflip holds its aux block (8 bytes) and, on a long row, up to four
+#: boolean masks (5 bytes, measured).  So a row at the cap takes at most 24
+#: bytes a claim (3 GiB).  A streamed fcfs row (one of policies._SELECT_MIN_CLAIMS
 #: claims or more) holds no claim block, only one piece of the kernel at a
 #: time, but the cap applies to it all the same.  The cap is far below
 #: INDEX_CAP, so every claim it admits has an address

@@ -426,26 +426,21 @@ class GrowthEstimate:
     slack: float
 
 
-def envelope_check(
-    policy,
-    triple: LawTriple,
-    mc: McConfig,
-    min_size: int = 10 ** 4,
-    slack: float = 0.05,
-    initial_size: int = 1,
-    workers: int = 1,
-) -> GrowthEstimate:
+def envelope_check(policy, triple: LawTriple, mc: McConfig, *, workers: int = 1, **params) -> GrowthEstimate:
     """Late growth ratios against the effective-mean envelope.
 
     Collects size ratios from generations at or above ``min_size`` and
     reports how they sit inside [largest-first effective mean - slack,
     smallest-first effective mean + slack].  Raises InsufficientSurvivors
-    when no replicate grows that large.
+    when no replicate grows that large.  ``params`` are ``min_size``,
+    ``slack`` and ``initial_size``, by name, with ``_envelope``'s defaults,
+    which ``run_coupled`` reads too.
     """
-    return _run_checks([_envelope(policy, triple, mc, min_size, slack, initial_size)], mc, workers)[0]()
+    return _run_checks([_envelope(policy, triple, mc, **params)], mc, workers)[0]()
 
 
-def _envelope(policy, triple: LawTriple, mc: McConfig, min_size: int, slack: float, initial_size: int) -> _Check:
+def _envelope(policy, triple: LawTriple, mc: McConfig, min_size: int = 10 ** 4, slack: float = 0.05,
+              initial_size: int = 1) -> _Check:
     m = triple.offspring.mean()
     r = triple.resource.mean()
     band_low = effective_mean_sf(triple.claim, r, m)

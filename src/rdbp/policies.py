@@ -13,11 +13,12 @@ the first-ranked claim already exceeds the budget.  A
 ``CustomPolicy`` gives its order as a permutation of each row's claim
 values.
 
-Arrival-order, counterexample and custom rows are counted by one
-``cumsum`` of the ordered claims.  The engine never hands an arrival-order
-row of ``_SELECT_MIN_CLAIMS`` claims or more to a policy: it counts such a
-row as it reads it (``ReplicateRows.served_in_arrival_order``).  wf, sf
-and coinflip rows of that length are not sorted.  For wf and sf, two
+Arrival-order and custom rows are counted by one ``cumsum`` of the
+ordered claims, and counterexample rows by strongest-first's counter
+(``ThirdLargestFirstPolicy.count_rows``).  The engine never hands an
+arrival-order row of ``_SELECT_MIN_CLAIMS`` claims or more to a policy: it
+counts such a row as it reads it (``ReplicateRows.served_in_arrival_order``).
+No built-in policy sorts a row of that length whole.  For wf and sf, two
 partitions cut a window of ranks around the estimated crossing, and only
 the window is sorted (``_selected_count``).  For coinflip, probes at
 sampled aux words bracket the crossing, each with one compare and one
@@ -63,12 +64,12 @@ def _cumsum_count_rows(ordered: np.ndarray, budgets: np.ndarray, in_place: bool 
     return (cum <= budgets[:, None]).sum(axis=1)
 
 
-#: shortest rows counted, for wf and sf, by _selected_count and, for
-#: coinflip, by _ranked_count instead of a full sort, and shortest
-#: arrival-order rows the engine streams.  At 8192 int64 claims (timed as
-#: the count_rows section of scripts/bench_layers.py does, 2-vCPU x86 VM)
-#: wf and coinflip took 5.9 and 10.4 ns per claim, against 10.0 and 23.3
-#: for blocks of 1000-claim rows counted whole
+#: shortest rows counted, for wf, sf and the counterexample, by
+#: _selected_count and, for coinflip, by _ranked_count instead of a full
+#: sort, and shortest arrival-order rows the engine streams.  At 8192 int64
+#: claims (timed as the count_rows section of scripts/bench_layers.py does,
+#: 2-vCPU x86 VM) wf and coinflip took 5.9 and 10.4 ns per claim, against
+#: 10.0 and 23.3 for blocks of 1000-claim rows counted whole
 _SELECT_MIN_CLAIMS = 8192
 #: sampled claims from which _selected_count estimates the crossing rank;
 #: _ranked_count samples four times as many aux words
@@ -78,16 +79,6 @@ _SAMPLE = 512
 #: after _RANK_PROBES probes
 _RANK_WINDOW = 32
 _RANK_PROBES = 12
-
-
-def _long_rows(count_one: Callable, short: Callable, claims: np.ndarray, budgets: np.ndarray,
-               *more: np.ndarray) -> np.ndarray:
-    """Served counts of a claim block: ``short(claims, budgets, *more)`` for
-    rows under _SELECT_MIN_CLAIMS claims, else ``count_one(row, budget,
-    *that row of more)`` row by row."""
-    if claims.shape[1] < _SELECT_MIN_CLAIMS:
-        return short(claims, budgets, *more)
-    return np.array([count_one(*row) for row in zip(claims, budgets, *more)], dtype=np.int64)
 
 
 def _selected_count(row: np.ndarray, budget: int, descending: bool = False) -> int:
@@ -151,11 +142,11 @@ def _window_count(keys: np.ndarray, sign: int, budget: int, lo: int, hi: int) ->
 def _sorted_count_rows(claims: np.ndarray, budgets: np.ndarray, descending: bool) -> np.ndarray:
     """Served counts of the rows of a claim block in ascending or descending
     claim order: selection for long rows, a sort of the block otherwise."""
-    def short(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ordered = np.sort(rows, axis=1)
-        return _cumsum_count_rows(ordered[:, ::-1] if descending else ordered, b, in_place=True)
-
-    return _long_rows(lambda row, budget: _selected_count(row, budget, descending), short, claims, budgets)
+    if claims.shape[1] >= _SELECT_MIN_CLAIMS:
+        return np.array([_selected_count(row, budget, descending) for row, budget in zip(claims, budgets)],
+                        dtype=np.int64)
+    ordered = np.sort(claims, axis=1)
+    return _cumsum_count_rows(ordered[:, ::-1] if descending else ordered, budgets, in_place=True)
 
 
 def _flat_positions(order: np.ndarray) -> np.ndarray:
@@ -234,14 +225,6 @@ def _word_counts(claims: np.ndarray, budgets: np.ndarray, aux: np.ndarray) -> np
     Words never tie within a row, so every sort kind gives that order."""
     order = np.argsort(aux, axis=1)
     return _cumsum_count_rows(claims.reshape(-1)[_flat_positions(order)], budgets, in_place=True)
-
-
-def _third_largest_first(descending: np.ndarray) -> np.ndarray:
-    """Moves the third claim of each descending row to the front, in place:
-    the counterexample policy's order."""
-    if descending.shape[-1] >= 3:
-        descending[..., [0, 1, 2]] = descending[..., [2, 0, 1]]
-    return descending
 
 
 class PriorityPolicy:
@@ -324,7 +307,9 @@ class CoinFlipPolicy(PriorityPolicy):
         could tie, and a tie has no defined rank, so they are refused."""
         if aux is None or aux.shape != claims.shape or aux.dtype.type is not np.uint64:
             raise ValueError("coinflip policy needs one uint64 auxiliary word per claim")
-        return _long_rows(_ranked_count, _word_counts, claims, budgets, aux)
+        if claims.shape[1] >= _SELECT_MIN_CLAIMS:
+            return np.array([_ranked_count(*row) for row in zip(claims, budgets, aux)], dtype=np.int64)
+        return _word_counts(claims, budgets, aux)
 
 
 class ThirdLargestFirstPolicy(PriorityPolicy):
@@ -341,10 +326,19 @@ class ThirdLargestFirstPolicy(PriorityPolicy):
     name = "counterexample"
 
     def count_rows(self, claims, budgets, aux=None, quantum=1.0):
-        # a stable descending argsort puts tied claims in some order, but
-        # the served prefix only sees their values, which a sort reproduces
-        ordered = _third_largest_first(np.sort(claims, axis=1)[:, ::-1])
-        return _cumsum_count_rows(ordered, budgets, in_place=True)
+        """With c1 >= c2 >= c3 a row's three largest claims, the prefix
+        totals of this order are c3, c3 + c1, and from the third on
+        strongest-first's.  So the count is sf's wherever sf serves three
+        claims or more, and [c3 <= B] + [c3 + c1 <= B] elsewhere."""
+        counts = _sorted_count_rows(claims, budgets, descending=True)
+        short = np.flatnonzero(counts < 3) if claims.shape[1] >= 3 else ()
+        if len(short):
+            top = claims[short]
+            top.partition(-3, axis=1)  # the two above c3 come in no set order
+            c3, _, c1 = np.sort(top[:, -3:], axis=1).T
+            b = budgets[short]
+            counts[short] = np.add(c3 <= b, c3 + c1 <= b, dtype=np.int64)
+        return counts
 
 
 class CustomPolicy(PriorityPolicy):

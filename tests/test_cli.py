@@ -561,6 +561,17 @@ class TestErrorPaths:
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"laws.{law}.params: scaled beta law requires finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra", [("simulate", {}), ("verify", {"checks": ["safe_haven"]})])
+    def test_exponential_rate_whose_largest_draw_overflows(self, tmp_path, capsys, command, extra):
+        # the largest draw, about 36.7 / rate, used to overflow and every
+        # claim to come out as -2**63 quanta; verify read ok: true
+        laws = base_laws()
+        laws["claim"] = {"kind": "exponential", "params": {"rate": 2.0e-307}}
+        cfg = write_config(tmp_path, {"laws": laws, "policy": "wf", **extra})
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "laws.claim.params: exponential law requires a rate whose largest draw is finite" in (
+            capsys.readouterr().err)
+
     # the criteria are closed forms, so a solver block has nothing to set
     @pytest.mark.parametrize("solver", [{"abs_tol": 1e-12, "max_iter": 50}, {}])
     def test_solver_block_is_an_unknown_key(self, tmp_path, capsys, solver):
@@ -647,6 +658,20 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert (out / "curve.csv").exists()
     assert "m,r_wc,r_uc,r_sc" in proc.stdout
+
+
+@pytest.mark.parametrize("b", [0.0005, 0.005])
+@pytest.mark.parametrize("law", ["claim", "resource"])
+def test_beta_laws_with_a_tiny_b_simulate_quietly(tmp_path, law, b):
+    # b = 0.0005 used to end in a ZeroDivisionError and exit 1; b = 0.005
+    # printed the RuntimeWarnings of the inverse's table
+    laws = base_laws()
+    laws[law] = {"kind": "scaled_beta", "params": {"a": 2.0, "b": b, "scale": 2.0}}
+    cfg = write_config(tmp_path, {"seed": 2, "laws": laws, "policy": "wf",
+                                  "process": {"horizon": 5, "explosion_cap": 500}})
+    proc = subprocess.run([sys.executable, "-m", "rdbp.cli", "simulate", "--config", cfg, "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 STARTUP_SCRIPT = """

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rdbp import (
 )
 from rdbp import distributions
 from rdbp.distributions import _INVERSE_CELLS
+from rdbp.universe import Seed, Universe
 
 CONTINUOUS_LAWS = [
     Uniform(0.0, 2.0),
@@ -150,6 +152,15 @@ class TestScalarLaws:
         t = 3.0
         expected = 2.0 - (t + 2.0) * math.exp(-0.5 * t)
         assert law.lower_partial_moment(t) == pytest.approx(expected, rel=1e-12)
+
+    def test_exponential_rate_whose_largest_draw_overflows_is_refused(self):
+        # 36.7 / 2e-307 is past the largest double, and its lattice used to
+        # turn every claim into -2**63 quanta
+        with pytest.raises(ValueError, match="largest draw is finite"):
+            Exponential(2.0e-307)
+        triple = LawTriple(OffspringLaw((0.25, 0.0, 0.75)), Exponential(2.05e-307), Constant(1.2))
+        assert triple.lattice_bits == -988
+        assert (Universe(Seed(0), triple).claim_row(0, 5) >= 0).all()
 
     def test_constant_atom_belongs_to_lower_side(self):
         law = Constant(1.0)
@@ -286,6 +297,20 @@ class TestBetaInverse:
         u = np.random.default_rng(14).random(200)
         for a, b in ((1.0, 2.0), (5.0, 1.0), (0.5, 0.5), (0.5, 2.0), (0.3, 5.0)):
             assert ScaledBeta(a, b, 2.0).icdf(u).tobytes() == (2.0 * special.betaincinv(a, b, u)).tobytes()
+
+    @pytest.mark.parametrize("b", [0.0005, 0.0009])
+    def test_a_b_whose_upper_cut_underflows_stays_on_betaincinv(self, b):
+        # 0.5**(1/b) is 0 below b of about 9.3e-4, and the upper half's
+        # table divided by it
+        u = np.random.default_rng(16).random(200)
+        want = distributions._betaincinv(2.0, b, u) * 2.0
+        assert ScaledBeta(2.0, b, 2.0).icdf(u).tobytes() == want.tobytes()
+
+    def test_a_b_just_above_the_cut_builds_its_table_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = ScaledBeta(2.0, 0.005, 2.0).icdf(np.random.default_rng(17).random(200))
+        assert np.all((x >= 0.0) & (x <= 2.0))
 
     @pytest.mark.parametrize("a,b", TABLE_SHAPES + [(2.0, 12.0)])
     def test_random_units_and_edge_cells_within_8_ulp_and_1_ulp_in_the_median(self, a, b, monkeypatch):

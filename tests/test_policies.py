@@ -295,6 +295,27 @@ class TestThirdLargestFirst:
         want = reference_count("counterexample", claims, budget)
         assert count(ThirdLargestFirstPolicy(), claims, budget) == want
 
+    @pytest.mark.parametrize("select_min", [24, SELECT_MIN], ids=["select-from-24", "default-sizes"])
+    @pytest.mark.parametrize("top", [None, (90, 90, 90), (90, 90, 60), (90, 60, 60), "constant"], ids=str)
+    def test_rows_either_side_of_the_selection_count_like_the_reference(self, select_min, top):
+        # sf's count, then c3 and c3 + c1 where sf serves fewer than three;
+        # every budget sits on or a quantum below one of the first three
+        # prefix totals of c1 >= c2 >= c3, the row's three largest claims
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 4, select_min - 1, select_min, select_min + 1):
+            row = np.full(n, 7) if top == "constant" else rng.integers(0, 50, n)
+            if isinstance(top, tuple):  # the three largest, some of them tied
+                row[rng.permutation(n)[:3]] = top[:n]
+            c1, c2, c3 = np.concatenate([np.sort(row)[::-1], [0, 0]])[:3].tolist()
+            budgets = np.maximum([c3 - 1, c3, c3 + c1 - 1, c3 + c1, c1 + c2 + c3 - 1, c1 + c2 + c3], 0)
+            want = [reference_count("counterexample", row, budget) for budget in budgets]
+            block = np.tile(row, (budgets.size, 1))
+            with mock.patch.object(rdbp.policies, "_SELECT_MIN_CLAIMS", select_min), mock.patch.object(
+                    rdbp.policies, "_selected_count", side_effect=rdbp.policies._selected_count) as spy:
+                assert ThirdLargestFirstPolicy().count_rows(block, budgets).tolist() == want, n
+            # a long row is selected as sf's is, never sorted whole
+            assert spy.call_count == (budgets.size if n >= select_min else 0)
+
 
 class TestCustomPolicy:
     def test_rejects_non_permutation(self):
