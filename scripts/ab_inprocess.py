@@ -114,9 +114,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def alternate(timers: dict, pairs: int, after_pair: Optional[Callable[[int, dict], None]] = None) -> dict:
     """Each side's samples of ``pairs`` alternating pairs of its timer.
 
-    ``timers`` maps two sides (the parent first, where there is one) to
-    timers of no arguments; the first side goes first in even pairs and the
-    second in odd ones.  Returns one list of samples per side, and calls
+    ``timers`` maps sides (the parent first, where there is one) to timers
+    of no arguments; they run in that order in even pairs and in reverse in
+    odd ones.  Returns one list of samples per side, and calls
     ``after_pair(pair, samples)`` after each pair.
     """
     sides = tuple(timers)

@@ -18,7 +18,11 @@ Two sections run in turn:
   shorter than the change's ``policies._SELECT_MIN_CLAIMS``: the engine
   counts every longer fcfs row as it reads it
   (``ReplicateRows.served_in_arrival_order``) and never hands it to
-  ``count_rows``.  Each timing is one call, divided by the claims.
+  ``count_rows``.  Each timing is one call, divided by the claims.  Every
+  policy counts the same block at a row length, and all their timers, of
+  both sides, alternate in one loop, so the host's drift moves no policy
+  against another.  The last column is each policy's change-side median
+  over strongest-first's at that length.
 
 Both checkouts' ``src/rdbp`` are loaded as separate packages by
 ``scripts/ab_inprocess.py``'s loader, and each pair of timings alternates
@@ -66,14 +70,18 @@ class Disagree(Exception):
     """The two sides computed different results."""
 
 
-def paired(timers: dict[str, Callable[[], float]], pairs: int) -> str:
-    """Each side's median over ``pairs`` alternating pairs of its timer, the
-    median ratio change / parent and the pairs the change won, as columns."""
-    ns = alternate(timers, pairs)
+def columns(ns: dict[str, list[float]], pairs: int) -> str:
+    """Each side's median of its samples, the median ratio change / parent
+    and the pairs the change won, as columns."""
     ratios = [c / p for p, c in zip(ns["parent"], ns["change"])]
     won = sum(c < p for p, c in zip(ns["parent"], ns["change"]))
     return (f"{statistics.median(ns['parent']):8.2f} {statistics.median(ns['change']):8.2f} "
             f"{statistics.median(ratios):6.3f} {won:2d}/{pairs}")
+
+
+def paired(timers: dict[str, Callable[[], float]], pairs: int) -> str:
+    """``columns`` of ``pairs`` alternating pairs of each side's timer."""
+    return columns(alternate(timers, pairs), pairs)
 
 
 def reader(package: str, law: str, cells: int):
@@ -121,26 +129,36 @@ def claims(pairs: int) -> None:
 def count_rows(pairs: int) -> None:
     """The policies section: ns per claim of each policy's ``count_rows``."""
     modules = {side: importlib.import_module(f"rdbp_{side}.policies") for side in SIDES}
+    policies = {token: {side: module.policy_from_token(token) for side, module in modules.items()}
+                for token in modules["change"].POLICY_TOKENS}
     rng = np.random.default_rng(1)
     print(f"ns per claim of count_rows, median of {pairs} alternating pairs; "
           f"U(0, 2) claims in int64 quanta of 2^-32, budget a third of each row's total")
-    print(f"{'policy':15} {'claims':>7} {'rows':>5} {'parent':>8} {'change':>8} {'ratio':>6} {'won':>5}")
-    for token in modules["change"].POLICY_TOKENS:
-        policies = {side: module.policy_from_token(token) for side, module in modules.items()}
-        for length in LENGTHS:
-            if policies["change"].in_arrival_order and length >= modules["change"]._SELECT_MIN_CLAIMS:
+    print(f"{'policy':15} {'claims':>7} {'rows':>5} {'parent':>8} {'change':>8} {'ratio':>6} {'won':>5} {'vs sf':>6}")
+    for length in LENGTHS:
+        rows = max(BLOCK_CELLS // length, 1)
+        block = (rng.uniform(0.0, 2.0, (rows, length)) * 2.0 ** 32).astype(np.int64)
+        # random words tie within a row with odds below 1e-8 at these
+        # lengths; a tie that moved a count would show as the two sides'
+        # counts disagreeing
+        aux = rng.integers(0, 2 ** 64, (rows, length), dtype=np.uint64)
+        inputs = (block, block.sum(axis=1) // 3, aux)
+        timers = {}
+        for token, sides in policies.items():
+            if sides["change"].in_arrival_order and length >= modules["change"]._SELECT_MIN_CLAIMS:
                 continue
-            rows = max(BLOCK_CELLS // length, 1)
-            block = (rng.uniform(0.0, 2.0, (rows, length)) * 2.0 ** 32).astype(np.int64)
-            # random words tie within a row with odds below 1e-8 at these
-            # lengths; a tie that moved a count would show as the two sides'
-            # counts disagreeing
-            aux = rng.integers(0, 2 ** 64, (rows, length), dtype=np.uint64)
-            inputs = (block, block.sum(axis=1) // 3, aux)
-            if policies["parent"].count_rows(*inputs).tolist() != policies["change"].count_rows(*inputs).tolist():
+            if sides["parent"].count_rows(*inputs).tolist() != sides["change"].count_rows(*inputs).tolist():
                 raise Disagree(f"{token} at {length} claims: the two sides count differently")
-            timers = {side: partial(ns_per_claim, policy, *inputs) for side, policy in policies.items()}
-            print(f"{token:15} {length:7d} {rows:5d} {paired(timers, pairs)}", flush=True)
+            for side, policy in sides.items():
+                timers[token, side] = partial(ns_per_claim, policy, *inputs)
+        ns = alternate(timers, pairs)
+        sf = statistics.median(ns["sf", "change"])
+        for token in policies:
+            if (token, "change") not in ns:
+                continue
+            samples = {side: ns[token, side] for side in SIDES}
+            print(f"{token:15} {length:7d} {rows:5d} {columns(samples, pairs)} "
+                  f"{statistics.median(samples['change']) / sf:6.3f}", flush=True)
 
 
 def main() -> int:

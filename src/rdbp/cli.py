@@ -81,17 +81,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _clean(obj):
-    """Recursively convert dataclasses/tuples for JSON output."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _clean(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
-
-
 def _cmd_simulate(cfg: RunConfig, args) -> int:
     triple = cfg.triple()
     if cfg.policy is None:
@@ -123,7 +112,7 @@ def _cmd_classify(cfg: RunConfig, args) -> int:
             "claim": law_to_json(triple.claim, claim=True),
             "resource": law_to_json(triple.resource),
         },
-        "report": _clean(report),
+        "report": dataclasses.asdict(report),
     }
     path = _write_text(Path(args.out), "classification.json", _json_text(payload))
     for kind, cls in report.classifications.items():
@@ -189,7 +178,7 @@ def _entry(name: str, args: dict, result) -> dict:
     ok = _CHECKS[name][1](result)
     if name == "dominance":
         return {"ok": ok, "hard": True, "result": {"policy": args["policy"].name, "violations": result}}
-    payload = _clean(result)
+    payload = dataclasses.asdict(result)
     if name == "envelope":
         payload["policy"] = args["policy"].name
     return {"ok": ok, "hard": False, "result": payload}

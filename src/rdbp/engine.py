@@ -15,14 +15,17 @@ on the same ids in that one pass.  A generation's live rows are read back
 to back in length order, so rows of every length share the universe
 kernel's pieces, and each run of rows of one length is a C-contiguous block
 that the policies count.  A replicate therefore reaches the same sizes
-alone or among others.  A batched run records them in one int64 size
-table of shape (specs, ids, generations reached + 1), in which an extinct
-row reads 0 from its extinction on and an exploded one -1 (unknown) after
-it explodes.
+alone or among others.  ``_run_table`` is the one pass over coupled rows:
+it records their sizes in one int64 size table of shape (specs, ids,
+generations reached + 1), in which an extinct row reads 0 from its
+extinction on and an exploded one -1 (unknown) after it explodes.  It
+starts from the founders or goes on from a table it returned, and stops
+before a generation that would take the members it steps past a budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -271,20 +274,26 @@ def _step_rows(
     return served
 
 
-def _replicate_generations(
-    specs: Sequence[ProcessSpec], base: Universe, ids: np.ndarray, columns: list[np.ndarray]
-) -> Iterator[int]:
-    """Steps coupled specs on the same replicate ids, one generation at a time.
+def _run_table(
+    specs: Sequence[ProcessSpec],
+    base: Universe,
+    ids: np.ndarray,
+    sizes: Optional[np.ndarray] = None,
+    budget: float = math.inf,
+) -> tuple[np.ndarray, int]:
+    """Steps coupled specs on the same replicate ids, and returns their size
+    table and the members it stepped.
 
     Each (spec, id) pair is one row, and every live row of a generation is
-    advanced in one ``_step_rows`` pass, whichever spec it belongs to.
-    ``columns`` holds one int64 array of every row's sizes, spec by spec,
-    per generation reached, and the run appends to it; if empty, every row
-    starts from its spec's initial size.  A row is live while its size is
-    positive and under the cap.  An extinct row reads 0 from then on, and
-    an exploded one -1 (unknown) after the generation it exploded in.
-    Before each generation the run yields the members it is about to step,
-    so a caller may stop it there and later resume it from ``columns``.
+    advanced in one ``_step_rows`` pass, whichever spec it belongs to.  The
+    table is C-order (specs, ids, generations reached + 1).  Every row
+    starts from its spec's initial size, or goes on from ``sizes``, a table
+    this function returned for the same rows.  A row is live while its size
+    is positive and under the cap.  An extinct row reads 0 from then on, and
+    an exploded one -1 (unknown) after the generation it exploded in.  The
+    run stops before a generation that would take the members stepped past
+    ``budget``; the members returned count that generation too, so they
+    exceed ``budget`` exactly when the run was cut.
     """
     if not specs:
         raise EngineError("coupled runs need at least one spec")
@@ -303,34 +312,27 @@ def _replicate_generations(
     owners = np.repeat([policies.index(spec.policy) for spec in specs], m)
     position = np.tile(np.arange(m), len(specs))
     cap = specs[0].explosion_cap
-    if not columns:
-        columns.append(np.repeat([spec.initial_size for spec in specs], m).astype(np.int64))
+    if sizes is None:
+        columns = [np.repeat([spec.initial_size for spec in specs], m).astype(np.int64)]
+    else:
+        columns = list(sizes.reshape(-1, sizes.shape[-1]).T)
     live = np.flatnonzero((columns[-1] > 0) & (columns[-1] < cap))
     current = columns[-1][live]
+    members = 0
     for n in range(len(columns) - 1, specs[0].horizon):
         if not live.size:
             break
-        yield int(current.sum())
+        members += int(current.sum())
+        if members > budget:
+            break
         rows = ReplicateRows(base, ids[position[live]], n)
         current = _step_rows(current, rows, n, policies, owners[live])
-        sizes = np.where(columns[-1] == 0, 0, -1)
-        sizes[live] = current
-        columns.append(sizes)
+        column = np.where(columns[-1] == 0, 0, -1)
+        column[live] = current
+        columns.append(column)
         going = (current > 0) & (current < cap)
         live, current = live[going], current[going]
-
-
-def _size_table(n_specs: int, columns: list[np.ndarray]) -> np.ndarray:
-    """``columns`` of a run as one C-order (specs, ids, generations + 1) table."""
-    return np.stack(columns, axis=-1).reshape(n_specs, -1, len(columns))
-
-
-def _run_table(specs: Sequence[ProcessSpec], base: Universe, ids: np.ndarray) -> np.ndarray:
-    """The size table of a finished run of ``_replicate_generations``."""
-    columns: list[np.ndarray] = []
-    for _ in _replicate_generations(specs, base, ids, columns):
-        pass
-    return _size_table(len(specs), columns)
+    return np.stack(columns, axis=-1).reshape(len(specs), m, len(columns)), members
 
 
 def _trajectories(table: np.ndarray, cap: int) -> list[list[Trajectory]]:
@@ -366,7 +368,7 @@ def simulate_coupled_replicates(
     length share one block whichever spec they belong to.
     """
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    return _trajectories(_run_table(specs, base, ids), specs[0].explosion_cap)
+    return _trajectories(_run_table(specs, base, ids)[0], specs[0].explosion_cap)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

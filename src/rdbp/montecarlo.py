@@ -8,15 +8,17 @@ reduction of their rows of each slice's int64 size table, (specs, ids,
 generations reached + 1), and a ``finish`` that builds its result from the
 reductions (outcome counts, generations where a policy beats
 smallest-first, late growth ratios).  Any list of checks runs through one
-``_per_replicate`` pass of the engine that steps each distinct spec once;
-``run_coupled`` runs ``dominance``, ``safe_haven`` and ``envelope`` that
-way, and each check function runs its own check alone.  Several workers
-are used only for a pass that steps more than FANOUT_MEMBERS members: the
-pass starts in this process, and past that budget the ids it has not
-finished are split into one contiguous range per worker, each going on
-from its rows of the table the pass had reached.  Replicates that are
-still alive at the horizon are reported as their own category, never
-folded into either side of an extinction estimate.
+``_per_replicate`` pass that steps each distinct spec once; ``run_coupled``
+runs ``dominance``, ``safe_haven`` and ``envelope`` that way, and each
+check function runs its own check alone.  ``_per_replicate`` is the one
+loop over a pass's slices of ids, each run by ``engine._run_table``.
+Several workers are used only for a pass that steps more than
+FANOUT_MEMBERS members: the pass starts in this process, and past that
+budget the ids it has not finished are split into one contiguous range per
+worker, each running ``_per_replicate`` with one worker from its rows of
+the table the pass had reached.  Replicates that are still alive at the
+horizon are reported as their own category, never folded into either side
+of an extinction estimate.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .criteria import effective_mean_sf, effective_mean_wf
 from .distributions import LawTriple, OffspringLaw, Uniform
 from .engine import EXPLOSION_CAP_DEFAULT, HORIZON_DEFAULT, ProcessSpec, step_replicates
-from .engine import _replicate_generations, _run_table, _size_table, _trajectories
+from .engine import _run_table, _trajectories
 from .policies import StrongestFirstPolicy, ThirdLargestFirstPolicy, policy_from_token
 from .policies import count_sf  # noqa: F401  the benchmark's span tests reach it by this name
 from .universe import Seed, Universe
@@ -88,6 +90,11 @@ COUNTEREXAMPLE_CHUNK = 1 << 15
 #: 1.7 times short-lived's largest check and 1/200 of deep-growth's
 #: safe_haven (4.3e7)
 FANOUT_MEMBERS = 2 * 10 ** 5
+#: most (t, v) cells ``sf_monotonicity_probe`` reports, over every t value
+#: and every count v.  A cell took about 1.7 KB of peak RSS and 170 bytes of
+#: verify.json (2e5 cells: 341 MB and 34 MB; 2e6 cells: 3.0 GB and 348 MB),
+#: so the bound keeps a report near 170 MB and 17 MB
+SF_PROBE_CELLS = 10 ** 5
 
 
 class InsufficientSurvivors(RuntimeError):
@@ -141,48 +148,6 @@ class ExtinctionEstimate:
     confidence: float
 
 
-def _simulate_range(
-    fn: Callable[[np.ndarray], Any],
-    specs: Sequence[ProcessSpec],
-    seed: Seed,
-    start: int,
-    stop: int,
-    budget: float = math.inf,
-    sizes: Optional[np.ndarray] = None,
-) -> tuple[list, int, Optional[np.ndarray]]:
-    """``fn(table)`` for each slice of the ids from ``start`` to ``stop``,
-    where ``table`` holds the slice's sizes, spec by spec (see
-    ``engine._size_table``).
-
-    ``sizes`` resumes the first slice, of ``sizes.shape[1]`` ids, from the
-    table a cut run left it.  A run is cut before a generation that would
-    take the members stepped past ``budget``; it then returns the results
-    so far, the first id of the slice it cut and that slice's table.  A
-    finished run returns ``stop`` and no table.
-    """
-    results: list = []
-    members = 0
-    base = Universe(seed, specs[0].laws, 0)
-    lo = start
-    # only one slice of sizes is held at a time, however many replicates
-    # the check asks for
-    while lo < stop:
-        if sizes is not None and sizes.size:
-            hi = lo + sizes.shape[1]
-            columns = list(sizes.reshape(-1, sizes.shape[-1]).T)
-        else:
-            hi = min(stop, lo + REPLICATE_CHUNK)
-            columns = []
-        sizes = None
-        for stepped in _replicate_generations(specs, base, np.arange(lo, hi), columns):
-            members += stepped
-            if members > budget:
-                return results, lo, _size_table(len(specs), columns)
-        results.append(fn(_size_table(len(specs), columns)))
-        lo = hi
-    return results, stop, None
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -211,39 +176,57 @@ def _per_replicate(
     workers: int = 1,
     start: int = 0,
     count: Optional[int] = None,
+    sizes: Optional[np.ndarray] = None,
 ) -> list:
     """``fn(table)`` for each slice of the replicate ids from ``start`` to
     ``start + count - 1``, in id order, where ``table`` holds the slice's
-    sizes under each spec.
+    sizes under each spec (see ``engine._run_table``).
 
-    ``count`` defaults to ``mc.replicates``.  The coupled specs step
-    together, in one pass.  With several workers, the pass still starts in
-    this process, and only once it would step more than FANOUT_MEMBERS
-    members does it split the ids it has not finished into one contiguous
-    range per worker.  Each range goes on from where this process left its
-    rows, the first here and the others in a pool whose workers send back
-    only what ``fn`` returns.  Where the slices are cut depends on where
-    the ids ran, so callers combine the results in ways that do not: sums,
-    or concatenations in id order of what ``fn`` reads per replicate.
+    ``count`` defaults to ``mc.replicates``.  ``sizes`` resumes the first
+    slice, of ``sizes.shape[1]`` ids, from the table a cut run left it.  The
+    coupled specs step together, in one pass, and only one slice of sizes
+    is held at a time, however many replicates the check asks for.  With
+    several workers, the pass still starts in this process, and only once
+    it would step more than FANOUT_MEMBERS members does it split the ids it
+    has not finished into one contiguous range per worker.  Each range runs
+    this function with one worker, going on from where this process left
+    its rows: the first here and the others in a pool whose workers send
+    back only what ``fn`` returns.  Where the slices are cut depends on
+    where the ids ran, so callers combine the results in ways that do not:
+    sums, or concatenations in id order of what ``fn`` reads per replicate.
     """
     stop = start + (mc.replicates if count is None else count)
     workers = max(1, min(workers, stop - start, _usable_cpus()))
     budget = FANOUT_MEMBERS if workers > 1 else math.inf
-    results, lo, sizes = _simulate_range(fn, specs, mc.base_seed, start, stop, budget)
+    base = Universe(mc.base_seed, specs[0].laws, 0)
+    results: list = []
+    members = 0
+    lo = start
+    while lo < stop:
+        # the first slice goes on from ``sizes``, if it holds any ids
+        resume = sizes if sizes is not None and sizes.size else None
+        hi = min(stop, lo + REPLICATE_CHUNK) if resume is None else lo + resume.shape[1]
+        sizes = None
+        table, stepped = _run_table(specs, base, np.arange(lo, hi), resume, budget - members)
+        members += stepped
+        if members > budget:
+            break
+        results.append(fn(table))
+        lo = hi
     if lo == stop:
         return results
-    # every range is non-empty, and this process runs one of them
+    # every range is non-empty, and this process runs one of them; each
+    # takes its ids' rows of the cut slice, if it has any
     workers = min(workers, stop - lo)
-    if workers == 1:
-        return results + _simulate_range(fn, specs, mc.base_seed, lo, stop, math.inf, sizes)[0]
-    # each range takes its ids' rows of the cut slice, if it has any
     edges = [lo + (stop - lo) * w // workers for w in range(workers + 1)]
-    shares = [(a, b, math.inf, sizes[:, a - lo:b - lo]) for a, b in zip(edges, edges[1:])]
+    shares = [(fn, specs, mc, 1, a, b - a, table[:, a - lo:b - lo]) for a, b in zip(edges, edges[1:])]
+    if workers == 1:
+        return results + _per_replicate(*shares[0])
     with _start_pool(workers - 1) as pool:
-        futures = [pool.submit(_simulate_range, fn, specs, mc.base_seed, *share) for share in shares[1:]]
-        results.extend(_simulate_range(fn, specs, mc.base_seed, *shares[0])[0])
+        futures = [pool.submit(_per_replicate, *share) for share in shares[1:]]
+        results.extend(_per_replicate(*shares[0]))
         for fut in futures:
-            results.extend(fut.result()[0])
+            results.extend(fut.result())
     return results
 
 
@@ -637,7 +620,7 @@ def counterexample_search(
         ids = np.arange(start, min(budget, start + COUNTEREXAMPLE_CHUNK), dtype=np.int64)
         scanned = int(ids[-1]) + 1
         candidates = ids[step_replicates(np.ones(len(ids), dtype=np.int64), base, ids, 0, sf_spec.policy) > 0]
-        table = _run_table([policy_spec, sf_spec], base, candidates)
+        table = _run_table([policy_spec, sf_spec], base, candidates)[0]
         got, ref = _sizes_at(table, 2)
         hits = np.flatnonzero((got == 0) & (ref > 0))
         if hits.size:
@@ -676,6 +659,13 @@ class SfProbeReport:
     exploratory: bool = True
 
 
+def _probe_cells(t_count: int, top: int, what: str) -> None:
+    """Refuses a probe of more than SF_PROBE_CELLS cells before any is built."""
+    if t_count * top > SF_PROBE_CELLS:
+        raise ValueError(f"{what} over {t_count} t values makes {t_count * top} cells, "
+                         f"more than SF_PROBE_CELLS = {SF_PROBE_CELLS}; lower v_max or the t values")
+
+
 def sf_monotonicity_probe(
     triple: LawTriple,
     t_values: Sequence[int],
@@ -692,6 +682,8 @@ def sf_monotonicity_probe(
     if any(t < 1 for t in t_values):
         raise ValueError("t values must be >= 1")
     _increasing(t_values, "t values")
+    if v_max is not None:
+        _probe_cells(len(t_values), v_max, f"v_max {v_max}")
     base = Universe(mc.base_seed, triple, 0)
     # how many replicates serve each count, per t, summed over slices of
     # REPLICATE_CHUNK ids, so that no size outlives its slice
@@ -705,9 +697,10 @@ def sf_monotonicity_probe(
             tally[:tallies[t].size] += tallies[t]
             tallies[t] = tally
 
-    observed_max = max((tally.size - 1 for tally in tallies.values()), default=0)
-    top = v_max if v_max is not None else max(observed_max, 1)
-    v_values = tuple(range(1, top + 1))
+    if v_max is None:
+        v_max = max([1, *(tally.size - 1 for tally in tallies.values())])
+        _probe_cells(len(t_values), v_max, f"the largest count served, {v_max},")
+    v_values = tuple(range(1, v_max + 1))
 
     cells: dict[tuple[int, int], SfProbeCell] = {}
     for t in t_values:

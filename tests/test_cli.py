@@ -9,6 +9,7 @@ module also works through a real interpreter boundary.
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -320,6 +321,24 @@ class TestVerify:
             "error": "counterexample search needs P[offspring = 3] > 0",
         }
         assert checks["sf_probe"]["ok"] is True
+
+    def test_sf_probe_over_its_cell_bound_exits_3_and_keeps_the_others(self, tmp_path, capsys):
+        # 2e9 cells used to be built one by one until the process ran out
+        # of memory
+        bound = rdbp.montecarlo.SF_PROBE_CELLS
+        cfg = Path(verify_config(tmp_path, ["dominance", "sf_probe"],
+                                 {"sf_probe": {"t_values": [1, 2], "v_max": 10 ** 9}}, resource_value=1.2))
+        data = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**data, "mc": {**data["mc"], "replicates": 10}}))
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+        assert time.perf_counter() - t0 < 60
+        error = f"v_max 1000000000 over 2 t values makes 2000000000 cells, more than SF_PROBE_CELLS = {bound}"
+        assert f"error: check sf_probe: {error}" in capsys.readouterr().err
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        assert checks["sf_probe"]["ok"] is False and checks["sf_probe"]["error"].startswith(error)
+        assert checks["dominance"]["ok"] is True
 
     def test_memory_error_in_one_check_exits_3_and_keeps_the_others(self, tmp_path, capsys, monkeypatch):
         # an allocation that no cap caught; only the coinflip policy, which

@@ -468,6 +468,29 @@ class TestSfMonotonicityProbe:
         monkeypatch.setattr(rdbp.montecarlo, "REPLICATE_CHUNK", 7)
         assert sf_monotonicity_probe(probe_triple, (1, 2, 4), mc, v_max) == whole
 
+    def test_cell_count_is_bounded(self, monkeypatch, probe_triple):
+        mc = McConfig(replicates=100, base_seed=Seed(17))
+        report = sf_monotonicity_probe(probe_triple, (1, 2), mc)
+        cells, top = len(report.cells), report.v_values[-1]
+        # the bound is read where the probe keeps it: a report of its size
+        # passes, and one cell more is refused once the tallies show it
+        monkeypatch.setattr(rdbp.montecarlo, "SF_PROBE_CELLS", cells)
+        assert sf_monotonicity_probe(probe_triple, (1, 2), mc) == report
+        monkeypatch.setattr(rdbp.montecarlo, "SF_PROBE_CELLS", cells - 1)
+        with pytest.raises(ValueError, match=rf"^the largest count served, {top}, over 2 t values makes {cells} "
+                                             rf"cells, more than SF_PROBE_CELLS = {cells - 1}; "):
+            sf_monotonicity_probe(probe_triple, (1, 2), mc)
+        assert sf_monotonicity_probe(probe_triple, (1, 2), mc, v_max=top - 1).v_values[-1] == top - 1
+
+        # a v_max over the bound is refused before any replicate is stepped
+        def unreachable(*args):
+            raise AssertionError("stepped a replicate")
+
+        monkeypatch.setattr(rdbp.montecarlo, "step_replicates", unreachable)
+        with pytest.raises(ValueError, match=rf"^v_max {top} over 2 t values makes {2 * top} cells, "
+                                             rf"more than SF_PROBE_CELLS = {cells - 1}; "):
+            sf_monotonicity_probe(probe_triple, (1, 2), mc, v_max=top)
+
     def test_rejects_empty_crowds(self, probe_triple):
         with pytest.raises(ValueError):
             sf_monotonicity_probe(probe_triple, (0, 1), McConfig(base_seed=Seed(17)))

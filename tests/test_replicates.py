@@ -7,7 +7,9 @@ for every replicate, whatever the policy or law kinds.  Founder counts of 9 and
 130 give rows of many lengths, read together in one pass.
 """
 
+import dataclasses
 import json
+import math
 import os
 from concurrent.futures import Future
 from functools import partial
@@ -308,7 +310,8 @@ class _InlinePool:
         return False
 
     def submit(self, fn, *args):
-        self.ranges.append(args[3:5])
+        start, count = args[4:6]
+        self.ranges.append((start, start + count))
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -424,6 +427,13 @@ class TestFanOut:
         assert inline_pool.sizes == []
 
 
+def _live_members(table, cap, generations):
+    """Members of the rows live in each of the first ``generations``
+    generations of a size table: those a run steps there."""
+    first = table[..., :generations]
+    return int(first[(first > 0) & (first < cap)].sum())
+
+
 def test_a_cut_run_resumes_in_any_split():
     triple = TRIPLES["uniform-constant"]
     specs = [ProcessSpec(laws=triple, policy=policy, initial_size=initial, horizon=12, explosion_cap=600)
@@ -431,22 +441,41 @@ def test_a_cut_run_resumes_in_any_split():
     base = Universe(Seed(21), triple)
     ids = np.arange(10, 30)
     want = simulate_coupled_replicates(specs, base, ids)
-    columns = []
-    run = rdbp.engine._replicate_generations(specs, base, ids, columns)
-    for _ in range(5):
-        next(run)
-    run.close()
+    budget = _live_members(rdbp.engine._run_table(specs, base, ids)[0], 600, 4)
+    table, members = rdbp.engine._run_table(specs, base, ids, budget=budget)
+    assert members > budget
     # four generations stepped: one column of the 40 rows' sizes each, after
     # the founders'
-    table = rdbp.engine._size_table(2, columns)
     assert table.shape == (2, 20, 5) and table.dtype == np.int64
     # resume the rows in two pieces of ids
     for a, b in ((0, 7), (7, 20)):
-        piece = list(table[:, a:b].reshape(-1, 5).T)
-        for _ in rdbp.engine._replicate_generations(specs, base, ids[a:b], piece):
-            pass
-        got = rdbp.engine._trajectories(rdbp.engine._size_table(2, piece), 600)
+        piece = rdbp.engine._run_table(specs, base, ids[a:b], table[:, a:b])[0]
+        got = rdbp.engine._trajectories(piece, 600)
         assert got == [runs[a:b] for runs in want]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_a_budget_of_k_generations_steps_k_and_no_more(k):
+    # the cut is members > budget, not >=: FANOUT_MEMBERS and TestFanOut's
+    # cut points rest on it
+    triple = TRIPLES["uniform-constant"]
+    specs = [ProcessSpec(laws=triple, policy=policy, initial_size=initial, horizon=12, explosion_cap=600)
+             for initial, policy in ((1, WeakestFirstPolicy()), (4, StrongestFirstPolicy()))]
+    base = Universe(Seed(21), triple)
+    ids = np.arange(10, 30)
+    whole, total = rdbp.engine._run_table(specs, base, ids)
+    # the last column is never stepped: the horizon, or no row left live
+    assert whole.shape[-1] > 7 and total == _live_members(whole, 600, whole.shape[-1] - 1)
+    budget = _live_members(whole, 600, k)
+    table, members = rdbp.engine._run_table(specs, base, ids, budget=budget)
+    assert table.shape[-1] == k + 1 and members > budget
+    assert (table == whole[..., :k + 1]).all()
+    table, members = rdbp.engine._run_table(specs, base, ids, budget=budget - 1)
+    assert table.shape[-1] == k and members > budget - 1
+    # a finished run steps no more than its budget
+    for budget in (total, total + 1, math.inf):
+        table, members = rdbp.engine._run_table(specs, base, ids, budget=budget)
+        assert members == total <= budget and (table == whole).all()
 
 
 def _shape(sizes, cap):
@@ -578,8 +607,8 @@ def test_shared_pass_matches_each_check_run_alone(monkeypatch, inline_pool, tmp_
     policy = rdbp.policies.policy_from_token(token)
     alone = {
         "dominance": {"policy": token, "violations": rdbp.montecarlo.dominance_check(policy, triple, mc)},
-        "safe_haven": rdbp.cli._clean(rdbp.montecarlo.safe_haven_check(triple, (1, 3), mc)),
-        "envelope": dict(rdbp.cli._clean(rdbp.montecarlo.envelope_check(policy, triple, mc, min_size=8)),
+        "safe_haven": dataclasses.asdict(rdbp.montecarlo.safe_haven_check(triple, (1, 3), mc)),
+        "envelope": dict(dataclasses.asdict(rdbp.montecarlo.envelope_check(policy, triple, mc, min_size=8)),
                          policy=token),
     }
     monkeypatch.setattr(rdbp.montecarlo, "FANOUT_MEMBERS", 0)
@@ -595,12 +624,12 @@ def test_shared_pass_matches_each_check_run_alone(monkeypatch, inline_pool, tmp_
 def test_shared_pass_steps_each_spec_once(monkeypatch, tmp_path):
     passes = []
 
-    def recorded(specs, base, ids, columns):
+    def recorded(specs, *args):
         passes.append([(spec.policy.name, spec.initial_size) for spec in specs])
-        return generations(specs, base, ids, columns)
+        return run_table(specs, *args)
 
-    generations = rdbp.montecarlo._replicate_generations
-    monkeypatch.setattr(rdbp.montecarlo, "_replicate_generations", recorded)
+    run_table = rdbp.montecarlo._run_table
+    monkeypatch.setattr(rdbp.montecarlo, "_run_table", recorded)
     path, _ = _coupled_config(tmp_path, "fcfs", envelope_policy="wf")
     assert rdbp.cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     # dominance steps fcfs and wf from one founder, safe_haven wf from one
